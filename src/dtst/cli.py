@@ -53,9 +53,9 @@ def _echo(cfg, out):
         f.write(config_mod.format_config(cfg))
 
 
-def _train_one(cfg, model_cfg, seed):
-    """Train a fresh model on the config's train split; returns (params, log)."""
-    dataset = data_mod.generate_dataset(cfg.gen_config("train"))
+def _train_one(cfg, model_cfg, seed, dataset):
+    """Train a fresh model on `dataset`, the config's train split; returns
+    (params, log)."""
     steps = train_mod.total_steps_for(len(dataset), cfg["train.epochs"],
                                       cfg["train.batch_p"], cfg["train.batch_k"])
     schedule = cfg.schedule_config(steps)
@@ -70,7 +70,8 @@ def _train_one(cfg, model_cfg, seed):
 def cmd_train(cfg, out):
     _echo(cfg, out)
     model_cfg = cfg.model_config()
-    params, log = _train_one(cfg, model_cfg, cfg["seed"])
+    dataset = data_mod.generate_dataset(cfg.gen_config("train"))
+    params, log = _train_one(cfg, model_cfg, cfg["seed"], dataset)
     train_mod.write_log(os.path.join(out, "train_log.csv"), log)
     model_mod.save_checkpoint(os.path.join(out, "checkpoint.bin"), params)
     return EXIT_OK
@@ -113,9 +114,11 @@ def cmd_eval(cfg, out):
 
 def cmd_ablate(cfg, out):
     _echo(cfg, out)
+    # the cells differ only in selector keys, so they share both splits
+    train_set = data_mod.generate_dataset(cfg.gen_config("train"))
     samples = data_mod.generate_dataset(cfg.gen_config("test"))
     rows = []
-    # deterministic grid order; every cell shares the config's data seed
+    # deterministic grid order
     for heads, k, position in product(cfg["ablate.heads"], cfg["ablate.k"],
                                       cfg["ablate.positions"]):
         cell = config_mod.ExperimentConfig(values=dict(cfg.values))
@@ -123,7 +126,7 @@ def cmd_ablate(cfg, out):
                             "selector.k": k, "selector.position": position})
         cell.validate()
         model_cfg = cell.model_config()
-        params, _ = _train_one(cell, model_cfg, cell["seed"])
+        params, _ = _train_one(cell, model_cfg, cell["seed"], train_set)
         meta, _, ids, views = eval_mod.embed_samples(model_cfg, params, samples)
         report = eval_mod.evaluate_protocol(meta, ids, views, eval_mod.PROTOCOL_AG,
                                             split_seed=cell["eval.split_seed"])

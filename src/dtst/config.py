@@ -15,7 +15,7 @@ from .errors import ConfigError, ConfigParseError
 from .losses import LossWeights
 from .model import ModelConfig
 from .optim import ScheduleConfig
-from .selector import POSITIONS, SelectorConfig
+from .selector import POSITION_SECOND_TO_LAST, POSITIONS, SelectorConfig
 
 
 def _bool(text):
@@ -96,6 +96,9 @@ class ExperimentConfig:
 
     def model_config(self, with_selector: bool = True) -> ModelConfig:
         v = self.values
+        selector = self.selector_config() if with_selector else None
+        if selector is not None:
+            _check_position(selector.position, v["model.num_blocks"], "selector.position")
         return ModelConfig(
             num_identities=v["data.num_ids"],
             num_blocks=v["model.num_blocks"],
@@ -103,7 +106,7 @@ class ExperimentConfig:
             num_attn_heads=v["model.num_heads"],
             patch_grid=(v["model.patch_rows"], v["model.patch_cols"]),
             patch_dim=v["model.patch_dim"],
-            selector=self.selector_config() if with_selector else None,
+            selector=selector,
         )
 
     def gen_config(self, split: str = "train") -> GenConfig:
@@ -147,6 +150,7 @@ class ExperimentConfig:
         for pos in self.values["ablate.positions"]:
             if pos not in POSITIONS:
                 raise ConfigError(f"ablate.positions entry {pos!r} not in {POSITIONS}")
+            _check_position(pos, self.values["model.num_blocks"], "ablate.positions")
         cells = (len(self.values["ablate.heads"]) * len(self.values["ablate.k"])
                  * len(self.values["ablate.positions"]))
         if not 1 <= cells <= MAX_ABLATION_CELLS:
@@ -154,6 +158,14 @@ class ExperimentConfig:
         if min(self.values["train.batch_p"], self.values["train.batch_k"],
                self.values["train.epochs"]) < 1:
             raise ConfigError("train.* extents must be positive")
+
+
+def _check_position(position, num_blocks, key):
+    """`second_to_last` selects in front of the block before the final one,
+    so it needs at least two blocks."""
+    if position == POSITION_SECOND_TO_LAST and num_blocks < 2:
+        raise ConfigError(f"{key} = {position} needs model.num_blocks >= 2, "
+                          f"got {num_blocks}")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -3,7 +3,9 @@
 Sequence layout: slot 0 is the meta (global) token, slot 1 the view token,
 slots 2.. hold patch tokens. Each block is a pre-norm encoder followed by the
 decoupling subtraction meta <- meta - view. The retrieval embedding is the
-final meta slot.
+final meta slot. The selector, when present, runs in front of one block
+(`ModelConfig.selector_block`); that block and every later one encode the
+reduced sequence.
 """
 
 from __future__ import annotations
@@ -62,6 +64,19 @@ class ModelConfig:
     @property
     def num_patches(self):
         return self.patch_grid[0] * self.patch_grid[1]
+
+    @property
+    def selector_block(self):
+        """Index of the block the selector runs in front of, or None without
+        a selector: the final block for `last`, the one before it for
+        `second_to_last`. A one-block model has no block before the final one;
+        config files reject that combination, and a ModelConfig built directly
+        selects in front of its only block."""
+        if self.selector is None:
+            return None
+        if self.selector.position == sel.POSITION_LAST:
+            return self.num_blocks - 1
+        return max(self.num_blocks - 2, 0)
 
 
 @dataclass
@@ -140,7 +155,7 @@ def patch_embed(x, params: dict, cfg: ModelConfig) -> Tensor:
     b = x.shape[0]
     m = rows * cols
     flat = Tensor(x.reshape(b, m, cfg.patch_dim))
-    out = T.matmul(flat, params["patch_embed.w"]) + params["patch_embed.b"]
+    out = T.linear(flat, params["patch_embed.w"], params["patch_embed.b"])
     return out + params["pos_embed"]
 
 
@@ -153,62 +168,63 @@ def attach_special_tokens(patches: Tensor, view_labels, params: dict) -> TokenSe
     bad = set(view_labels.tolist()) - set(VIEW_NAMES)
     if bad:
         raise DomainError(f"unknown view labels {sorted(bad)}")
-    meta = T.broadcast_to(T.reshape(params["meta_token"], (1, 1, d)), (b, 1, d))
-    views = T.concat([T.reshape(params["view_token.aerial"], (1, d)),
-                      T.reshape(params["view_token.ground"], (1, d))], axis=0)
-    onehot = np.zeros((b, 2))
-    onehot[np.arange(b), view_labels] = 1.0
-    view_slot = T.reshape(T.matmul(Tensor(onehot), views), (b, 1, d))
-    tokens = T.concat([meta, view_slot, patches], axis=1)
+    meta = params["meta_token"]
+    views = (params["view_token.aerial"], params["view_token.ground"])
+    tokens = np.empty((b, m + 2, d))
+    tokens[:, 0] = meta.data
+    tokens[:, 1] = np.stack([t.data for t in views])[view_labels]
+    tokens[:, 2:] = patches.data
+
+    def bwd(g):
+        gview = [g[view_labels == v, 1].sum(axis=0) for v in (VIEW_AERIAL, VIEW_GROUND)]
+        return (g[:, 0].sum(axis=0), gview[0], gview[1], g[:, 2:])
+
+    tokens = T.make(tokens, (meta,) + views + (patches,), bwd)
     origin = np.broadcast_to(np.arange(m), (b, m)).copy()
     return TokenSequence(tokens=tokens, view_labels=view_labels, origin_index=origin)
 
 
-def _attention(x: Tensor, params: dict, prefix: str, num_heads: int,
-               key_bias: Tensor = None) -> Tensor:
-    b, t, d = x.shape
-    if d % num_heads != 0:
-        raise DimensionError(f"attention heads {num_heads} must divide width {d}")
-    dh = d // num_heads
-
-    def proj(name, bias):
-        y = T.matmul(x, params[prefix + name]) + params[prefix + bias]
-        y = T.reshape(y, (b, t, num_heads, dh))
-        return T.transpose(y, (0, 2, 1, 3))  # [B, H, T, dh]
-
-    q = proj("wq", "bq")
-    k = proj("wk", "bk")
-    v = proj("wv", "bv")
-    att = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    if key_bias is not None:
-        # per-key logit bias, shared across heads and queries
-        att = att + T.reshape(key_bias, (b, 1, 1, t))
-    att = T.softmax_lastdim(att)
-    ctx = T.matmul(att, v)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
-    return T.matmul(ctx, params[prefix + "wo"]) + params[prefix + "bo"]
-
-
 def encoder_block(seq: TokenSequence, params: dict, index: int,
                   cfg: ModelConfig, key_bias: Tensor = None) -> TokenSequence:
-    """Pre-norm multi-head self-attention and MLP, both with residuals."""
+    """Pre-norm multi-head self-attention and MLP, both with residuals.
+    `key_bias` [B, T] is added to every attention logit of its key."""
     pre = f"block{index}."
     x = seq.tokens
     normed = T.layer_norm(x, params[pre + "ln1.gamma"], params[pre + "ln1.beta"], LN_EPS)
-    x = x + _attention(normed, params, pre + "attn.", cfg.num_attn_heads, key_bias)
+    attn = T.attention(normed,
+                       [params[pre + "attn." + n] for n in ("wq", "wk", "wv", "wo")],
+                       [params[pre + "attn." + n] for n in ("bq", "bk", "bv", "bo")],
+                       cfg.num_attn_heads, key_bias)
+    x = x + attn
     normed = T.layer_norm(x, params[pre + "ln2.gamma"], params[pre + "ln2.beta"], LN_EPS)
-    h = T.gelu(T.matmul(normed, params[pre + "mlp.w1"]) + params[pre + "mlp.b1"])
-    x = x + (T.matmul(h, params[pre + "mlp.w2"]) + params[pre + "mlp.b2"])
+    h = T.gelu(T.linear(normed, params[pre + "mlp.w1"], params[pre + "mlp.b1"]))
+    x = x + T.linear(h, params[pre + "mlp.w2"], params[pre + "mlp.b2"])
     return replace(seq, tokens=x)
 
 
 def vdt_decouple(seq: TokenSequence) -> TokenSequence:
     """meta <- meta - view; view and patch slots pass through unchanged."""
-    t = seq.tokens.shape[1]
-    meta = T.narrow(seq.tokens, 1, 0, 1)
-    view = T.narrow(seq.tokens, 1, 1, 1)
-    rest = T.narrow(seq.tokens, 1, 1, t - 1)
-    return replace(seq, tokens=T.concat([meta - view, rest], axis=1))
+    return replace(seq, tokens=T.sub_slot(seq.tokens, 0, 1))
+
+
+def _straight_through_bias(soft: Tensor, indices, picked, base) -> Tensor:
+    """Attention key bias [B, 2 + K] for the reduced sequence: zero at the
+    two special slots, (picked - base) * ST_BIAS_GAIN at the kept tokens,
+    where `picked` is soft[indices]. With `base` equal to `picked` it is
+    exactly zero in the forward pass, while its gradient reaches the
+    selected soft weights."""
+    b, k = indices.shape
+    rows = np.arange(b)[:, None]
+    out = np.zeros((b, k + 2))
+    out[:, 2:] = picked - base
+    out[:, 2:] *= ST_BIAS_GAIN
+
+    def bwd(g):
+        gsoft = np.zeros_like(soft.data)
+        gsoft[rows, indices] = g[:, 2:] * ST_BIAS_GAIN  # indices distinct per row
+        return (gsoft,)
+
+    return T.make(out, (soft,), bwd)
 
 
 def _apply_selector(seq: TokenSequence, params: dict, cfg: SelectorConfig,
@@ -227,61 +243,51 @@ def _apply_selector(seq: TokenSequence, params: dict, cfg: SelectorConfig,
     if frozen is None:
         run_cfg = replace(cfg, noise_enabled=cfg.noise_enabled and training)
         indices, soft = sel.perturbed_topk(scores, run_cfg, rng)
-        picked = sel._gather_rows(soft, indices)
-        delta = (picked - Tensor(picked.data)) * ST_BIAS_GAIN  # exactly zero forward
+        base = None
     else:
         indices, base = frozen
-        run_cfg = replace(cfg, noise_enabled=False)
-        _, soft = sel.perturbed_topk(scores, run_cfg, rng)
-        picked = sel._gather_rows(soft, indices)
-        delta = (picked - Tensor(np.asarray(base))) * ST_BIAS_GAIN
+        _, soft = sel.perturbed_topk(scores, replace(cfg, noise_enabled=False), rng)
+    indices = np.asarray(indices)
+    picked = soft.data[np.arange(len(indices))[:, None], indices]
+    # zero in the forward pass; its gradient measures how much more attention
+    # (and residual weight) each kept token should receive, which is what
+    # actually trains the scorer
+    key_bias = _straight_through_bias(soft, indices, picked,
+                                      picked if base is None else np.asarray(base))
     new_seq = sel.select_tokens(seq, indices)
-    b, k = np.asarray(indices).shape
-    mult = T.reshape(delta + Tensor(np.ones((b, k))), (b, k, 1))
-    specials = T.narrow(new_seq.tokens, 1, 0, 2)
-    kept = T.narrow(new_seq.tokens, 1, 2, k) * mult
-    new_seq = replace(new_seq, tokens=T.concat([specials, kept], axis=1))
-    # straight-through attention bias for the next block: zero in the forward
-    # pass, but its gradient measures how much more attention each kept token
-    # should receive, which is what actually trains the scorer
-    key_bias = T.concat([Tensor(np.zeros((b, 2))), delta], axis=1)
-    info = {"origin": new_seq.origin_index, "slots": np.asarray(indices),
-            "soft": picked.data.copy(), "scores": scores, "key_bias": key_bias}
+    new_seq = replace(new_seq, tokens=T.scale_tokens(new_seq.tokens, key_bias))
+    info = {"origin": new_seq.origin_index, "slots": indices,
+            "soft": picked, "scores": scores, "key_bias": key_bias}
     return new_seq, info
 
 
 def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
                   rng=None, training: bool = False,
                   frozen_selection=None) -> ForwardResult:
-    """Full forward pass: embed, N encoder+decouple blocks, optional
-    selection, classifier heads."""
+    """Full forward pass: embed, N encoder+decouple blocks with the selector
+    in front of `cfg.selector_block`, classifier heads."""
     patches = patch_embed(x, params, cfg)
     seq = attach_special_tokens(patches, view_labels, params)
     info = None
-    n = cfg.num_blocks
-    for i in range(n):
+    for i in range(cfg.num_blocks):
         key_bias = None
-        if (cfg.selector is not None and cfg.selector.position == sel.POSITION_LAST
-                and i == n - 1):
+        if i == cfg.selector_block:
             seq, info = _apply_selector(seq, params, cfg.selector, rng, training,
                                         frozen=frozen_selection)
             key_bias = info["key_bias"]
         seq = encoder_block(seq, params, i, cfg, key_bias=key_bias)
         seq = vdt_decouple(seq)
-    if cfg.selector is not None and cfg.selector.position == sel.POSITION_SECOND_TO_LAST:
-        seq, info = _apply_selector(seq, params, cfg.selector, rng, training,
-                                    frozen=frozen_selection)
     b, _, d = seq.tokens.shape
     meta = T.reshape(T.narrow(seq.tokens, 1, 0, 1), (b, d))
     view = T.reshape(T.narrow(seq.tokens, 1, 1, 1), (b, d))
-    id_logits = T.matmul(meta, params["head.id.w"]) + params["head.id.b"]
-    view_logits = T.matmul(view, params["head.view.w"]) + params["head.view.b"]
+    id_logits = T.linear(meta, params["head.id.w"], params["head.id.b"])
+    view_logits = T.linear(view, params["head.view.w"], params["head.view.b"])
     result = ForwardResult(meta_feature=meta, view_feature=view,
                            id_logits=id_logits, view_logits=view_logits)
     if info is not None:
         result.selected_origin = info["origin"]
-        result.selected_slots = info["slots"]
         result.selected_soft = info["soft"]
+        result.selected_slots = info["slots"]
         result.token_scores = info["scores"]
     return result
 

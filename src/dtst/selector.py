@@ -24,8 +24,8 @@ SCORE_FLOOR = 1e-12
 
 # Config-level selector positions: LAST places the selector in front of the
 # final encoder block (the reduced sequence is encoded once more);
-# SECOND_TO_LAST places it after the final block so only the heads see the
-# reduced sequence.
+# SECOND_TO_LAST places it in front of the block before that (the reduced
+# sequence is encoded twice).
 POSITION_LAST = "last"
 POSITION_SECOND_TO_LAST = "second_to_last"
 POSITIONS = (POSITION_LAST, POSITION_SECOND_TO_LAST)
@@ -74,19 +74,33 @@ def init_selector_params(d: int, rng: np.random.Generator) -> SelectorParams:
 
 
 def score_tokens(patch_tokens: Tensor, params: SelectorParams, num_heads: int) -> ScoreVector:
-    """Importance distribution over the M patch tokens of each item."""
+    """Importance distribution over the M patch tokens of each item, as one
+    tape entry from the tokens and both projections to the softmax."""
     b, m, d = patch_tokens.shape
     if d % num_heads != 0:
         raise ConfigError(f"head count {num_heads} does not divide token width {d}")
     dh = d // num_heads
-    q = T.matmul(patch_tokens, params.w_q)      # [B, M, d]
-    k = T.matmul(patch_tokens, params.w_k)
-    q = T.reshape(q, (b, m, num_heads, dh))
-    k = T.reshape(k, (b, m, num_heads, dh))
-    per_head = T.tsum(T.mul(q, k), axis=-1)     # [B, M, H]
-    per_head = per_head * (1.0 / np.sqrt(dh))
-    raw = T.tmean(per_head, axis=-1)            # [B, M]
-    return ScoreVector(s=T.softmax_lastdim(raw))
+    x2 = patch_tokens.data.reshape(b * m, d)
+    q = x2 @ params.w_q.data
+    k = x2 @ params.w_k.data
+    per_head = (q * k).reshape(b, m, num_heads, dh).sum(axis=-1)
+    per_head *= 1.0 / np.sqrt(dh)
+    raw = per_head.sum(axis=-1)
+    raw *= 1.0 / num_heads
+    s = T.softmax_array(raw)
+
+    def bwd(g):
+        graw = T.softmax_grad(s, g)
+        graw *= 1.0 / num_heads
+        graw *= 1.0 / np.sqrt(dh)
+        c = graw.reshape(b * m, 1)
+        gq = k * c
+        gk = q * c
+        gx = gq @ params.w_q.data.T
+        gx += gk @ params.w_k.data.T
+        return gx.reshape(b, m, d), x2.T @ gq, x2.T @ gk
+
+    return ScoreVector(s=T.make(s, (patch_tokens, params.w_q, params.w_k), bwd))
 
 
 def hard_topk(scores, k: int):
@@ -107,23 +121,32 @@ def perturbed_topk(scores: ScoreVector, cfg: SelectorConfig,
 
     Returns (indices [B, K], soft_weights Tensor [B, M]). The forward indices
     come from a hard top-k of the perturbed logits; gradients flow only
-    through the softmax soft weights.
+    through the softmax soft weights, recorded as one tape entry from the
+    scores.
     """
     s = scores.s
     b, m = s.shape
-    safe = T.clip_min(s, SCORE_FLOOR)
-    logits = T.log(safe)
+    safe = np.maximum(s.data, SCORE_FLOOR)
+    logits = np.log(safe)
     if cfg.noise_enabled:
         if rng is None:
             raise ContractError("noise_enabled selection needs a seeded rng")
         u = rng.uniform(size=(b, m))
-        gumbel = -np.log(-np.log(u))
-        logits = logits + Tensor(gumbel)
-    logits = logits * (1.0 / cfg.temperature)
-    soft = T.softmax_lastdim(logits)
-    indices = hard_topk(logits.data, cfg.k)
-    scores.perturbed = logits
-    return indices, soft
+        logits += -np.log(-np.log(u))
+    inv_tau = 1.0 / cfg.temperature
+    logits *= inv_tau
+    soft = T.softmax_array(logits)
+
+    def bwd(g):
+        gl = T.softmax_grad(soft, g)
+        gl *= inv_tau
+        gl /= safe
+        gl *= s.data > SCORE_FLOOR
+        return (gl,)
+
+    indices = hard_topk(logits, cfg.k)
+    scores.perturbed = Tensor(logits)
+    return indices, T.make(soft, (s,), bwd)
 
 
 def select_tokens(seq, indices):
@@ -144,10 +167,8 @@ def select_tokens(seq, indices):
             raise ContractError(f"duplicate selection indices {row.tolist()}")
         if row.min() < 0 or row.max() >= m:
             raise ContractError(f"selection index out of range in {row.tolist()}")
-    specials = T.narrow(seq.tokens, 1, 0, 2)
-    patches = T.narrow(seq.tokens, 1, 2, m)
-    picked = T.gather_tokens(patches, idx)
-    tokens = T.concat([specials, picked], axis=1)
+    slots = np.concatenate([np.broadcast_to([0, 1], (b, 2)), idx + 2], axis=1)
+    tokens = T.gather_tokens(seq.tokens, slots)
     origin = np.take_along_axis(seq.origin_index, idx, axis=1)
     return TokenSequence(tokens=tokens, view_labels=seq.view_labels, origin_index=origin)
 

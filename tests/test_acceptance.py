@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dtst import tensor as T
+from dtst.losses import cross_entropy_loss, orthogonal_loss
 from dtst.data import GenConfig, generate_dataset, pk_batch
 from dtst.evaluate import (PROTOCOL_AG, average_precision, evaluate_protocol,
                            embed_samples, inverse_negative_penalty,
@@ -20,8 +21,8 @@ from dtst.losses import LossWeights
 from dtst.model import (ModelConfig, init_params, model_forward,
                         save_checkpoint)
 from dtst.optim import ScheduleConfig, cosine_lr
-from dtst.selector import (ScoreVector, SelectorConfig, hard_topk,
-                           perturbed_topk)
+from dtst.selector import (ScoreVector, SelectorConfig, SelectorParams,
+                           hard_topk, perturbed_topk, score_tokens)
 from dtst.tensor import Tape, Tensor, backward
 from dtst.train import total_steps_for, train_run, write_log
 
@@ -65,6 +66,12 @@ def _op_suite():
     w_mix = Tensor(rng.normal(size=(2, 3, 4)))
     gamma = Tensor(rng.normal(size=4))
     beta = Tensor(rng.normal(size=4))
+    b_vec = Tensor(rng.normal(size=5))
+    w_lin = Tensor(rng.normal(size=(2, 3, 5)))
+    bias23 = rng.normal(size=(2, 3)) * 0.3
+    sel_params = SelectorParams(w_q=Tensor(rng.normal(size=(4, 4)) * 0.5),
+                                w_k=Tensor(rng.normal(size=(4, 4)) * 0.5))
+    w_scores = Tensor(rng.normal(size=(2, 3)))
     cases = [
         ("add", lambda t: T.add(t, Tensor(y2)), x),
         ("sub", lambda t: T.sub(t, Tensor(y2)), x),
@@ -93,9 +100,64 @@ def _op_suite():
          lambda t: T.gather_tokens(t, np.array([[0, 2], [1, 1]])), x),
         ("gather_lastdim",
          lambda t: T.gather_lastdim(T.reshape(t, (6, 4)), np.arange(6) % 4), x),
+        ("linear", lambda t: T.mul(T.linear(t, w_mat, b_vec), w_lin), x),
+        ("linear.w", lambda t: T.mul(T.linear(Tensor(x), t, b_vec), w_lin), w_mat.data),
+        ("linear.b", lambda t: T.mul(T.linear(Tensor(x), w_mat, t), w_lin), b_vec.data),
+        ("layer_norm.gamma", lambda t: T.mul(T.layer_norm(Tensor(x), t, beta), w_mix),
+         gamma.data),
+        ("layer_norm.beta", lambda t: T.mul(T.layer_norm(Tensor(x), gamma, t), w_mix),
+         beta.data),
+        ("sub_slot", lambda t: T.mul(T.sub_slot(t, 0, 1), w_mix), x),
+        ("scale_tokens", lambda t: T.mul(T.scale_tokens(t, Tensor(bias23)), w_mix), x),
+        ("scale_tokens.bias", lambda t: T.mul(T.scale_tokens(Tensor(x), t), w_mix), bias23),
+        ("cross_entropy_loss",
+         lambda t: cross_entropy_loss(T.reshape(t, (6, 4)), np.arange(6) % 4), x),
+        ("orthogonal_loss.meta",
+         lambda t: orthogonal_loss(T.reshape(t, (6, 4)), Tensor(y2.reshape(6, 4))), x),
+        ("orthogonal_loss.view",
+         lambda t: orthogonal_loss(Tensor(y2.reshape(6, 4)), T.reshape(t, (6, 4))), x),
+        ("score_tokens", lambda t: T.mul(score_tokens(t, sel_params, 2).s, w_scores), x),
+        ("perturbed_topk",
+         lambda t: T.mul(perturbed_topk(ScoreVector(s=T.softmax_lastdim(T.reshape(t, (6, 4)))),
+                                        SelectorConfig(k=2, temperature=0.7,
+                                                       noise_enabled=False))[1],
+                         Tensor(w_mix.data.reshape(6, 4))), x),
         # stop_gradient is deliberately absent: finite differences see through
         # the stopped branch, so it is contract-checked in test_tensor instead
     ]
+    # attention on a K+2-token sequence (K=2), 1, 2 and 4 heads, with and
+    # without the per-key bias; each input differenced on its own
+    seq = rng.normal(size=(2, 4, 8))
+    att_w = [rng.normal(size=(8, 8)) * 0.5 for _ in range(4)]
+    att_b = [rng.normal(size=8) * 0.1 for _ in range(4)]
+    key_bias = rng.normal(size=(2, 4))
+    w_att = Tensor(rng.normal(size=(2, 4, 8)))
+
+    def attention_case(heads, use_bias, which):
+        def op(t):
+            ws = [Tensor(w) for w in att_w]
+            bs = [Tensor(b) for b in att_b]
+            xs = Tensor(seq)
+            kb = Tensor(key_bias) if use_bias else None
+            if which == "x":
+                xs = t
+            elif which == "key_bias":
+                kb = t
+            elif which[0] == "w":
+                ws[int(which[1])] = t
+            else:
+                bs[int(which[1])] = t
+            return T.mul(T.attention(xs, ws, bs, heads, kb), w_att)
+        arr = {"x": seq, "key_bias": key_bias}.get(which)
+        if arr is None:
+            arr = (att_w if which[0] == "w" else att_b)[int(which[1])]
+        return (f"attention[h={heads},bias={use_bias}].{which}", op, arr)
+
+    for heads in (1, 2, 4):
+        for use_bias in (False, True):
+            cases.append(attention_case(heads, use_bias, "x"))
+    for which in ("key_bias", "w0", "w1", "w2", "w3", "b0", "b1", "b2", "b3"):
+        cases.append(attention_case(2, True, which))
     worst = ("", 0.0)
     for name, op, arr in cases:
         arr = arr.copy()

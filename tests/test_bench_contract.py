@@ -1,0 +1,89 @@
+"""The names and signatures perfbench/tracer.py patches at run time.
+
+The benchmark wraps dtst's functions from outside, by module attribute, and
+its wrappers call them with fixed argument names. These tests fail when a
+change to dtst would break the benchmark's clock or `--trace 1`, without
+running a benchmark command.
+"""
+
+import argparse
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracer  # noqa: E402
+
+MODULES = ("cli", "config", "data", "evaluate", "losses", "model", "optim",
+           "selector", "tensor", "train")
+
+
+@pytest.fixture
+def dtst():
+    return argparse.Namespace(**{m: importlib.import_module(f"dtst.{m}") for m in MODULES})
+
+
+def _params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_every_traced_name_exists(dtst):
+    for module, functions in tracer.TRACED.items():
+        for fn in functions:
+            assert callable(getattr(getattr(dtst, module), fn, None)), f"{module}.{fn}"
+    for op in tracer.TENSOR_OPS:
+        assert callable(getattr(dtst.tensor, op, None)), op
+
+
+def test_patched_functions_take_the_arguments_the_wrappers_pass(dtst):
+    # dtst.train imports these by name, so they are patched there
+    assert dtst.train.Tape is dtst.tensor.Tape
+    assert dtst.train.backward is dtst.tensor.backward
+    assert dtst.train.pk_batch is dtst.data.pk_batch
+    assert dtst.train.batch_arrays is dtst.data.batch_arrays
+    assert _params(dtst.tensor.Tape.record) == ["self", "out", "inputs", "backward_fn"]
+    assert _params(dtst.tensor.backward) == ["root", "tape"]
+    assert _params(dtst.data.pk_batch) == ["dataset", "p", "k_inst", "rng"]
+    assert _params(dtst.data.batch_arrays) == ["batch"]
+    assert _params(dtst.train.train_run)[:2] == ["cfg", "params"]
+    assert _params(dtst.model.encoder_block)[:4] == ["seq", "params", "index", "cfg"]
+    assert "key_bias" in _params(dtst.model.encoder_block)
+    forward = _params(dtst.model.model_forward)
+    assert forward[:4] == ["cfg", "params", "x", "view_labels"]
+    assert {"rng", "training"} <= set(forward)
+    assert _params(dtst.evaluate.evaluate_protocol)[:4] == ["embeddings", "ids", "views", "protocol"]
+    assert "split_seed" in _params(dtst.evaluate.evaluate_protocol)
+    assert _params(dtst.evaluate.embed_samples)[:4] == ["cfg", "params", "samples", "batch_size"]
+    assert _params(dtst.cli.main) == ["argv"]
+
+
+def test_tracer_and_clock_install_and_restore(dtst):
+    before = {m: dict(vars(getattr(dtst, m))) for m in MODULES}
+    patches = tracer.Patches()
+    tr = tracer.Tracer()
+    try:
+        tr.install(patches, dtst)
+        tracer.Clock().install(patches, dtst)
+        changed = {f"{m}.{name}" for m in MODULES for name, value in before[m].items()
+                   if getattr(getattr(dtst, m), name) is not value}
+        assert {"train.Tape", "train.backward", "train.pk_batch", "train.batch_arrays",
+                "train.train_run", "model.model_forward", "model.encoder_block",
+                "optim.sgd_step", "evaluate.embed_samples", "tensor.layer_norm"} <= changed
+
+        # an op recorded on the tracer's Tape subclass still differentiates
+        x = dtst.tensor.Tensor(np.ones((2, 3)), requires_grad=True)
+        w = dtst.tensor.Tensor(np.eye(3), requires_grad=True)
+        with dtst.train.Tape() as tape:
+            out = dtst.tensor.tsum(dtst.tensor.linear(x, w))
+        dtst.train.backward(out, tape)
+        assert tr.tape_entries == [2]
+        assert np.array_equal(w.grad, np.full((3, 3), 2.0))
+    finally:
+        patches.restore()
+    for m in MODULES:
+        module = vars(getattr(dtst, m))
+        assert all(module[name] is value for name, value in before[m].items()), m

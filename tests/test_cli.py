@@ -153,3 +153,51 @@ def test_seed_override_changes_results(tiny_config, tmp_path):
     # and the echoed config records the override
     echoed = open(os.path.join(out_b, "effective_config.txt")).read()
     assert "seed = 1" in echoed
+
+
+def test_ablate_generates_each_split_once(tmp_path, monkeypatch):
+    from dtst import data as data_mod
+
+    calls = []
+    original = data_mod.generate_dataset
+
+    def counting(gen):
+        calls.append(gen.sample_seed)
+        return original(gen)
+
+    monkeypatch.setattr(data_mod, "generate_dataset", counting)
+    cfg_path = tmp_path / "ab.cfg"
+    cfg_path.write_text(TINY + "ablate.heads = 1,2\nablate.k = 2\n"
+                        "ablate.positions = last\n")
+    assert run(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert sorted(calls) == [1, 2]  # the train split (seed + 1) and the test split
+
+
+BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
+
+
+def _benchmark_variant(tmp_path, name, **replacements):
+    """configs/benchmark.cfg with whole `key = value` lines replaced."""
+    lines = []
+    for line in open(BENCHMARK_CFG).read().splitlines():
+        key = line.split("=", 1)[0].strip()
+        lines.append(f"{key} = {replacements[key]}" if key in replacements else line)
+    path = tmp_path / f"{name}.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_second_to_last_selection_changes_training(tmp_path):
+    runs = {}
+    for name, change in (("second_to_last", {"selector.position": "second_to_last"}),
+                         ("no_selector", {"selector.enabled": "false"})):
+        cfg = _benchmark_variant(tmp_path, name, **{"train.epochs": 2}, **change)
+        out = str(tmp_path / name)
+        assert run(["train", "--config", cfg, "--out", out]) == EXIT_OK
+        runs[name] = out
+    logs = [open(os.path.join(runs[n], "train_log.csv")).read() for n in runs]
+    assert logs[0] != logs[1]
+    params = load_checkpoint(os.path.join(runs["second_to_last"], "checkpoint.bin"))
+    eye = np.eye(params["selector.wq"].shape[0])
+    assert not np.array_equal(params["selector.wq"], eye)
+    assert not np.array_equal(params["selector.wk"], eye)

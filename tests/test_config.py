@@ -79,6 +79,15 @@ def test_semantic_validation_fires_at_load():
         parse_config_text("seed = 0\nablate.positions = middle\n")
 
 
+def test_second_to_last_needs_two_blocks():
+    parse_config_text("seed = 0\nmodel.num_blocks = 2\nselector.position = second_to_last\n")
+    with pytest.raises(ConfigError, match="num_blocks >= 2"):
+        parse_config_text("seed = 0\nmodel.num_blocks = 1\nselector.position = second_to_last\n")
+    with pytest.raises(ConfigError, match="ablate.positions"):
+        parse_config_text("seed = 0\nmodel.num_blocks = 1\nselector.enabled = false\n"
+                          "ablate.positions = last,second_to_last\n")
+
+
 def test_format_config_round_trips():
     cfg = parse_config_text("seed = 5\nselector.k = 3\ndata.noise_std = 0.75\n")
     echoed = format_config(cfg)

@@ -187,8 +187,8 @@ def test_selector_positions_change_sequence_seen_by_heads():
                                                 noise_enabled=False))
         params = init_params(cfg, seed=21)
         outs[pos] = model_forward(cfg, params, x, v)
-    # both report K selections, but the computations differ: "last" re-encodes
-    # the reduced sequence, "second_to_last" only reduces what the heads see
+    # both report K selections, but the computations differ: "last" encodes
+    # the reduced sequence once, "second_to_last" twice
     assert outs["last"].selected_slots.shape == (2, 2)
     assert outs["second_to_last"].selected_slots.shape == (2, 2)
     assert not np.allclose(outs["last"].id_logits.data,

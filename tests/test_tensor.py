@@ -277,5 +277,14 @@ def test_operations_outside_tape_are_untracked():
     x = Tensor(np.ones(3), requires_grad=True)
     out = T.tsum(x)
     assert out.requires_grad is False
+    with Tape() as tape:
+        pass
     with pytest.raises(ContractError):
-        out.backward()
+        backward(out, tape)
+
+
+def test_linear_shape_errors_name_both_operands():
+    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\)"):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+    with pytest.raises(DimensionError):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))

@@ -1,15 +1,19 @@
 """Optimizer, cosine schedule, training loop, and log round-trips."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from dtst.data import GenConfig, generate_dataset
+from dtst import losses
+from dtst.data import GenConfig, batch_arrays, generate_dataset
 from dtst.errors import ConfigError, ContractError, NumericError
 from dtst.losses import LossWeights
 from dtst.model import ModelConfig, init_params, model_forward
 from dtst.optim import ScheduleConfig, SgdState, cosine_lr, sgd_step
 from dtst.selector import SelectorConfig
-from dtst.tensor import Tensor
+from dtst.tensor import Tape, Tensor, backward
 from dtst.train import (LogRow, read_log, total_steps_for, train_run,
                         write_log)
 
@@ -136,6 +140,32 @@ def test_training_changes_predictions():
               epochs=2, batch_p=2, batch_k=2, seed=0)
     after = model_forward(cfg, params, x, v).id_logits.data
     assert not np.allclose(before, after)
+
+
+def test_step_tape_is_freed_by_reference_counting():
+    """A training step's tape, and with it the activations its entries hold,
+    goes away as soon as the step's locals do, without the cycle collector."""
+    cfg, params, data = _tiny_setup()
+    x, y, v = batch_arrays(data[:4])
+
+    def step():
+        with Tape() as tape:
+            out = model_forward(cfg, params, x, v, rng=np.random.default_rng(0),
+                                training=True)
+            total, _ = losses.total_loss(
+                losses.cross_entropy_loss(out.id_logits, y),
+                losses.cross_entropy_loss(out.view_logits, v),
+                losses.orthogonal_loss(out.meta_feature, out.view_feature),
+                LossWeights())
+        backward(total, tape)
+        return weakref.ref(tape)
+
+    gc.disable()
+    try:
+        assert step()() is None
+    finally:
+        gc.enable()
+    assert all(p.grad is not None for p in params.values())
 
 
 def test_log_round_trip(tmp_path):
