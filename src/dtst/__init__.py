@@ -4,7 +4,7 @@ synthetic planted-signal benchmark."""
 
 from .tensor import Tape, Tensor, backward
 from .model import ModelConfig, TokenSequence, model_forward, init_params
-from .selector import SelectorConfig, SelectorParams
+from .selector import SelectorConfig
 from .losses import LossWeights, LossReport
 from .data import GenConfig, Sample, generate_dataset, pk_batch
 from .optim import ScheduleConfig, SgdState, cosine_lr, sgd_step
@@ -14,7 +14,7 @@ from .evaluate import RetrievalReport, evaluate_protocol
 __all__ = [
     "Tape", "Tensor", "backward",
     "ModelConfig", "TokenSequence", "model_forward", "init_params",
-    "SelectorConfig", "SelectorParams",
+    "SelectorConfig",
     "LossWeights", "LossReport",
     "GenConfig", "Sample", "generate_dataset", "pk_batch",
     "ScheduleConfig", "SgdState", "cosine_lr", "sgd_step",

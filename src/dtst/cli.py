@@ -56,11 +56,9 @@ def _echo(cfg, out):
 def _train_one(cfg, model_cfg, seed, dataset):
     """Train a fresh model on `dataset`, the config's train split; returns
     (params, log)."""
-    steps = train_mod.total_steps_for(len(dataset), cfg["train.epochs"],
-                                      cfg["train.batch_p"], cfg["train.batch_k"])
-    schedule = cfg.schedule_config(steps)
     params = model_mod.init_params(model_cfg, seed)
-    log = train_mod.train_run(model_cfg, params, dataset, schedule,
+    log = train_mod.train_run(model_cfg, params, dataset,
+                              cfg["schedule.lr_max"], cfg["schedule.lr_min"],
                               cfg.loss_weights(), cfg["train.epochs"],
                               cfg["train.batch_p"], cfg["train.batch_k"],
                               seed=seed, momentum=cfg["train.momentum"])

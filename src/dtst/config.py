@@ -131,11 +131,6 @@ class ExperimentConfig:
             sample_seed=sample_seed,
         )
 
-    def schedule_config(self, total_steps: int) -> ScheduleConfig:
-        return ScheduleConfig(lr_max=self.values["schedule.lr_max"],
-                              lr_min=self.values["schedule.lr_min"],
-                              total_steps=total_steps)
-
     def loss_weights(self) -> LossWeights:
         return LossWeights(view_weight=self.values["loss.view_weight"],
                            orth_weight=self.values["loss.orth_weight"])
@@ -145,7 +140,9 @@ class ExperimentConfig:
         self.model_config()
         self.gen_config("train")
         self.gen_config("test")
-        self.schedule_config(1)
+        # train_run sets the step count; this checks the lr range alone
+        ScheduleConfig(lr_max=self.values["schedule.lr_max"],
+                       lr_min=self.values["schedule.lr_min"], total_steps=1)
         self.loss_weights()
         for pos in self.values["ablate.positions"]:
             if pos not in POSITIONS:

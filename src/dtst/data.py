@@ -136,8 +136,8 @@ def import_dataset(path):
             line = line.strip()
             if not line:
                 continue
-            fields = dict(part.split("=", 1) for part in line.split())
             try:
+                fields = dict(part.split("=", 1) for part in line.split())
                 view = VIEW_IDS[fields["view"]]
                 shape = tuple(int(n) for n in fields["shape"].split(","))
                 slots = tuple(int(n) for n in fields["signal"].split(","))
@@ -163,8 +163,8 @@ def import_embeddings(path):
             line = line.strip()
             if not line:
                 continue
-            fields = dict(part.split("=", 1) for part in line.split())
             try:
+                fields = dict(part.split("=", 1) for part in line.split())
                 embs.append(_decode_floats(fields["x"]))
                 ids.append(int(fields["id"]))
                 views.append(VIEW_IDS[fields["view"]])

@@ -30,23 +30,6 @@ def relative_error(a, b) -> float:
     return float(np.linalg.norm(a - b) / max(na, nb))
 
 
-def finite_difference(f, arr, step: float = DEFAULT_STEP):
-    """Central-difference gradient of scalar f with respect to ndarray arr,
-    perturbing arr in place and restoring it."""
-    grad = np.zeros_like(arr)
-    flat = arr.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = f()
-        flat[i] = orig - step
-        lo = f()
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * step)
-    return grad
-
-
 @dataclass
 class GroupResult:
     name: str

@@ -10,6 +10,7 @@ reduced sequence.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from . import selector as sel
-from .errors import ConfigError, DimensionError, DomainError
-from .selector import SelectorConfig, SelectorParams
+from .errors import ConfigError, DimensionError, DomainError, NumericError
+from .selector import SelectorConfig
 from .tensor import Tensor
 
 VIEW_AERIAL = 0
@@ -42,15 +43,12 @@ class ModelConfig:
     num_attn_heads: int = 2
     patch_grid: tuple = (4, 4)
     patch_dim: int = 8
-    num_views: int = 2
     selector: SelectorConfig = None
 
     def __post_init__(self):
         if self.embed_dim % self.num_attn_heads != 0:
             raise ConfigError(
                 f"num_attn_heads {self.num_attn_heads} must divide embed_dim {self.embed_dim}")
-        if self.num_views != 2:
-            raise ConfigError(f"num_views is fixed at 2, got {self.num_views}")
         if min(self.num_identities, self.num_blocks, self.patch_dim) < 1:
             raise ConfigError("ModelConfig extents must be positive")
         if self.selector is not None:
@@ -95,7 +93,7 @@ class ForwardResult:
     selected_origin: np.ndarray = None  # [B, K] grid indices kept by the selector
     selected_slots: np.ndarray = None   # [B, K] patch-slot indices chosen
     selected_soft: np.ndarray = None    # [B, K] soft weights at those slots
-    token_scores: sel.ScoreVector = None
+    token_scores: Tensor = None         # [B, M] score distribution over patch tokens
 
 
 def _uniform(rng, fan_in, shape):
@@ -132,8 +130,8 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
         p[pre + "mlp.b2"] = Tensor(np.zeros(d), requires_grad=True)
     p["head.id.w"] = _uniform(rng, d, (d, cfg.num_identities))
     p["head.id.b"] = Tensor(np.zeros(cfg.num_identities), requires_grad=True)
-    p["head.view.w"] = _uniform(rng, d, (d, cfg.num_views))
-    p["head.view.b"] = Tensor(np.zeros(cfg.num_views), requires_grad=True)
+    p["head.view.w"] = _uniform(rng, d, (d, len(VIEW_NAMES)))
+    p["head.view.b"] = Tensor(np.zeros(len(VIEW_NAMES)), requires_grad=True)
     # Identity-initialized (and placed last so a given seed yields the same
     # backbone with or without the selector): the initial score is then each
     # token's squared norm, which already correlates with signal content and
@@ -152,6 +150,9 @@ def patch_embed(x, params: dict, cfg: ModelConfig) -> Tensor:
     if x.shape[1:] != (rows, cols, cfg.patch_dim):
         raise DimensionError(
             f"grid shape {x.shape[1:]} does not match configured {(rows, cols, cfg.patch_dim)}")
+    if not np.isfinite(x).all():
+        raise NumericError(f"input grid holds {np.count_nonzero(~np.isfinite(x))} "
+                           f"non-finite values")
     b = x.shape[0]
     m = rows * cols
     flat = Tensor(x.reshape(b, m, cfg.patch_dim))
@@ -229,36 +230,36 @@ def _straight_through_bias(soft: Tensor, indices, picked, base) -> Tensor:
 
 def _apply_selector(seq: TokenSequence, params: dict, cfg: SelectorConfig,
                     rng, training: bool, frozen=None):
-    """Score, select, and apply straight-through weights.
+    """Score the patch tokens, keep the top K and weight them straight
+    through. Returns the reduced sequence, the attention key bias for the
+    block it enters, and the ForwardResult selection fields.
 
     `frozen`, when given, is (slot indices [B, K], baseline soft weights
-    [B, K]): selection is pinned and the straight-through stop-gradient
-    constant is replaced by the baseline, which makes the whole forward a
-    smooth function of the parameters (used by finite-difference checks).
+    [B, K]): it replaces the selected indices and the straight-through
+    stop-gradient constant, and selection runs without noise, which makes
+    the whole forward a smooth function of the parameters (used by
+    finite-difference checks).
     """
     m = seq.tokens.shape[1] - 2
     patches = T.narrow(seq.tokens, 1, 2, m)
-    sp = SelectorParams(w_q=params["selector.wq"], w_k=params["selector.wk"])
-    scores = sel.score_tokens(patches, sp, cfg.num_heads)
-    if frozen is None:
-        run_cfg = replace(cfg, noise_enabled=cfg.noise_enabled and training)
-        indices, soft = sel.perturbed_topk(scores, run_cfg, rng)
-        base = None
-    else:
-        indices, base = frozen
-        _, soft = sel.perturbed_topk(scores, replace(cfg, noise_enabled=False), rng)
+    scores = sel.score_tokens(patches, params["selector.wq"], params["selector.wk"],
+                              cfg.num_heads)
+    noise = cfg.noise_enabled and training and frozen is None
+    indices, soft = sel.perturbed_topk(scores, replace(cfg, noise_enabled=noise), rng)
+    if frozen is not None:
+        indices = frozen[0]
     indices = np.asarray(indices)
     picked = soft.data[np.arange(len(indices))[:, None], indices]
     # zero in the forward pass; its gradient measures how much more attention
     # (and residual weight) each kept token should receive, which is what
     # actually trains the scorer
     key_bias = _straight_through_bias(soft, indices, picked,
-                                      picked if base is None else np.asarray(base))
-    new_seq = sel.select_tokens(seq, indices)
-    new_seq = replace(new_seq, tokens=T.scale_tokens(new_seq.tokens, key_bias))
-    info = {"origin": new_seq.origin_index, "slots": indices,
-            "soft": picked, "scores": scores, "key_bias": key_bias}
-    return new_seq, info
+                                      picked if frozen is None else np.asarray(frozen[1]))
+    tokens, origin = sel.select_tokens(seq.tokens, seq.origin_index, indices)
+    seq = replace(seq, tokens=T.scale_tokens(tokens, key_bias), origin_index=origin)
+    selection = {"selected_origin": origin, "selected_slots": indices,
+                 "selected_soft": picked, "token_scores": scores}
+    return seq, key_bias, selection
 
 
 def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
@@ -268,13 +269,12 @@ def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
     in front of `cfg.selector_block`, classifier heads."""
     patches = patch_embed(x, params, cfg)
     seq = attach_special_tokens(patches, view_labels, params)
-    info = None
+    selection = {}
     for i in range(cfg.num_blocks):
         key_bias = None
         if i == cfg.selector_block:
-            seq, info = _apply_selector(seq, params, cfg.selector, rng, training,
-                                        frozen=frozen_selection)
-            key_bias = info["key_bias"]
+            seq, key_bias, selection = _apply_selector(seq, params, cfg.selector, rng,
+                                                       training, frozen=frozen_selection)
         seq = encoder_block(seq, params, i, cfg, key_bias=key_bias)
         seq = vdt_decouple(seq)
     b, _, d = seq.tokens.shape
@@ -282,14 +282,8 @@ def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
     view = T.reshape(T.narrow(seq.tokens, 1, 1, 1), (b, d))
     id_logits = T.linear(meta, params["head.id.w"], params["head.id.b"])
     view_logits = T.linear(view, params["head.view.w"], params["head.view.b"])
-    result = ForwardResult(meta_feature=meta, view_feature=view,
-                           id_logits=id_logits, view_logits=view_logits)
-    if info is not None:
-        result.selected_origin = info["origin"]
-        result.selected_soft = info["soft"]
-        result.selected_slots = info["slots"]
-        result.token_scores = info["scores"]
-    return result
+    return ForwardResult(meta_feature=meta, view_feature=view, id_logits=id_logits,
+                         view_logits=view_logits, **selection)
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +305,33 @@ def save_checkpoint(path, params: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Returns name -> ndarray in manifest order."""
+    """Returns name -> ndarray in manifest order. A malformed manifest or a
+    payload whose length differs from what the manifest declares raises
+    DomainError naming the file."""
     if not os.path.isfile(path):
         raise DomainError(f"checkpoint file not found: {path}")
     with open(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(_MAGIC):
         raise DomainError(f"{path} is not a checkpoint file")
-    header_end = blob.index(b"\nend\n")
-    manifest = blob[len(_MAGIC):header_end + 1].decode().splitlines()
+    header_end = blob.find(b"\nend\n")
+    if header_end < 0:
+        raise DomainError(f"{path}: checkpoint manifest has no 'end' line")
+    manifest = blob[len(_MAGIC):header_end + 1].decode("ascii", "replace").splitlines()
     payload = blob[header_end + len(b"\nend\n"):]
+    shapes = {}
+    for lineno, line in enumerate(manifest, 2):
+        parts = line.split()
+        if not parts or parts[0] in shapes or not all(v.isdigit() for v in parts[1:]):
+            raise DomainError(f"{path}:{lineno}: bad manifest line {line!r}")
+        shapes[parts[0]] = tuple(int(v) for v in parts[1:])
+    counts = [math.prod(dims) for dims in shapes.values()]
+    if 8 * sum(counts) != len(payload):
+        raise DomainError(f"{path}: payload holds {len(payload)} bytes, the manifest "
+                          f"declares {8 * sum(counts)}")
     out = {}
     offset = 0
-    for line in manifest:
-        parts = line.split()
-        name, dims = parts[0], tuple(int(v) for v in parts[1:])
-        count = int(np.prod(dims)) if dims else 1
+    for (name, dims), count in zip(shapes.items(), counts):
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         out[name] = arr.reshape(dims).astype(np.float64)
         offset += count * 8

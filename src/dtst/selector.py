@@ -51,38 +51,17 @@ class SelectorConfig:
                               f"got {self.position!r}")
 
 
-@dataclass
-class SelectorParams:
-    w_q: Tensor  # [d, d]
-    w_k: Tensor  # [d, d]
-
-
-@dataclass
-class ScoreVector:
-    """Per-item score distribution over patch tokens, optionally perturbed."""
-
-    s: Tensor               # [B, M], rows sum to 1
-    perturbed: Tensor = None  # [B, M] perturbed logits, set by perturbed_topk
-
-
-def init_selector_params(d: int, rng: np.random.Generator) -> SelectorParams:
-    bound = 1.0 / np.sqrt(d)
-    return SelectorParams(
-        w_q=Tensor(rng.uniform(-bound, bound, size=(d, d)), requires_grad=True),
-        w_k=Tensor(rng.uniform(-bound, bound, size=(d, d)), requires_grad=True),
-    )
-
-
-def score_tokens(patch_tokens: Tensor, params: SelectorParams, num_heads: int) -> ScoreVector:
-    """Importance distribution over the M patch tokens of each item, as one
-    tape entry from the tokens and both projections to the softmax."""
+def score_tokens(patch_tokens: Tensor, w_q: Tensor, w_k: Tensor, num_heads: int) -> Tensor:
+    """Importance distribution [B, M] over the M patch tokens of each item
+    (rows sum to 1), as one tape entry from the tokens and both projections
+    [d, d] to the softmax."""
     b, m, d = patch_tokens.shape
     if d % num_heads != 0:
         raise ConfigError(f"head count {num_heads} does not divide token width {d}")
     dh = d // num_heads
     x2 = patch_tokens.data.reshape(b * m, d)
-    q = x2 @ params.w_q.data
-    k = x2 @ params.w_k.data
+    q = x2 @ w_q.data
+    k = x2 @ w_k.data
     per_head = (q * k).reshape(b, m, num_heads, dh).sum(axis=-1)
     per_head *= 1.0 / np.sqrt(dh)
     raw = per_head.sum(axis=-1)
@@ -96,11 +75,11 @@ def score_tokens(patch_tokens: Tensor, params: SelectorParams, num_heads: int) -
         c = graw.reshape(b * m, 1)
         gq = k * c
         gk = q * c
-        gx = gq @ params.w_q.data.T
-        gx += gk @ params.w_k.data.T
+        gx = gq @ w_q.data.T
+        gx += gk @ w_k.data.T
         return gx.reshape(b, m, d), x2.T @ gq, x2.T @ gk
 
-    return ScoreVector(s=T.make(s, (patch_tokens, params.w_q, params.w_k), bwd))
+    return T.make(s, (patch_tokens, w_q, w_k), bwd)
 
 
 def hard_topk(scores, k: int):
@@ -115,16 +94,15 @@ def hard_topk(scores, k: int):
     return np.sort(chosen, axis=-1)
 
 
-def perturbed_topk(scores: ScoreVector, cfg: SelectorConfig,
+def perturbed_topk(s: Tensor, cfg: SelectorConfig,
                    rng: np.random.Generator = None):
-    """Gumbel-perturbed selection.
+    """Gumbel-perturbed selection from the score distribution `s` [B, M].
 
     Returns (indices [B, K], soft_weights Tensor [B, M]). The forward indices
     come from a hard top-k of the perturbed logits; gradients flow only
     through the softmax soft weights, recorded as one tape entry from the
     scores.
     """
-    s = scores.s
     b, m = s.shape
     safe = np.maximum(s.data, SCORE_FLOOR)
     logits = np.log(safe)
@@ -144,21 +122,20 @@ def perturbed_topk(scores: ScoreVector, cfg: SelectorConfig,
         gl *= s.data > SCORE_FLOOR
         return (gl,)
 
-    indices = hard_topk(logits, cfg.k)
-    scores.perturbed = Tensor(logits)
-    return indices, T.make(soft, (s,), bwd)
+    return hard_topk(logits, cfg.k), T.make(soft, (s,), bwd)
 
 
-def select_tokens(seq, indices):
-    """Keep slots 0/1 plus the chosen patch tokens, in original order.
+def select_tokens(tokens: Tensor, origin_index, indices):
+    """Keep slots 0/1 plus the chosen patch tokens, in the order of
+    `indices` (ascending, as hard_topk returns them).
 
-    `seq` is a model.TokenSequence; `indices` is [B, K] of patch-slot indices
-    (0-based within the patch region).
+    `tokens` is [B, 2 + M, d] and `origin_index` [B, M] the grid index of
+    each patch slot; `indices` is [B, K] (or [K] for every row) of patch-slot
+    indices, 0-based within the patch region. Returns the reduced tokens
+    [B, 2 + K, d] and the grid index of each kept patch [B, K].
     """
-    from .model import TokenSequence  # cycle: model builds sequences
-
     idx = np.asarray(indices, dtype=np.int64)
-    b, t, _ = seq.tokens.shape
+    b, t, _ = tokens.shape
     m = t - 2
     if idx.ndim == 1:
         idx = np.broadcast_to(idx, (b, idx.shape[0])).copy()
@@ -168,22 +145,4 @@ def select_tokens(seq, indices):
         if row.min() < 0 or row.max() >= m:
             raise ContractError(f"selection index out of range in {row.tolist()}")
     slots = np.concatenate([np.broadcast_to([0, 1], (b, 2)), idx + 2], axis=1)
-    tokens = T.gather_tokens(seq.tokens, slots)
-    origin = np.take_along_axis(seq.origin_index, idx, axis=1)
-    return TokenSequence(tokens=tokens, view_labels=seq.view_labels, origin_index=origin)
-
-
-def straight_through_weights(soft: Tensor, indices) -> Tensor:
-    """Multipliers for the selected tokens: exactly 1 in the forward pass,
-    gradient equal to that of the soft weights."""
-    w = _gather_rows(soft, indices)
-    return w - Tensor(w.data) + Tensor(np.ones_like(w.data))
-
-
-def _gather_rows(soft: Tensor, indices) -> Tensor:
-    """soft [B, M], indices [B, K] -> [B, K]."""
-    idx = np.asarray(indices, dtype=np.int64)
-    b, k = idx.shape
-    flat = T.reshape(soft, (b, soft.shape[1], 1))
-    picked = T.gather_tokens(flat, idx)          # [B, K, 1]
-    return T.reshape(picked, (b, k))
+    return T.gather_tokens(tokens, slots), np.take_along_axis(origin_index, idx, axis=1)

@@ -348,10 +348,6 @@ def concat(xs, axis: int) -> Tensor:
     return make(out, tuple(xs), bwd)
 
 
-def stop_gradient(x: Tensor) -> Tensor:
-    return Tensor(x.data.copy())
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and normalization
 

@@ -16,10 +16,6 @@ from .tensor import Tape, backward
 LOG_COLUMNS = ("step", "lr", "id_loss", "view_loss", "orth_loss", "total")
 
 
-def total_steps_for(num_samples: int, epochs: int, batch_p: int, batch_k: int) -> int:
-    return epochs * max(1, num_samples // (batch_p * batch_k))
-
-
 @dataclass
 class LogRow:
     step: int
@@ -31,16 +27,15 @@ class LogRow:
 
 
 def train_run(cfg: model.ModelConfig, params: dict, dataset,
-              schedule: optim.ScheduleConfig, weights: losses.LossWeights,
+              lr_max: float, lr_min: float, weights: losses.LossWeights,
               epochs: int, batch_p: int, batch_k: int, seed: int,
               momentum: float = 0.9):
-    """Train in place for `epochs` epochs; returns the list of LogRow."""
+    """Train in place for `epochs` epochs of len(dataset) // (P*K) steps
+    each (at least one), the learning rate decaying from `lr_max` to `lr_min`
+    over the whole run; returns the list of LogRow."""
     rng = np.random.default_rng(seed)
-    steps_per_epoch = max(1, len(dataset) // (batch_p * batch_k))
-    total_steps = epochs * steps_per_epoch
-    if schedule.total_steps != total_steps:
-        raise NumericError(
-            f"schedule covers {schedule.total_steps} steps but the run has {total_steps}")
+    total_steps = epochs * max(1, len(dataset) // (batch_p * batch_k))
+    schedule = optim.ScheduleConfig(lr_max=lr_max, lr_min=lr_min, total_steps=total_steps)
     state = optim.SgdState(learning_rate=schedule.lr_max, momentum=momentum)
     log = []
     for step in range(total_steps):

@@ -21,10 +21,10 @@ from dtst.losses import LossWeights
 from dtst.model import (ModelConfig, init_params, model_forward,
                         save_checkpoint)
 from dtst.optim import ScheduleConfig, cosine_lr
-from dtst.selector import (ScoreVector, SelectorConfig, SelectorParams,
-                           hard_topk, perturbed_topk, score_tokens)
+from dtst.selector import (SelectorConfig, hard_topk, perturbed_topk,
+                           score_tokens)
 from dtst.tensor import Tape, Tensor, backward
-from dtst.train import total_steps_for, train_run, write_log
+from dtst.train import train_run, write_log
 
 from conftest import VERDICTS
 
@@ -69,8 +69,8 @@ def _op_suite():
     b_vec = Tensor(rng.normal(size=5))
     w_lin = Tensor(rng.normal(size=(2, 3, 5)))
     bias23 = rng.normal(size=(2, 3)) * 0.3
-    sel_params = SelectorParams(w_q=Tensor(rng.normal(size=(4, 4)) * 0.5),
-                                w_k=Tensor(rng.normal(size=(4, 4)) * 0.5))
+    sel_wq = Tensor(rng.normal(size=(4, 4)) * 0.5)
+    sel_wk = Tensor(rng.normal(size=(4, 4)) * 0.5)
     w_scores = Tensor(rng.normal(size=(2, 3)))
     cases = [
         ("add", lambda t: T.add(t, Tensor(y2)), x),
@@ -116,14 +116,12 @@ def _op_suite():
          lambda t: orthogonal_loss(T.reshape(t, (6, 4)), Tensor(y2.reshape(6, 4))), x),
         ("orthogonal_loss.view",
          lambda t: orthogonal_loss(Tensor(y2.reshape(6, 4)), T.reshape(t, (6, 4))), x),
-        ("score_tokens", lambda t: T.mul(score_tokens(t, sel_params, 2).s, w_scores), x),
+        ("score_tokens", lambda t: T.mul(score_tokens(t, sel_wq, sel_wk, 2), w_scores), x),
         ("perturbed_topk",
-         lambda t: T.mul(perturbed_topk(ScoreVector(s=T.softmax_lastdim(T.reshape(t, (6, 4)))),
+         lambda t: T.mul(perturbed_topk(T.softmax_lastdim(T.reshape(t, (6, 4))),
                                         SelectorConfig(k=2, temperature=0.7,
                                                        noise_enabled=False))[1],
                          Tensor(w_mix.data.reshape(6, 4))), x),
-        # stop_gradient is deliberately absent: finite differences see through
-        # the stopped branch, so it is contract-checked in test_tensor instead
     ]
     # attention on a K+2-token sequence (K=2), 1, 2 and 4 heads, with and
     # without the per-key bias; each input differenced on its own
@@ -260,7 +258,7 @@ def test_criterion_3_selector_limit_laws():
     start = time.perf_counter()
 
     # tau = 0.01 concentration on the argmax
-    scores = ScoreVector(s=Tensor(np.array([[0.7, 0.2, 0.1]])))
+    scores = Tensor(np.array([[0.7, 0.2, 0.1]]))
     _, soft = perturbed_topk(scores, SelectorConfig(k=1, temperature=0.01,
                                                     noise_enabled=False))
     mass = float(soft.data[0, 0])
@@ -268,14 +266,14 @@ def test_criterion_3_selector_limit_laws():
     # noise-off indices equal hard_topk bitwise
     rng = np.random.default_rng(1)
     probs = rng.dirichlet(np.ones(8), size=16)
-    idx, _ = perturbed_topk(ScoreVector(s=Tensor(probs)),
+    idx, _ = perturbed_topk(Tensor(probs),
                             SelectorConfig(k=3, noise_enabled=False))
     bitwise = np.array_equal(idx, hard_topk(probs, 3))
 
     # Gumbel Monte-Carlo: selection frequency of each index matches s_i
     s = np.array([0.5, 0.3, 0.15, 0.05])
     draws = 10 ** 5
-    tiled = ScoreVector(s=Tensor(np.broadcast_to(s, (draws, 4)).copy()))
+    tiled = Tensor(np.broadcast_to(s, (draws, 4)).copy())
     idx, _ = perturbed_topk(tiled, SelectorConfig(k=1, temperature=1.0,
                                                   noise_enabled=True),
                             np.random.default_rng(2))
@@ -362,10 +360,8 @@ def _bench_run(seed, with_selector):
                        sample_seed=seed + 2)
     train_data = generate_dataset(train_gen)
     test_data = generate_dataset(test_gen)
-    steps = total_steps_for(len(train_data), 30, 8, 4)
-    schedule = ScheduleConfig(lr_max=8e-3, lr_min=1.6e-6, total_steps=steps)
     params = init_params(cfg, seed)
-    log = train_run(cfg, params, train_data, schedule,
+    log = train_run(cfg, params, train_data, 8e-3, 1.6e-6,
                     LossWeights(view_weight=1.0, orth_weight=3.0),
                     epochs=30, batch_p=8, batch_k=4, seed=seed)
     meta, view_feat, ids, views = embed_samples(cfg, params, test_data)

@@ -133,6 +133,20 @@ def test_run_error_writes_error_json(tmp_path, capsys):
     assert json.loads(err.strip())["command"] == "eval"
 
 
+def test_eval_on_truncated_checkpoint_is_run_error(tiny_config, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
+    ckpt = os.path.join(out, "checkpoint.bin")
+    with open(ckpt, "rb") as f:
+        blob = f.read()
+    with open(ckpt, "wb") as f:
+        f.write(blob[:-5])
+    assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
+    record = json.load(open(os.path.join(out, "error.json")))
+    assert record["error"] == "DomainError"
+    assert "checkpoint.bin" in record["message"]
+
+
 def test_config_parse_error_is_usage_exit(tmp_path, capsys):
     cfg_path = tmp_path / "broken.cfg"
     cfg_path.write_text("seed = 0\nbogus.key = 1\n")

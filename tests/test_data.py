@@ -147,6 +147,15 @@ def test_dataset_import_reports_bad_line(tmp_path):
     path.write_text("id=0 view=sideways signal=1 shape=1,1,2 x=AAAA\n")
     with pytest.raises(DomainError, match=r":1:"):
         import_dataset(path)
+    # a field with no '=' on the second line
+    good = "id=0 view=aerial signal=0 shape=1,1,1 x=AAAAAAAAAAA=\n"
+    path.write_text(good + "id=0 view=aerial signal=0 shape=1,1,1 AAAAAAAAAAA=\n")
+    with pytest.raises(DomainError, match=r"bad\.txt:2: bad sample record"):
+        import_dataset(path)
+    emb = tmp_path / "emb.txt"
+    emb.write_text("id=1 view=ground x=AAAAAAAAAAA=\nid=1 view ground x=AAAAAAAAAAA=\n")
+    with pytest.raises(DomainError, match=r"emb\.txt:2: bad embedding record"):
+        import_embeddings(emb)
 
 
 @settings(max_examples=20, deadline=None)

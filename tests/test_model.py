@@ -6,7 +6,7 @@ import pytest
 
 from dtst import model
 from dtst import tensor as T
-from dtst.errors import ConfigError, DimensionError, DomainError
+from dtst.errors import ConfigError, DimensionError, DomainError, NumericError
 from dtst.model import (ModelConfig, attach_special_tokens, init_params,
                         load_checkpoint, model_forward, patch_embed,
                         restore_params, save_checkpoint, vdt_decouple)
@@ -26,8 +26,6 @@ def small_cfg(selector=None, **kw):
 def test_config_validation():
     with pytest.raises(ConfigError, match="divide"):
         small_cfg(embed_dim=9)
-    with pytest.raises(ConfigError, match="num_views"):
-        small_cfg(num_views=3)
     with pytest.raises(ConfigError, match="exceeds M"):
         small_cfg(selector=SelectorConfig(k=7))
     with pytest.raises(ConfigError, match="selector heads"):
@@ -61,6 +59,19 @@ def test_patch_embed_shape_error():
     params = init_params(cfg, seed=0)
     with pytest.raises(DimensionError, match="grid shape"):
         patch_embed(np.zeros((1, 3, 3, 4)), params, cfg)
+
+
+def test_non_finite_grid_is_rejected():
+    cfg = small_cfg(selector=SelectorConfig(k=2, noise_enabled=False))
+    params = init_params(cfg, seed=0)
+    v = np.array([0, 1])
+    with pytest.raises(NumericError, match="non-finite"):
+        model_forward(cfg, params, np.full((2, 2, 3, 4), np.nan), v)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros((2, 2, 3, 4))
+        x[1, 0, 2, 3] = bad
+        with pytest.raises(NumericError, match="1 non-finite"):
+            model_forward(cfg, params, x, v)
 
 
 def test_attach_special_tokens_layout_and_errors():
@@ -202,7 +213,32 @@ def test_selected_origin_tracks_grid_indices():
     out = model_forward(cfg, params, x, np.array([0, 1]))
     assert np.array_equal(out.selected_origin, out.selected_slots)
     assert (out.selected_origin >= 0).all() and (out.selected_origin < 6).all()
-    assert np.allclose(out.token_scores.s.data.sum(axis=-1), 1.0)
+    assert np.allclose(out.token_scores.data.sum(axis=-1), 1.0)
+
+
+@pytest.mark.parametrize("position", ["last", "second_to_last"])
+def test_frozen_selection_reproduces_the_live_forward(position):
+    """Feeding a forward's own selection back as `frozen_selection` gives the
+    same outputs bit for bit: the gradient checker's smooth surrogate agrees
+    with the model at the point it is differenced."""
+    cfg = small_cfg(selector=SelectorConfig(k=2, position=position))
+    params = init_params(cfg, seed=6)
+    for p in params.values():
+        p.data = p.data + RNG.normal(scale=0.1, size=p.shape)
+    x = RNG.normal(size=(3, 2, 3, 4))
+    v = np.array([0, 1, 1])
+    live = model_forward(cfg, params, x, v)
+    frozen = model_forward(cfg, params, x, v,
+                           frozen_selection=(live.selected_slots, live.selected_soft))
+    for field in ("id_logits", "view_logits", "meta_feature"):
+        assert np.array_equal(getattr(live, field).data, getattr(frozen, field).data), field
+    assert np.array_equal(frozen.selected_slots, live.selected_slots)
+    # frozen slots, not the scorer's, decide what is kept
+    other = np.array([[s for s in range(6) if s not in row][:2] for row in live.selected_slots])
+    moved = model_forward(cfg, params, x, v,
+                          frozen_selection=(other, live.selected_soft))
+    assert np.array_equal(moved.selected_slots, other)
+    assert not np.allclose(moved.id_logits.data, live.id_logits.data)
 
 
 def test_training_noise_is_reproducible_with_seeded_rng():
@@ -259,3 +295,19 @@ def test_checkpoint_rejects_bad_magic_and_mismatch(tmp_path):
     wrong = init_params(small_cfg(num_identities=4), seed=0)
     with pytest.raises(DimensionError, match="shape"):
         restore_params(wrong, arrays)
+
+    blob = path.read_bytes()
+    header_end = blob.index(b"\nend\n")
+    assert b"\npatch_embed.w 4 8\n" in blob
+    corrupt = {
+        "no_end.bin": (blob[:header_end + 1], "no 'end' line"),
+        "bad_dim.bin": (blob.replace(b"\npatch_embed.w 4 8\n", b"\npatch_embed.w 4 x\n"),
+                        "bad manifest line"),
+        "truncated.bin": (blob[:-8], "payload holds"),
+        "trailing.bin": (blob + b"\0", "payload holds"),
+    }
+    for name, (data, message) in corrupt.items():
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(DomainError, match=message) as err:
+            load_checkpoint(tmp_path / name)
+        assert name in str(err.value)

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from dtst import selector as sel
 from dtst import tensor as T
 from dtst.errors import ConfigError, ContractError
-from dtst.model import TokenSequence
-from dtst.selector import (ScoreVector, SelectorConfig, SelectorParams,
-                           hard_topk, init_selector_params, perturbed_topk,
-                           score_tokens, select_tokens,
-                           straight_through_weights)
+from dtst.selector import (SelectorConfig, hard_topk, perturbed_topk,
+                           score_tokens, select_tokens)
 from dtst.tensor import Tape, Tensor, backward
 
 RNG = np.random.default_rng(42)
@@ -31,12 +27,19 @@ def direct_scores(tokens, wq, wk, num_heads):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _projections(d, seed):
+    """(w_q, w_k), each [d, d], uniform in +-1/sqrt(d)."""
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / np.sqrt(d)
+    return tuple(Tensor(rng.uniform(-bound, bound, size=(d, d))) for _ in range(2))
+
+
 def test_score_tokens_matches_direct_formula():
     b, m, d, h = 1, 4, 4, 1
     tokens = RNG.normal(size=(b, m, d))
-    params = init_selector_params(d, np.random.default_rng(0))
-    got = score_tokens(Tensor(tokens), params, h).s.data
-    want = direct_scores(tokens, params.w_q.data, params.w_k.data, h)
+    wq, wk = _projections(d, 0)
+    got = score_tokens(Tensor(tokens), wq, wk, h).data
+    want = direct_scores(tokens, wq.data, wk.data, h)
     assert np.allclose(got, want, atol=1e-12)
     assert np.allclose(got.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -44,21 +47,19 @@ def test_score_tokens_matches_direct_formula():
 def test_score_tokens_multihead_matches_direct_formula():
     b, m, d, h = 3, 7, 8, 2
     tokens = RNG.normal(size=(b, m, d))
-    params = init_selector_params(d, np.random.default_rng(1))
-    got = score_tokens(Tensor(tokens), params, h).s.data
-    want = direct_scores(tokens, params.w_q.data, params.w_k.data, h)
+    wq, wk = _projections(d, 1)
+    got = score_tokens(Tensor(tokens), wq, wk, h).data
+    want = direct_scores(tokens, wq.data, wk.data, h)
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_score_tokens_head_mismatch():
-    params = init_selector_params(6, np.random.default_rng(0))
     with pytest.raises(ConfigError, match="divide"):
-        score_tokens(Tensor(RNG.normal(size=(1, 3, 6))), params, 4)
+        score_tokens(Tensor(RNG.normal(size=(1, 3, 6))), *_projections(6, 0), 4)
 
 
 def test_zero_tokens_give_uniform_scores():
-    params = init_selector_params(4, np.random.default_rng(0))
-    got = score_tokens(Tensor(np.zeros((2, 5, 4))), params, 2).s.data
+    got = score_tokens(Tensor(np.zeros((2, 5, 4))), *_projections(4, 0), 2).data
     assert np.allclose(got, 0.2, atol=1e-12)
 
 
@@ -85,7 +86,7 @@ def test_hard_topk_batched_rows_sorted_ascending():
 
 
 def _scores_from(probs):
-    return ScoreVector(s=Tensor(np.asarray(probs, dtype=np.float64)))
+    return Tensor(np.asarray(probs, dtype=np.float64))
 
 
 def test_noise_off_reduces_to_hard_topk():
@@ -153,50 +154,29 @@ def test_score_floor_protects_log_of_zero():
 
 
 def _toy_sequence(b=2, m=5, d=3):
+    """(tokens [B, 2 + M, d], origin [B, M]) with origin 10 + slot."""
     tokens = Tensor(RNG.normal(size=(b, m + 2, d)))
-    origin = np.broadcast_to(np.arange(m), (b, m)).copy()
-    return TokenSequence(tokens=tokens, view_labels=np.zeros(b, dtype=int),
-                         origin_index=origin)
+    return tokens, np.broadcast_to(10 + np.arange(m), (b, m)).copy()
 
 
 def test_select_tokens_keeps_specials_and_order():
-    seq = _toy_sequence()
+    tokens, origin = _toy_sequence()
     idx = np.array([[0, 3], [4, 1]])
-    out = select_tokens(seq, idx)
-    assert out.tokens.shape == (2, 4, 3)
-    assert np.allclose(out.tokens.data[:, :2], seq.tokens.data[:, :2])
-    # selected patches appear in ascending original order per row
-    assert np.allclose(out.tokens.data[0, 2:], seq.tokens.data[0, [2, 5]])
-    assert np.allclose(out.tokens.data[1, 2:], seq.tokens.data[1, [6, 3]])
-    assert out.origin_index.tolist() == [[0, 3], [4, 1]]
+    kept, kept_origin = select_tokens(tokens, origin, idx)
+    assert kept.shape == (2, 4, 3)
+    assert np.allclose(kept.data[:, :2], tokens.data[:, :2])
+    # selected patches appear in the order given per row
+    assert np.allclose(kept.data[0, 2:], tokens.data[0, [2, 5]])
+    assert np.allclose(kept.data[1, 2:], tokens.data[1, [6, 3]])
+    assert kept_origin.tolist() == [[10, 13], [14, 11]]
 
 
 def test_select_tokens_rejects_bad_indices():
-    seq = _toy_sequence()
+    tokens, origin = _toy_sequence()
     with pytest.raises(ContractError, match="duplicate"):
-        select_tokens(seq, np.array([[1, 1], [0, 2]]))
+        select_tokens(tokens, origin, np.array([[1, 1], [0, 2]]))
     with pytest.raises(ContractError, match="out of range"):
-        select_tokens(seq, np.array([[0, 5], [0, 1]]))
-
-
-def test_straight_through_weights_forward_ones_backward_soft():
-    probs = RNG.dirichlet(np.ones(6), size=2)
-    idx = np.array([[1, 4], [0, 2]])
-    raw = Tensor(np.log(probs), requires_grad=True)
-    with Tape() as tape:
-        soft = T.softmax_lastdim(raw)
-        w = straight_through_weights(soft, idx)
-        out = T.tsum(w * Tensor(np.arange(1.0, 5.0).reshape(2, 2)))
-    assert np.allclose(w.data, 1.0, atol=1e-15)
-    backward(out, tape)
-    # gradient must match differentiating sum(c * soft[idx]) directly
-    ref = Tensor(np.log(probs), requires_grad=True)
-    with Tape() as tape:
-        soft = T.softmax_lastdim(ref)
-        picked = sel._gather_rows(soft, idx)
-        out = T.tsum(picked * Tensor(np.arange(1.0, 5.0).reshape(2, 2)))
-    backward(out, tape)
-    assert np.allclose(raw.grad, ref.grad, atol=1e-12)
+        select_tokens(tokens, origin, np.array([[0, 5], [0, 1]]))
 
 
 def test_selector_config_validation_messages():
@@ -210,7 +190,7 @@ def test_selector_config_validation_messages():
         SelectorConfig(k=1, position="first")
 
 
-def test_scorer_gradient_passes_finite_difference():
+def test_scorer_gradient_matches_central_differences():
     b, m, d = 2, 6, 4
     tokens = RNG.normal(size=(b, m, d))
     wq = RNG.normal(size=(d, d)) * 0.3
@@ -224,8 +204,8 @@ def test_scorer_gradient_passes_finite_difference():
     twq = Tensor(wq, requires_grad=True)
     twk = Tensor(wk, requires_grad=True)
     with Tape() as tape:
-        s = score_tokens(Tensor(tokens), SelectorParams(w_q=twq, w_k=twk), 2)
-        out = T.tsum(s.s * Tensor(weight))
+        s = score_tokens(Tensor(tokens), twq, twk, 2)
+        out = T.tsum(s * Tensor(weight))
     backward(out, tape)
 
     step = 1e-6

@@ -217,15 +217,6 @@ def test_gather_ops_gradients():
     assert np.allclose(t.grad, expected)
 
 
-def test_stop_gradient_blocks_flow():
-    x = Tensor(RNG.normal(size=(3,)), requires_grad=True)
-    with Tape() as tape:
-        out = T.tsum(T.mul(T.stop_gradient(x), x))
-    backward(out, tape)
-    # only the direct factor contributes: d/dx (c * x) = c
-    assert np.allclose(x.grad, x.data)
-
-
 def test_unreached_leaf_gets_zero_grad():
     used = Tensor(RNG.normal(size=(2,)), requires_grad=True)
     unused = Tensor(RNG.normal(size=(2,)), requires_grad=True)

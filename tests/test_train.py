@@ -8,14 +8,13 @@ import pytest
 
 from dtst import losses
 from dtst.data import GenConfig, batch_arrays, generate_dataset
-from dtst.errors import ConfigError, ContractError, NumericError
+from dtst.errors import ConfigError, ContractError
 from dtst.losses import LossWeights
 from dtst.model import ModelConfig, init_params, model_forward
 from dtst.optim import ScheduleConfig, SgdState, cosine_lr, sgd_step
 from dtst.selector import SelectorConfig
 from dtst.tensor import Tape, Tensor, backward
-from dtst.train import (LogRow, read_log, total_steps_for, train_run,
-                        write_log)
+from dtst.train import LogRow, read_log, train_run, write_log
 
 
 def test_cosine_endpoints_are_exact():
@@ -75,11 +74,6 @@ def test_sgd_state_validation():
         SgdState(learning_rate=0.1, momentum=1.0)
 
 
-def test_total_steps_for():
-    assert total_steps_for(64, epochs=3, batch_p=4, batch_k=4) == 12
-    assert total_steps_for(10, epochs=3, batch_p=8, batch_k=4) == 3  # floor at 1
-
-
 def _tiny_setup(selector=True, seed=0):
     selcfg = SelectorConfig(k=2, noise_enabled=False) if selector else None
     cfg = ModelConfig(num_identities=4, num_blocks=1, embed_dim=8,
@@ -94,11 +88,8 @@ def _tiny_setup(selector=True, seed=0):
 
 def test_train_run_reduces_loss_and_logs_every_step():
     cfg, params, data = _tiny_setup()
-    schedule = ScheduleConfig(lr_max=5e-2, lr_min=1e-4,
-                              total_steps=total_steps_for(len(data), 10, 2, 2))
-    log = train_run(cfg, params, data, schedule, LossWeights(),
+    log = train_run(cfg, params, data, 5e-2, 1e-4, LossWeights(),
                     epochs=10, batch_p=2, batch_k=2, seed=1)
-    assert len(log) == schedule.total_steps
     assert [r.step for r in log] == list(range(len(log)))
     assert log[0].lr == 5e-2
     first = np.mean([r.id_loss for r in log[:8]])
@@ -106,21 +97,23 @@ def test_train_run_reduces_loss_and_logs_every_step():
     assert last < first
 
 
-def test_train_run_rejects_mismatched_schedule():
-    cfg, params, data = _tiny_setup()
-    schedule = ScheduleConfig(lr_max=1e-2, lr_min=1e-5, total_steps=7)
-    with pytest.raises(NumericError, match="schedule covers"):
-        train_run(cfg, params, data, schedule, LossWeights(),
-                  epochs=2, batch_p=2, batch_k=2, seed=0)
+def test_train_run_derives_step_count_and_schedule():
+    cfg, params, data = _tiny_setup()  # 32 samples
+    log = train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
+                    epochs=3, batch_p=2, batch_k=2, seed=0)
+    assert len(log) == 3 * (32 // 4)
+    schedule = ScheduleConfig(lr_max=1e-2, lr_min=1e-5, total_steps=len(log))
+    assert [r.lr for r in log] == [cosine_lr(r.step, schedule) for r in log]
+    with pytest.raises(ConfigError, match="lr_max > lr_min"):
+        train_run(cfg, params, data, 1e-5, 1e-2, LossWeights(),
+                  epochs=1, batch_p=2, batch_k=2, seed=0)
 
 
 def test_train_run_is_deterministic():
     runs = []
     for _ in range(2):
         cfg, params, data = _tiny_setup()
-        schedule = ScheduleConfig(lr_max=1e-2, lr_min=1e-5,
-                                  total_steps=total_steps_for(len(data), 2, 2, 2))
-        log = train_run(cfg, params, data, schedule, LossWeights(),
+        log = train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
                         epochs=2, batch_p=2, batch_k=2, seed=7)
         runs.append((log, {k: v.data.copy() for k, v in params.items()}))
     (log_a, pa), (log_b, pb) = runs
@@ -134,9 +127,7 @@ def test_training_changes_predictions():
     x = np.stack([s.x for s in data[:4]])
     v = np.array([s.v for s in data[:4]])
     before = model_forward(cfg, params, x, v).id_logits.data.copy()
-    schedule = ScheduleConfig(lr_max=1e-2, lr_min=1e-5,
-                              total_steps=total_steps_for(len(data), 2, 2, 2))
-    train_run(cfg, params, data, schedule, LossWeights(),
+    train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
               epochs=2, batch_p=2, batch_k=2, seed=0)
     after = model_forward(cfg, params, x, v).id_logits.data
     assert not np.allclose(before, after)
