@@ -97,6 +97,29 @@ def test_train_run_reduces_loss_and_logs_every_step():
     assert last < first
 
 
+def test_total_steps_for():
+    """train_run runs epochs * (len(dataset) // (P*K)) steps."""
+    cfg, params, data = _tiny_setup()  # 32 samples, 8 per identity
+    log = train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
+                    epochs=1, batch_p=4, batch_k=8, seed=0)
+    assert len(log) == 1  # one batch takes the whole dataset
+    log = train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
+                    epochs=2, batch_p=4, batch_k=2, seed=0)
+    assert len(log) == 2 * (32 // 8)
+
+
+def test_train_run_rejects_mismatched_schedule():
+    """An lr range that cannot decay is refused before any step is taken."""
+    cfg, params, data = _tiny_setup()
+    before = {k: v.data.copy() for k, v in params.items()}
+    for lr_max, lr_min in [(1e-5, 1e-2), (1e-2, 1e-2)]:
+        with pytest.raises(ConfigError, match="lr_max > lr_min"):
+            train_run(cfg, params, data, lr_max, lr_min, LossWeights(),
+                      epochs=1, batch_p=2, batch_k=2, seed=0)
+    for name, value in before.items():
+        assert np.array_equal(params[name].data, value), name
+
+
 def test_train_run_derives_step_count_and_schedule():
     cfg, params, data = _tiny_setup()  # 32 samples
     log = train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
@@ -104,9 +127,6 @@ def test_train_run_derives_step_count_and_schedule():
     assert len(log) == 3 * (32 // 4)
     schedule = ScheduleConfig(lr_max=1e-2, lr_min=1e-5, total_steps=len(log))
     assert [r.lr for r in log] == [cosine_lr(r.step, schedule) for r in log]
-    with pytest.raises(ConfigError, match="lr_max > lr_min"):
-        train_run(cfg, params, data, 1e-5, 1e-2, LossWeights(),
-                  epochs=1, batch_p=2, batch_k=2, seed=0)
 
 
 def test_train_run_is_deterministic():
