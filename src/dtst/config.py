@@ -14,7 +14,7 @@ from .data import GenConfig
 from .errors import ConfigError, ConfigParseError
 from .losses import LossWeights
 from .model import ModelConfig
-from .optim import ScheduleConfig
+from .optim import ScheduleConfig, SgdState
 from .selector import POSITION_SECOND_TO_LAST, POSITIONS, SelectorConfig
 
 
@@ -140,9 +140,12 @@ class ExperimentConfig:
         self.model_config()
         self.gen_config("train")
         self.gen_config("test")
-        # train_run sets the step count; this checks the lr range alone
+        # train_run sets the step count and builds the optimizer state; these
+        # check the lr range and the momentum alone
         ScheduleConfig(lr_max=self.values["schedule.lr_max"],
                        lr_min=self.values["schedule.lr_min"], total_steps=1)
+        SgdState(learning_rate=self.values["schedule.lr_max"],
+                 momentum=self.values["train.momentum"])
         self.loss_weights()
         for pos in self.values["ablate.positions"]:
             if pos not in POSITIONS:

@@ -129,24 +129,31 @@ def export_dataset(path, samples) -> None:
                     f"shape={shape} x={_encode_floats(s.x)}\n")
 
 
-def import_dataset(path):
-    samples = []
-    with open(path, encoding="ascii") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
+def _read_records(path, kind, parse):
+    """[parse(fields) for each non-blank line of `path`], fields being the
+    line's `key=value` pairs; a line that is not ASCII or does not parse
+    raises DomainError naming the file and line."""
+    records = []
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
             try:
-                fields = dict(part.split("=", 1) for part in line.split())
-                view = VIEW_IDS[fields["view"]]
-                shape = tuple(int(n) for n in fields["shape"].split(","))
-                slots = tuple(int(n) for n in fields["signal"].split(","))
-                x = _decode_floats(fields["x"]).reshape(shape)
-                samples.append(Sample(x=x, y=int(fields["id"]), v=view,
-                                      signal_slots=slots))
+                line = raw.decode("ascii").strip()
+                if line:
+                    records.append(parse(dict(part.split("=", 1) for part in line.split())))
             except (KeyError, ValueError) as exc:
-                raise DomainError(f"{path}:{lineno}: bad sample record ({exc})")
-    return samples
+                raise DomainError(f"{path}:{lineno}: bad {kind} record ({exc})")
+    return records
+
+
+def _sample_record(fields):
+    shape = tuple(int(n) for n in fields["shape"].split(","))
+    return Sample(x=_decode_floats(fields["x"]).reshape(shape), y=int(fields["id"]),
+                  v=VIEW_IDS[fields["view"]],
+                  signal_slots=tuple(int(n) for n in fields["signal"].split(",")))
+
+
+def import_dataset(path):
+    return _read_records(path, "sample", _sample_record)
 
 
 def export_embeddings(path, embeddings, ids, views) -> None:
@@ -157,17 +164,14 @@ def export_embeddings(path, embeddings, ids, views) -> None:
 
 
 def import_embeddings(path):
-    embs, ids, views = [], [], []
-    with open(path, encoding="ascii") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                fields = dict(part.split("=", 1) for part in line.split())
-                embs.append(_decode_floats(fields["x"]))
-                ids.append(int(fields["id"]))
-                views.append(VIEW_IDS[fields["view"]])
-            except (KeyError, ValueError) as exc:
-                raise DomainError(f"{path}:{lineno}: bad embedding record ({exc})")
+    """(embeddings [N, d], ids [N], views [N]) from an `export_embeddings`
+    file of at least one record, all of one width."""
+    records = _read_records(path, "embedding", lambda fields: (
+        _decode_floats(fields["x"]), int(fields["id"]), VIEW_IDS[fields["view"]]))
+    if not records:
+        raise DomainError(f"{path}: no embedding records")
+    embs, ids, views = zip(*records)
+    widths = sorted({len(e) for e in embs})
+    if len(widths) > 1:
+        raise DomainError(f"{path}: embedding records differ in width {widths}")
     return np.stack(embs), np.array(ids), np.array(views)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import losses, model, optim
 from .data import batch_arrays, pk_batch
-from .errors import NumericError
+from .errors import NumericError, SamplingError
 from .tensor import Tape, backward
 
 LOG_COLUMNS = ("step", "lr", "id_loss", "view_loss", "orth_loss", "total")
@@ -31,10 +31,14 @@ def train_run(cfg: model.ModelConfig, params: dict, dataset,
               epochs: int, batch_p: int, batch_k: int, seed: int,
               momentum: float = 0.9):
     """Train in place for `epochs` epochs of len(dataset) // (P*K) steps
-    each (at least one), the learning rate decaying from `lr_max` to `lr_min`
-    over the whole run; returns the list of LogRow."""
+    each, the learning rate decaying from `lr_max` to `lr_min` over the whole
+    run; returns the list of LogRow. A dataset smaller than one P*K batch
+    raises SamplingError before any step."""
+    if len(dataset) < batch_p * batch_k:
+        raise SamplingError(f"{len(dataset)} samples cannot fill one "
+                            f"{batch_p}x{batch_k} batch")
     rng = np.random.default_rng(seed)
-    total_steps = epochs * max(1, len(dataset) // (batch_p * batch_k))
+    total_steps = epochs * (len(dataset) // (batch_p * batch_k))
     schedule = optim.ScheduleConfig(lr_max=lr_max, lr_min=lr_min, total_steps=total_steps)
     state = optim.SgdState(learning_rate=schedule.lr_max, momentum=momentum)
     log = []

@@ -15,7 +15,7 @@ from dtst.losses import cross_entropy_loss, orthogonal_loss
 from dtst.data import GenConfig, generate_dataset, pk_batch
 from dtst.evaluate import (PROTOCOL_AG, average_precision, evaluate_protocol,
                            embed_samples, inverse_negative_penalty,
-                           rank_gallery, write_reports)
+                           rank_gallery, unit_rows, write_reports)
 from dtst.gradcheck import check_model_gradients, relative_error
 from dtst.losses import LossWeights
 from dtst.model import (ModelConfig, init_params, model_forward,
@@ -203,8 +203,8 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_metric_oracles():
     start = time.perf_counter()
 
-    hand_ap = average_precision([True, False, True])
-    hand_inp = inverse_negative_penalty([True, False, True])
+    hand_ap = average_precision([1, 3])  # matches at ranks 1 and 3 of 3
+    hand_inp = inverse_negative_penalty([1, 3])
     hand_ok = hand_ap == pytest.approx(5 / 6, abs=1e-15) and \
         hand_inp == pytest.approx(2 / 3, abs=1e-15)
 
@@ -219,7 +219,7 @@ def test_criterion_2_metric_oracles():
         gids = rng.integers(0, 3, size=n)
         if not (gids == qid).any():
             gids[rng.integers(0, n)] = qid
-        flags = rank_gallery(query, qid, gallery, gids)
+        ranks, = rank_gallery(unit_rows(query[None]), [qid], unit_rows(gallery), gids)
 
         # brute-force oracle: full sort by cosine, then definitional sums
         sims = [float(g @ query / (np.linalg.norm(g) * np.linalg.norm(query)))
@@ -236,10 +236,11 @@ def test_criterion_2_metric_oracles():
         ref_inp = total / max(r for r, f in enumerate(ref_flags, 1) if f)
         ref_rank1 = ref_flags[0]
 
-        if (flags.tolist() != ref_flags
-                or abs(average_precision(flags) - ref_ap) > 1e-12
-                or abs(inverse_negative_penalty(flags) - ref_inp) > 1e-12
-                or bool(flags[0]) != ref_rank1):
+        ref_ranks = [r for r, f in enumerate(ref_flags, 1) if f]
+        if (ranks.tolist() != ref_ranks
+                or abs(average_precision(ranks) - ref_ap) > 1e-12
+                or abs(inverse_negative_penalty(ranks) - ref_inp) > 1e-12
+                or (ranks[0] == 1) != ref_rank1):
             exact = False
             break
 

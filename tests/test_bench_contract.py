@@ -87,3 +87,21 @@ def test_tracer_and_clock_install_and_restore(dtst):
     for m in MODULES:
         module = vars(getattr(dtst, m))
         assert all(module[name] is value for name, value in before[m].items()), m
+
+
+def test_evaluate_protocol_ranks_through_the_module_attribute(dtst, monkeypatch):
+    # the clock pauses in its wrapper of `evaluate.rank_gallery`, so every
+    # query block must be ranked by looking that attribute up
+    blocks = []
+    original = dtst.evaluate.rank_gallery
+
+    def counting(queries, *args):
+        blocks.append(len(queries))
+        return original(queries, *args)
+
+    monkeypatch.setattr(dtst.evaluate, "rank_gallery", counting)
+    ids = np.repeat(np.arange(4), 8)
+    views = np.tile([0, 1], 16)
+    embeddings = np.random.default_rng(0).normal(size=(32, 6))
+    report = dtst.evaluate.evaluate_protocol(embeddings, ids, views, "ALL", split_seed=0)
+    assert blocks and sum(blocks) == report.num_queries + report.num_excluded

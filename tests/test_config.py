@@ -77,6 +77,10 @@ def test_semantic_validation_fires_at_load():
         parse_config_text("seed = 0\nmodel.embed_dim = 9\n")
     with pytest.raises(ConfigError, match="ablate.positions"):
         parse_config_text("seed = 0\nablate.positions = middle\n")
+    for momentum in ("1.5", "1.0", "-0.1"):
+        with pytest.raises(ConfigError, match="momentum"):
+            parse_config_text(f"seed = 0\ntrain.momentum = {momentum}\n")
+    parse_config_text("seed = 0\ntrain.momentum = 0.0\n")
 
 
 def test_second_to_last_needs_two_blocks():

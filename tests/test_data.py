@@ -158,6 +158,25 @@ def test_dataset_import_reports_bad_line(tmp_path):
         import_embeddings(emb)
 
 
+def test_import_rejects_non_ascii_empty_and_ragged_files(tmp_path):
+    good = "id=0 view=aerial x=AAAAAAAAAAA=\n"
+    path = tmp_path / "emb.txt"
+    path.write_bytes(good.encode() + b"id=1 view=ground x=\xe9AAAAAAAAAA=\n")
+    with pytest.raises(DomainError, match=r"emb\.txt:2: bad embedding record"):
+        import_embeddings(path)
+    samples = tmp_path / "data.txt"
+    samples.write_bytes(b"id=0 view=aerial signal=0 shape=1,1,1 x=AAAAAAAAAAA=\n"
+                        b"id=0 view=aerial signal=0 shape=1,1,1 x=\xff\n")
+    with pytest.raises(DomainError, match=r"data\.txt:2: bad sample record"):
+        import_dataset(samples)
+    path.write_text("\n")
+    with pytest.raises(DomainError, match="no embedding records"):
+        import_embeddings(path)
+    path.write_text(good + "id=1 view=ground x=AAAAAAAAAAAAAAAAAAAAAA==\n")
+    with pytest.raises(DomainError, match=r"differ in width \[1, 2\]"):
+        import_embeddings(path)
+
+
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 6), d=st.integers(1, 5), seed=st.integers(0, 1000))
 def test_embeddings_round_trip(tmp_path_factory, n, d, seed):

@@ -3,13 +3,17 @@ view-protocol plumbing."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dtst.errors import DimensionError, ProtocolError
+from dtst import evaluate
+from dtst.errors import DimensionError, NumericError, ProtocolError
 from dtst.evaluate import (PROTOCOL_A2G, PROTOCOL_AG, PROTOCOL_ALL,
                            PROTOCOL_G2A, PROTOCOLS, RetrievalReport,
                            average_precision, evaluate_protocol,
                            inverse_negative_penalty, query_gallery_split,
-                           rank_gallery, read_reports, write_reports)
+                           rank_gallery, read_reports, unit_rows,
+                           write_reports)
 from dtst.model import VIEW_AERIAL, VIEW_GROUND
 
 RNG = np.random.default_rng(11)
@@ -29,17 +33,22 @@ def brute_force_metrics(flags):
     return sum(ap_terms) / total, total / last_rank
 
 
+def match_ranks(flags):
+    """1-based positions of the True entries of ranked match flags."""
+    return np.flatnonzero(flags) + 1
+
+
 def test_hand_instance():
-    flags = [True, False, True]
-    assert average_precision(flags) == pytest.approx(5 / 6, abs=1e-15)
-    assert inverse_negative_penalty(flags) == pytest.approx(2 / 3, abs=1e-15)
+    ranks = match_ranks([True, False, True])
+    assert average_precision(ranks) == pytest.approx(5 / 6, abs=1e-15)
+    assert inverse_negative_penalty(ranks) == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_perfect_and_worst_orderings():
-    assert average_precision([True, True, False, False]) == 1.0
-    assert inverse_negative_penalty([True, True, False]) == 1.0
-    assert average_precision([False, False, True]) == pytest.approx(1 / 3)
-    assert inverse_negative_penalty([False, False, True]) == pytest.approx(1 / 3)
+    assert average_precision(match_ranks([True, True, False, False])) == 1.0
+    assert inverse_negative_penalty(match_ranks([True, True, False])) == 1.0
+    assert average_precision(match_ranks([False, False, True])) == pytest.approx(1 / 3)
+    assert inverse_negative_penalty(match_ranks([False, False, True])) == pytest.approx(1 / 3)
 
 
 def test_metrics_match_brute_force_on_random_instances():
@@ -50,15 +59,15 @@ def test_metrics_match_brute_force_on_random_instances():
         if not flags.any():
             flags[rng.integers(0, n)] = True
         ap, inp = brute_force_metrics(flags)
-        assert average_precision(flags) == pytest.approx(ap, abs=1e-12)
-        assert inverse_negative_penalty(flags) == pytest.approx(inp, abs=1e-12)
+        assert average_precision(match_ranks(flags)) == pytest.approx(ap, abs=1e-12)
+        assert inverse_negative_penalty(match_ranks(flags)) == pytest.approx(inp, abs=1e-12)
 
 
 def test_metrics_require_a_match():
     with pytest.raises(ProtocolError):
-        average_precision([False, False])
+        average_precision(match_ranks([False, False]))
     with pytest.raises(ProtocolError):
-        inverse_negative_penalty([False])
+        inverse_negative_penalty(match_ranks([False]))
 
 
 def test_rank_gallery_orders_by_cosine():
@@ -66,20 +75,121 @@ def test_rank_gallery_orders_by_cosine():
     gallery = np.array([[0.0, 1.0],    # cos 0
                         [2.0, 0.0],    # cos 1 (scale must not matter)
                         [1.0, 1.0]])   # cos ~0.707
-    flags = rank_gallery(query, 7, gallery, np.array([0, 7, 7]))
-    assert flags.tolist() == [True, True, False]
+    ranks, = rank_gallery(unit_rows(query[None]), [7], unit_rows(gallery),
+                          np.array([0, 7, 7]))
+    assert ranks.tolist() == [1, 2]
 
 
 def test_rank_gallery_tie_prefers_lower_index():
     query = np.array([1.0, 0.0])
     gallery = np.array([[1.0, 0.0], [3.0, 0.0], [1.0, 0.0]])  # all cos 1
-    flags = rank_gallery(query, 1, gallery, np.array([0, 1, 1]))
-    assert flags.tolist() == [False, True, True]
+    ranks, = rank_gallery(unit_rows(query[None]), [1], unit_rows(gallery),
+                          np.array([0, 1, 1]))
+    assert ranks.tolist() == [2, 3]
 
 
 def test_rank_gallery_width_mismatch():
     with pytest.raises(DimensionError, match="widths"):
-        rank_gallery(np.zeros(3), 0, np.zeros((2, 4)), np.array([0, 1]))
+        rank_gallery(np.zeros((1, 3)), [0], np.zeros((2, 4)), np.array([0, 1]))
+
+
+def dyadic_rows(rng, n, pool_size, d=16):
+    """n rows drawn from a pool of `pool_size`, each pool row 0, 1, 4 or 16
+    entries of +-1 (norm 0, 1, 2 or 4), every row scaled by a power of two.
+    All cosines between such rows are exact in float64 whatever the
+    summation order, so duplicated and scaled rows tie exactly, and zero
+    rows have similarity 0 to everything."""
+    pool = np.zeros((pool_size, d))
+    for row in pool:
+        cols = rng.choice(d, rng.choice([0, 1, 4, 16]), replace=False)
+        row[cols] = rng.choice([-1.0, 1.0], len(cols))
+    return pool[rng.integers(0, pool_size, n)] * 2.0 ** rng.integers(-3, 4, (n, 1))
+
+
+def oracle_match_ranks(queries, query_ids, gallery, gallery_ids):
+    """Per query, the 1-based positions of its matches in the gallery sorted
+    by (-cosine, index), one Python sort per query."""
+    out = []
+    for q, qid in zip(queries, query_ids):
+        sims = []
+        for g in gallery:
+            norms = np.linalg.norm(q) * np.linalg.norm(g)
+            sims.append(float(q @ g) / norms if norms else 0.0)
+        order = sorted(range(len(gallery)), key=lambda j: (-sims[j], j))
+        out.append([r for r, j in enumerate(order, 1) if gallery_ids[j] == qid])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_queries=st.integers(1, 12),
+       gallery_size=st.integers(1, 40), pool_size=st.integers(1, 12),
+       num_ids=st.integers(1, 6))
+def test_rank_gallery_matches_sorted_oracle_under_exact_ties(
+        seed, num_queries, gallery_size, pool_size, num_ids):
+    rng = np.random.default_rng(seed)
+    rows = dyadic_rows(rng, num_queries + gallery_size, pool_size)
+    queries, gallery = rows[:num_queries], rows[num_queries:]
+    # ids beyond the gallery's leave some queries without a match
+    query_ids = rng.integers(0, num_ids + 1, num_queries)
+    gallery_ids = rng.integers(0, num_ids, gallery_size)
+    got = rank_gallery(unit_rows(queries), query_ids, unit_rows(gallery), gallery_ids)
+    want = oracle_match_ranks(queries, query_ids, gallery, gallery_ids)
+    assert [r.tolist() for r in got] == want
+
+
+def test_rank_gallery_zero_query_ranks_matches_in_gallery_order():
+    gallery = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
+    ranks, none = rank_gallery(np.zeros((2, 2)), [5, 9], unit_rows(gallery),
+                               np.array([0, 5, 5, 0]))
+    assert ranks.tolist() == [2, 3]  # all similarities 0: index order
+    assert none.size == 0
+
+
+def test_evaluate_protocol_over_several_blocks_matches_the_oracle():
+    # about 1024 queries against a 1024-row gallery: several query blocks
+    rng = np.random.default_rng(5)
+    n = 2048
+    ids = np.repeat(np.arange(64), n // 64)
+    views = np.tile([VIEW_AERIAL, VIEW_GROUND], n // 2)
+    embs = dyadic_rows(rng, n, pool_size=96)
+    embs[::3] = rng.normal(size=(len(embs[::3]), 16))  # and untied rows
+    q_mask, g_mask = query_gallery_split(ids, views, 0)
+    block = evaluate._BLOCK_SIMILARITIES // g_mask.sum()
+    assert q_mask.sum() > 3 * block
+    rep = evaluate_protocol(embs, ids, views, PROTOCOL_ALL, split_seed=0)
+
+    q, g = embs[q_mask], embs[g_mask]
+    sims = unit_rows(q) @ unit_rows(g).T
+    aps, inps, hits, excluded = [], [], [], 0
+    for row, qid in zip(sims, ids[q_mask]):
+        order = np.lexsort((np.arange(len(row)), -row))
+        ranks = np.flatnonzero(ids[g_mask][order] == qid) + 1
+        if len(ranks) == 0:
+            excluded += 1
+            continue
+        aps.append(np.mean(np.arange(1, len(ranks) + 1) / ranks))
+        inps.append(len(ranks) / ranks[-1])
+        hits.append(ranks[0] == 1)
+    assert rep.num_queries == len(aps) and rep.num_excluded == excluded
+    assert np.allclose(rep.per_query_ap, aps, rtol=0, atol=1e-12)
+    assert np.allclose(rep.per_query_inp, inps, rtol=0, atol=1e-12)
+    assert rep.rank1 == np.mean(hits)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_protocol_rejects_non_finite_embeddings(bad):
+    embs, ids, views = _toy_population()
+    embs[[1, 7], 3] = bad
+    with pytest.raises(NumericError, match="2 of 48 embedding rows"):
+        evaluate_protocol(embs, ids, views, PROTOCOL_ALL)
+
+
+def test_evaluate_protocol_rejects_mismatched_rows():
+    embs, ids, views = _toy_population()
+    with pytest.raises(DimensionError, match="one row per id"):
+        evaluate_protocol(embs[:-1], ids, views, PROTOCOL_ALL)
+    with pytest.raises(DimensionError, match="one row per id"):
+        evaluate_protocol(embs[:, 0], ids, views, PROTOCOL_ALL)
 
 
 def _toy_population(num_ids=6, per_group=4, d=8, seed=0):

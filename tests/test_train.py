@@ -8,7 +8,7 @@ import pytest
 
 from dtst import losses
 from dtst.data import GenConfig, batch_arrays, generate_dataset
-from dtst.errors import ConfigError, ContractError
+from dtst.errors import ConfigError, ContractError, SamplingError
 from dtst.losses import LossWeights
 from dtst.model import ModelConfig, init_params, model_forward
 from dtst.optim import ScheduleConfig, SgdState, cosine_lr, sgd_step
@@ -106,6 +106,12 @@ def test_total_steps_for():
     log = train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
                     epochs=2, batch_p=4, batch_k=2, seed=0)
     assert len(log) == 2 * (32 // 8)
+    before = {k: v.data.copy() for k, v in params.items()}
+    with pytest.raises(SamplingError, match="32 samples cannot fill one 4x9 batch"):
+        train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
+                  epochs=1, batch_p=4, batch_k=9, seed=0)
+    for name, value in before.items():
+        assert np.array_equal(params[name].data, value), name
 
 
 def test_train_run_rejects_mismatched_schedule():
