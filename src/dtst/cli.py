@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = None
+    out_dir = args.out  # where error.json goes if the config fails to load
     try:
         cfg, out_dir = _load(args)
         return _COMMANDS[args.command](cfg, out_dir)
@@ -185,6 +185,7 @@ def main(argv=None) -> int:
                   "command": args.command}
         print(json.dumps(record), file=sys.stderr)
         if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
             with open(os.path.join(out_dir, "error.json"), "w") as f:
                 json.dump(record, f)
         return EXIT_RUN

@@ -8,6 +8,7 @@ any run starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .data import GenConfig
@@ -22,6 +23,13 @@ def _bool(text):
     if text in ("true", "false"):
         return text == "true"
     raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _int_list(text):
@@ -46,7 +54,7 @@ _SCHEMA = {
     "model.patch_dim": (int, str, 8),
     "selector.enabled": (_bool, lambda v: "true" if v else "false", True),
     "selector.k": (int, str, 2),
-    "selector.temperature": (float, repr, 1.0),
+    "selector.temperature": (_float, repr, 1.0),
     "selector.heads": (int, str, 2),
     "selector.position": (str, str, "last"),
     "selector.noise": (_bool, lambda v: "true" if v else "false", True),
@@ -54,16 +62,16 @@ _SCHEMA = {
     "data.train_per_id_view": (int, str, 8),
     "data.test_per_id_view": (int, str, 4),
     "data.k_sig": (int, str, 3),
-    "data.noise_std": (float, repr, 1.0),
-    "data.view_offset_scale": (float, repr, 2.0),
-    "schedule.lr_max": (float, repr, 8e-3),
-    "schedule.lr_min": (float, repr, 1.6e-6),
+    "data.noise_std": (_float, repr, 1.0),
+    "data.view_offset_scale": (_float, repr, 2.0),
+    "schedule.lr_max": (_float, repr, 8e-3),
+    "schedule.lr_min": (_float, repr, 1.6e-6),
     "train.epochs": (int, str, 30),
     "train.batch_p": (int, str, 8),
     "train.batch_k": (int, str, 4),
-    "train.momentum": (float, repr, 0.9),
-    "loss.view_weight": (float, repr, 1.0),
-    "loss.orth_weight": (float, repr, 3.0),
+    "train.momentum": (_float, repr, 0.9),
+    "loss.view_weight": (_float, repr, 1.0),
+    "loss.orth_weight": (_float, repr, 3.0),
     "eval.split_seed": (int, str, 0),
     "eval.baseline_checkpoint": (str, str, ""),
     "ablate.heads": (_int_list, lambda v: ",".join(map(str, v)), [2, 8]),

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data as data_mod
+from . import model as model_mod
 from .errors import DimensionError, NumericError, ProtocolError
 from .model import VIEW_AERIAL, VIEW_GROUND
 
@@ -203,15 +205,14 @@ def embed_samples(cfg, params, samples, batch_size: int = 64):
     """Inference-mode embeddings for a list of data.Sample.
 
     Returns (meta [N, d], view [N, d], ids [N], views [N]); the meta features
-    are the retrieval embeddings.
+    are the retrieval embeddings. `batch_arrays` and `model_forward` are
+    looked up on their modules at each call, so a wrapper installed there
+    (a profiler's, say) sees every batch.
     """
-    from . import model as model_mod
-    from .data import batch_arrays
-
     metas, view_feats, ids, views = [], [], [], []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
-        x, y, v = batch_arrays(chunk)
+        x, y, v = data_mod.batch_arrays(chunk)
         out = model_mod.model_forward(cfg, params, x, v, training=False)
         metas.append(out.meta_feature.data)
         view_feats.append(out.view_feature.data)

@@ -138,8 +138,7 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
     # keeps the scorer out of the near-uniform regime where its
     # straight-through gradient is too weak to escape.
     if cfg.selector is not None:
-        p["selector.wq"] = Tensor(np.eye(d), requires_grad=True)
-        p["selector.wk"] = Tensor(np.eye(d), requires_grad=True)
+        p["selector.w"] = Tensor(np.eye(d), requires_grad=True)
     return p
 
 
@@ -230,9 +229,10 @@ def _straight_through_bias(soft: Tensor, indices, picked, base) -> Tensor:
 
 def _apply_selector(seq: TokenSequence, params: dict, cfg: SelectorConfig,
                     rng, training: bool, frozen=None):
-    """Score the patch tokens, keep the top K and weight them straight
-    through. Returns the reduced sequence, the attention key bias for the
-    block it enters, and the ForwardResult selection fields.
+    """Score the patch tokens and keep the top K. Returns the reduced
+    sequence, the straight-through attention key bias for the block it
+    enters (the scorer's only gradient route), and the ForwardResult
+    selection fields.
 
     `frozen`, when given, is (slot indices [B, K], baseline soft weights
     [B, K]): it replaces the selected indices and the straight-through
@@ -242,8 +242,7 @@ def _apply_selector(seq: TokenSequence, params: dict, cfg: SelectorConfig,
     """
     m = seq.tokens.shape[1] - 2
     patches = T.narrow(seq.tokens, 1, 2, m)
-    scores = sel.score_tokens(patches, params["selector.wq"], params["selector.wk"],
-                              cfg.num_heads)
+    scores = sel.score_tokens(patches, params["selector.w"], cfg.num_heads)
     noise = cfg.noise_enabled and training and frozen is None
     indices, soft = sel.perturbed_topk(scores, replace(cfg, noise_enabled=noise), rng)
     if frozen is not None:
@@ -251,12 +250,11 @@ def _apply_selector(seq: TokenSequence, params: dict, cfg: SelectorConfig,
     indices = np.asarray(indices)
     picked = soft.data[np.arange(len(indices))[:, None], indices]
     # zero in the forward pass; its gradient measures how much more attention
-    # (and residual weight) each kept token should receive, which is what
-    # actually trains the scorer
+    # each kept token should receive, which is what trains the scorer
     key_bias = _straight_through_bias(soft, indices, picked,
                                       picked if frozen is None else np.asarray(frozen[1]))
     tokens, origin = sel.select_tokens(seq.tokens, seq.origin_index, indices)
-    seq = replace(seq, tokens=T.scale_tokens(tokens, key_bias), origin_index=origin)
+    seq = replace(seq, tokens=tokens, origin_index=origin)
     selection = {"selected_origin": origin, "selected_slots": indices,
                  "selected_soft": picked, "token_scores": scores}
     return seq, key_bias, selection
@@ -294,14 +292,23 @@ _MAGIC = b"dtst-checkpoint v1\n"
 
 
 def save_checkpoint(path, params: dict) -> None:
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        for name, p in params.items():
-            dims = " ".join(str(n) for n in p.shape)
-            f.write(f"{name} {dims}".rstrip().encode() + b"\n")
-        f.write(b"end\n")
-        for p in params.values():
-            f.write(p.data.astype("<f8").tobytes())
+    """Write to `<path>.tmp` in the same directory, then rename it over
+    `path`, so a write that fails midway leaves any earlier file intact."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            for name, p in params.items():
+                dims = " ".join(str(n) for n in p.shape)
+                f.write(f"{name} {dims}".rstrip().encode() + b"\n")
+            f.write(b"end\n")
+            for p in params.values():
+                f.write(p.data.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 
 
 @dataclass
@@ -28,11 +28,20 @@ class SgdState:
 def sgd_step(params: dict, state: SgdState) -> None:
     """Apply one SGD update in place and clear gradients.
 
-    `params` maps name -> Tensor; every tensor must carry a populated `.grad`.
+    `params` maps name -> Tensor; every tensor must carry a populated `.grad`,
+    and a non-finite one raises NumericError naming the first such parameter
+    before any parameter changes.
     """
     for name, p in params.items():
         if p.grad is None:
             raise ContractError(f"parameter '{name}' has no gradient")
+    # one reduction over every gradient: any NaN or infinity makes the sum
+    # non-finite, and only then is each parameter scanned
+    if not np.isfinite(np.concatenate([p.grad for p in params.values()], axis=None).sum()):
+        for name, p in params.items():
+            if not np.isfinite(p.grad).all():
+                raise NumericError(f"parameter '{name}' has a non-finite gradient")
+    for name, p in params.items():
         v = state.velocity.get(name)
         if v is None:
             v = np.zeros_like(p.data)

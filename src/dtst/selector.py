@@ -1,9 +1,9 @@
 """Visual token selector: importance scoring, hard top-k, Gumbel relaxation.
 
-Scoring follows a per-token quadratic attention form: for token t, each of H
-head slices computes dot(q_h, k_h) / sqrt(d/H) with q = t W_q and k = t W_k;
-the head scores are averaged and a softmax across the M tokens of each batch
-item turns them into a distribution.
+Scoring projects each token t with one matrix W and takes its squared norm:
+the logit is ||t W||^2 / sqrt(H * d), and a softmax across the M tokens of
+each batch item turns the logits into a distribution. The head count H only
+scales the logits.
 
 The differentiable selection perturbs log-scores with Gumbel noise, takes a
 hard top-k of the perturbed logits for the forward pass, and routes gradients
@@ -51,35 +51,27 @@ class SelectorConfig:
                               f"got {self.position!r}")
 
 
-def score_tokens(patch_tokens: Tensor, w_q: Tensor, w_k: Tensor, num_heads: int) -> Tensor:
+def score_tokens(patch_tokens: Tensor, w: Tensor, num_heads: int) -> Tensor:
     """Importance distribution [B, M] over the M patch tokens of each item
-    (rows sum to 1), as one tape entry from the tokens and both projections
-    [d, d] to the softmax."""
+    (rows sum to 1): softmax(||x W||^2 / sqrt(H * d)), as one tape entry from
+    the tokens and the projection W [d, d]."""
     b, m, d = patch_tokens.shape
     if d % num_heads != 0:
         raise ConfigError(f"head count {num_heads} does not divide token width {d}")
-    dh = d // num_heads
+    scale = 1.0 / np.sqrt(num_heads * d)
     x2 = patch_tokens.data.reshape(b * m, d)
-    q = x2 @ w_q.data
-    k = x2 @ w_k.data
-    per_head = (q * k).reshape(b, m, num_heads, dh).sum(axis=-1)
-    per_head *= 1.0 / np.sqrt(dh)
-    raw = per_head.sum(axis=-1)
-    raw *= 1.0 / num_heads
+    z = x2 @ w.data
+    raw = np.einsum("ij,ij->i", z, z).reshape(b, m)
+    raw *= scale
     s = T.softmax_array(raw)
 
     def bwd(g):
         graw = T.softmax_grad(s, g)
-        graw *= 1.0 / num_heads
-        graw *= 1.0 / np.sqrt(dh)
-        c = graw.reshape(b * m, 1)
-        gq = k * c
-        gk = q * c
-        gx = gq @ w_q.data.T
-        gx += gk @ w_k.data.T
-        return gx.reshape(b, m, d), x2.T @ gq, x2.T @ gk
+        graw *= 2.0 * scale
+        gz = z * graw.reshape(b * m, 1)
+        return (gz @ w.data.T).reshape(b, m, d), x2.T @ gz
 
-    return T.make(s, (patch_tokens, w_q, w_k), bwd)
+    return T.make(s, (patch_tokens, w), bwd)
 
 
 def hard_topk(scores, k: int):

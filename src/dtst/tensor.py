@@ -12,9 +12,9 @@ step's tape and every activation its entries hold are freed by reference
 counting as soon as the caller drops the tape.
 
 Besides the elementary ops, the module has fused ops with hand-derived
-backward passes (`linear`, `attention`, `layer_norm`, `gelu`, `sub_slot`,
-`scale_tokens`): each records one tape entry. When no tape records them they
-keep no backward state and work in place on their own temporaries.
+backward passes (`linear`, `attention`, `layer_norm`, `gelu`, `sub_slot`):
+each records one tape entry. When no tape records them they keep no backward
+state and work in place on their own temporaries.
 """
 
 from __future__ import annotations
@@ -76,34 +76,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; scalars and ndarrays are wrapped as constants.
     def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+        return add(self, other)
 
 
 def _tracking(*inputs) -> bool:
@@ -246,11 +220,6 @@ def log(x: Tensor) -> Tensor:
     return make(np.log(x.data), (x,), lambda g: (g / x.data,))
 
 
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-    return make(out, (x,), lambda g: (g * out,))
-
-
 def sqrt(x: Tensor) -> Tensor:
     out = np.sqrt(x.data)
     return make(out, (x,), lambda g: (g * 0.5 / out,))
@@ -290,16 +259,6 @@ def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
         return (np.broadcast_to(g, x.shape).copy(),)
 
     return make(out, (x,), bwd)
-
-
-def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    if axis is None:
-        n = x.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([x.shape[a] for a in axis]))
-    else:
-        n = x.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +483,6 @@ def sub_slot(x: Tensor, dst: int, src: int) -> Tensor:
         return (gx,)
 
     return make(out, (x,), bwd)
-
-
-def scale_tokens(x: Tensor, bias: Tensor) -> Tensor:
-    """x[B, T, d] with each token multiplied by (1 + bias[B, T])."""
-    if bias.shape != x.shape[:2]:
-        raise DimensionError(f"scale_tokens bias {bias.shape} does not match {x.shape[:2]}")
-    gain = 1.0 + bias.data[..., None]
-    return make(x.data * gain, (x, bias),
-                lambda g: (g * gain, (g * x.data).sum(axis=-1)))
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,7 @@ def _op_suite():
     beta = Tensor(rng.normal(size=4))
     b_vec = Tensor(rng.normal(size=5))
     w_lin = Tensor(rng.normal(size=(2, 3, 5)))
-    bias23 = rng.normal(size=(2, 3)) * 0.3
-    sel_wq = Tensor(rng.normal(size=(4, 4)) * 0.5)
-    sel_wk = Tensor(rng.normal(size=(4, 4)) * 0.5)
+    sel_w = Tensor(rng.normal(size=(4, 4)) * 0.5)
     w_scores = Tensor(rng.normal(size=(2, 3)))
     cases = [
         ("add", lambda t: T.add(t, Tensor(y2)), x),
@@ -78,12 +76,10 @@ def _op_suite():
         ("mul", lambda t: T.mul(t, Tensor(y2)), x),
         ("div", lambda t: T.div(t, Tensor(y2)), x),
         ("log", T.log, pos),
-        ("exp", T.exp, x),
         ("sqrt", T.sqrt, pos),
         ("clip_min", lambda t: T.clip_min(t, 1e-3), pos),
         ("gelu", T.gelu, x),
         ("tsum", lambda t: T.tsum(t, axis=1), x),
-        ("tmean", lambda t: T.tmean(t, axis=(0, 2)), x),
         ("reshape", lambda t: T.reshape(t, (6, 4)), x),
         ("transpose", lambda t: T.transpose(t, (2, 0, 1)), x),
         ("broadcast_to",
@@ -108,15 +104,13 @@ def _op_suite():
         ("layer_norm.beta", lambda t: T.mul(T.layer_norm(Tensor(x), gamma, t), w_mix),
          beta.data),
         ("sub_slot", lambda t: T.mul(T.sub_slot(t, 0, 1), w_mix), x),
-        ("scale_tokens", lambda t: T.mul(T.scale_tokens(t, Tensor(bias23)), w_mix), x),
-        ("scale_tokens.bias", lambda t: T.mul(T.scale_tokens(Tensor(x), t), w_mix), bias23),
         ("cross_entropy_loss",
          lambda t: cross_entropy_loss(T.reshape(t, (6, 4)), np.arange(6) % 4), x),
         ("orthogonal_loss.meta",
          lambda t: orthogonal_loss(T.reshape(t, (6, 4)), Tensor(y2.reshape(6, 4))), x),
         ("orthogonal_loss.view",
          lambda t: orthogonal_loss(Tensor(y2.reshape(6, 4)), T.reshape(t, (6, 4))), x),
-        ("score_tokens", lambda t: T.mul(score_tokens(t, sel_wq, sel_wk, 2), w_scores), x),
+        ("score_tokens", lambda t: T.mul(score_tokens(t, sel_w, 2), w_scores), x),
         ("perturbed_topk",
          lambda t: T.mul(perturbed_topk(T.softmax_lastdim(T.reshape(t, (6, 4))),
                                         SelectorConfig(k=2, temperature=0.7,

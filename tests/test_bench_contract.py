@@ -105,3 +105,31 @@ def test_evaluate_protocol_ranks_through_the_module_attribute(dtst, monkeypatch)
     embeddings = np.random.default_rng(0).normal(size=(32, 6))
     report = dtst.evaluate.evaluate_protocol(embeddings, ids, views, "ALL", split_seed=0)
     assert blocks and sum(blocks) == report.num_queries + report.num_excluded
+
+
+def test_embed_samples_calls_through_the_module_attributes(dtst, monkeypatch):
+    # the clock marks each embedding batch in its wrapper of
+    # `data.batch_arrays`, and the tracer spans `model.model_forward`, so
+    # `embed_samples` must look both up on their modules at call time
+    calls = {"batch_arrays": [], "model_forward": []}
+    batch_arrays, model_forward = dtst.data.batch_arrays, dtst.model.model_forward
+
+    def counting_batch(batch):
+        calls["batch_arrays"].append(len(batch))
+        return batch_arrays(batch)
+
+    def counting_forward(*args, **kwargs):
+        calls["model_forward"].append(len(args[2]))
+        return model_forward(*args, **kwargs)
+
+    monkeypatch.setattr(dtst.data, "batch_arrays", counting_batch)
+    monkeypatch.setattr(dtst.model, "model_forward", counting_forward)
+    gen = dtst.data.GenConfig(num_ids=2, samples_per_id_per_view=3, grid=(2, 2),
+                              patch_dim=3, k_sig=1, seed=0)
+    samples = dtst.data.generate_dataset(gen)
+    cfg = dtst.model.ModelConfig(num_identities=2, num_blocks=1, embed_dim=4,
+                                 patch_grid=(2, 2), patch_dim=3)
+    meta, _, _, _ = dtst.evaluate.embed_samples(cfg, dtst.model.init_params(cfg, 0),
+                                                samples, batch_size=5)
+    assert calls["batch_arrays"] == calls["model_forward"] == [5, 5, 2]
+    assert meta.shape == (12, 4)

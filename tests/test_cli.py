@@ -8,7 +8,8 @@ import pytest
 
 from dtst.cli import EXIT_OK, EXIT_RUN, EXIT_USAGE, main
 from dtst.evaluate import read_reports
-from dtst.model import load_checkpoint
+from dtst.model import load_checkpoint, save_checkpoint
+from dtst.tensor import Tensor
 from dtst.train import read_log
 
 TINY = """
@@ -50,7 +51,7 @@ def test_train_writes_artifacts(tiny_config, tmp_path):
     log = read_log(os.path.join(out, "train_log.csv"))
     assert len(log) == 2 * (32 // 4)  # epochs * (n // (P*K))
     params = load_checkpoint(os.path.join(out, "checkpoint.bin"))
-    assert "patch_embed.w" in params and "selector.wq" in params
+    assert "patch_embed.w" in params and "selector.w" in params
 
 
 def test_eval_after_train(tiny_config, tmp_path):
@@ -105,7 +106,7 @@ def test_gradcheck_passes_on_tiny_model(tiny_config, tmp_path, capsys):
     assert run(["gradcheck", "--config", tiny_config, "--out", out]) == EXIT_OK
     table = open(os.path.join(out, "gradcheck.txt")).read()
     assert "pass" in table and "FAIL" not in table
-    assert "selector.wq" in table
+    assert "selector.w " in table
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):
@@ -147,12 +148,43 @@ def test_eval_on_truncated_checkpoint_is_run_error(tiny_config, tmp_path, capsys
     assert "checkpoint.bin" in record["message"]
 
 
+def test_eval_on_checkpoint_with_two_scorer_matrices_is_run_error(tiny_config, tmp_path):
+    # checkpoints written before the scorer became one matrix hold
+    # selector.wq and selector.wk in place of selector.w
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
+    ckpt = os.path.join(out, "checkpoint.bin")
+    arrays = load_checkpoint(ckpt)
+    w = arrays.pop("selector.w")
+    arrays.update({"selector.wq": w, "selector.wk": w})
+    save_checkpoint(ckpt, {name: Tensor(a) for name, a in arrays.items()})
+    assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
+    record = json.load(open(os.path.join(out, "error.json")))
+    assert record["error"] == "DomainError"
+    assert "selector.wq" in record["message"] and "selector.w'" in record["message"]
+    assert not os.path.exists(os.path.join(out, "report.jsonl"))
+
+
 def test_config_parse_error_is_usage_exit(tmp_path, capsys):
     cfg_path = tmp_path / "broken.cfg"
     cfg_path.write_text("seed = 0\nbogus.key = 1\n")
     code = run(["train", "--config", str(cfg_path)])
     assert code == EXIT_RUN  # DtstError from the parser surfaces as run error
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["selector.temperature = inf",
+                                  "selector.temperature = nan",
+                                  "data.noise_std = nan"])
+def test_non_finite_config_value_fails_train_at_load(tmp_path, line, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(TINY + line + "\n")
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUN
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "ConfigParseError"
+    assert line.split(" =")[0] in record["message"] and "finite" in record["message"]
+    assert not (out / "train_log.csv").exists()
 
 
 def test_seed_override_changes_results(tiny_config, tmp_path):
@@ -212,6 +244,5 @@ def test_second_to_last_selection_changes_training(tmp_path):
     logs = [open(os.path.join(runs[n], "train_log.csv")).read() for n in runs]
     assert logs[0] != logs[1]
     params = load_checkpoint(os.path.join(runs["second_to_last"], "checkpoint.bin"))
-    eye = np.eye(params["selector.wq"].shape[0])
-    assert not np.array_equal(params["selector.wq"], eye)
-    assert not np.array_equal(params["selector.wk"], eye)
+    eye = np.eye(params["selector.w"].shape[0])
+    assert not np.array_equal(params["selector.w"], eye)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dtst import config as config_mod
 from dtst.config import format_config, load_config, parse_config_text
 from dtst.errors import ConfigError, ConfigParseError
 
@@ -81,6 +82,16 @@ def test_semantic_validation_fires_at_load():
         with pytest.raises(ConfigError, match="momentum"):
             parse_config_text(f"seed = 0\ntrain.momentum = {momentum}\n")
     parse_config_text("seed = 0\ntrain.momentum = 0.0\n")
+
+
+def test_every_float_key_rejects_non_finite_values():
+    float_keys = [k for k, (parse, _, _) in config_mod._SCHEMA.items()
+                  if parse is config_mod._float]
+    assert "selector.temperature" in float_keys and "data.noise_std" in float_keys
+    for key in float_keys:
+        for text in ("nan", "inf", "-inf", "NaN", "1e999"):
+            with pytest.raises(ConfigParseError, match=f"{key}.*finite"):
+                parse_config_text(f"seed = 0\n{key} = {text}\n")
 
 
 def test_second_to_last_needs_two_blocks():

@@ -168,8 +168,7 @@ def test_seed_determines_params_and_selector_drawn_last():
     b = init_params(cfg_sel, seed=7)
     for name, p in a.items():
         assert np.array_equal(p.data, b[name].data), name
-    assert np.array_equal(b["selector.wq"].data, np.eye(8))
-    assert np.array_equal(b["selector.wk"].data, np.eye(8))
+    assert np.array_equal(b["selector.w"].data, np.eye(8))
 
 
 @pytest.mark.parametrize("position", ["last", "second_to_last"])
@@ -274,6 +273,24 @@ def test_checkpoint_round_trip_is_exact():
     a = model_forward(cfg, params, x, v)
     b = model_forward(cfg, fresh, x, v)
     assert np.array_equal(a.id_logits.data, b.id_logits.data)
+
+
+def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path):
+    class FailingParam:
+        shape = (2,)
+
+        @property
+        def data(self):
+            raise OSError("disk full")
+
+    path = tmp_path / "checkpoint.bin"
+    params = init_params(small_cfg(), seed=0)
+    save_checkpoint(path, params)
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {**params, "late": FailingParam()})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
 
 
 def test_checkpoint_rejects_bad_magic_and_mismatch(tmp_path):

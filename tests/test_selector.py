@@ -27,19 +27,19 @@ def direct_scores(tokens, wq, wk, num_heads):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _projections(d, seed):
-    """(w_q, w_k), each [d, d], uniform in +-1/sqrt(d)."""
+def _projection(d, seed):
+    """The scorer matrix [d, d], uniform in +-1/sqrt(d)."""
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(d)
-    return tuple(Tensor(rng.uniform(-bound, bound, size=(d, d))) for _ in range(2))
+    return Tensor(rng.uniform(-bound, bound, size=(d, d)))
 
 
 def test_score_tokens_matches_direct_formula():
     b, m, d, h = 1, 4, 4, 1
     tokens = RNG.normal(size=(b, m, d))
-    wq, wk = _projections(d, 0)
-    got = score_tokens(Tensor(tokens), wq, wk, h).data
-    want = direct_scores(tokens, wq.data, wk.data, h)
+    w = _projection(d, 0)
+    got = score_tokens(Tensor(tokens), w, h).data
+    want = direct_scores(tokens, w.data, w.data, h)
     assert np.allclose(got, want, atol=1e-12)
     assert np.allclose(got.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -47,19 +47,19 @@ def test_score_tokens_matches_direct_formula():
 def test_score_tokens_multihead_matches_direct_formula():
     b, m, d, h = 3, 7, 8, 2
     tokens = RNG.normal(size=(b, m, d))
-    wq, wk = _projections(d, 1)
-    got = score_tokens(Tensor(tokens), wq, wk, h).data
-    want = direct_scores(tokens, wq.data, wk.data, h)
+    w = _projection(d, 1)
+    got = score_tokens(Tensor(tokens), w, h).data
+    want = direct_scores(tokens, w.data, w.data, h)
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_score_tokens_head_mismatch():
     with pytest.raises(ConfigError, match="divide"):
-        score_tokens(Tensor(RNG.normal(size=(1, 3, 6))), *_projections(6, 0), 4)
+        score_tokens(Tensor(RNG.normal(size=(1, 3, 6))), _projection(6, 0), 4)
 
 
 def test_zero_tokens_give_uniform_scores():
-    got = score_tokens(Tensor(np.zeros((2, 5, 4))), *_projections(4, 0), 2).data
+    got = score_tokens(Tensor(np.zeros((2, 5, 4))), _projection(4, 0), 2).data
     assert np.allclose(got, 0.2, atol=1e-12)
 
 
@@ -193,32 +193,29 @@ def test_selector_config_validation_messages():
 def test_scorer_gradient_matches_central_differences():
     b, m, d = 2, 6, 4
     tokens = RNG.normal(size=(b, m, d))
-    wq = RNG.normal(size=(d, d)) * 0.3
-    wk = RNG.normal(size=(d, d)) * 0.3
+    w = RNG.normal(size=(d, d)) * 0.3
     weight = RNG.normal(size=(b, m))
 
-    def value(wq_arr, wk_arr):
-        s = direct_scores(tokens, wq_arr, wk_arr, 2)
+    def value(w_arr):
+        s = direct_scores(tokens, w_arr, w_arr, 2)
         return (s * weight).sum()
 
-    twq = Tensor(wq, requires_grad=True)
-    twk = Tensor(wk, requires_grad=True)
+    tw = Tensor(w, requires_grad=True)
     with Tape() as tape:
-        s = score_tokens(Tensor(tokens), twq, twk, 2)
-        out = T.tsum(s * Tensor(weight))
+        s = score_tokens(Tensor(tokens), tw, 2)
+        out = T.tsum(T.mul(s, Tensor(weight)))
     backward(out, tape)
 
     step = 1e-6
-    for arr, grad in ((wq, twq.grad), (wk, twk.grad)):
-        fd = np.zeros_like(arr)
-        flat, fdflat = arr.reshape(-1), fd.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = value(wq, wk)
-            flat[i] = orig - step
-            lo = value(wq, wk)
-            flat[i] = orig
-            fdflat[i] = (hi - lo) / (2 * step)
-        denom = max(np.linalg.norm(fd), np.linalg.norm(grad))
-        assert np.linalg.norm(fd - grad) / denom < 1e-3
+    fd = np.zeros_like(w)
+    flat, fdflat = w.reshape(-1), fd.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = value(w)
+        flat[i] = orig - step
+        lo = value(w)
+        flat[i] = orig
+        fdflat[i] = (hi - lo) / (2 * step)
+    denom = max(np.linalg.norm(fd), np.linalg.norm(tw.grad))
+    assert np.linalg.norm(fd - tw.grad) / denom < 1e-3

@@ -8,7 +8,7 @@ import pytest
 
 from dtst import losses
 from dtst.data import GenConfig, batch_arrays, generate_dataset
-from dtst.errors import ConfigError, ContractError, SamplingError
+from dtst.errors import ConfigError, ContractError, NumericError, SamplingError
 from dtst.losses import LossWeights
 from dtst.model import ModelConfig, init_params, model_forward
 from dtst.optim import ScheduleConfig, SgdState, cosine_lr, sgd_step
@@ -65,6 +65,31 @@ def test_sgd_requires_gradients():
     p = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(ContractError, match="has no gradient"):
         sgd_step({"w": p}, SgdState(learning_rate=0.1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sgd_rejects_non_finite_gradient_before_any_update(bad):
+    names = ("a", "b", "c", "d")
+    params = {n: Tensor(np.full((2, 3), float(i)), requires_grad=True)
+              for i, n in enumerate(names)}
+    for p in params.values():
+        p.grad = np.ones((2, 3))
+    params["c"].grad[1, 2] = bad
+    params["d"].grad[0, 0] = np.nan
+    state = SgdState(learning_rate=0.1)
+    with pytest.raises(NumericError, match="'c'"):
+        sgd_step(params, state)
+    for i, n in enumerate(names):
+        assert np.array_equal(params[n].data, np.full((2, 3), float(i)))
+    assert state.velocity == {}
+
+
+def test_sgd_finite_gradients_whose_sum_overflows_still_update():
+    p = Tensor(np.zeros(2), requires_grad=True)
+    p.grad = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):  # the fused check's sum overflows
+        sgd_step({"w": p}, SgdState(learning_rate=1e-308, momentum=0.0))
+    assert np.allclose(p.data, -1.0)
 
 
 def test_sgd_state_validation():
