@@ -71,13 +71,13 @@ def cmd_train(cfg, out):
     dataset = data_mod.generate_dataset(cfg.gen_config("train"))
     params, log = _train_one(cfg, model_cfg, cfg["seed"], dataset)
     train_mod.write_log(os.path.join(out, "train_log.csv"), log)
-    model_mod.save_checkpoint(os.path.join(out, "checkpoint.bin"), params)
+    model_mod.save_checkpoint(os.path.join(out, "checkpoint.bin"), params, model_cfg)
     return EXIT_OK
 
 
 def _evaluate_checkpoint(cfg, model_cfg, ckpt_path, samples):
     params = model_mod.init_params(model_cfg, cfg["seed"])
-    model_mod.restore_params(params, model_mod.load_checkpoint(ckpt_path))
+    model_mod.restore_params(params, model_mod.load_checkpoint(ckpt_path, model_cfg))
     meta, _, ids, views = eval_mod.embed_samples(model_cfg, params, samples)
     reports = [eval_mod.evaluate_protocol(meta, ids, views, proto,
                                           split_seed=cfg["eval.split_seed"])

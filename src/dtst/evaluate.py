@@ -85,9 +85,13 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids):
         past = asc.searchsorted(vals, side="right")
         ranks = len(asc) - past + 1
         # where a match's value occurs again, the equal values at lower
-        # gallery indices rank first
-        for i in np.flatnonzero(asc[past - 2] == vals):
-            ranks[i] += np.count_nonzero(row[:cols[i]] == vals[i])
+        # gallery indices rank first; `eq` holds the columns of tied values
+        tied = np.flatnonzero(asc[past - 2] == vals)
+        if tied.size:
+            tv = np.sort(vals[tied])
+            eq = np.flatnonzero(tv[np.minimum(tv.searchsorted(row), tv.size - 1)] == row)
+            ranks[tied] += np.count_nonzero(
+                (row[eq] == vals[tied, None]) & (eq < cols[tied, None]), axis=1)
         ranks.sort()
         out.append(ranks)
     return out

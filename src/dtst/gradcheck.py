@@ -1,8 +1,9 @@
 """Central finite-difference gradient checks.
 
-When a selector is active, the comparison target is the smooth surrogate
-with selection indices and the straight-through baseline frozen at the
-evaluation point; its gradient there equals the straight-through gradient.
+When a selector is active, the kept slot indices are frozen at the
+evaluation point, so a difference step cannot change which tokens are kept.
+No gradient flows through the selection, so the analytic gradient is that
+of the frozen forward as well.
 """
 
 from __future__ import annotations
@@ -51,10 +52,7 @@ def check_model_gradients(cfg: model.ModelConfig, params: dict, x, y, v,
     `max_coords` bounds the number of coordinates differenced per parameter
     (sampled deterministically); None checks every coordinate.
     """
-    base = model.model_forward(cfg, params, x, v)
-    frozen = None
-    if base.selected_slots is not None:
-        frozen = (base.selected_slots, base.selected_soft)
+    frozen = model.model_forward(cfg, params, x, v).selected_slots
 
     def run_loss():
         out = model.model_forward(cfg, params, x, v, frozen_selection=frozen)

@@ -29,10 +29,6 @@ VIEW_IDS = {v: k for k, v in VIEW_NAMES.items()}
 
 MLP_RATIO = 4
 LN_EPS = 1e-6
-# Gain on the straight-through attention bias. The bias is identically zero
-# in the forward pass, so this constant only rescales the scorer's gradient;
-# without it the scorer's updates are dwarfed by the backbone's.
-ST_BIAS_GAIN = 4.0
 
 
 @dataclass
@@ -92,8 +88,6 @@ class ForwardResult:
     view_logits: Tensor       # [B, 2]
     selected_origin: np.ndarray = None  # [B, K] grid indices kept by the selector
     selected_slots: np.ndarray = None   # [B, K] patch-slot indices chosen
-    selected_soft: np.ndarray = None    # [B, K] soft weights at those slots
-    token_scores: Tensor = None         # [B, M] score distribution over patch tokens
 
 
 def _uniform(rng, fan_in, shape):
@@ -132,13 +126,6 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
     p["head.id.b"] = Tensor(np.zeros(cfg.num_identities), requires_grad=True)
     p["head.view.w"] = _uniform(rng, d, (d, len(VIEW_NAMES)))
     p["head.view.b"] = Tensor(np.zeros(len(VIEW_NAMES)), requires_grad=True)
-    # Identity-initialized (and placed last so a given seed yields the same
-    # backbone with or without the selector): the initial score is then each
-    # token's squared norm, which already correlates with signal content and
-    # keeps the scorer out of the near-uniform regime where its
-    # straight-through gradient is too weak to escape.
-    if cfg.selector is not None:
-        p["selector.w"] = Tensor(np.eye(d), requires_grad=True)
     return p
 
 
@@ -185,16 +172,15 @@ def attach_special_tokens(patches: Tensor, view_labels, params: dict) -> TokenSe
 
 
 def encoder_block(seq: TokenSequence, params: dict, index: int,
-                  cfg: ModelConfig, key_bias: Tensor = None) -> TokenSequence:
-    """Pre-norm multi-head self-attention and MLP, both with residuals.
-    `key_bias` [B, T] is added to every attention logit of its key."""
+                  cfg: ModelConfig) -> TokenSequence:
+    """Pre-norm multi-head self-attention and MLP, both with residuals."""
     pre = f"block{index}."
     x = seq.tokens
     normed = T.layer_norm(x, params[pre + "ln1.gamma"], params[pre + "ln1.beta"], LN_EPS)
     attn = T.attention(normed,
                        [params[pre + "attn." + n] for n in ("wq", "wk", "wv", "wo")],
                        [params[pre + "attn." + n] for n in ("bq", "bk", "bv", "bo")],
-                       cfg.num_attn_heads, key_bias)
+                       cfg.num_attn_heads)
     x = x + attn
     normed = T.layer_norm(x, params[pre + "ln2.gamma"], params[pre + "ln2.beta"], LN_EPS)
     h = T.gelu(T.linear(normed, params[pre + "mlp.w1"], params[pre + "mlp.b1"]))
@@ -207,57 +193,24 @@ def vdt_decouple(seq: TokenSequence) -> TokenSequence:
     return replace(seq, tokens=T.sub_slot(seq.tokens, 0, 1))
 
 
-def _straight_through_bias(soft: Tensor, indices, picked, base) -> Tensor:
-    """Attention key bias [B, 2 + K] for the reduced sequence: zero at the
-    two special slots, (picked - base) * ST_BIAS_GAIN at the kept tokens,
-    where `picked` is soft[indices]. With `base` equal to `picked` it is
-    exactly zero in the forward pass, while its gradient reaches the
-    selected soft weights."""
-    b, k = indices.shape
-    rows = np.arange(b)[:, None]
-    out = np.zeros((b, k + 2))
-    out[:, 2:] = picked - base
-    out[:, 2:] *= ST_BIAS_GAIN
+def _apply_selector(seq: TokenSequence, cfg: SelectorConfig, rng, training: bool,
+                    frozen=None):
+    """Keep the K patch tokens of highest score, Gumbel-perturbed when
+    training with noise on: a plain index choice, with no gradient through
+    it. Returns the reduced sequence and the ForwardResult selection fields.
 
-    def bwd(g):
-        gsoft = np.zeros_like(soft.data)
-        gsoft[rows, indices] = g[:, 2:] * ST_BIAS_GAIN  # indices distinct per row
-        return (gsoft,)
-
-    return T.make(out, (soft,), bwd)
-
-
-def _apply_selector(seq: TokenSequence, params: dict, cfg: SelectorConfig,
-                    rng, training: bool, frozen=None):
-    """Score the patch tokens and keep the top K. Returns the reduced
-    sequence, the straight-through attention key bias for the block it
-    enters (the scorer's only gradient route), and the ForwardResult
-    selection fields.
-
-    `frozen`, when given, is (slot indices [B, K], baseline soft weights
-    [B, K]): it replaces the selected indices and the straight-through
-    stop-gradient constant, and selection runs without noise, which makes
-    the whole forward a smooth function of the parameters (used by
-    finite-difference checks).
+    `frozen`, when given, is the patch-slot indices [B, K] to keep instead,
+    which makes the whole forward a smooth function of the parameters (used
+    by finite-difference checks).
     """
-    m = seq.tokens.shape[1] - 2
-    patches = T.narrow(seq.tokens, 1, 2, m)
-    scores = sel.score_tokens(patches, params["selector.w"], cfg.num_heads)
-    noise = cfg.noise_enabled and training and frozen is None
-    indices, soft = sel.perturbed_topk(scores, replace(cfg, noise_enabled=noise), rng)
-    if frozen is not None:
-        indices = frozen[0]
-    indices = np.asarray(indices)
-    picked = soft.data[np.arange(len(indices))[:, None], indices]
-    # zero in the forward pass; its gradient measures how much more attention
-    # each kept token should receive, which is what trains the scorer
-    key_bias = _straight_through_bias(soft, indices, picked,
-                                      picked if frozen is None else np.asarray(frozen[1]))
+    indices = frozen
+    if frozen is None:
+        scores = sel.score_tokens(seq.tokens.data[:, 2:], cfg.num_heads)
+        noise = cfg.noise_enabled and training
+        indices, _ = sel.perturbed_topk(scores, replace(cfg, noise_enabled=noise), rng)
     tokens, origin = sel.select_tokens(seq.tokens, seq.origin_index, indices)
     seq = replace(seq, tokens=tokens, origin_index=origin)
-    selection = {"selected_origin": origin, "selected_slots": indices,
-                 "selected_soft": picked, "token_scores": scores}
-    return seq, key_bias, selection
+    return seq, {"selected_origin": origin, "selected_slots": np.asarray(indices)}
 
 
 def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
@@ -269,11 +222,10 @@ def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
     seq = attach_special_tokens(patches, view_labels, params)
     selection = {}
     for i in range(cfg.num_blocks):
-        key_bias = None
         if i == cfg.selector_block:
-            seq, key_bias, selection = _apply_selector(seq, params, cfg.selector, rng,
-                                                       training, frozen=frozen_selection)
-        seq = encoder_block(seq, params, i, cfg, key_bias=key_bias)
+            seq, selection = _apply_selector(seq, cfg.selector, rng, training,
+                                             frozen=frozen_selection)
+        seq = encoder_block(seq, params, i, cfg)
         seq = vdt_decouple(seq)
     b, _, d = seq.tokens.shape
     meta = T.reshape(T.narrow(seq.tokens, 1, 0, 1), (b, d))
@@ -285,19 +237,40 @@ def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: text manifest (one "name dim dim ..." line per parameter,
-# in insertion order), an "end" line, then the flat float64 little-endian data.
+# checkpoint format: the magic line, a "config key=value ..." line echoing
+# `config_echo`, a text manifest (one "name dim dim ..." line per parameter,
+# in insertion order), an "end" line, then the flat float64 little-endian
+# data. Version 1 files have no config line.
 
-_MAGIC = b"dtst-checkpoint v1\n"
+_MAGIC = b"dtst-checkpoint v2\n"
+_MAGIC_V1 = b"dtst-checkpoint v1\n"
 
 
-def save_checkpoint(path, params: dict) -> None:
-    """Write to `<path>.tmp` in the same directory, then rename it over
-    `path`, so a write that fails midway leaves any earlier file intact."""
+def config_echo(cfg: ModelConfig) -> dict:
+    """The config-file keys that shape an eval forward, with their values as
+    text: `model.*`, `data.num_ids` and the selector's `enabled`, `k` and
+    `position`. Selector heads, temperature and noise change no kept token
+    at eval, so they are left out."""
+    echo = {"model.num_blocks": cfg.num_blocks, "model.embed_dim": cfg.embed_dim,
+            "model.num_heads": cfg.num_attn_heads, "model.patch_rows": cfg.patch_grid[0],
+            "model.patch_cols": cfg.patch_grid[1], "model.patch_dim": cfg.patch_dim,
+            "data.num_ids": cfg.num_identities,
+            "selector.enabled": "false" if cfg.selector is None else "true"}
+    if cfg.selector is not None:
+        echo.update({"selector.k": cfg.selector.k, "selector.position": cfg.selector.position})
+    return {key: str(value) for key, value in echo.items()}
+
+
+def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
+    """Write `params` and the echo of `cfg` to `<path>.tmp` in the same
+    directory, then rename it over `path`, so a write that fails midway
+    leaves any earlier file intact."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(_MAGIC)
+            pairs = " ".join(f"{k}={v}" for k, v in config_echo(cfg).items())
+            f.write(f"config {pairs}\n".encode())
             for name, p in params.items():
                 dims = " ".join(str(n) for n in p.shape)
                 f.write(f"{name} {dims}".rstrip().encode() + b"\n")
@@ -311,23 +284,32 @@ def save_checkpoint(path, params: dict) -> None:
         raise
 
 
-def load_checkpoint(path) -> dict:
+def load_checkpoint(path, cfg: ModelConfig = None) -> dict:
     """Returns name -> ndarray in manifest order. A malformed manifest or a
     payload whose length differs from what the manifest declares raises
-    DomainError naming the file."""
+    DomainError naming the file. Given `cfg`, so does a recorded config that
+    differs from `cfg`'s echo; a version 1 file records none and is not
+    checked."""
     if not os.path.isfile(path):
         raise DomainError(f"checkpoint file not found: {path}")
     with open(path, "rb") as f:
         blob = f.read()
-    if not blob.startswith(_MAGIC):
+    if not blob.startswith((_MAGIC, _MAGIC_V1)):
         raise DomainError(f"{path} is not a checkpoint file")
     header_end = blob.find(b"\nend\n")
     if header_end < 0:
         raise DomainError(f"{path}: checkpoint manifest has no 'end' line")
     manifest = blob[len(_MAGIC):header_end + 1].decode("ascii", "replace").splitlines()
     payload = blob[header_end + len(b"\nend\n"):]
+    recorded = None
+    if blob.startswith(_MAGIC):
+        line = manifest.pop(0) if manifest else ""
+        parts = line.split()
+        if parts[:1] != ["config"] or not all("=" in p for p in parts[1:]):
+            raise DomainError(f"{path}:2: bad config line {line!r}")
+        recorded = dict(p.split("=", 1) for p in parts[1:])
     shapes = {}
-    for lineno, line in enumerate(manifest, 2):
+    for lineno, line in enumerate(manifest, 2 if recorded is None else 3):
         parts = line.split()
         if not parts or parts[0] in shapes or not all(v.isdigit() for v in parts[1:]):
             raise DomainError(f"{path}:{lineno}: bad manifest line {line!r}")
@@ -336,6 +318,12 @@ def load_checkpoint(path) -> dict:
     if 8 * sum(counts) != len(payload):
         raise DomainError(f"{path}: payload holds {len(payload)} bytes, the manifest "
                           f"declares {8 * sum(counts)}")
+    if cfg is not None and recorded is not None:
+        wanted = config_echo(cfg)
+        for key in dict.fromkeys([*wanted, *recorded]):
+            if recorded.get(key) != wanted.get(key):
+                raise DomainError(f"{path} was trained with {key} = {recorded.get(key)}, "
+                                  f"the config has {key} = {wanted.get(key)}")
     out = {}
     offset = 0
     for (name, dims), count in zip(shapes.items(), counts):

@@ -1,13 +1,15 @@
 """Visual token selector: importance scoring, hard top-k, Gumbel relaxation.
 
-Scoring projects each token t with one matrix W and takes its squared norm:
-the logit is ||t W||^2 / sqrt(H * d), and a softmax across the M tokens of
-each batch item turns the logits into a distribution. The head count H only
-scales the logits.
+Scoring takes each token's squared norm: the logit of token t is
+||t||^2 / sqrt(H * d), and a softmax across the M tokens of each batch item
+turns the logits into a distribution. The head count H only scales the
+logits. Scoring has no parameters and records nothing on the tape.
 
-The differentiable selection perturbs log-scores with Gumbel noise, takes a
-hard top-k of the perturbed logits for the forward pass, and routes gradients
-through the softmax relaxation only (straight-through).
+Selection perturbs the log-scores with Gumbel noise when it is on and keeps
+the hard top-k of the perturbed logits: a plain index choice, with no
+gradient route through it. `perturbed_topk` also returns the tempered
+softmax relaxation of those logits, with its gradient with respect to the
+scores.
 """
 
 from __future__ import annotations
@@ -51,27 +53,16 @@ class SelectorConfig:
                               f"got {self.position!r}")
 
 
-def score_tokens(patch_tokens: Tensor, w: Tensor, num_heads: int) -> Tensor:
-    """Importance distribution [B, M] over the M patch tokens of each item
-    (rows sum to 1): softmax(||x W||^2 / sqrt(H * d)), as one tape entry from
-    the tokens and the projection W [d, d]."""
+def score_tokens(patch_tokens, num_heads: int) -> Tensor:
+    """Importance distribution [B, M] over the M patch tokens [B, M, d] of
+    each item (rows sum to 1): softmax(||x||^2 / sqrt(H * d)), untracked."""
     b, m, d = patch_tokens.shape
     if d % num_heads != 0:
         raise ConfigError(f"head count {num_heads} does not divide token width {d}")
-    scale = 1.0 / np.sqrt(num_heads * d)
-    x2 = patch_tokens.data.reshape(b * m, d)
-    z = x2 @ w.data
-    raw = np.einsum("ij,ij->i", z, z).reshape(b, m)
-    raw *= scale
-    s = T.softmax_array(raw)
-
-    def bwd(g):
-        graw = T.softmax_grad(s, g)
-        graw *= 2.0 * scale
-        gz = z * graw.reshape(b * m, 1)
-        return (gz @ w.data.T).reshape(b, m, d), x2.T @ gz
-
-    return T.make(s, (patch_tokens, w), bwd)
+    x2 = patch_tokens.reshape(b * m, d)
+    raw = np.einsum("ij,ij->i", x2, x2).reshape(b, m)
+    raw *= 1.0 / np.sqrt(num_heads * d)
+    return Tensor(T.softmax_array(raw))
 
 
 def hard_topk(scores, k: int):

@@ -406,21 +406,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     return make(out, inputs, bwd)
 
 
-def attention(x: Tensor, weights, biases, num_heads: int,
-              key_bias: Tensor = None) -> Tensor:
+def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
     """Multi-head self-attention as one tape entry.
 
     x [B, T, d]; `weights` = (wq, wk, wv, wo), each [d, d]; `biases` =
-    (bq, bk, bv, bo), each [d]. Q/K/V come from one GEMM, the scores are
-    scaled by 1/sqrt(d/H), and `key_bias` [B, T], when given, is added to the
-    logit of each key for every head and query before the softmax; its
-    gradient is the summed score gradient of that key.
+    (bq, bk, bv, bo), each [d]. Q/K/V come from one GEMM and the scores are
+    scaled by 1/sqrt(d/H) before the softmax.
     """
     b, t, d = x.shape
     if d % num_heads != 0:
         raise DimensionError(f"attention heads {num_heads} must divide width {d}")
-    if key_bias is not None and key_bias.shape != (b, t):
-        raise DimensionError(f"key_bias shape {key_bias.shape} does not match {(b, t)}")
     h, dh = num_heads, d // num_heads
     scale = 1.0 / np.sqrt(dh)
     wq, wk, wv, wo = weights
@@ -432,8 +427,6 @@ def attention(x: Tensor, weights, biases, num_heads: int,
     q, k, v = qkv.reshape(b, t, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [B, H, T, dh]
     att = q @ k.swapaxes(-1, -2)
     att *= scale
-    if key_bias is not None:
-        att += key_bias.data[:, None, None, :]
     att -= att.max(axis=-1, keepdims=True)
     _softmax_inplace(att)
     ctx = np.empty((b, t, h, dh))
@@ -443,8 +436,6 @@ def attention(x: Tensor, weights, biases, num_heads: int,
     out += bo.data
     out = out.reshape(b, t, d)
     inputs = (x, wq, wk, wv, wo, bq, bk, bv, bo)
-    if key_bias is not None:
-        inputs += (key_bias,)
 
     def bwd(g):
         g2 = g.reshape(b * t, d)
@@ -452,9 +443,6 @@ def attention(x: Tensor, weights, biases, num_heads: int,
         gatt = gctx @ v.swapaxes(-1, -2)
         gatt -= _dot_last(gatt, att)[..., None]
         gatt *= att  # now the gradient of the pre-softmax logits
-        gkb = None
-        if key_bias is not None:
-            gkb = np.ones(h * t) @ gatt.reshape(b, h * t, t)
         gatt *= scale
         gqkv = np.empty((b, t, 3, h, dh))
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
@@ -466,7 +454,7 @@ def attention(x: Tensor, weights, biases, num_heads: int,
         gb = _sum_rows(gqkv)
         gx = (gqkv @ w_qkv.T).reshape(b, t, d)
         return (gx, gw[:, :d], gw[:, d:2 * d], gw[:, 2 * d:], ctx.T @ g2,
-                gb[:d], gb[d:2 * d], gb[2 * d:], _sum_rows(g2), gkb)
+                gb[:d], gb[d:2 * d], gb[2 * d:], _sum_rows(g2))
 
     return make(out, inputs, bwd)
 

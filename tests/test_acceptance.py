@@ -21,8 +21,7 @@ from dtst.losses import LossWeights
 from dtst.model import (ModelConfig, init_params, model_forward,
                         save_checkpoint)
 from dtst.optim import ScheduleConfig, cosine_lr
-from dtst.selector import (SelectorConfig, hard_topk, perturbed_topk,
-                           score_tokens)
+from dtst.selector import SelectorConfig, hard_topk, perturbed_topk
 from dtst.tensor import Tape, Tensor, backward
 from dtst.train import train_run, write_log
 
@@ -68,8 +67,6 @@ def _op_suite():
     beta = Tensor(rng.normal(size=4))
     b_vec = Tensor(rng.normal(size=5))
     w_lin = Tensor(rng.normal(size=(2, 3, 5)))
-    sel_w = Tensor(rng.normal(size=(4, 4)) * 0.5)
-    w_scores = Tensor(rng.normal(size=(2, 3)))
     cases = [
         ("add", lambda t: T.add(t, Tensor(y2)), x),
         ("sub", lambda t: T.sub(t, Tensor(y2)), x),
@@ -110,46 +107,38 @@ def _op_suite():
          lambda t: orthogonal_loss(T.reshape(t, (6, 4)), Tensor(y2.reshape(6, 4))), x),
         ("orthogonal_loss.view",
          lambda t: orthogonal_loss(Tensor(y2.reshape(6, 4)), T.reshape(t, (6, 4))), x),
-        ("score_tokens", lambda t: T.mul(score_tokens(t, sel_w, 2), w_scores), x),
         ("perturbed_topk",
          lambda t: T.mul(perturbed_topk(T.softmax_lastdim(T.reshape(t, (6, 4))),
                                         SelectorConfig(k=2, temperature=0.7,
                                                        noise_enabled=False))[1],
                          Tensor(w_mix.data.reshape(6, 4))), x),
     ]
-    # attention on a K+2-token sequence (K=2), 1, 2 and 4 heads, with and
-    # without the per-key bias; each input differenced on its own
+    # attention on a K+2-token sequence (K=2) with 1, 2 and 4 heads; each
+    # input differenced on its own
     seq = rng.normal(size=(2, 4, 8))
     att_w = [rng.normal(size=(8, 8)) * 0.5 for _ in range(4)]
     att_b = [rng.normal(size=8) * 0.1 for _ in range(4)]
-    key_bias = rng.normal(size=(2, 4))
     w_att = Tensor(rng.normal(size=(2, 4, 8)))
 
-    def attention_case(heads, use_bias, which):
+    def attention_case(heads, which):
         def op(t):
             ws = [Tensor(w) for w in att_w]
             bs = [Tensor(b) for b in att_b]
             xs = Tensor(seq)
-            kb = Tensor(key_bias) if use_bias else None
             if which == "x":
                 xs = t
-            elif which == "key_bias":
-                kb = t
             elif which[0] == "w":
                 ws[int(which[1])] = t
             else:
                 bs[int(which[1])] = t
-            return T.mul(T.attention(xs, ws, bs, heads, kb), w_att)
-        arr = {"x": seq, "key_bias": key_bias}.get(which)
-        if arr is None:
-            arr = (att_w if which[0] == "w" else att_b)[int(which[1])]
-        return (f"attention[h={heads},bias={use_bias}].{which}", op, arr)
+            return T.mul(T.attention(xs, ws, bs, heads), w_att)
+        arr = seq if which == "x" else (att_w if which[0] == "w" else att_b)[int(which[1])]
+        return (f"attention[h={heads}].{which}", op, arr)
 
     for heads in (1, 2, 4):
-        for use_bias in (False, True):
-            cases.append(attention_case(heads, use_bias, "x"))
-    for which in ("key_bias", "w0", "w1", "w2", "w3", "b0", "b1", "b2", "b3"):
-        cases.append(attention_case(2, True, which))
+        cases.append(attention_case(heads, "x"))
+    for which in ("w0", "w1", "w2", "w3", "b0", "b1", "b2", "b3"):
+        cases.append(attention_case(2, which))
     worst = ("", 0.0)
     for name, op, arr in cases:
         arr = arr.copy()
@@ -424,7 +413,8 @@ def test_criterion_8_determinism(benchmark_runs, tmp_path):
         base = tmp_path / tag
         base.mkdir(exist_ok=True)
         write_log(base / "train_log.csv", run.log)
-        save_checkpoint(base / "checkpoint.bin", run.params)
+        save_checkpoint(base / "checkpoint.bin", run.params,
+                        _bench_model_cfg(run.with_selector))
         write_reports(base / "report.jsonl", [run.report])
         return [(base / name).read_bytes()
                 for name in ("train_log.csv", "checkpoint.bin", "report.jsonl")]

@@ -50,8 +50,7 @@ def test_patched_functions_take_the_arguments_the_wrappers_pass(dtst):
     assert _params(dtst.data.pk_batch) == ["dataset", "p", "k_inst", "rng"]
     assert _params(dtst.data.batch_arrays) == ["batch"]
     assert _params(dtst.train.train_run)[:2] == ["cfg", "params"]
-    assert _params(dtst.model.encoder_block)[:4] == ["seq", "params", "index", "cfg"]
-    assert "key_bias" in _params(dtst.model.encoder_block)
+    assert _params(dtst.model.encoder_block) == ["seq", "params", "index", "cfg"]
     forward = _params(dtst.model.model_forward)
     assert forward[:4] == ["cfg", "params", "x", "view_labels"]
     assert {"rng", "training"} <= set(forward)

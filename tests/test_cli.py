@@ -8,8 +8,7 @@ import pytest
 
 from dtst.cli import EXIT_OK, EXIT_RUN, EXIT_USAGE, main
 from dtst.evaluate import read_reports
-from dtst.model import load_checkpoint, save_checkpoint
-from dtst.tensor import Tensor
+from dtst.model import load_checkpoint
 from dtst.train import read_log
 
 TINY = """
@@ -51,7 +50,7 @@ def test_train_writes_artifacts(tiny_config, tmp_path):
     log = read_log(os.path.join(out, "train_log.csv"))
     assert len(log) == 2 * (32 // 4)  # epochs * (n // (P*K))
     params = load_checkpoint(os.path.join(out, "checkpoint.bin"))
-    assert "patch_embed.w" in params and "selector.w" in params
+    assert "patch_embed.w" in params
 
 
 def test_eval_after_train(tiny_config, tmp_path):
@@ -106,7 +105,6 @@ def test_gradcheck_passes_on_tiny_model(tiny_config, tmp_path, capsys):
     assert run(["gradcheck", "--config", tiny_config, "--out", out]) == EXIT_OK
     table = open(os.path.join(out, "gradcheck.txt")).read()
     assert "pass" in table and "FAIL" not in table
-    assert "selector.w " in table
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):
@@ -148,21 +146,68 @@ def test_eval_on_truncated_checkpoint_is_run_error(tiny_config, tmp_path, capsys
     assert "checkpoint.bin" in record["message"]
 
 
+def _write_version_1(path, arrays):
+    """A checkpoint in the version 1 layout, which records no config."""
+    with open(path, "wb") as f:
+        f.write(b"dtst-checkpoint v1\n")
+        for name, a in arrays.items():
+            f.write(" ".join([name, *map(str, a.shape)]).encode() + b"\n")
+        f.write(b"end\n")
+        for a in arrays.values():
+            f.write(a.astype("<f8").tobytes())
+
+
 def test_eval_on_checkpoint_with_two_scorer_matrices_is_run_error(tiny_config, tmp_path):
-    # checkpoints written before the scorer became one matrix hold
-    # selector.wq and selector.wk in place of selector.w
+    # version 1 checkpoints of selector models hold a learned scorer: one
+    # matrix selector.w, or selector.wq and selector.wk before that
     out = str(tmp_path / "run")
     assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
     ckpt = os.path.join(out, "checkpoint.bin")
     arrays = load_checkpoint(ckpt)
-    w = arrays.pop("selector.w")
-    arrays.update({"selector.wq": w, "selector.wk": w})
-    save_checkpoint(ckpt, {name: Tensor(a) for name, a in arrays.items()})
-    assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
+    eye = np.eye(arrays["patch_embed.w"].shape[1])
+    for scorer in (["selector.w"], ["selector.wq", "selector.wk"]):
+        _write_version_1(ckpt, {**arrays, **{name: eye for name in scorer}})
+        assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
+        record = json.load(open(os.path.join(out, "error.json")))
+        assert record["error"] == "DomainError"
+        assert all(f"'{name}'" in record["message"] for name in scorer)
+        assert not os.path.exists(os.path.join(out, "report.jsonl"))
+
+
+@pytest.mark.parametrize("trained, evaluated", [
+    ("selector.k = 2", "selector.k = 3"),
+    ("selector.enabled = true", "selector.enabled = false"),
+    ("selector.enabled = false", "selector.enabled = true"),
+    ("model.num_heads = 2", "model.num_heads = 1"),
+])
+def test_eval_rejects_a_checkpoint_trained_under_another_model_config(
+        tmp_path, trained, evaluated):
+    def config(name, line):
+        key = line.split(" =")[0]
+        text = "\n".join(l for l in TINY.splitlines() if not l.startswith(key + " "))
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(f"{text}\n{line}\n")
+        return str(path)
+
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", config("train", trained), "--out", out]) == EXIT_OK
+    assert run(["eval", "--config", config("eval", evaluated), "--out", out]) == EXIT_RUN
     record = json.load(open(os.path.join(out, "error.json")))
     assert record["error"] == "DomainError"
-    assert "selector.wq" in record["message"] and "selector.w'" in record["message"]
+    assert trained in record["message"] and evaluated in record["message"]
     assert not os.path.exists(os.path.join(out, "report.jsonl"))
+
+
+def test_eval_rejects_a_baseline_checkpoint_trained_with_the_selector(tiny_config, tmp_path):
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
+    cmp_cfg = tmp_path / "cmp.cfg"
+    cmp_cfg.write_text(TINY + f"eval.baseline_checkpoint = {out}/checkpoint.bin\n")
+    assert run(["eval", "--config", str(cmp_cfg), "--out", out]) == EXIT_RUN
+    record = json.load(open(os.path.join(out, "error.json")))
+    assert record["error"] == "DomainError"
+    assert "selector.enabled = true" in record["message"]
+    assert not os.path.exists(os.path.join(out, "comparison.jsonl"))
 
 
 def test_config_parse_error_is_usage_exit(tmp_path, capsys):
@@ -243,6 +288,3 @@ def test_second_to_last_selection_changes_training(tmp_path):
         runs[name] = out
     logs = [open(os.path.join(runs[n], "train_log.csv")).read() for n in runs]
     assert logs[0] != logs[1]
-    params = load_checkpoint(os.path.join(runs["second_to_last"], "checkpoint.bin"))
-    eye = np.eye(params["selector.w"].shape[0])
-    assert not np.array_equal(params["selector.w"], eye)

@@ -41,7 +41,7 @@ def test_model_gradients_with_selector_both_positions():
         sel = SelectorConfig(k=2, num_heads=2, position=position,
                              noise_enabled=False)
         cfg, params, results = _check(selector=sel)
-        assert any(r.name.startswith("selector.") for r in results)
+        assert {r.name for r in results} == set(params)
         assert all(r.ok for r in results), \
             [(r.name, r.rel_err) for r in results if not r.ok]
 

@@ -7,11 +7,12 @@ import pytest
 from dtst import model
 from dtst import tensor as T
 from dtst.errors import ConfigError, DimensionError, DomainError, NumericError
-from dtst.model import (ModelConfig, attach_special_tokens, init_params,
-                        load_checkpoint, model_forward, patch_embed,
+from dtst.losses import LossWeights, cross_entropy_loss, orthogonal_loss, total_loss
+from dtst.model import (ModelConfig, attach_special_tokens, encoder_block,
+                        init_params, load_checkpoint, model_forward, patch_embed,
                         restore_params, save_checkpoint, vdt_decouple)
-from dtst.selector import SelectorConfig
-from dtst.tensor import Tensor
+from dtst.selector import SelectorConfig, hard_topk
+from dtst.tensor import Tape, Tensor
 
 RNG = np.random.default_rng(99)
 
@@ -162,13 +163,14 @@ def test_single_block_hand_forward_oracle():
 
 
 def test_seed_determines_params_and_selector_drawn_last():
+    # the selector has no parameters: a seed gives the same dict either way
     cfg_plain = small_cfg()
     cfg_sel = small_cfg(selector=SelectorConfig(k=2))
     a = init_params(cfg_plain, seed=7)
     b = init_params(cfg_sel, seed=7)
+    assert list(a) == list(b)
     for name, p in a.items():
         assert np.array_equal(p.data, b[name].data), name
-    assert np.array_equal(b["selector.w"].data, np.eye(8))
 
 
 @pytest.mark.parametrize("position", ["last", "second_to_last"])
@@ -212,7 +214,6 @@ def test_selected_origin_tracks_grid_indices():
     out = model_forward(cfg, params, x, np.array([0, 1]))
     assert np.array_equal(out.selected_origin, out.selected_slots)
     assert (out.selected_origin >= 0).all() and (out.selected_origin < 6).all()
-    assert np.allclose(out.token_scores.data.sum(axis=-1), 1.0)
 
 
 @pytest.mark.parametrize("position", ["last", "second_to_last"])
@@ -227,15 +228,13 @@ def test_frozen_selection_reproduces_the_live_forward(position):
     x = RNG.normal(size=(3, 2, 3, 4))
     v = np.array([0, 1, 1])
     live = model_forward(cfg, params, x, v)
-    frozen = model_forward(cfg, params, x, v,
-                           frozen_selection=(live.selected_slots, live.selected_soft))
+    frozen = model_forward(cfg, params, x, v, frozen_selection=live.selected_slots)
     for field in ("id_logits", "view_logits", "meta_feature"):
         assert np.array_equal(getattr(live, field).data, getattr(frozen, field).data), field
     assert np.array_equal(frozen.selected_slots, live.selected_slots)
     # frozen slots, not the scorer's, decide what is kept
     other = np.array([[s for s in range(6) if s not in row][:2] for row in live.selected_slots])
-    moved = model_forward(cfg, params, x, v,
-                          frozen_selection=(other, live.selected_soft))
+    moved = model_forward(cfg, params, x, v, frozen_selection=other)
     assert np.array_equal(moved.selected_slots, other)
     assert not np.allclose(moved.id_logits.data, live.id_logits.data)
 
@@ -255,14 +254,14 @@ def test_training_noise_is_reproducible_with_seeded_rng():
     assert np.array_equal(c.selected_slots, d.selected_slots)
 
 
-def test_checkpoint_round_trip_is_exact():
+def test_checkpoint_round_trip_is_exact(tmp_path):
     cfg = small_cfg(selector=SelectorConfig(k=2))
     params = init_params(cfg, seed=8)
     for p in params.values():
         p.data = p.data + RNG.normal(scale=0.01, size=p.shape)
-    path = "/tmp/dtst_test_ckpt.bin"
-    save_checkpoint(path, params)
-    arrays = load_checkpoint(path)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, params, cfg)
+    arrays = load_checkpoint(path, cfg)
     assert list(arrays) == list(params)
     for name, arr in arrays.items():
         assert np.array_equal(arr, params[name].data), name
@@ -284,11 +283,12 @@ def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path):
             raise OSError("disk full")
 
     path = tmp_path / "checkpoint.bin"
-    params = init_params(small_cfg(), seed=0)
-    save_checkpoint(path, params)
+    cfg = small_cfg()
+    params = init_params(cfg, seed=0)
+    save_checkpoint(path, params, cfg)
     before = path.read_bytes()
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, {**params, "late": FailingParam()})
+        save_checkpoint(path, {**params, "late": FailingParam()}, cfg)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
 
@@ -302,10 +302,15 @@ def test_checkpoint_rejects_bad_magic_and_mismatch(tmp_path):
     cfg = small_cfg()
     params = init_params(cfg, seed=0)
     path = tmp_path / "ok.bin"
-    save_checkpoint(path, params)
-    arrays = load_checkpoint(path)
+    save_checkpoint(path, params, cfg)
+    arrays = load_checkpoint(path, cfg)
 
-    other = init_params(small_cfg(selector=SelectorConfig(k=2)), seed=0)
+    # the selector adds no parameter, so the recorded config catches it
+    with pytest.raises(DomainError, match="selector.enabled = false, the config "
+                                          "has selector.enabled = true"):
+        load_checkpoint(path, small_cfg(selector=SelectorConfig(k=2)))
+
+    other = init_params(small_cfg(num_blocks=1), seed=0)
     with pytest.raises(DomainError, match="mismatch"):
         restore_params(other, arrays)
 
@@ -321,6 +326,7 @@ def test_checkpoint_rejects_bad_magic_and_mismatch(tmp_path):
         "bad_dim.bin": (blob.replace(b"\npatch_embed.w 4 8\n", b"\npatch_embed.w 4 x\n"),
                         "bad manifest line"),
         "truncated.bin": (blob[:-8], "payload holds"),
+        "bad_config.bin": (blob.replace(b"\nconfig ", b"\nconfig x "), "bad config line"),
         "trailing.bin": (blob + b"\0", "payload holds"),
     }
     for name, (data, message) in corrupt.items():
@@ -328,3 +334,66 @@ def test_checkpoint_rejects_bad_magic_and_mismatch(tmp_path):
         with pytest.raises(DomainError, match=message) as err:
             load_checkpoint(tmp_path / name)
         assert name in str(err.value)
+
+
+def test_version_1_checkpoint_loads_without_a_config_check(tmp_path):
+    cfg = small_cfg()
+    params = init_params(cfg, seed=0)
+    path = tmp_path / "v2.bin"
+    save_checkpoint(path, params, cfg)
+    head, _, rest = path.read_bytes().partition(b"\n")
+    config_line, _, rest = rest.partition(b"\n")
+    assert head == b"dtst-checkpoint v2" and config_line.startswith(b"config ")
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(b"dtst-checkpoint v1\n" + rest)
+    # a selector config differs from the one the file was written under,
+    # but a version 1 file records none to compare
+    arrays = load_checkpoint(v1, small_cfg(selector=SelectorConfig(k=2)))
+    assert all(np.array_equal(arrays[n], p.data) for n, p in params.items())
+
+
+@pytest.mark.parametrize("position", ["last", "second_to_last"])
+def test_noise_free_selection_keeps_the_largest_norm_patch_tokens(position):
+    """The kept slots are the hard top-K of the squared norms of the patch
+    tokens entering the selector's block, computed here by running the
+    blocks in front of it one by one."""
+    cfg = small_cfg(num_blocks=3, selector=SelectorConfig(k=2, position=position,
+                                                          noise_enabled=False))
+    params = init_params(cfg, seed=11)
+    for p in params.values():
+        p.data = p.data + RNG.normal(scale=0.2, size=p.shape)
+    x = RNG.normal(size=(5, 2, 3, 4))
+    v = np.array([0, 1, 1, 0, 1])
+    seq = attach_special_tokens(patch_embed(x, params, cfg), v, params)
+    for i in range(cfg.selector_block):
+        seq = vdt_decouple(encoder_block(seq, params, i, cfg))
+    patches = seq.tokens.data[:, 2:]
+    want = hard_topk((patches * patches).sum(axis=-1), cfg.selector.k)
+    for training in (False, True):
+        out = model_forward(cfg, params, x, v, rng=np.random.default_rng(0),
+                            training=training)
+        assert np.array_equal(out.selected_slots, want), training
+
+
+def _step_tape(cfg, params, x, y, v):
+    with Tape() as tape:
+        out = model_forward(cfg, params, x, v, rng=np.random.default_rng(0), training=True)
+        total_loss(cross_entropy_loss(out.id_logits, y), cross_entropy_loss(out.view_logits, v),
+                   orthogonal_loss(out.meta_feature, out.view_feature), LossWeights())
+    return tape
+
+
+def test_selection_adds_one_tape_entry_to_a_training_step(monkeypatch):
+    gathers = []
+    original = T.gather_tokens
+    monkeypatch.setattr(T, "gather_tokens",
+                        lambda *args: gathers.append(1) or original(*args))
+    x = RNG.normal(size=(4, 2, 3, 4))
+    y = np.array([0, 1, 2, 3])
+    v = np.array([0, 1, 0, 1])
+    plain = small_cfg()
+    params = init_params(plain, seed=5)
+    base = len(_step_tape(plain, params, x, y, v))
+    assert not gathers
+    selected = len(_step_tape(small_cfg(selector=SelectorConfig(k=2)), params, x, y, v))
+    assert selected == base + 1 and len(gathers) == 1
