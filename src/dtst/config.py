@@ -96,7 +96,6 @@ class ExperimentConfig:
             return None
         return SelectorConfig(
             k=self.values["selector.k"],
-            temperature=self.values["selector.temperature"],
             num_heads=self.values["selector.heads"],
             position=self.values["selector.position"],
             noise_enabled=self.values["selector.noise"],
@@ -155,6 +154,10 @@ class ExperimentConfig:
         SgdState(learning_rate=self.values["schedule.lr_max"],
                  momentum=self.values["train.momentum"])
         self.loss_weights()
+        # accepted so that older configs still load; it has no effect
+        if self.values["selector.temperature"] <= 0:
+            raise ConfigError(f"selector.temperature must be > 0, "
+                              f"got {self.values['selector.temperature']}")
         for pos in self.values["ablate.positions"]:
             if pos not in POSITIONS:
                 raise ConfigError(f"ablate.positions entry {pos!r} not in {POSITIONS}")

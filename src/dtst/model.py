@@ -4,8 +4,11 @@ Sequence layout: slot 0 is the meta (global) token, slot 1 the view token,
 slots 2.. hold patch tokens. Each block is a pre-norm encoder followed by the
 decoupling subtraction meta <- meta - view. The retrieval embedding is the
 final meta slot. The selector, when present, runs in front of one block
-(`ModelConfig.selector_block`); that block and every later one encode the
-reduced sequence.
+(`ModelConfig.selector_block`) and keeps the two special tokens and the K
+patch tokens of largest norm (Gumbel-perturbed when training with noise
+on); that block and every later one encode the reduced sequence. Patch slot
+i is grid cell i up to the selection, so the kept slot indices are also the
+kept grid indices.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class ModelConfig:
             m = self.patch_grid[0] * self.patch_grid[1]
             if self.selector.k > m:
                 raise ConfigError(f"SelectorConfig.K={self.selector.k} exceeds M={m}")
-            if self.selector.num_heads and self.embed_dim % self.selector.num_heads != 0:
+            if self.embed_dim % self.selector.num_heads != 0:
                 raise ConfigError(
                     f"selector heads {self.selector.num_heads} must divide embed_dim")
 
@@ -76,8 +79,6 @@ class ModelConfig:
 @dataclass
 class TokenSequence:
     tokens: Tensor            # [B, T, d]
-    view_labels: np.ndarray   # [B] of VIEW_AERIAL / VIEW_GROUND
-    origin_index: np.ndarray  # [B, T-2] original grid index of each patch slot
 
 
 @dataclass
@@ -87,7 +88,7 @@ class ForwardResult:
     id_logits: Tensor         # [B, num_identities]
     view_logits: Tensor       # [B, 2]
     selected_origin: np.ndarray = None  # [B, K] grid indices kept by the selector
-    selected_slots: np.ndarray = None   # [B, K] patch-slot indices chosen
+    selected_slots: np.ndarray = None   # the same array, read as patch slots
 
 
 def _uniform(rng, fan_in, shape):
@@ -166,9 +167,7 @@ def attach_special_tokens(patches: Tensor, view_labels, params: dict) -> TokenSe
         gview = [g[view_labels == v, 1].sum(axis=0) for v in (VIEW_AERIAL, VIEW_GROUND)]
         return (g[:, 0].sum(axis=0), gview[0], gview[1], g[:, 2:])
 
-    tokens = T.make(tokens, (meta,) + views + (patches,), bwd)
-    origin = np.broadcast_to(np.arange(m), (b, m)).copy()
-    return TokenSequence(tokens=tokens, view_labels=view_labels, origin_index=origin)
+    return TokenSequence(tokens=T.make(tokens, (meta,) + views + (patches,), bwd))
 
 
 def encoder_block(seq: TokenSequence, params: dict, index: int,
@@ -195,7 +194,7 @@ def vdt_decouple(seq: TokenSequence) -> TokenSequence:
 
 def _apply_selector(seq: TokenSequence, cfg: SelectorConfig, rng, training: bool,
                     frozen=None):
-    """Keep the K patch tokens of highest score, Gumbel-perturbed when
+    """Keep the K patch tokens of largest logit, Gumbel-perturbed when
     training with noise on: a plain index choice, with no gradient through
     it. Returns the reduced sequence and the ForwardResult selection fields.
 
@@ -205,12 +204,11 @@ def _apply_selector(seq: TokenSequence, cfg: SelectorConfig, rng, training: bool
     """
     indices = frozen
     if frozen is None:
-        scores = sel.score_tokens(seq.tokens.data[:, 2:], cfg.num_heads)
-        noise = cfg.noise_enabled and training
-        indices, _ = sel.perturbed_topk(scores, replace(cfg, noise_enabled=noise), rng)
-    tokens, origin = sel.select_tokens(seq.tokens, seq.origin_index, indices)
-    seq = replace(seq, tokens=tokens, origin_index=origin)
-    return seq, {"selected_origin": origin, "selected_slots": np.asarray(indices)}
+        logits = sel.score_tokens(seq.tokens.data[:, 2:], cfg.num_heads)
+        indices = sel.perturbed_topk(logits, cfg.k, cfg.noise_enabled and training, rng)
+    indices = np.asarray(indices)
+    seq = replace(seq, tokens=sel.select_tokens(seq.tokens, indices))
+    return seq, {"selected_origin": indices, "selected_slots": indices}
 
 
 def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
@@ -240,17 +238,16 @@ def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
 # checkpoint format: the magic line, a "config key=value ..." line echoing
 # `config_echo`, a text manifest (one "name dim dim ..." line per parameter,
 # in insertion order), an "end" line, then the flat float64 little-endian
-# data. Version 1 files have no config line.
+# data. Version 1 files had no config line and are rejected.
 
 _MAGIC = b"dtst-checkpoint v2\n"
-_MAGIC_V1 = b"dtst-checkpoint v1\n"
 
 
 def config_echo(cfg: ModelConfig) -> dict:
     """The config-file keys that shape an eval forward, with their values as
     text: `model.*`, `data.num_ids` and the selector's `enabled`, `k` and
-    `position`. Selector heads, temperature and noise change no kept token
-    at eval, so they are left out."""
+    `position`. The selector's heads only scale its logits and its noise is
+    off at eval, so neither changes a kept token there: both are left out."""
     echo = {"model.num_blocks": cfg.num_blocks, "model.embed_dim": cfg.embed_dim,
             "model.num_heads": cfg.num_attn_heads, "model.patch_rows": cfg.patch_grid[0],
             "model.patch_cols": cfg.patch_grid[1], "model.patch_dim": cfg.patch_dim,
@@ -287,29 +284,30 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
 def load_checkpoint(path, cfg: ModelConfig = None) -> dict:
     """Returns name -> ndarray in manifest order. A malformed manifest or a
     payload whose length differs from what the manifest declares raises
-    DomainError naming the file. Given `cfg`, so does a recorded config that
-    differs from `cfg`'s echo; a version 1 file records none and is not
-    checked."""
+    DomainError naming the file, and so does a version 1 file, which records
+    no config to check. Given `cfg`, so does a recorded config that differs
+    from `cfg`'s echo."""
     if not os.path.isfile(path):
         raise DomainError(f"checkpoint file not found: {path}")
     with open(path, "rb") as f:
         blob = f.read()
-    if not blob.startswith((_MAGIC, _MAGIC_V1)):
+    if blob.startswith(b"dtst-checkpoint v1\n"):
+        raise DomainError(f"{path} is a version 1 checkpoint, which records no model "
+                          f"config; retrain to write a version 2 file")
+    if not blob.startswith(_MAGIC):
         raise DomainError(f"{path} is not a checkpoint file")
     header_end = blob.find(b"\nend\n")
     if header_end < 0:
         raise DomainError(f"{path}: checkpoint manifest has no 'end' line")
     manifest = blob[len(_MAGIC):header_end + 1].decode("ascii", "replace").splitlines()
     payload = blob[header_end + len(b"\nend\n"):]
-    recorded = None
-    if blob.startswith(_MAGIC):
-        line = manifest.pop(0) if manifest else ""
-        parts = line.split()
-        if parts[:1] != ["config"] or not all("=" in p for p in parts[1:]):
-            raise DomainError(f"{path}:2: bad config line {line!r}")
-        recorded = dict(p.split("=", 1) for p in parts[1:])
+    line = manifest.pop(0) if manifest else ""
+    parts = line.split()
+    if parts[:1] != ["config"] or not all("=" in p for p in parts[1:]):
+        raise DomainError(f"{path}:2: bad config line {line!r}")
+    recorded = dict(p.split("=", 1) for p in parts[1:])
     shapes = {}
-    for lineno, line in enumerate(manifest, 2 if recorded is None else 3):
+    for lineno, line in enumerate(manifest, 3):
         parts = line.split()
         if not parts or parts[0] in shapes or not all(v.isdigit() for v in parts[1:]):
             raise DomainError(f"{path}:{lineno}: bad manifest line {line!r}")
@@ -318,7 +316,7 @@ def load_checkpoint(path, cfg: ModelConfig = None) -> dict:
     if 8 * sum(counts) != len(payload):
         raise DomainError(f"{path}: payload holds {len(payload)} bytes, the manifest "
                           f"declares {8 * sum(counts)}")
-    if cfg is not None and recorded is not None:
+    if cfg is not None:
         wanted = config_echo(cfg)
         for key in dict.fromkeys([*wanted, *recorded]):
             if recorded.get(key) != wanted.get(key):

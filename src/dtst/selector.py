@@ -1,15 +1,12 @@
-"""Visual token selector: importance scoring, hard top-k, Gumbel relaxation.
+"""Visual token selector: norm logits, optional Gumbel noise, hard top-k.
 
-Scoring takes each token's squared norm: the logit of token t is
-||t||^2 / sqrt(H * d), and a softmax across the M tokens of each batch item
-turns the logits into a distribution. The head count H only scales the
-logits. Scoring has no parameters and records nothing on the tape.
+The logit of patch token t is ||t||^2 / sqrt(H * d); the head count H only
+scales the logits. Scoring has no parameters and records nothing on the tape.
 
-Selection perturbs the log-scores with Gumbel noise when it is on and keeps
-the hard top-k of the perturbed logits: a plain index choice, with no
-gradient route through it. `perturbed_topk` also returns the tempered
-softmax relaxation of those logits, with its gradient with respect to the
-scores.
+Selection adds Gumbel noise to the logits when it is on, so that with K = 1
+the kept token is a draw from softmax(logits), and keeps the hard top-k: a
+plain index choice, with no gradient route through it. The kept tokens
+carry their gradient back through `select_tokens`' gather.
 """
 
 from __future__ import annotations
@@ -21,8 +18,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError
 from .tensor import Tensor
-
-SCORE_FLOOR = 1e-12
 
 # Config-level selector positions: LAST places the selector in front of the
 # final encoder block (the reduced sequence is encoded once more);
@@ -36,7 +31,6 @@ POSITIONS = (POSITION_LAST, POSITION_SECOND_TO_LAST)
 @dataclass
 class SelectorConfig:
     k: int
-    temperature: float = 1.0
     num_heads: int = 2
     position: str = POSITION_LAST
     noise_enabled: bool = True
@@ -44,8 +38,6 @@ class SelectorConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"SelectorConfig.K must be >= 1, got {self.k}")
-        if self.temperature <= 0:
-            raise ConfigError(f"SelectorConfig.temperature must be > 0, got {self.temperature}")
         if self.num_heads < 1:
             raise ConfigError(f"SelectorConfig.num_heads must be >= 1, got {self.num_heads}")
         if self.position not in POSITIONS:
@@ -53,16 +45,14 @@ class SelectorConfig:
                               f"got {self.position!r}")
 
 
-def score_tokens(patch_tokens, num_heads: int) -> Tensor:
-    """Importance distribution [B, M] over the M patch tokens [B, M, d] of
-    each item (rows sum to 1): softmax(||x||^2 / sqrt(H * d)), untracked."""
+def score_tokens(patch_tokens, num_heads: int) -> np.ndarray:
+    """Logits [B, M] of the M patch tokens [B, M, d] of each item:
+    ||x||^2 / sqrt(H * d)."""
     b, m, d = patch_tokens.shape
-    if d % num_heads != 0:
-        raise ConfigError(f"head count {num_heads} does not divide token width {d}")
     x2 = patch_tokens.reshape(b * m, d)
-    raw = np.einsum("ij,ij->i", x2, x2).reshape(b, m)
-    raw *= 1.0 / np.sqrt(num_heads * d)
-    return Tensor(T.softmax_array(raw))
+    logits = np.einsum("ij,ij->i", x2, x2).reshape(b, m)
+    logits *= 1.0 / np.sqrt(num_heads * d)
+    return logits
 
 
 def hard_topk(scores, k: int):
@@ -73,59 +63,36 @@ def hard_topk(scores, k: int):
     if k > m:
         raise ConfigError(f"K={k} exceeds token count M={m}")
     order = np.argsort(-scores, axis=-1, kind="stable")
-    chosen = order[..., :k]
-    return np.sort(chosen, axis=-1)
+    return np.sort(order[..., :k], axis=-1)
 
 
-def perturbed_topk(s: Tensor, cfg: SelectorConfig,
+def perturbed_topk(logits, k: int, noise: bool = False,
                    rng: np.random.Generator = None):
-    """Gumbel-perturbed selection from the score distribution `s` [B, M].
-
-    Returns (indices [B, K], soft_weights Tensor [B, M]). The forward indices
-    come from a hard top-k of the perturbed logits; gradients flow only
-    through the softmax soft weights, recorded as one tape entry from the
-    scores.
-    """
-    b, m = s.shape
-    safe = np.maximum(s.data, SCORE_FLOOR)
-    logits = np.log(safe)
-    if cfg.noise_enabled:
+    """Indices [B, K] of the hard top-k of `logits` [B, M], with one
+    Gumbel draw added to every logit first when `noise` is on."""
+    if noise:
         if rng is None:
-            raise ContractError("noise_enabled selection needs a seeded rng")
-        u = rng.uniform(size=(b, m))
-        logits += -np.log(-np.log(u))
-    inv_tau = 1.0 / cfg.temperature
-    logits *= inv_tau
-    soft = T.softmax_array(logits)
-
-    def bwd(g):
-        gl = T.softmax_grad(soft, g)
-        gl *= inv_tau
-        gl /= safe
-        gl *= s.data > SCORE_FLOOR
-        return (gl,)
-
-    return hard_topk(logits, cfg.k), T.make(soft, (s,), bwd)
+            raise ContractError("Gumbel noise needs a seeded rng")
+        u = rng.uniform(size=logits.shape)
+        logits = logits - np.log(-np.log(u))
+    return hard_topk(logits, k)
 
 
-def select_tokens(tokens: Tensor, origin_index, indices):
+def select_tokens(tokens: Tensor, indices) -> Tensor:
     """Keep slots 0/1 plus the chosen patch tokens, in the order of
     `indices` (ascending, as hard_topk returns them).
 
-    `tokens` is [B, 2 + M, d] and `origin_index` [B, M] the grid index of
-    each patch slot; `indices` is [B, K] (or [K] for every row) of patch-slot
-    indices, 0-based within the patch region. Returns the reduced tokens
-    [B, 2 + K, d] and the grid index of each kept patch [B, K].
+    `tokens` is [B, 2 + M, d] and `indices` [B, K] patch-slot indices,
+    0-based within the patch region. Returns the reduced tokens
+    [B, 2 + K, d].
     """
     idx = np.asarray(indices, dtype=np.int64)
     b, t, _ = tokens.shape
     m = t - 2
-    if idx.ndim == 1:
-        idx = np.broadcast_to(idx, (b, idx.shape[0])).copy()
     for row in idx:
         if len(set(row.tolist())) != len(row):
             raise ContractError(f"duplicate selection indices {row.tolist()}")
         if row.min() < 0 or row.max() >= m:
             raise ContractError(f"selection index out of range in {row.tolist()}")
     slots = np.concatenate([np.broadcast_to([0, 1], (b, 2)), idx + 2], axis=1)
-    return T.gather_tokens(tokens, slots), np.take_along_axis(origin_index, idx, axis=1)
+    return T.gather_tokens(tokens, slots)

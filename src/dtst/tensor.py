@@ -100,20 +100,6 @@ def make(out_data, inputs, backward_fn):
     return out
 
 
-def softmax_array(z):
-    """Softmax over the last axis of a float ndarray (no tape); `z` itself is
-    left unchanged."""
-    return _softmax_inplace(z - z.max(axis=-1, keepdims=True))
-
-
-def softmax_grad(s, g):
-    """Gradient with respect to the logits of s = softmax(z) over the last
-    axis, given the gradient `g` with respect to s."""
-    out = g - _dot_last(g, s)[..., None]
-    out *= s
-    return out
-
-
 def _softmax_inplace(a):
     """Softmax of `a` over its last axis, written into `a`, which must
     already have its row maxima subtracted."""
@@ -331,8 +317,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def softmax_lastdim(x: Tensor) -> Tensor:
     if x.data.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError(f"softmax needs a nonempty last dimension, got {x.shape}")
-    out = softmax_array(x.data)
-    return make(out, (x,), lambda g: (softmax_grad(out, g),))
+    out = _softmax_inplace(x.data - x.data.max(axis=-1, keepdims=True))
+
+    def bwd(g):
+        gz = g - _dot_last(g, out)[..., None]
+        gz *= out
+        return (gz,)
+
+    return make(out, (x,), bwd)
 
 
 def log_softmax_lastdim(x: Tensor) -> Tensor:

@@ -21,7 +21,7 @@ from dtst.losses import LossWeights
 from dtst.model import (ModelConfig, init_params, model_forward,
                         save_checkpoint)
 from dtst.optim import ScheduleConfig, cosine_lr
-from dtst.selector import SelectorConfig, hard_topk, perturbed_topk
+from dtst.selector import SelectorConfig, hard_topk, perturbed_topk, score_tokens
 from dtst.tensor import Tape, Tensor, backward
 from dtst.train import train_run, write_log
 
@@ -107,11 +107,6 @@ def _op_suite():
          lambda t: orthogonal_loss(T.reshape(t, (6, 4)), Tensor(y2.reshape(6, 4))), x),
         ("orthogonal_loss.view",
          lambda t: orthogonal_loss(Tensor(y2.reshape(6, 4)), T.reshape(t, (6, 4))), x),
-        ("perturbed_topk",
-         lambda t: T.mul(perturbed_topk(T.softmax_lastdim(T.reshape(t, (6, 4))),
-                                        SelectorConfig(k=2, temperature=0.7,
-                                                       noise_enabled=False))[1],
-                         Tensor(w_mix.data.reshape(6, 4))), x),
     ]
     # attention on a K+2-token sequence (K=2) with 1, 2 and 4 heads; each
     # input differenced on its own
@@ -241,33 +236,30 @@ def test_criterion_2_metric_oracles():
 def test_criterion_3_selector_limit_laws():
     start = time.perf_counter()
 
-    # tau = 0.01 concentration on the argmax
-    scores = Tensor(np.array([[0.7, 0.2, 0.1]]))
-    _, soft = perturbed_topk(scores, SelectorConfig(k=1, temperature=0.01,
-                                                    noise_enabled=False))
-    mass = float(soft.data[0, 0])
-
-    # noise-off indices equal hard_topk bitwise
+    # noise-off indices equal hard_topk of the logits bitwise
     rng = np.random.default_rng(1)
-    probs = rng.dirichlet(np.ones(8), size=16)
-    idx, _ = perturbed_topk(Tensor(probs),
-                            SelectorConfig(k=3, noise_enabled=False))
-    bitwise = np.array_equal(idx, hard_topk(probs, 3))
+    logits = score_tokens(rng.normal(size=(16, 8, 4)), 2)
+    bitwise = np.array_equal(perturbed_topk(logits, 3), hard_topk(logits, 3))
 
-    # Gumbel Monte-Carlo: selection frequency of each index matches s_i
+    # Gumbel Monte-Carlo with K = 1: selection frequency of each index
+    # matches softmax(logits)_i = s_i
     s = np.array([0.5, 0.3, 0.15, 0.05])
     draws = 10 ** 5
-    tiled = Tensor(np.broadcast_to(s, (draws, 4)).copy())
-    idx, _ = perturbed_topk(tiled, SelectorConfig(k=1, temperature=1.0,
-                                                  noise_enabled=True),
-                            np.random.default_rng(2))
+    idx = perturbed_topk(np.tile(np.log(s), (draws, 1)), 1, noise=True,
+                         rng=np.random.default_rng(2))
     freq = np.bincount(idx[:, 0], minlength=4) / draws
     mc_dev = float(np.abs(freq - s).max())
+
+    # logits scaled by 1/0.01 concentrate the noisy choice on the argmax (a
+    # smaller selector.heads sharpens the logits the same way)
+    sharp = np.tile(np.log([0.7, 0.2, 0.1]) / 0.01, (draws, 1))
+    idx = perturbed_topk(sharp, 1, noise=True, rng=np.random.default_rng(3))
+    mass = float(np.mean(idx[:, 0] == 0))
 
     elapsed = time.perf_counter() - start
     ok = mass >= 0.99 and bitwise and mc_dev < 0.01 and elapsed < 30
     verdict(3, "selector limit laws", ok,
-            f"argmax mass {mass:.4f}, noise-off bitwise {bitwise}, "
+            f"argmax share {mass:.4f}, noise-off bitwise {bitwise}, "
             f"MC deviation {mc_dev:.4f}, {elapsed:.1f}s")
 
 
@@ -328,8 +320,8 @@ class BenchRun:
 def _bench_model_cfg(with_selector):
     selcfg = None
     if with_selector:
-        selcfg = SelectorConfig(k=2, temperature=1.0, num_heads=2,
-                                position="last", noise_enabled=False)
+        selcfg = SelectorConfig(k=2, num_heads=2, position="last",
+                                noise_enabled=False)
     return ModelConfig(num_identities=32, num_blocks=4, embed_dim=16,
                        num_attn_heads=2, patch_grid=(4, 4), patch_dim=8,
                        selector=selcfg)

@@ -132,3 +132,23 @@ def test_embed_samples_calls_through_the_module_attributes(dtst, monkeypatch):
                                                 samples, batch_size=5)
     assert calls["batch_arrays"] == calls["model_forward"] == [5, 5, 2]
     assert meta.shape == (12, 4)
+
+
+def test_forward_exposes_what_the_tracer_and_checks_read(dtst, monkeypatch):
+    # the tracer reads `.tokens` of each `encoder_block` input and
+    # `selected_origin` of a forward; the checks read `selected_slots`
+    widths = []
+    encoder_block = dtst.model.encoder_block
+
+    def recording(seq, params, index, cfg):
+        widths.append(seq.tokens.shape[1])
+        return encoder_block(seq, params, index, cfg)
+
+    monkeypatch.setattr(dtst.model, "encoder_block", recording)
+    cfg = dtst.model.ModelConfig(
+        num_identities=2, num_blocks=2, embed_dim=4, patch_grid=(2, 2), patch_dim=3,
+        selector=dtst.selector.SelectorConfig(k=1, noise_enabled=False))
+    x = np.random.default_rng(0).normal(size=(3, 2, 2, 3))
+    out = dtst.model.model_forward(cfg, dtst.model.init_params(cfg, 0), x, np.array([0, 1, 0]))
+    assert widths == [6, 3]
+    assert out.selected_slots.shape == out.selected_origin.shape == (3, 1)

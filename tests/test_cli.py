@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from dtst.cli import EXIT_OK, EXIT_RUN, EXIT_USAGE, main
+from dtst.config import load_config
 from dtst.evaluate import read_reports
-from dtst.model import load_checkpoint
+from dtst.model import load_checkpoint, save_checkpoint
+from dtst.tensor import Tensor
 from dtst.train import read_log
 
 TINY = """
@@ -157,16 +159,32 @@ def _write_version_1(path, arrays):
             f.write(a.astype("<f8").tobytes())
 
 
+def test_eval_rejects_a_version_1_checkpoint(tiny_config, tmp_path):
+    # a version 1 file records no model config, so nothing could check it
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
+    ckpt = os.path.join(out, "checkpoint.bin")
+    _write_version_1(ckpt, load_checkpoint(ckpt))
+    assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
+    record = json.load(open(os.path.join(out, "error.json")))
+    assert record["error"] == "DomainError"
+    assert all(word in record["message"] for word in ("checkpoint.bin", "version 1", "retrain"))
+    assert not os.path.exists(os.path.join(out, "report.jsonl"))
+
+
 def test_eval_on_checkpoint_with_two_scorer_matrices_is_run_error(tiny_config, tmp_path):
-    # version 1 checkpoints of selector models hold a learned scorer: one
-    # matrix selector.w, or selector.wq and selector.wk before that
+    # checkpoints of the learned scorer hold one matrix selector.w, or
+    # selector.wq and selector.wk before that; written here with the current
+    # config line, so the parameter names are what eval rejects
     out = str(tmp_path / "run")
     assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
     ckpt = os.path.join(out, "checkpoint.bin")
     arrays = load_checkpoint(ckpt)
     eye = np.eye(arrays["patch_embed.w"].shape[1])
     for scorer in (["selector.w"], ["selector.wq", "selector.wk"]):
-        _write_version_1(ckpt, {**arrays, **{name: eye for name in scorer}})
+        params = {name: Tensor(a) for name, a in arrays.items()}
+        params.update({name: Tensor(eye) for name in scorer})
+        save_checkpoint(ckpt, params, load_config(tiny_config).model_config())
         assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
         record = json.load(open(os.path.join(out, "error.json")))
         assert record["error"] == "DomainError"

@@ -82,6 +82,11 @@ def test_semantic_validation_fires_at_load():
         with pytest.raises(ConfigError, match="momentum"):
             parse_config_text(f"seed = 0\ntrain.momentum = {momentum}\n")
     parse_config_text("seed = 0\ntrain.momentum = 0.0\n")
+    # selector.temperature has no effect, but a value a temperature cannot
+    # take still fails at load
+    for temperature in ("0.0", "-1.0"):
+        with pytest.raises(ConfigError, match="selector.temperature must be > 0"):
+            parse_config_text(f"seed = 0\nselector.temperature = {temperature}\n")
 
 
 def test_every_float_key_rejects_non_finite_values():
@@ -116,7 +121,8 @@ def test_format_config_round_trips():
 def test_typed_subconfigs():
     cfg = parse_config_text("seed = 0\nselector.k = 3\nselector.temperature = 0.5\n")
     sc = cfg.selector_config()
-    assert sc.k == 3 and sc.temperature == 0.5 and sc.noise_enabled is True
+    assert sc.k == 3 and sc.noise_enabled is True
+    assert cfg["selector.temperature"] == 0.5
     mc = cfg.model_config()
     assert mc.selector is sc or mc.selector == sc
     assert mc.embed_dim == 16 and mc.patch_grid == (4, 4)

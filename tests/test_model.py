@@ -84,7 +84,6 @@ def test_attach_special_tokens_layout_and_errors():
     assert np.allclose(seq.tokens.data[0, 0], params["meta_token"].data)
     assert np.allclose(seq.tokens.data[0, 1], params["view_token.aerial"].data)
     assert np.allclose(seq.tokens.data[1, 1], params["view_token.ground"].data)
-    assert seq.origin_index.tolist() == [list(range(6))] * 2
     with pytest.raises(DomainError, match="view labels"):
         attach_special_tokens(patches, np.array([0]), params)
     with pytest.raises(DomainError, match="unknown view"):
@@ -93,9 +92,7 @@ def test_attach_special_tokens_layout_and_errors():
 
 def test_vdt_decouple_subtracts_view_from_meta():
     tokens = RNG.normal(size=(2, 5, 3))
-    seq = model.TokenSequence(tokens=Tensor(tokens),
-                              view_labels=np.zeros(2, dtype=int),
-                              origin_index=np.broadcast_to(np.arange(3), (2, 3)).copy())
+    seq = model.TokenSequence(tokens=Tensor(tokens))
     out = vdt_decouple(seq).tokens.data
     assert np.allclose(out[:, 0], tokens[:, 0] - tokens[:, 1], atol=1e-15)
     assert np.allclose(out[:, 1:], tokens[:, 1:], atol=1e-15)
@@ -326,6 +323,9 @@ def test_checkpoint_rejects_bad_magic_and_mismatch(tmp_path):
         "bad_dim.bin": (blob.replace(b"\npatch_embed.w 4 8\n", b"\npatch_embed.w 4 x\n"),
                         "bad manifest line"),
         "truncated.bin": (blob[:-8], "payload holds"),
+        # the version 1 layout: no config line after the magic
+        "v1.bin": (b"dtst-checkpoint v1\n" + blob.split(b"\n", 2)[2],
+                   "version 1 checkpoint, which records no model config; retrain"),
         "bad_config.bin": (blob.replace(b"\nconfig ", b"\nconfig x "), "bad config line"),
         "trailing.bin": (blob + b"\0", "payload holds"),
     }
@@ -334,22 +334,6 @@ def test_checkpoint_rejects_bad_magic_and_mismatch(tmp_path):
         with pytest.raises(DomainError, match=message) as err:
             load_checkpoint(tmp_path / name)
         assert name in str(err.value)
-
-
-def test_version_1_checkpoint_loads_without_a_config_check(tmp_path):
-    cfg = small_cfg()
-    params = init_params(cfg, seed=0)
-    path = tmp_path / "v2.bin"
-    save_checkpoint(path, params, cfg)
-    head, _, rest = path.read_bytes().partition(b"\n")
-    config_line, _, rest = rest.partition(b"\n")
-    assert head == b"dtst-checkpoint v2" and config_line.startswith(b"config ")
-    v1 = tmp_path / "v1.bin"
-    v1.write_bytes(b"dtst-checkpoint v1\n" + rest)
-    # a selector config differs from the one the file was written under,
-    # but a version 1 file records none to compare
-    arrays = load_checkpoint(v1, small_cfg(selector=SelectorConfig(k=2)))
-    assert all(np.array_equal(arrays[n], p.data) for n, p in params.items())
 
 
 @pytest.mark.parametrize("position", ["last", "second_to_last"])
