@@ -2,6 +2,13 @@
 re-identification, with a self-contained float64 autodiff core and a
 synthetic planted-signal benchmark."""
 
+import os
+
+# The step works on small arrays, where a second BLAS thread only spins: pin
+# one before numpy loads, unless the caller has set a count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .tensor import Tape, Tensor, backward
 from .model import ModelConfig, TokenSequence, model_forward, init_params
 from .selector import SelectorConfig

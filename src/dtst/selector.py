@@ -89,10 +89,13 @@ def select_tokens(tokens: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     b, t, _ = tokens.shape
     m = t - 2
-    for row in idx:
-        if len(set(row.tolist())) != len(row):
-            raise ContractError(f"duplicate selection indices {row.tolist()}")
-        if row.min() < 0 or row.max() >= m:
-            raise ContractError(f"selection index out of range in {row.tolist()}")
+    ordered = np.sort(idx, axis=1)
+    duplicate = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if duplicate.any() or ordered[:, 0].min() < 0 or ordered[:, -1].max() >= m:
+        outside = (ordered[:, 0] < 0) | (ordered[:, -1] >= m)
+        row = int(np.flatnonzero(duplicate | outside)[0])
+        if duplicate[row]:
+            raise ContractError(f"duplicate selection indices {idx[row].tolist()}")
+        raise ContractError(f"selection index out of range in {idx[row].tolist()}")
     slots = np.concatenate([np.broadcast_to([0, 1], (b, 2)), idx + 2], axis=1)
     return T.gather_tokens(tokens, slots)

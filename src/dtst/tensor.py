@@ -14,19 +14,23 @@ counting as soon as the caller drops the tape.
 Besides the elementary ops, the module has fused ops with hand-derived
 backward passes (`linear`, `attention`, `layer_norm`, `gelu`, `sub_slot`):
 each records one tape entry. When no tape records them they keep no backward
-state and work in place on their own temporaries.
+state and work in place on their own temporaries. `gelu` is the tanh form
+(Hendrycks & Gimpel), one `np.tanh` pass: the exact x * Phi(x) needs the
+normal CDF, whose scalar loop (scipy's `ndtr`) costs several times as much.
+The module needs only numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ContractError, DimensionError
 
 _ACTIVE_TAPES: list["Tape"] = []
 
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# tanh-form GELU: 0.5 * x * (1 + tanh(c * (x + a * x^3))), c = sqrt(2 / pi)
+_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_CA = _GELU_C * 0.044715
 
 
 class Tape:
@@ -218,21 +222,35 @@ def clip_min(x: Tensor, floor: float) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x), with Phi the standard normal CDF. The
-    derivative Phi(x) + x * pdf(x) is taken in the forward pass, so backward
-    is one multiply."""
-    phi = ndtr(x.data)
-    if not _tracking(x):
-        phi *= x.data
-        return Tensor(phi)
-    out = x.data * phi
-    slope = x.data * x.data
-    slope *= -0.5
-    np.exp(slope, out=slope)
-    slope *= _INV_SQRT2PI
-    slope *= x.data
-    slope += phi
-    return make(out, (x,), lambda g: (g * slope,))
+    """GELU in its tanh form, 0.5 * x * (1 + tanh(c * (x + a * x^3))) with
+    c = sqrt(2 / pi) and a = 0.044715; within 5e-4 of x * Phi(x). The
+    derivative is taken in the forward pass, so backward is one multiply."""
+    xd = x.data
+    tracked = _tracking(x)
+    t = xd * xd
+    if tracked:  # the derivative's 3ca x^2, from x * x before t reuses it
+        slope = t * (3.0 * _GELU_CA)
+    t *= _GELU_CA
+    t += _GELU_C
+    t *= xd
+    np.tanh(t, out=t)
+    if not tracked:
+        t += 1.0
+        t *= xd
+        t *= 0.5
+        return Tensor(t)
+    half = t * 0.5
+    half += 0.5
+    # d/dx = (3ca x^2 + c) (1 - t^2) x / 2 + (1 + t) / 2
+    slope += _GELU_C
+    t *= t
+    np.subtract(1.0, t, out=t)
+    slope *= t
+    slope *= xd
+    slope *= 0.5
+    slope += half
+    half *= xd  # the output, x * (1 + t) / 2
+    return make(half, (x,), lambda g: (g * slope,))
 
 
 def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy loads (as `import dtst` does), unless the
+# caller has set a count: the suite's arrays are small, and the benchmark
+# trainings run on two processes.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import pytest
 
 VERDICTS = []

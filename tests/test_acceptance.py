@@ -4,7 +4,9 @@ Criterion 5 trains the full benchmark (selector vs. no-selector, 5 seeds);
 criteria 7 and 8 reuse those runs via the session-scoped fixture.
 """
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -351,11 +353,15 @@ def _bench_run(seed, with_selector):
 
 @pytest.fixture(scope="session")
 def benchmark_runs():
+    # each run is self-seeded, so it gives the same bytes in any process;
+    # criterion 8 checks that against an in-process retrain. The longer
+    # no-selector runs go first, so that the two workers finish together.
     start = time.perf_counter()
-    runs = {}
-    for seed in BENCH_SEEDS:
-        for with_selector in (True, False):
-            runs[(seed, with_selector)] = _bench_run(seed, with_selector)
+    keys = [(seed, with_selector) for with_selector in (False, True)
+            for seed in BENCH_SEEDS]
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = dict(zip(keys, pool.map(_bench_run, *zip(*keys))))
     return runs, time.perf_counter() - start
 
 

@@ -145,8 +145,7 @@ def test_single_block_hand_forward_oracle():
 
     normed = layernorm(seq, g("block0.ln2.gamma"), g("block0.ln2.beta"))
     h = normed @ g("block0.mlp.w1") + g("block0.mlp.b1")
-    from scipy.special import erf
-    h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
+    h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h**3)))
     seq = seq + h @ g("block0.mlp.w2") + g("block0.mlp.b2")
 
     seq[:, 0] = seq[:, 0] - seq[:, 1]

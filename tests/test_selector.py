@@ -148,11 +148,22 @@ def test_select_tokens_keeps_specials_and_order():
 
 
 def test_select_tokens_rejects_bad_indices():
-    tokens = _toy_tokens()
-    with pytest.raises(ContractError, match="duplicate"):
-        select_tokens(tokens, np.array([[1, 1], [0, 2]]))
-    with pytest.raises(ContractError, match="out of range"):
-        select_tokens(tokens, np.array([[0, 5], [0, 1]]))
+    # the message names the first bad row, as given; an unsorted row such as
+    # a frozen selection's [4, 1] is not bad
+    tokens = _toy_tokens(b=3)
+    with pytest.raises(ContractError, match=r"duplicate selection indices \[1, 1\]"):
+        select_tokens(tokens, np.array([[1, 1], [0, 2], [3, 4]]))
+    with pytest.raises(ContractError, match=r"duplicate selection indices \[3, 0, 3\]"):
+        select_tokens(tokens, np.array([[4, 1, 2], [3, 0, 3], [2, 2, 2]]))
+    with pytest.raises(ContractError, match=r"out of range in \[0, 5\]"):
+        select_tokens(tokens, np.array([[4, 1], [0, 5], [0, 1]]))
+    with pytest.raises(ContractError, match=r"out of range in \[-1, 2\]"):
+        select_tokens(tokens, np.array([[4, 1], [2, 3], [-1, 2]]))
+    # a row that is both out of range and duplicated reports the duplicate
+    with pytest.raises(ContractError, match=r"duplicate selection indices \[7, 7\]"):
+        select_tokens(tokens, np.array([[4, 1], [7, 7], [0, 9]]))
+    kept = select_tokens(tokens, np.array([[4, 1], [0, 2], [3, 4]]))
+    assert np.array_equal(kept.data[0, 2:], tokens.data[0, [6, 3]])
 
 
 def test_selector_config_validation_messages():

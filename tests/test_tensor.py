@@ -91,14 +91,29 @@ def test_unary_op_gradients():
     check_unary(T.clip_min, RNG.normal(size=(2, 5)) + 2.0, floor=1e-3)
 
 
-def test_gelu_matches_erf_oracle():
-    # independent direct evaluation of x * Phi(x) via scipy's erf
-    from scipy.special import erf
-
+def test_gelu_matches_tanh_oracle():
+    # independent direct evaluation of the tanh form
     x = np.linspace(-4, 4, 33)
-    expected = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    expected = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
     got = T.gelu(Tensor(x)).data
     assert np.allclose(got, expected, atol=1e-15)
+
+
+def test_gelu_stays_close_to_exact_gelu():
+    # the tanh form is within 5e-4 of x * Phi(x) (largest near x = 2.70)
+    from scipy.special import ndtr
+
+    x = np.linspace(-8, 8, 200001)
+    assert np.abs(T.gelu(Tensor(x)).data - x * ndtr(x)).max() <= 5e-4
+
+
+def test_gelu_tracked_and_untracked_forward_are_bitwise_equal():
+    x = RNG.normal(size=(6, 7)) * 3.0
+    untracked = T.gelu(Tensor(x)).data
+    with Tape() as tape:
+        tracked = T.gelu(Tensor(x, requires_grad=True))
+    assert len(tape) == 1
+    assert np.array_equal(tracked.data, untracked)
 
 
 def test_reductions_and_shapes():
