@@ -35,16 +35,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _make_out(out):
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"cannot make output directory {out}: {exc.strerror}")
+
+
 def _load(args):
     if not os.path.isfile(args.config):
         raise _UsageError(f"config file not found: {args.config}")
+    if args.out is not None:
+        _make_out(args.out)  # before the config loads: error.json goes there
     cfg = config_mod.load_config(args.config)
     if args.seed is not None:
         cfg.values["seed"] = args.seed
+        cfg.validate()
     if args.out is not None:
         cfg.values["output_dir"] = args.out
     out = cfg.values["output_dir"]
-    os.makedirs(out, exist_ok=True)
+    _make_out(out)
     return cfg, out
 
 

@@ -144,6 +144,9 @@ class ExperimentConfig:
 
     def validate(self):
         """Build every typed sub-config so invariants fire before a run."""
+        for key in ("seed", "eval.split_seed"):
+            if self.values[key] < 0:
+                raise ConfigError(f"{key} must be >= 0, got {self.values[key]}")
         self.model_config()
         self.gen_config("train")
         self.gen_config("test")
@@ -210,8 +213,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as f:
-        return parse_config_text(f.read())
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path}: not UTF-8 text at byte offset {exc.start}")
+    return parse_config_text(text)
 
 
 def format_config(cfg: ExperimentConfig) -> str:

@@ -1,4 +1,5 @@
-"""Synthetic cross-view dataset with planted signal tokens, plus PK batching.
+"""Synthetic cross-view dataset with planted signal tokens, PK batching, and
+the embedding export that `dtst eval` writes.
 
 Each identity owns a prototype vector and each view a shared offset vector.
 A sample plants prototype + view offset + small noise into `k_sig` randomly
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SamplingError
-from .model import VIEW_AERIAL, VIEW_GROUND, VIEW_IDS, VIEW_NAMES
+from .errors import ConfigError, SamplingError
+from .model import VIEW_AERIAL, VIEW_GROUND, VIEW_NAMES
 
 
 @dataclass
@@ -108,70 +109,13 @@ def batch_arrays(batch):
 
 
 # ---------------------------------------------------------------------------
-# export format: one line per sample, e.g.
-#   id=3 view=ground signal=1,5,9 shape=4,4,8 x=<base64 of float64 LE>
-
-
-def _encode_floats(arr):
-    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode_floats(text):
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
-
-
-def export_dataset(path, samples) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for s in samples:
-            slots = ",".join(str(i) for i in s.signal_slots)
-            shape = ",".join(str(n) for n in s.x.shape)
-            f.write(f"id={s.y} view={VIEW_NAMES[s.v]} signal={slots} "
-                    f"shape={shape} x={_encode_floats(s.x)}\n")
-
-
-def _read_records(path, kind, parse):
-    """[parse(fields) for each non-blank line of `path`], fields being the
-    line's `key=value` pairs; a line that is not ASCII or does not parse
-    raises DomainError naming the file and line."""
-    records = []
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, 1):
-            try:
-                line = raw.decode("ascii").strip()
-                if line:
-                    records.append(parse(dict(part.split("=", 1) for part in line.split())))
-            except (KeyError, ValueError) as exc:
-                raise DomainError(f"{path}:{lineno}: bad {kind} record ({exc})")
-    return records
-
-
-def _sample_record(fields):
-    shape = tuple(int(n) for n in fields["shape"].split(","))
-    return Sample(x=_decode_floats(fields["x"]).reshape(shape), y=int(fields["id"]),
-                  v=VIEW_IDS[fields["view"]],
-                  signal_slots=tuple(int(n) for n in fields["signal"].split(",")))
-
-
-def import_dataset(path):
-    return _read_records(path, "sample", _sample_record)
+# embedding export: one line per embedding, e.g.
+#   id=3 view=ground x=<base64 of float64 LE>
+# written by `dtst eval`; no command reads it back.
 
 
 def export_embeddings(path, embeddings, ids, views) -> None:
-    """Same base64 line format with (id, view) headers only."""
     with open(path, "w", encoding="ascii") as f:
         for emb, y, v in zip(embeddings, ids, views):
-            f.write(f"id={int(y)} view={VIEW_NAMES[int(v)]} x={_encode_floats(emb)}\n")
-
-
-def import_embeddings(path):
-    """(embeddings [N, d], ids [N], views [N]) from an `export_embeddings`
-    file of at least one record, all of one width."""
-    records = _read_records(path, "embedding", lambda fields: (
-        _decode_floats(fields["x"]), int(fields["id"]), VIEW_IDS[fields["view"]]))
-    if not records:
-        raise DomainError(f"{path}: no embedding records")
-    embs, ids, views = zip(*records)
-    widths = sorted({len(e) for e in embs})
-    if len(widths) > 1:
-        raise DomainError(f"{path}: embedding records differ in width {widths}")
-    return np.stack(embs), np.array(ids), np.array(views)
+            x = base64.b64encode(np.asarray(emb, dtype="<f8").tobytes()).decode("ascii")
+            f.write(f"id={int(y)} view={VIEW_NAMES[int(v)]} x={x}\n")

@@ -238,18 +238,3 @@ def write_reports(path, reports) -> None:
                 "num_queries": r.num_queries,
                 "num_excluded": r.num_excluded,
             }) + "\n")
-
-
-def read_reports(path):
-    reports = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            reports.append(RetrievalReport(
-                protocol=rec["protocol"], rank1=rec["rank1"],
-                mean_ap=rec["mAP"], mean_inp=rec["mINP"],
-                num_queries=rec["num_queries"], num_excluded=rec["num_excluded"]))
-    return reports

@@ -28,7 +28,6 @@ from .tensor import Tensor
 VIEW_AERIAL = 0
 VIEW_GROUND = 1
 VIEW_NAMES = {VIEW_AERIAL: "aerial", VIEW_GROUND: "ground"}
-VIEW_IDS = {v: k for k, v in VIEW_NAMES.items()}
 
 MLP_RATIO = 4
 LN_EPS = 1e-6
@@ -45,11 +44,12 @@ class ModelConfig:
     selector: SelectorConfig = None
 
     def __post_init__(self):
+        if min(self.num_identities, self.num_blocks, self.embed_dim, self.num_attn_heads,
+               *self.patch_grid, self.patch_dim) < 1:
+            raise ConfigError("ModelConfig extents must be positive")
         if self.embed_dim % self.num_attn_heads != 0:
             raise ConfigError(
                 f"num_attn_heads {self.num_attn_heads} must divide embed_dim {self.embed_dim}")
-        if min(self.num_identities, self.num_blocks, self.patch_dim) < 1:
-            raise ConfigError("ModelConfig extents must be positive")
         if self.selector is not None:
             m = self.patch_grid[0] * self.patch_grid[1]
             if self.selector.k > m:

@@ -69,16 +69,3 @@ def write_log(path, log) -> None:
         for row in log:
             w.writerow([row.step, repr(row.lr), repr(row.id_loss),
                         repr(row.view_loss), repr(row.orth_loss), repr(row.total)])
-
-
-def read_log(path):
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for rec in reader:
-            rows.append(LogRow(step=int(rec["step"]), lr=float(rec["lr"]),
-                               id_loss=float(rec["id_loss"]),
-                               view_loss=float(rec["view_loss"]),
-                               orth_loss=float(rec["orth_loss"]),
-                               total=float(rec["total"])))
-    return rows

@@ -354,19 +354,23 @@ def _bench_run(seed, with_selector):
 @pytest.fixture(scope="session")
 def benchmark_runs():
     # each run is self-seeded, so it gives the same bytes in any process;
-    # criterion 8 checks that against an in-process retrain. The longer
-    # no-selector runs go first, so that the two workers finish together.
+    # criterion 8 checks that against the seed-0 runs repeated in this
+    # process while the pool works. The longer no-selector runs go first, so
+    # that the two workers finish together.
     start = time.perf_counter()
     keys = [(seed, with_selector) for with_selector in (False, True)
             for seed in BENCH_SEEDS]
     with ProcessPoolExecutor(max_workers=2,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        runs = dict(zip(keys, pool.map(_bench_run, *zip(*keys))))
-    return runs, time.perf_counter() - start
+        pending = pool.map(_bench_run, *zip(*keys))
+        repeats = {with_selector: _bench_run(0, with_selector)
+                   for with_selector in (True, False)}
+        runs = dict(zip(keys, pending))
+    return runs, time.perf_counter() - start, repeats
 
 
 def test_criterion_5_directional_ablation(benchmark_runs):
-    runs, elapsed = benchmark_runs
+    runs, elapsed, _ = benchmark_runs
     gaps = [100.0 * (runs[(s, True)].rank1 - runs[(s, False)].rank1)
             for s in BENCH_SEEDS]
     mean_gap = float(np.mean(gaps))
@@ -397,7 +401,7 @@ def test_criterion_6_schedule_and_pk_batches():
 
 
 def test_criterion_7_orthogonality(benchmark_runs):
-    runs, _ = benchmark_runs
+    runs, _, _ = benchmark_runs
     worst = max(r.mean_abs_cos for r in runs.values())
     ok = worst < 0.1
     verdict(7, "orthogonality", ok,
@@ -405,7 +409,7 @@ def test_criterion_7_orthogonality(benchmark_runs):
 
 
 def test_criterion_8_determinism(benchmark_runs, tmp_path):
-    runs, _ = benchmark_runs
+    runs, _, repeats = benchmark_runs
 
     def artifacts(run, tag):
         base = tmp_path / tag
@@ -420,7 +424,7 @@ def test_criterion_8_determinism(benchmark_runs, tmp_path):
     identical = True
     for with_selector in (True, False):
         first = artifacts(runs[(0, with_selector)], f"first_{with_selector}")
-        repeat = artifacts(_bench_run(0, with_selector), f"repeat_{with_selector}")
+        repeat = artifacts(repeats[with_selector], f"repeat_{with_selector}")
         if first != repeat:
             identical = False
     verdict(8, "determinism", identical,

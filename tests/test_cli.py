@@ -1,5 +1,6 @@
 """End-to-end CLI runs on tiny configs, plus exit-code behavior."""
 
+import base64
 import json
 import os
 
@@ -8,10 +9,11 @@ import pytest
 
 from dtst.cli import EXIT_OK, EXIT_RUN, EXIT_USAGE, main
 from dtst.config import load_config
-from dtst.evaluate import read_reports
-from dtst.model import load_checkpoint, save_checkpoint
+from dtst.data import generate_dataset
+from dtst.evaluate import embed_samples
+from dtst.model import (VIEW_NAMES, init_params, load_checkpoint, restore_params,
+                        save_checkpoint)
 from dtst.tensor import Tensor
-from dtst.train import read_log
 
 TINY = """
 seed = 0
@@ -49,8 +51,9 @@ def test_train_writes_artifacts(tiny_config, tmp_path):
     out = str(tmp_path / "run")
     assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
     assert os.path.isfile(os.path.join(out, "effective_config.txt"))
-    log = read_log(os.path.join(out, "train_log.csv"))
-    assert len(log) == 2 * (32 // 4)  # epochs * (n // (P*K))
+    log = open(os.path.join(out, "train_log.csv")).read().splitlines()
+    assert log[0] == "step,lr,id_loss,view_loss,orth_loss,total"
+    assert len(log) - 1 == 2 * (32 // 4)  # epochs * (n // (P*K))
     params = load_checkpoint(os.path.join(out, "checkpoint.bin"))
     assert "patch_embed.w" in params
 
@@ -59,10 +62,21 @@ def test_eval_after_train(tiny_config, tmp_path):
     out = str(tmp_path / "run")
     assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
     assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_OK
-    reports = read_reports(os.path.join(out, "report.jsonl"))
-    assert [r.protocol for r in reports] == \
+    reports = [json.loads(line) for line in open(os.path.join(out, "report.jsonl"))]
+    assert [r["protocol"] for r in reports] == \
         ["ALL", "A<->A", "G<->G", "A<->G", "A->G", "G->A"]
-    assert os.path.isfile(os.path.join(out, "embeddings.txt"))
+    # the exported rows are exactly the embeddings of the saved checkpoint
+    cfg = load_config(tiny_config)
+    params = init_params(cfg.model_config(), 0)
+    restore_params(params, load_checkpoint(os.path.join(out, "checkpoint.bin")))
+    meta, _, ids, views = embed_samples(cfg.model_config(), params,
+                                        generate_dataset(cfg.gen_config("test")))
+    lines = open(os.path.join(out, "embeddings.txt"), encoding="ascii").read().splitlines()
+    assert len(lines) == len(meta)
+    for line, emb, y, v in zip(lines, meta, ids, views):
+        fields = dict(part.split("=", 1) for part in line.split())
+        assert (fields["id"], fields["view"]) == (str(y), VIEW_NAMES[v])
+        assert np.frombuffer(base64.b64decode(fields["x"]), "<f8").tobytes() == emb.tobytes()
 
 
 def test_eval_with_baseline_comparison(tiny_config, tmp_path):
@@ -248,6 +262,51 @@ def test_non_finite_config_value_fails_train_at_load(tmp_path, line, capsys):
     assert record["error"] == "ConfigParseError"
     assert line.split(" =")[0] in record["message"] and "finite" in record["message"]
     assert not (out / "train_log.csv").exists()
+
+
+@pytest.mark.parametrize("command, line", [("train", "seed = -3"),
+                                           ("eval", "eval.split_seed = -1")])
+def test_negative_seed_in_config_is_a_config_error(tiny_config, tmp_path, command, line):
+    key = line.split(" =")[0]
+    text = "\n".join(l for l in TINY.splitlines() if not l.startswith(key + " "))
+    cfg_path = tmp_path / "neg.cfg"
+    cfg_path.write_text(f"{text}\n{line}\n")
+    out = tmp_path / "run"
+    if command == "eval":  # a checkpoint to evaluate, so only the seed can fail
+        assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+    assert run([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUN
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "ConfigError"
+    assert key in record["message"] and ">= 0" in record["message"]
+
+
+def test_negative_seed_override_is_validated(tiny_config, tmp_path):
+    out = tmp_path / "run"
+    assert run(["train", "--config", tiny_config, "--seed", "-1",
+                "--out", str(out)]) == EXIT_RUN
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "ConfigError" and "seed" in record["message"]
+    assert not (out / "train_log.csv").exists()
+
+
+def test_out_naming_a_file_is_usage_error(tiny_config, tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("keep me\n")
+    code = run(["train", "--config", tiny_config, "--out", str(not_a_dir)])
+    assert code == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not_a_dir.read_text() == "keep me\n"
+
+
+def test_non_utf8_config_is_a_parse_error(tmp_path):
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(TINY.encode() + b"# caf\xe9\n")
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUN
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "ConfigParseError"
+    offset = len(TINY.encode()) + len("# caf")
+    assert "latin1.cfg" in record["message"] and f"byte offset {offset}" in record["message"]
 
 
 def test_seed_override_changes_results(tiny_config, tmp_path):

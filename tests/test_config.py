@@ -87,6 +87,11 @@ def test_semantic_validation_fires_at_load():
     for temperature in ("0.0", "-1.0"):
         with pytest.raises(ConfigError, match="selector.temperature must be > 0"):
             parse_config_text(f"seed = 0\nselector.temperature = {temperature}\n")
+    # checked before `embed_dim % num_heads`, which a zero head count would
+    # turn into ZeroDivisionError
+    for line in ("model.num_heads = 0", "model.num_heads = -2", "model.embed_dim = 0"):
+        with pytest.raises(ConfigError, match="ModelConfig extents must be positive"):
+            parse_config_text(f"seed = 0\nselector.enabled = false\n{line}\n")
 
 
 def test_every_float_key_rejects_non_finite_values():

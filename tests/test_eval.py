@@ -1,6 +1,8 @@
 """Retrieval metrics against brute-force definitional oracles, plus the
 view-protocol plumbing."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,7 @@ from dtst.evaluate import (PROTOCOL_A2G, PROTOCOL_AG, PROTOCOL_ALL,
                            PROTOCOL_G2A, PROTOCOLS, RetrievalReport,
                            average_precision, evaluate_protocol,
                            inverse_negative_penalty, query_gallery_split,
-                           rank_gallery, read_reports, unit_rows,
-                           write_reports)
+                           rank_gallery, unit_rows, write_reports)
 from dtst.model import VIEW_AERIAL, VIEW_GROUND
 
 RNG = np.random.default_rng(11)
@@ -281,5 +282,9 @@ def test_reports_round_trip(tmp_path):
                                mean_inp=1.0, num_queries=4, num_excluded=0)]
     path = tmp_path / "reports.jsonl"
     write_reports(path, reports)
-    back = read_reports(path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    back = [RetrievalReport(protocol=r["protocol"], rank1=r["rank1"], mean_ap=r["mAP"],
+                            mean_inp=r["mINP"], num_queries=r["num_queries"],
+                            num_excluded=r["num_excluded"])
+            for r in records]
     assert back == reports

@@ -1,5 +1,6 @@
 """Optimizer, cosine schedule, training loop, and log round-trips."""
 
+import csv
 import gc
 import weakref
 
@@ -14,7 +15,7 @@ from dtst.model import ModelConfig, init_params, model_forward
 from dtst.optim import ScheduleConfig, SgdState, cosine_lr, sgd_step
 from dtst.selector import SelectorConfig
 from dtst.tensor import Tape, Tensor, backward
-from dtst.train import LogRow, read_log, train_run, write_log
+from dtst.train import LogRow, train_run, write_log
 
 
 def test_cosine_endpoints_are_exact():
@@ -217,5 +218,8 @@ def test_log_round_trip(tmp_path):
                   orth_loss=0.1, total=1.35)]
     path = tmp_path / "log.csv"
     write_log(path, log)
-    back = read_log(path)
+    with open(path, newline="") as f:
+        back = [LogRow(step=int(rec.pop("step")),
+                       **{k: float(v) for k, v in rec.items()})
+                for rec in csv.DictReader(f)]
     assert back == log  # repr round-trips float64 exactly
