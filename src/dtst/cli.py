@@ -1,7 +1,9 @@
 """Command-line entry point: train, eval, ablate, gradcheck.
 
 Exit codes: 0 success, 1 usage error, 2 run error. Run errors also leave a
-machine-readable record in <out>/error.json.
+machine-readable record in <out>/error.json. A command runs with numpy's
+overflow and invalid-operation errors raised; either is a `NumericError` run
+error.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import csv
 import json
 import os
 import sys
-from itertools import product
+
+import numpy as np
 
 from . import config as config_mod
 from . import data as data_mod
@@ -19,7 +22,7 @@ from . import evaluate as eval_mod
 from . import gradcheck as gc_mod
 from . import model as model_mod
 from . import train as train_mod
-from .errors import DtstError
+from .errors import DtstError, NumericError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,24 +129,18 @@ def cmd_ablate(cfg, out):
     train_set = data_mod.generate_dataset(cfg.gen_config("train"))
     samples = data_mod.generate_dataset(cfg.gen_config("test"))
     rows = []
-    # deterministic grid order
-    for heads, k, position in product(cfg["ablate.heads"], cfg["ablate.k"],
-                                      cfg["ablate.positions"]):
-        cell = config_mod.ExperimentConfig(values=dict(cfg.values))
-        cell.values.update({"selector.enabled": True, "selector.heads": heads,
-                            "selector.k": k, "selector.position": position})
-        cell.validate()
-        model_cfg = cell.model_config()
+    for cell, model_cfg in cfg.ablation_cells():
         params, _ = _train_one(cell, model_cfg, cell["seed"], train_set)
         meta, _, ids, views = eval_mod.embed_samples(model_cfg, params, samples)
         report = eval_mod.evaluate_protocol(meta, ids, views, eval_mod.PROTOCOL_AG,
                                             split_seed=cell["eval.split_seed"])
-        rows.append((heads, k, position, report.rank1, report.mean_ap, report.mean_inp))
+        rows.append((cell["selector.k"], cell["selector.position"],
+                     report.rank1, report.mean_ap, report.mean_inp))
     with open(os.path.join(out, "ablate.csv"), "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["heads", "k", "position", "rank1", "mAP", "mINP"])
-        for heads, k, position, r1, mp, mi in rows:
-            w.writerow([heads, k, position, repr(r1), repr(mp), repr(mi)])
+        w.writerow(["k", "position", "rank1", "mAP", "mINP"])
+        for k, position, r1, mp, mi in rows:
+            w.writerow([k, position, repr(r1), repr(mp), repr(mi)])
     return EXIT_OK
 
 
@@ -185,13 +182,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     out_dir = args.out  # where error.json goes if the config fails to load
     try:
-        cfg, out_dir = _load(args)
-        return _COMMANDS[args.command](cfg, out_dir)
+        with np.errstate(over="raise", invalid="raise"):
+            cfg, out_dir = _load(args)
+            return _COMMANDS[args.command](cfg, out_dir)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DtstError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc),
+    except (DtstError, FloatingPointError) as exc:
+        error = NumericError if isinstance(exc, FloatingPointError) else type(exc)
+        record = {"error": error.__name__, "message": str(exc),
                   "command": args.command}
         print(json.dumps(record), file=sys.stderr)
         if out_dir is not None:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .data import GenConfig
 from .errors import ConfigError, ConfigParseError
 from .losses import LossWeights
 from .model import ModelConfig
 from .optim import ScheduleConfig, SgdState
-from .selector import POSITION_SECOND_TO_LAST, POSITIONS, SelectorConfig
+from .selector import POSITION_SECOND_TO_LAST, SelectorConfig
 
 
 def _bool(text):
@@ -74,7 +75,6 @@ _SCHEMA = {
     "loss.orth_weight": (_float, repr, 3.0),
     "eval.split_seed": (int, str, 0),
     "eval.baseline_checkpoint": (str, str, ""),
-    "ablate.heads": (_int_list, lambda v: ",".join(map(str, v)), [2, 8]),
     "ablate.k": (_int_list, lambda v: ",".join(map(str, v)), [2, 3]),
     "ablate.positions": (_str_list, lambda v: ",".join(v), ["last"]),
 }
@@ -104,8 +104,12 @@ class ExperimentConfig:
     def model_config(self, with_selector: bool = True) -> ModelConfig:
         v = self.values
         selector = self.selector_config() if with_selector else None
-        if selector is not None:
-            _check_position(selector.position, v["model.num_blocks"], "selector.position")
+        # `second_to_last` selects in front of the block before the final
+        # one, so it needs at least two blocks
+        if (selector is not None and selector.position == POSITION_SECOND_TO_LAST
+                and v["model.num_blocks"] < 2):
+            raise ConfigError(f"selector.position = {selector.position} needs "
+                              f"model.num_blocks >= 2, got {v['model.num_blocks']}")
         return ModelConfig(
             num_identities=v["data.num_ids"],
             num_blocks=v["model.num_blocks"],
@@ -142,6 +146,20 @@ class ExperimentConfig:
         return LossWeights(view_weight=self.values["loss.view_weight"],
                            orth_weight=self.values["loss.orth_weight"])
 
+    def ablation_cells(self):
+        """The `dtst ablate` grid in `ablate.k` x `ablate.positions` order: per
+        cell, this config with the selector on and the cell's `selector.k` and
+        `selector.position`, and that config's model config."""
+        cells = []
+        for k, pos in product(self.values["ablate.k"], self.values["ablate.positions"]):
+            cell = ExperimentConfig(values={**self.values, "selector.enabled": True,
+                                            "selector.k": k, "selector.position": pos})
+            try:
+                cells.append((cell, cell.model_config()))
+            except ConfigError as exc:
+                raise ConfigError(f"ablate.k = {k}, ablate.positions = {pos}: {exc}") from None
+        return cells
+
     def validate(self):
         """Build every typed sub-config so invariants fire before a run."""
         for key in ("seed", "eval.split_seed"):
@@ -161,25 +179,13 @@ class ExperimentConfig:
         if self.values["selector.temperature"] <= 0:
             raise ConfigError(f"selector.temperature must be > 0, "
                               f"got {self.values['selector.temperature']}")
-        for pos in self.values["ablate.positions"]:
-            if pos not in POSITIONS:
-                raise ConfigError(f"ablate.positions entry {pos!r} not in {POSITIONS}")
-            _check_position(pos, self.values["model.num_blocks"], "ablate.positions")
-        cells = (len(self.values["ablate.heads"]) * len(self.values["ablate.k"])
-                 * len(self.values["ablate.positions"]))
+        cells = len(self.values["ablate.k"]) * len(self.values["ablate.positions"])
         if not 1 <= cells <= MAX_ABLATION_CELLS:
             raise ConfigError(f"ablation grid has {cells} cells, limit {MAX_ABLATION_CELLS}")
+        self.ablation_cells()
         if min(self.values["train.batch_p"], self.values["train.batch_k"],
                self.values["train.epochs"]) < 1:
             raise ConfigError("train.* extents must be positive")
-
-
-def _check_position(position, num_blocks, key):
-    """`second_to_last` selects in front of the block before the final one,
-    so it needs at least two blocks."""
-    if position == POSITION_SECOND_TO_LAST and num_blocks < 2:
-        raise ConfigError(f"{key} = {position} needs model.num_blocks >= 2, "
-                          f"got {num_blocks}")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

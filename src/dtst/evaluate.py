@@ -16,7 +16,8 @@ similarity would give it, without sorting gallery indices. AP, INP and the
 Rank-1 hit all come from a query's ascending match ranks.
 
 Embeddings must be finite: `evaluate_protocol` rejects a NaN or infinite
-entry with `NumericError`, since no ranking of it would mean anything.
+entry, or a row whose L2 norm overflows, with `NumericError`, since no
+ranking of it would mean anything.
 """
 
 from __future__ import annotations
@@ -62,8 +63,13 @@ class RetrievalReport:
 
 def unit_rows(x):
     """Rows scaled to unit L2 norm; a row of norm below 1e-12 is divided by
-    1e-12, so an all-zero row stays zero."""
-    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+    1e-12, so an all-zero row stays zero. A row whose norm overflows float64
+    raises `NumericError`: dividing by it would make a zero row."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    bad = np.count_nonzero(np.isinf(norms))
+    if bad:
+        raise NumericError(f"{bad} of {len(x)} embedding rows have an L2 norm beyond float64")
+    return x / np.maximum(norms, 1e-12)
 
 
 def rank_gallery(queries, query_ids, gallery, gallery_ids):

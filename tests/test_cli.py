@@ -3,13 +3,15 @@
 import base64
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from dtst.cli import EXIT_OK, EXIT_RUN, EXIT_USAGE, main
-from dtst.config import load_config
+from dtst.config import load_config, parse_config_text
 from dtst.data import generate_dataset
+from dtst.errors import ConfigError
 from dtst.evaluate import embed_samples
 from dtst.model import (VIEW_NAMES, init_params, load_checkpoint, restore_params,
                         save_checkpoint)
@@ -105,15 +107,14 @@ def test_eval_with_baseline_comparison(tiny_config, tmp_path):
 
 def test_ablate_writes_grid(tmp_path):
     cfg_path = tmp_path / "ab.cfg"
-    cfg_path.write_text(TINY + "ablate.heads = 1,2\nablate.k = 2\n"
-                        "ablate.positions = last\n")
+    cfg_path.write_text(TINY + "ablate.k = 1,2\nablate.positions = last\n")
     out = str(tmp_path / "run")
     assert run(["ablate", "--config", str(cfg_path), "--out", out]) == EXIT_OK
     lines = open(os.path.join(out, "ablate.csv")).read().splitlines()
-    assert lines[0] == "heads,k,position,rank1,mAP,mINP"
+    assert lines[0] == "k,position,rank1,mAP,mINP"
     assert len(lines) == 3
-    assert lines[1].startswith("1,2,last,")
-    assert lines[2].startswith("2,2,last,")
+    assert lines[1].startswith("1,last,")
+    assert lines[2].startswith("2,last,")
 
 
 def test_gradcheck_passes_on_tiny_model(tiny_config, tmp_path, capsys):
@@ -335,10 +336,63 @@ def test_ablate_generates_each_split_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data_mod, "generate_dataset", counting)
     cfg_path = tmp_path / "ab.cfg"
-    cfg_path.write_text(TINY + "ablate.heads = 1,2\nablate.k = 2\n"
-                        "ablate.positions = last\n")
+    cfg_path.write_text(TINY + "ablate.k = 1,2\nablate.positions = last\n")
     assert run(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == EXIT_OK
     assert sorted(calls) == [1, 2]  # the train split (seed + 1) and the test split
+
+
+def test_ablate_cell_beyond_the_grid_fails_at_load(tmp_path, monkeypatch):
+    # K = 9 exceeds the 2x2 grid's 4 patches: the config fails to load, so
+    # the K = 2 cell before it never trains
+    from dtst import train as train_mod
+
+    text = TINY + "ablate.k = 2,9\n"
+    with pytest.raises(ConfigError, match="ablate.k = 9, ablate.positions = last"):
+        parse_config_text(text)
+    calls = []
+    original = train_mod.train_run
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "train_run", counting)
+    cfg_path = tmp_path / "ab.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "run"
+    assert run(["ablate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUN
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "ConfigError" and "ablate.k = 9" in record["message"]
+    assert calls == []
+    assert not (out / "ablate.csv").exists()
+
+
+def test_overflow_in_training_is_a_numeric_error(tmp_path):
+    # numpy's overflow is raised, not warned: no RuntimeWarning comes first
+    cfg_path = tmp_path / "lr.cfg"
+    cfg_path.write_text(TINY + "schedule.lr_max = 1e300\n")
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUN
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "NumericError" and "overflow" in record["message"]
+    assert not (out / "checkpoint.bin").exists()
+
+
+def test_eval_on_a_checkpoint_that_overflows_is_a_numeric_error(tiny_config, tmp_path):
+    # with every weight matrix scaled by 1e120 the MLP overflows; a run that
+    # went on would rank embeddings that no longer tell identities apart
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
+    ckpt = os.path.join(out, "checkpoint.bin")
+    params = {name: Tensor(a * 1e120 if a.ndim == 2 else a)
+              for name, a in load_checkpoint(ckpt).items()}
+    save_checkpoint(ckpt, params, load_config(tiny_config).model_config())
+    assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
+    record = json.load(open(os.path.join(out, "error.json")))
+    assert record["error"] == "NumericError" and "overflow" in record["message"]
+    assert not os.path.exists(os.path.join(out, "report.jsonl"))
 
 
 BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")

@@ -23,7 +23,8 @@ def test_minimal_config_fills_defaults():
     assert cfg["schedule.lr_min"] == 1.6e-6
     assert cfg["train.epochs"] == 30
     assert cfg["loss.orth_weight"] == 3.0
-    assert cfg["ablate.heads"] == [2, 8]
+    assert cfg["ablate.k"] == [2, 3]
+    assert cfg["ablate.positions"] == ["last"]
 
 
 def test_comments_blank_lines_and_inline_comments():
@@ -46,6 +47,9 @@ def test_missing_required_seed():
 def test_unknown_key_reports_line_number():
     with pytest.raises(ConfigParseError, match=r"line 2: unknown key"):
         parse_config_text("seed = 0\nmodel.depth = 4\n")
+    # `dtst ablate`'s grid has no heads axis; its cells take selector.heads
+    with pytest.raises(ConfigParseError, match=r"line 2: unknown key 'ablate.heads'"):
+        parse_config_text("seed = 0\nablate.heads = 2\n")
 
 
 def test_duplicate_key_reports_line_number():
@@ -67,8 +71,8 @@ def test_missing_equals_sign():
 
 def test_list_values_parse():
     cfg = parse_config_text(
-        "seed = 0\nablate.heads = 1,2,4\nablate.positions = last, second_to_last\n")
-    assert cfg["ablate.heads"] == [1, 2, 4]
+        "seed = 0\nablate.k = 1,2,4\nablate.positions = last, second_to_last\n")
+    assert cfg["ablate.k"] == [1, 2, 4]
     assert cfg["ablate.positions"] == ["last", "second_to_last"]
 
 
@@ -151,9 +155,9 @@ def test_gen_config_split_seeds():
 
 
 def test_ablation_grid_cell_limit():
-    heads = ",".join(["2"] * 40)
+    ks = ",".join(["2"] * 40)
     with pytest.raises(ConfigError, match="limit 64"):
-        parse_config_text(f"seed = 0\nablate.heads = {heads}\nablate.k = 1,2\n")
+        parse_config_text(f"seed = 0\nablate.k = {ks}\nablate.positions = last,last\n")
 
 
 def test_load_config_from_file(tmp_path):

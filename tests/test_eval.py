@@ -185,6 +185,17 @@ def test_evaluate_protocol_rejects_non_finite_embeddings(bad):
         evaluate_protocol(embs, ids, views, PROTOCOL_ALL)
 
 
+def test_evaluate_protocol_rejects_rows_whose_norm_overflows():
+    # finite entries whose squares overflow: divided by an infinite norm,
+    # the rows would become zero rows and rank in gallery order
+    embs, ids, views = _toy_population()
+    ref = evaluate_protocol(embs, ids, views, PROTOCOL_ALL)
+    big = evaluate_protocol(embs * 1e100, ids, views, PROTOCOL_ALL)
+    assert (big.rank1, big.mean_ap) == pytest.approx((ref.rank1, ref.mean_ap))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="L2 norm"):
+        evaluate_protocol(embs * 1e200, ids, views, PROTOCOL_ALL)
+
+
 def test_evaluate_protocol_rejects_mismatched_rows():
     embs, ids, views = _toy_population()
     with pytest.raises(DimensionError, match="one row per id"):
