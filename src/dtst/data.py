@@ -61,14 +61,38 @@ def identity_prototypes(cfg: GenConfig):
     return protos, offsets
 
 
-def generate_dataset(cfg: GenConfig):
-    """Balanced list of samples: num_ids * 2 * samples_per_id_per_view."""
+class Dataset(list):
+    """A generated split: the list of its samples. It carries the
+    by-identity index `pk_batch` draws from (identity -> positions of its
+    samples), built by the first draw and kept, so the list must not change
+    after that. A slice or a `list()` copy is a plain list, which `pk_batch`
+    indexes on every call."""
+
+    _by_id = None
+
+    def by_id(self):
+        """identity -> int64 array of the positions of its samples."""
+        if self._by_id is None:
+            self._by_id = _index_by_id(self)
+        return self._by_id
+
+
+def _index_by_id(dataset):
+    """identity -> int64 array of the positions of its samples, ascending."""
+    by_id = {}
+    for i, s in enumerate(dataset):
+        by_id.setdefault(s.y, []).append(i)
+    return {y: np.array(idxs) for y, idxs in by_id.items()}
+
+
+def generate_dataset(cfg: GenConfig) -> Dataset:
+    """Balanced samples: num_ids * 2 * samples_per_id_per_view."""
     rows, cols = cfg.grid
     m = rows * cols
     protos, offsets = identity_prototypes(cfg)
     sample_seed = cfg.seed + 1 if cfg.sample_seed is None else cfg.sample_seed
     rng = np.random.default_rng(sample_seed)
-    samples = []
+    samples = Dataset()
     for y in range(cfg.num_ids):
         for v in (VIEW_AERIAL, VIEW_GROUND):
             for _ in range(cfg.samples_per_id_per_view):
@@ -85,9 +109,7 @@ def generate_dataset(cfg: GenConfig):
 
 def pk_batch(dataset, p: int, k_inst: int, rng: np.random.Generator):
     """P distinct identities with exactly k_inst samples each."""
-    by_id = {}
-    for i, s in enumerate(dataset):
-        by_id.setdefault(s.y, []).append(i)
+    by_id = dataset.by_id() if isinstance(dataset, Dataset) else _index_by_id(dataset)
     eligible = [y for y, idxs in by_id.items() if len(idxs) >= k_inst]
     if len(eligible) < p:
         raise SamplingError(
@@ -95,7 +117,7 @@ def pk_batch(dataset, p: int, k_inst: int, rng: np.random.Generator):
     ids = rng.choice(np.array(sorted(eligible)), size=p, replace=False)
     chosen = []
     for y in ids:
-        picks = rng.choice(np.array(by_id[int(y)]), size=k_inst, replace=False)
+        picks = rng.choice(by_id[int(y)], size=k_inst, replace=False)
         chosen.extend(int(i) for i in picks)
     return [dataset[i] for i in chosen]
 

@@ -15,9 +15,10 @@ indices, counted exactly. That is the position a stable sort by descending
 similarity would give it, without sorting gallery indices. AP, INP and the
 Rank-1 hit all come from a query's ascending match ranks.
 
-Embeddings must be finite: `evaluate_protocol` rejects a NaN or infinite
-entry, or a row whose L2 norm overflows, with `NumericError`, since no
-ranking of it would mean anything.
+Embeddings must be finite and must not all be the same row:
+`evaluate_protocol` rejects a NaN or infinite entry, a row whose L2 norm
+overflows, or rows that are all identical (every similarity ties), with
+`NumericError`, since no ranking of them would mean anything.
 """
 
 from __future__ import annotations
@@ -180,6 +181,9 @@ def evaluate_protocol(embeddings, ids, views, protocol: str,
     bad = np.count_nonzero(~np.isfinite(embeddings).all(axis=1))
     if bad:
         raise NumericError(f"{bad} of {len(embeddings)} embedding rows are not finite")
+    if len(embeddings) > 1 and not (embeddings != embeddings[0]).any():
+        raise NumericError(f"all {len(embeddings)} embedding rows are identical, so every "
+                           f"similarity ties")
     q_mask, g_mask = query_gallery_split(ids, views, split_seed)
     rank1s, map_vals, minp_vals = [], [], []
     all_ap, all_inp = [], []

@@ -182,8 +182,7 @@ def encoder_block(seq: TokenSequence, params: dict, index: int,
                        cfg.num_attn_heads)
     x = x + attn
     normed = T.layer_norm(x, params[pre + "ln2.gamma"], params[pre + "ln2.beta"], LN_EPS)
-    h = T.gelu(T.linear(normed, params[pre + "mlp.w1"], params[pre + "mlp.b1"]))
-    x = x + T.linear(h, params[pre + "mlp.w2"], params[pre + "mlp.b2"])
+    x = x + T.mlp(normed, *(params[pre + "mlp." + n] for n in ("w1", "b1", "w2", "b2")))
     return replace(seq, tokens=x)
 
 

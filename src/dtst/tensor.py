@@ -12,12 +12,14 @@ step's tape and every activation its entries hold are freed by reference
 counting as soon as the caller drops the tape.
 
 Besides the elementary ops, the module has fused ops with hand-derived
-backward passes (`linear`, `attention`, `layer_norm`, `gelu`, `sub_slot`):
-each records one tape entry. When no tape records them they keep no backward
-state and work in place on their own temporaries. `gelu` is the tanh form
-(Hendrycks & Gimpel), one `np.tanh` pass: the exact x * Phi(x) needs the
-normal CDF, whose scalar loop (scipy's `ndtr`) costs several times as much.
-The module needs only numpy.
+backward passes (`linear`, `attention`, `layer_norm`, `gelu`, `mlp`,
+`sub_slot`): each records one tape entry. When no tape records them they keep
+no backward state and work in place on their own temporaries. A backward
+writes into the buffers its entry saved instead of allocating new ones, so
+a tape can be backpropagated once; `backward` refuses a spent tape. `gelu`
+is the tanh form (Hendrycks & Gimpel), one `np.tanh` pass: the exact
+x * Phi(x) needs the normal CDF, whose scalar loop (scipy's `ndtr`) costs
+several times as much. The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class Tape:
     def __init__(self):
         self.entries = []  # (out, inputs, backward_fn)
         self._output_ids = set()
+        self.spent = False  # set by `backward`, whose functions overwrite saved buffers
 
     def record(self, out, inputs, backward_fn):
         self.entries.append((out, inputs, backward_fn))
@@ -96,7 +99,8 @@ def make(out_data, inputs, backward_fn):
 
     `backward_fn(g)` maps the output gradient to one gradient per input, in
     order (None for an input that needs none). It must not write into `g`,
-    which other entries may share."""
+    which other entries may share, but it may write into the buffers it saved
+    itself: `backward` runs it at most once."""
     tracked = _tracking(*inputs)
     out = Tensor(out_data, requires_grad=tracked)
     if tracked:
@@ -148,6 +152,10 @@ def backward(root: Tensor, tape: Tape) -> None:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     if id(root) not in tape._output_ids:
         raise ContractError("backward root is not an output of the given tape")
+    if tape.spent:
+        raise ContractError("this tape has been backpropagated already; its entries' "
+                            "saved buffers now hold gradients, so record a new tape")
+    tape.spent = True
 
     grads = {id(root): np.ones_like(root.data)}
     for out, inputs, backward_fn in reversed(tape.entries):
@@ -221,15 +229,13 @@ def clip_min(x: Tensor, floor: float) -> Tensor:
     return make(out, (x,), lambda g: (g * mask,))
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU in its tanh form, 0.5 * x * (1 + tanh(c * (x + a * x^3))) with
-    c = sqrt(2 / pi) and a = 0.044715; within 5e-4 of x * Phi(x). The
-    derivative is taken in the forward pass, so backward is one multiply."""
-    xd = x.data
-    tracked = _tracking(x)
+def _gelu_forward(xd, tracked):
+    """GELU of the array `xd` in a new array, and, when `tracked`, its
+    derivative in a second one (else None). The tanh form,
+    0.5 * x * (1 + tanh(c * (x + a * x^3))) with c = sqrt(2 / pi) and
+    a = 0.044715, is within 5e-4 of x * Phi(x)."""
     t = xd * xd
-    if tracked:  # the derivative's 3ca x^2, from x * x before t reuses it
-        slope = t * (3.0 * _GELU_CA)
+    slope = t * (3.0 * _GELU_CA) if tracked else None  # 3ca x^2, before t reuses x * x
     t *= _GELU_CA
     t += _GELU_C
     t *= xd
@@ -238,7 +244,7 @@ def gelu(x: Tensor) -> Tensor:
         t += 1.0
         t *= xd
         t *= 0.5
-        return Tensor(t)
+        return t, None
     half = t * 0.5
     half += 0.5
     # d/dx = (3ca x^2 + c) (1 - t^2) x / 2 + (1 + t) / 2
@@ -250,7 +256,16 @@ def gelu(x: Tensor) -> Tensor:
     slope *= 0.5
     slope += half
     half *= xd  # the output, x * (1 + t) / 2
-    return make(half, (x,), lambda g: (g * slope,))
+    return half, slope
+
+
+def gelu(x: Tensor) -> Tensor:
+    """GELU in its tanh form (`_gelu_forward`). The derivative is taken in
+    the forward pass, so backward is one multiply, into the saved slope."""
+    out, slope = _gelu_forward(x.data, _tracking(x))
+    if slope is None:
+        return Tensor(out)
+    return make(out, (x,), lambda g: (np.multiply(slope, g, out=slope),))
 
 
 def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -416,12 +431,47 @@ def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     return make(out, inputs, bwd)
 
 
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 over the last axis of x, as one tape
+    entry: `linear`, `gelu`, `linear` in one. The backward writes the hidden
+    gradient into the GELU output it saved, once that output's part in w2's
+    gradient is taken, and multiplies by the saved slope in place, so it
+    allocates no [rows, hidden] array."""
+    if (w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.ndim < 1
+            or x.shape[-1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
+            or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
+        raise DimensionError(f"mlp needs x[..., n], w1[n, h], b1[h], w2[h, m], b2[m], got "
+                             f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+    n, m = w1.shape[0], w2.shape[1]
+    x2 = x.data.reshape(-1, n)
+    hidden = x2 @ w1.data
+    hidden += b1.data
+    act, slope = _gelu_forward(hidden, _tracking(x, w1, b1, w2, b2))
+    del hidden  # before the output is allocated, which can then take its place
+    out = act @ w2.data
+    out += b2.data
+    out = out.reshape(x.shape[:-1] + (m,))
+    if slope is None:
+        return Tensor(out)
+
+    def bwd(g):
+        g2 = g.reshape(-1, m)
+        gw2 = act.T @ g2
+        gh = np.matmul(g2, w2.data.T, out=act)
+        gh *= slope
+        return ((gh @ w1.data.T).reshape(x.shape), x2.T @ gh, _sum_rows(gh),
+                gw2, _sum_rows(g2))
+
+    return make(out, (x, w1, b1, w2, b2), bwd)
+
+
 def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
     """Multi-head self-attention as one tape entry.
 
     x [B, T, d]; `weights` = (wq, wk, wv, wo), each [d, d]; `biases` =
     (bq, bk, bv, bo), each [d]. Q/K/V come from one GEMM and the scores are
-    scaled by 1/sqrt(d/H) before the softmax.
+    scaled by 1/sqrt(d/H) before the softmax. The backward builds the Q/K/V
+    gradient inside the saved Q/K/V buffer.
     """
     b, t, d = x.shape
     if d % num_heads != 0:
@@ -451,15 +501,14 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
         g2 = g.reshape(b * t, d)
         gctx = (g2 @ wo.data.T).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
         gatt = gctx @ v.swapaxes(-1, -2)
+        np.matmul(att.swapaxes(-1, -2), gctx, out=v)  # v's slots now hold gv
         gatt -= _dot_last(gatt, att)[..., None]
         gatt *= att  # now the gradient of the pre-softmax logits
         gatt *= scale
-        gqkv = np.empty((b, t, 3, h, dh))
-        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(gatt, k, out=gq)
-        np.matmul(gatt.swapaxes(-1, -2), q, out=gk)
-        np.matmul(att.swapaxes(-1, -2), gctx, out=gv)
-        gqkv = gqkv.reshape(b * t, 3 * d)
+        gq = gatt @ k
+        np.matmul(gatt.swapaxes(-1, -2), q, out=k)
+        q[...] = gq
+        gqkv = qkv  # the gradient of the Q/K/V projection
         gw = x2.T @ gqkv
         gb = _sum_rows(gqkv)
         gx = (gqkv @ w_qkv.T).reshape(b, t, d)

@@ -136,6 +136,18 @@ def _op_suite():
         cases.append(attention_case(heads, "x"))
     for which in ("w0", "w1", "w2", "w3", "b0", "b1", "b2", "b3"):
         cases.append(attention_case(2, which))
+    # the fused MLP, x [2, 3, 4] through a hidden width of 8; each input
+    # differenced on its own
+    mlp_args = {"x": x, "w1": rng.normal(size=(4, 8)), "b1": rng.normal(size=8) * 0.1,
+                "w2": rng.normal(size=(8, 4)), "b2": rng.normal(size=4) * 0.1}
+
+    def mlp_case(which):
+        def op(t):
+            args = {name: t if name == which else Tensor(a) for name, a in mlp_args.items()}
+            return T.mul(T.mlp(*args.values()), w_mix)
+        return (f"mlp.{which}", op, mlp_args[which])
+
+    cases.extend(mlp_case(which) for which in mlp_args)
     worst = ("", 0.0)
     for name, op, arr in cases:
         arr = arr.copy()

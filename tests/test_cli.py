@@ -395,6 +395,22 @@ def test_eval_on_a_checkpoint_that_overflows_is_a_numeric_error(tiny_config, tmp
     assert not os.path.exists(os.path.join(out, "report.jsonl"))
 
 
+def test_eval_of_identical_embeddings_is_a_numeric_error(tiny_config, tmp_path):
+    # a meta token of 1e120 swamps every other slot: the embeddings are all
+    # one row (finite, no overflow), which would rank in gallery order
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
+    ckpt = os.path.join(out, "checkpoint.bin")
+    arrays = load_checkpoint(ckpt)
+    arrays["meta_token"] = arrays["meta_token"] * 1e120
+    save_checkpoint(ckpt, {name: Tensor(a) for name, a in arrays.items()},
+                    load_config(tiny_config).model_config())
+    assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
+    record = json.load(open(os.path.join(out, "error.json")))
+    assert record["error"] == "NumericError" and "identical" in record["message"]
+    assert not os.path.exists(os.path.join(out, "report.jsonl"))
+
+
 BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
 
 

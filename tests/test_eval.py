@@ -196,6 +196,18 @@ def test_evaluate_protocol_rejects_rows_whose_norm_overflows():
         evaluate_protocol(embs * 1e200, ids, views, PROTOCOL_ALL)
 
 
+def test_evaluate_protocol_rejects_identical_rows():
+    # every similarity would tie, and the ranks would be gallery order
+    embs, ids, views = _toy_population()
+    same = np.broadcast_to(embs[3], embs.shape)
+    for protocol in PROTOCOLS:
+        with pytest.raises(NumericError, match="identical"):
+            evaluate_protocol(same, ids, views, protocol)
+    two_rows = same.copy()
+    two_rows[5, 0] = np.nextafter(two_rows[5, 0], np.inf)  # one ulp apart is enough
+    evaluate_protocol(two_rows, ids, views, PROTOCOL_ALL)
+
+
 def test_evaluate_protocol_rejects_mismatched_rows():
     embs, ids, views = _toy_population()
     with pytest.raises(DimensionError, match="one row per id"):

@@ -259,6 +259,59 @@ def test_backward_rejects_foreign_root():
         backward(foreign, tape)
 
 
+def test_a_spent_tape_is_refused():
+    # backward functions write into the buffers their entries saved, so a
+    # second pass over the same tape would read gradients as activations
+    x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
+    w1, w2 = (Tensor(RNG.normal(size=s), requires_grad=True) for s in ((4, 8), (8, 4)))
+    b1, b2 = (Tensor(RNG.normal(size=n), requires_grad=True) for n in (8, 4))
+    leaves = (x, w1, b1, w2, b2)
+    with Tape() as tape:
+        out = T.tsum(T.mlp(x, w1, b1, w2, b2))
+    backward(out, tape)
+    first = [t.grad.copy() for t in leaves]
+    with pytest.raises(ContractError, match="backpropagated already"):
+        backward(out, tape)
+    for t, g in zip(leaves, first):
+        assert np.array_equal(t.grad, g)
+
+
+def test_mlp_is_linear_gelu_linear():
+    x = Tensor(RNG.normal(size=(3, 5, 4)), requires_grad=True)
+    w1, w2 = (Tensor(RNG.normal(size=s), requires_grad=True) for s in ((4, 16), (16, 4)))
+    b1, b2 = (Tensor(RNG.normal(size=n), requires_grad=True) for n in (16, 4))
+    grads, entries = [], []
+    for fused in (True, False):
+        for t in (x, w1, b1, w2, b2):
+            t.grad = None
+        with Tape() as tape:
+            y = (T.mlp(x, w1, b1, w2, b2) if fused else
+                 T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2))
+            out = T.tsum(T.mul(y, y))
+        entries.append(len(tape))
+        backward(out, tape)
+        grads.append([y.data] + [t.grad for t in (x, w1, b1, w2, b2)])
+    for fused, composed in zip(*grads):
+        assert np.array_equal(fused, composed)
+    assert entries == [3, 5]
+    untracked = T.mlp(Tensor(x.data), Tensor(w1.data), Tensor(b1.data),
+                      Tensor(w2.data), Tensor(b2.data))
+    assert not untracked.requires_grad
+    assert np.array_equal(untracked.data, grads[0][0])
+
+
+def test_mlp_shape_errors_name_every_operand():
+    x, w1, b1 = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 8))), Tensor(np.zeros(8))
+    w2, b2 = Tensor(np.zeros((8, 3))), Tensor(np.zeros(3))
+    T.mlp(x, w1, b1, w2, b2)
+    for bad in ((Tensor(np.zeros((2, 4))), w1, b1, w2, b2),
+                (x, w1, Tensor(np.zeros(7)), w2, b2),
+                (x, w1, b1, Tensor(np.zeros((7, 3))), b2),
+                (x, w1, b1, w2, Tensor(np.zeros(4)))):
+        with pytest.raises(DimensionError, match="mlp needs"):
+            T.mlp(*bad)
+
+
 def test_grad_accumulates_across_backward_calls():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     for _ in range(2):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dtst import losses
-from dtst.data import GenConfig, batch_arrays, generate_dataset
+from dtst.data import GenConfig, batch_arrays, generate_dataset, pk_batch
 from dtst.errors import ConfigError, ContractError, NumericError, SamplingError
 from dtst.losses import LossWeights
 from dtst.model import ModelConfig, init_params, model_forward
@@ -60,6 +60,33 @@ def test_sgd_momentum_law_matches_hand_rollout():
         w = w - 0.1 * v
         assert np.allclose(p.data, w, atol=1e-15)
         assert p.grad is None
+
+
+def test_sgd_step_matches_the_per_parameter_update_bit_for_bit():
+    # the flat-buffer update against v <- momentum*v + g; w <- w - lr*v on
+    # each parameter alone; between steps 2 and 3 a caller rebinds one
+    # parameter's data (as restore_params does), which the state adopts
+    rng = np.random.default_rng(5)
+    shapes = {"w": (3, 4), "b": (4,), "t": (2, 1, 3)}
+    params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+    ref = {n: p.data.copy() for n, p in params.items()}
+    vel = {n: np.zeros(s) for n, s in shapes.items()}
+    state = SgdState(learning_rate=0.0, momentum=0.9)
+    for step, lr in enumerate((0.1, 0.05, 0.3, 0.07, 0.2)):
+        if step == 3:
+            params["b"].data = rng.normal(size=4)
+            ref["b"] = params["b"].data.copy()
+        grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+        for n, p in params.items():
+            p.grad = grads[n].copy()
+        state.learning_rate = lr
+        sgd_step(params, state)
+        for n in shapes:
+            vel[n] = 0.9 * vel[n] + grads[n]
+            ref[n] -= lr * vel[n]
+            assert params[n].data.tobytes() == ref[n].tobytes(), (step, n)
+            assert state.velocity[n].tobytes() == vel[n].tobytes(), (step, n)
+            assert params[n].grad is None
 
 
 def test_sgd_requires_gradients():
@@ -209,6 +236,33 @@ def test_step_tape_is_freed_by_reference_counting():
     finally:
         gc.enable()
     assert all(p.grad is not None for p in params.values())
+
+
+def _reference_pk_batch(dataset, p, k_inst, rng):
+    """`pk_batch` as a loop that indexes the identities on every call."""
+    by_id = {}
+    for i, s in enumerate(dataset):
+        by_id.setdefault(s.y, []).append(i)
+    eligible = sorted(y for y, idxs in by_id.items() if len(idxs) >= k_inst)
+    chosen = []
+    for y in rng.choice(np.array(eligible), size=p, replace=False):
+        chosen.extend(rng.choice(np.array(by_id[int(y)]), size=k_inst, replace=False))
+    return [dataset[int(i)] for i in chosen]
+
+
+def test_pk_batch_on_the_indexed_dataset_draws_as_on_a_plain_list():
+    dataset = generate_dataset(GenConfig(num_ids=6, samples_per_id_per_view=3, grid=(2, 2),
+                                         patch_dim=3, k_sig=2, seed=3))
+    plain = list(dataset)
+    assert type(plain) is list
+    rngs = [np.random.default_rng(9) for _ in range(3)]
+    for _ in range(100):
+        batches = [pk_batch(dataset, 3, 4, rngs[0]), pk_batch(plain, 3, 4, rngs[1]),
+                   _reference_pk_batch(plain, 3, 4, rngs[2])]
+        assert [id(s) for s in batches[0]] == [id(s) for s in batches[1]] \
+            == [id(s) for s in batches[2]]
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state \
+        == rngs[2].bit_generator.state
 
 
 def test_log_round_trip(tmp_path):
