@@ -6,14 +6,23 @@ query never ranks against itself; cross-view protocols use the partition the
 same way with opposite view filters. Bidirectional protocols run both
 directions and average the aggregates.
 
-Ranking works on blocks of queries. Each direction normalises its query and
-gallery rows once; each block of queries makes one similarity matrix of
-about `_BLOCK_SIMILARITIES` entries and value-sorts its rows. A true match's
-rank is one plus the number of gallery values above its own, found by binary
-search in the sorted row, plus the number of equal values at lower gallery
-indices, counted exactly. That is the position a stable sort by descending
-similarity would give it, without sorting gallery indices. AP, INP and the
-Rank-1 hit all come from a query's ascending match ranks.
+Ranking works on blocks of queries, with a fixed number of array operations
+per block. Each direction normalises its query and gallery rows once; each
+block of queries makes one similarity matrix of about `_BLOCK_SIMILARITIES`
+entries, value-sorts its rows, and finds every true match of the block in
+one comparison of its ids with the gallery's. A match's rank is one plus the
+number of gallery values above its own, found by binary search in its sorted
+row: one `searchsorted` per query row, the only per-query call. Ties are
+found for the whole block at once, as a match whose sorted neighbour equals
+its value; only the rows holding such a match are sorted again, stably by
+descending similarity, and give those matches their place in that order, so
+equal values rank in gallery order, the lower index first. One integer sort
+puts each query's ranks in ascending order. AP and INP are computed at once
+for all queries of a block that have the same number of matches, bit for bit
+as one query at a time; the Rank-1 hit is whether the first rank is 1.
+
+The query/gallery partition sorts the rows by (id, view) once and draws one
+permutation per group, in ascending (id, view) order.
 
 Embeddings must be finite and must not all be the same row:
 `evaluate_protocol` rejects a NaN or infinite entry, a row whose L2 norm
@@ -76,47 +85,71 @@ def unit_rows(x):
 def rank_gallery(queries, query_ids, gallery, gallery_ids):
     """Ascending 1-based ranks of each query's true matches in the gallery
     sorted by descending similarity, ties broken toward the lower gallery
-    index; an empty array for a query with no match.
+    index; an empty array for a query with no match. The arrays are slices
+    of one array, in query order.
 
     `queries` [B, d] and `gallery` [G, d] are finite unit rows (`unit_rows`),
-    so the similarity is cosine."""
+    so the similarity is cosine; `query_ids` [B] and `gallery_ids` [G] hold
+    one identity per row."""
+    query_ids, gallery_ids = np.asarray(query_ids), np.asarray(gallery_ids)
+    for side, ids, rows in (("query", query_ids, queries), ("gallery", gallery_ids, gallery)):
+        if ids.shape != (len(rows),):
+            raise DimensionError(f"{side} ids {ids.shape} need one entry per row ({len(rows)})")
     if gallery.shape[1] != queries.shape[1]:
         raise DimensionError(
             f"embedding widths disagree: query {queries.shape[1]}, gallery {gallery.shape[1]}")
     sims = queries @ gallery.T
     ordered = np.sort(sims, axis=1)
-    out = []
-    for row, asc, qid in zip(sims, ordered, query_ids):
-        cols = np.flatnonzero(gallery_ids == qid)
-        vals = row[cols]
-        past = asc.searchsorted(vals, side="right")
-        ranks = len(asc) - past + 1
-        # where a match's value occurs again, the equal values at lower
-        # gallery indices rank first; `eq` holds the columns of tied values
-        tied = np.flatnonzero(asc[past - 2] == vals)
-        if tied.size:
-            tv = np.sort(vals[tied])
-            eq = np.flatnonzero(tv[np.minimum(tv.searchsorted(row), tv.size - 1)] == row)
-            ranks[tied] += np.count_nonzero(
-                (row[eq] == vals[tied, None]) & (eq < cols[tied, None]), axis=1)
-        ranks.sort()
-        out.append(ranks)
-    return out
+    size = sims.shape[1]
+    # every match of the block in row-major order, so `rows` ascends
+    match = np.flatnonzero(query_ids[:, None] == gallery_ids)
+    rows, cols = np.divmod(match, size)
+    vals = sims.ravel()[match]
+    bounds = np.searchsorted(rows, np.arange(len(sims) + 1)).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    past = np.empty(len(rows), dtype=np.int64)
+    for asc, (lo, hi) in zip(ordered, spans):
+        past[lo:hi] = asc.searchsorted(vals[lo:hi], side="right")
+    ranks = size + 1 - past
+    # a match whose value occurs again in its row takes its place in a stable
+    # sort of that row by descending similarity: equal values at lower
+    # gallery indices rank first
+    tied = ordered[rows, past - 2] == vals
+    if tied.any():
+        tied_rows, which = np.unique(rows[tied], return_inverse=True)
+        order = np.argsort(-sims[tied_rows], axis=1, kind="stable")
+        place = np.empty_like(order)
+        np.put_along_axis(place, order, np.arange(1, size + 1), axis=1)
+        ranks[tied] = place[which, cols[tied]]
+    offset = rows * (size + 1)
+    ranks = np.sort(offset + ranks) - offset
+    return [ranks[lo:hi] for lo, hi in spans]
 
 
-def average_precision(ranks) -> float:
-    """AP = (1/|G|) * sum over the ascending match ranks r_i of i / r_i."""
-    ranks = np.asarray(ranks, dtype=np.int64)
-    if len(ranks) == 0:
+def average_precision(ranks):
+    """AP = (1/|G|) * sum over the ascending match ranks r_i of i / r_i.
+
+    `ranks` is one query's [n] ranks, giving a float, or [Q, n] for Q
+    queries with n matches each, giving an array [Q]. A C-contiguous row
+    sums in the same pairwise order as the 1-D array, so each row's AP is
+    bit for bit the AP of that row alone."""
+    ranks = np.ascontiguousarray(ranks, dtype=np.int64)
+    n = ranks.shape[-1]
+    if n == 0:
         raise ProtocolError("average_precision needs at least one true match")
-    return float((np.arange(1, len(ranks) + 1) / ranks).sum() / len(ranks))
+    ap = (np.arange(1, n + 1) / ranks).sum(axis=-1) / n
+    return float(ap) if ranks.ndim == 1 else ap
 
 
-def inverse_negative_penalty(ranks) -> float:
-    """INP = (number of true matches) / (rank of the hardest true match)."""
-    if len(ranks) == 0:
+def inverse_negative_penalty(ranks):
+    """INP = (number of true matches) / (rank of the hardest true match),
+    for [n] ranks (a float) or each row of [Q, n] (an array [Q])."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    n = ranks.shape[-1]
+    if n == 0:
         raise ProtocolError("inverse_negative_penalty needs at least one true match")
-    return len(ranks) / int(ranks[-1])
+    inp = n / ranks[..., -1]
+    return float(inp) if ranks.ndim == 1 else inp
 
 
 def _score_direction(q_emb, q_ids, g_emb, g_ids, label):
@@ -130,30 +163,41 @@ def _score_direction(q_emb, q_ids, g_emb, g_ids, label):
     excluded = 0
     for start in range(0, len(q_ids), block):
         stop = start + block
-        for ranks in rank_gallery(queries[start:stop], q_ids[start:stop], gallery, g_ids):
-            if len(ranks) == 0:
-                excluded += 1
-                continue
-            aps.append(average_precision(ranks))
-            inps.append(inverse_negative_penalty(ranks))
-            hits.append(bool(ranks[0] == 1))
+        ranked = rank_gallery(queries[start:stop], q_ids[start:stop], gallery, g_ids)
+        flat = np.concatenate(ranked)
+        counts = np.fromiter(map(len, ranked), dtype=np.int64, count=len(ranked))
+        first = np.cumsum(counts) - counts
+        scored = counts > 0
+        counts, first = counts[scored], first[scored]
+        excluded += len(scored) - len(counts)
+        # one [queries, n] array per distinct match count n
+        ap, inp = np.empty(len(counts)), np.empty(len(counts))
+        for n in np.unique(counts).tolist():
+            same = np.flatnonzero(counts == n)
+            group = flat[first[same, None] + np.arange(n)]
+            ap[same] = average_precision(group)
+            inp[same] = inverse_negative_penalty(group)
+        aps.extend(ap.tolist())
+        inps.extend(inp.tolist())
+        hits.extend((flat[first] == 1).tolist())
     return aps, inps, hits, excluded
 
 
 def query_gallery_split(ids, views, seed: int):
     """Seeded partition into (query mask, gallery mask), balanced per
-    (id, view) group so each side keeps roughly half of every group."""
+    (id, view) group so each side keeps roughly half of every group. Groups
+    draw their permutations in ascending (id, view) order."""
     ids = np.asarray(ids)
     views = np.asarray(views)
     rng = np.random.default_rng(seed)
     is_query = np.zeros(len(ids), dtype=bool)
-    for y in np.unique(ids):
-        for v in np.unique(views):
-            members = np.nonzero((ids == y) & (views == v))[0]
-            if len(members) == 0:
-                continue
-            perm = rng.permutation(members)
-            is_query[perm[:len(perm) // 2]] = True
+    order = np.lexsort((views, ids))
+    sid, sview = ids[order], views[order]
+    cuts = np.flatnonzero((sid[1:] != sid[:-1]) | (sview[1:] != sview[:-1])) + 1
+    bounds = [0, *cuts.tolist(), len(ids)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        perm = rng.permutation(order[lo:hi])
+        is_query[perm[:len(perm) // 2]] = True
     return is_query, ~is_query
 
 

@@ -94,6 +94,26 @@ def test_rank_gallery_width_mismatch():
         rank_gallery(np.zeros((1, 3)), [0], np.zeros((2, 4)), np.array([0, 1]))
 
 
+def test_rank_gallery_takes_id_lists():
+    query = unit_rows(np.array([[1.0, 0.0]]))
+    gallery = unit_rows(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
+    ranks, = rank_gallery(query, [0], gallery, [0, 1, 0])
+    assert ranks.tolist() == [2, 3]
+
+
+@pytest.mark.parametrize("query_ids, gallery_ids", [
+    ([0], [0, 1, 0]),             # one query id for two queries
+    ([0, 1, 2], [0, 1, 0]),       # three for two
+    ([0, 1], [0, 1]),             # two gallery ids for three rows
+    ([[0], [1]], [0, 1, 0]),      # 2-D ids
+    ([0, 1], 0),                  # a scalar id
+])
+def test_rank_gallery_needs_one_id_per_row(query_ids, gallery_ids):
+    queries, gallery = np.eye(2), np.eye(2)[[0, 1, 0]]
+    with pytest.raises(DimensionError, match="one entry per row"):
+        rank_gallery(queries, query_ids, gallery, gallery_ids)
+
+
 def dyadic_rows(rng, n, pool_size, d=16):
     """n rows drawn from a pool of `pool_size`, each pool row 0, 1, 4 or 16
     entries of +-1 (norm 0, 1, 2 or 4), every row scaled by a power of two.
@@ -110,11 +130,13 @@ def dyadic_rows(rng, n, pool_size, d=16):
 def oracle_match_ranks(queries, query_ids, gallery, gallery_ids):
     """Per query, the 1-based positions of its matches in the gallery sorted
     by (-cosine, index), one Python sort per query."""
+    g_norms = [np.linalg.norm(g) for g in gallery]
     out = []
     for q, qid in zip(queries, query_ids):
+        q_norm = np.linalg.norm(q)
         sims = []
-        for g in gallery:
-            norms = np.linalg.norm(q) * np.linalg.norm(g)
+        for g, g_norm in zip(gallery, g_norms):
+            norms = q_norm * g_norm
             sims.append(float(q @ g) / norms if norms else 0.0)
         order = sorted(range(len(gallery)), key=lambda j: (-sims[j], j))
         out.append([r for r, j in enumerate(order, 1) if gallery_ids[j] == qid])
@@ -144,6 +166,88 @@ def test_rank_gallery_zero_query_ranks_matches_in_gallery_order():
                                np.array([0, 5, 5, 0]))
     assert ranks.tolist() == [2, 3]  # all similarities 0: index order
     assert none.size == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), big=st.integers(258, 290),
+       block=st.integers(1, 2000))
+def test_block_scoring_equals_the_per_query_reference_bit_for_bit(seed, big, block):
+    # identity 0 has `big` rows, so ALL queries of it match 129 or more
+    # gallery rows; identity 1 is aerial only, so its A->G queries match
+    # nothing; the others have 1 to 6 rows per view, so counts are ragged.
+    # Rows are shuffled, so every kind of query sits inside some block.
+    # Queries are dyadic rows, and every third gallery row is untied: an
+    # untied query would meet ties among scaled copies of one dyadic row,
+    # which a GEMM need not break the way the oracle's dot products do.
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 7, (8, 2))
+    ids = np.concatenate([np.zeros(big, int), np.ones(6, int),
+                          np.repeat(np.arange(2, 10), sizes.sum(axis=1))])
+    views = np.concatenate([np.arange(big) % 2, np.full(6, VIEW_AERIAL)]
+                           + [np.repeat([VIEW_AERIAL, VIEW_GROUND], n) for n in sizes])
+    perm = rng.permutation(len(ids))
+    ids, views = ids[perm], views[perm]
+    q_mask, g_mask = query_gallery_split(ids, views, seed % 7)
+    embs = dyadic_rows(rng, len(ids), pool_size=24)
+    untied = g_mask & (np.arange(len(ids)) % 3 == 0)
+    embs[untied] = rng.normal(size=(untied.sum(), 16))
+    directions = {PROTOCOL_ALL: [(q_mask, g_mask)],
+                  PROTOCOL_AG: [(q_mask & (views == VIEW_AERIAL), g_mask & (views == VIEW_GROUND)),
+                                (q_mask & (views == VIEW_GROUND), g_mask & (views == VIEW_AERIAL))]}
+    for protocol, sides in directions.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluate, "_BLOCK_SIMILARITIES", block)
+            rep = evaluate_protocol(embs, ids, views, protocol, split_seed=seed % 7)
+        aps, inps, rank1s, excluded = [], [], [], 0
+        for qm, gm in sides:
+            ranks = oracle_match_ranks(embs[qm], ids[qm], embs[gm], ids[gm])
+            scored = [r for r in ranks if r]
+            excluded += len(ranks) - len(scored)
+            aps += [average_precision(r) for r in scored]
+            inps += [inverse_negative_penalty(r) for r in scored]
+            rank1s.append(float(np.mean([r[0] == 1 for r in scored])))
+        assert max(map(len, scored)) > 128 or protocol == PROTOCOL_AG
+        assert rep.per_query_ap == aps
+        assert rep.per_query_inp == inps
+        assert rep.rank1 == float(np.mean(rank1s))
+        assert (rep.num_queries, rep.num_excluded) == (len(aps), excluded)
+        json.dumps(vars(rep))  # plain Python numbers, as `write_reports` needs
+    assert rep.num_excluded > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), n=st.integers(1, 300))
+def test_metrics_of_a_rank_matrix_equal_its_rows_bit_for_bit(seed, rows, n):
+    rng = np.random.default_rng(seed)
+    ranks = np.sort(rng.choice(3 * n, (rows, n)), axis=1) + np.arange(1, n + 1)
+    ap, inp = average_precision(ranks), inverse_negative_penalty(ranks)
+    assert ap.tolist() == [average_precision(r) for r in ranks]
+    assert inp.tolist() == [inverse_negative_penalty(r) for r in ranks]
+
+
+def test_evaluate_protocol_takes_one_ap_call_per_block_and_match_count(monkeypatch):
+    # every query of this population has 8 gallery matches in ALL, so each
+    # block computes its APs in one call, not one per query
+    embs, ids, views = _toy_population(num_ids=32, per_group=8, seed=2)
+    counts, calls = [], []
+    rank, ap = evaluate.rank_gallery, evaluate.average_precision
+
+    def ranking(*args):
+        ranked = rank(*args)
+        counts.append(len({len(r) for r in ranked} - {0}))
+        return ranked
+
+    def counting(ranks):
+        calls.append(np.shape(ranks))
+        return ap(ranks)
+
+    monkeypatch.setattr(evaluate, "rank_gallery", ranking)
+    monkeypatch.setattr(evaluate, "average_precision", counting)
+    monkeypatch.setattr(evaluate, "_BLOCK_SIMILARITIES", 16 * 256)
+    rep = evaluate_protocol(embs, ids, views, PROTOCOL_ALL, split_seed=0)
+    assert len(counts) == 16 and set(counts) == {1}
+    assert calls == [(16, 8)] * 16
+    assert rep.num_queries == 256
 
 
 def test_evaluate_protocol_over_several_blocks_matches_the_oracle():
@@ -243,6 +347,35 @@ def test_query_gallery_split_is_balanced_and_seeded():
         for v in (VIEW_AERIAL, VIEW_GROUND):
             grp = (ids == y) & (views == v)
             assert qa[grp].sum() == 2  # half of each 4-member group
+
+
+def nested_loop_split(ids, views, seed):
+    """The per-(id, view) loop `query_gallery_split` used to run."""
+    ids, views = np.asarray(ids), np.asarray(views)
+    rng = np.random.default_rng(seed)
+    is_query = np.zeros(len(ids), dtype=bool)
+    for y in np.unique(ids):
+        for v in np.unique(views):
+            members = np.nonzero((ids == y) & (views == v))[0]
+            if len(members) == 0:
+                continue
+            perm = rng.permutation(members)
+            is_query[perm[:len(perm) // 2]] = True
+    return is_query, ~is_query
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 80),
+       id_pool=st.lists(st.integers(-5, 1000), min_size=1, max_size=9, unique=True),
+       view_pool=st.sampled_from([(0, 1), (1,), (0, 1, 2), (-1, 0, 1, 7)]))
+def test_query_gallery_split_keeps_the_nested_loop_masks(seed, n, id_pool, view_pool):
+    # unsorted, non-contiguous ids; (id, view) groups missing at random;
+    # view values outside {0, 1}
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(id_pool, n)
+    views = rng.choice(view_pool, n)
+    got, want = query_gallery_split(ids, views, seed), nested_loop_split(ids, views, seed)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_evaluate_protocol_on_separable_population():
