@@ -96,7 +96,6 @@ class ExperimentConfig:
             return None
         return SelectorConfig(
             k=self.values["selector.k"],
-            num_heads=self.values["selector.heads"],
             position=self.values["selector.position"],
             noise_enabled=self.values["selector.noise"],
         )
@@ -175,10 +174,10 @@ class ExperimentConfig:
         SgdState(learning_rate=self.values["schedule.lr_max"],
                  momentum=self.values["train.momentum"])
         self.loss_weights()
-        # accepted so that older configs still load; it has no effect
-        if self.values["selector.temperature"] <= 0:
-            raise ConfigError(f"selector.temperature must be > 0, "
-                              f"got {self.values['selector.temperature']}")
+        # accepted so that older configs still load; neither has an effect
+        for key in ("selector.heads", "selector.temperature"):
+            if self.values[key] <= 0:
+                raise ConfigError(f"{key} must be > 0, got {self.values[key]}")
         cells = len(self.values["ablate.k"]) * len(self.values["ablate.positions"])
         if not 1 <= cells <= MAX_ABLATION_CELLS:
             raise ConfigError(f"ablation grid has {cells} cells, limit {MAX_ABLATION_CELLS}")
@@ -219,8 +218,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as exc:
+        raise ConfigParseError(f"cannot read config file {path}: {exc.strerror}")
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -54,9 +54,6 @@ class ModelConfig:
             m = self.patch_grid[0] * self.patch_grid[1]
             if self.selector.k > m:
                 raise ConfigError(f"SelectorConfig.K={self.selector.k} exceeds M={m}")
-            if self.embed_dim % self.selector.num_heads != 0:
-                raise ConfigError(
-                    f"selector heads {self.selector.num_heads} must divide embed_dim")
 
     @property
     def num_patches(self):
@@ -203,7 +200,7 @@ def _apply_selector(seq: TokenSequence, cfg: SelectorConfig, rng, training: bool
     """
     indices = frozen
     if frozen is None:
-        logits = sel.score_tokens(seq.tokens.data[:, 2:], cfg.num_heads)
+        logits = sel.score_tokens(seq.tokens.data[:, 2:])
         indices = sel.perturbed_topk(logits, cfg.k, cfg.noise_enabled and training, rng)
     indices = np.asarray(indices)
     seq = replace(seq, tokens=sel.select_tokens(seq.tokens, indices))
@@ -245,8 +242,8 @@ _MAGIC = b"dtst-checkpoint v2\n"
 def config_echo(cfg: ModelConfig) -> dict:
     """The config-file keys that shape an eval forward, with their values as
     text: `model.*`, `data.num_ids` and the selector's `enabled`, `k` and
-    `position`. The selector's heads only scale its logits and its noise is
-    off at eval, so neither changes a kept token there: both are left out."""
+    `position`. The selector's noise is off at eval, so it changes no kept
+    token there and is left out."""
     echo = {"model.num_blocks": cfg.num_blocks, "model.embed_dim": cfg.embed_dim,
             "model.num_heads": cfg.num_attn_heads, "model.patch_rows": cfg.patch_grid[0],
             "model.patch_cols": cfg.patch_grid[1], "model.patch_dim": cfg.patch_dim,
@@ -288,8 +285,11 @@ def load_checkpoint(path, cfg: ModelConfig = None) -> dict:
     from `cfg`'s echo."""
     if not os.path.isfile(path):
         raise DomainError(f"checkpoint file not found: {path}")
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read checkpoint file {path}: {exc.strerror}")
     if blob.startswith(b"dtst-checkpoint v1\n"):
         raise DomainError(f"{path} is a version 1 checkpoint, which records no model "
                           f"config; retrain to write a version 2 file")

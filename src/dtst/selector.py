@@ -1,7 +1,7 @@
 """Visual token selector: norm logits, optional Gumbel noise, hard top-k.
 
-The logit of patch token t is ||t||^2 / sqrt(H * d); the head count H only
-scales the logits. Scoring has no parameters and records nothing on the tape.
+The logit of patch token t is ||t||^2 / sqrt(d). Scoring has no parameters
+and records nothing on the tape.
 
 Selection adds Gumbel noise to the logits when it is on, so that with K = 1
 the kept token is a draw from softmax(logits), and keeps the hard top-k: a
@@ -31,27 +31,24 @@ POSITIONS = (POSITION_LAST, POSITION_SECOND_TO_LAST)
 @dataclass
 class SelectorConfig:
     k: int
-    num_heads: int = 2
     position: str = POSITION_LAST
     noise_enabled: bool = True
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"SelectorConfig.K must be >= 1, got {self.k}")
-        if self.num_heads < 1:
-            raise ConfigError(f"SelectorConfig.num_heads must be >= 1, got {self.num_heads}")
         if self.position not in POSITIONS:
             raise ConfigError(f"SelectorConfig.position must be one of {POSITIONS}, "
                               f"got {self.position!r}")
 
 
-def score_tokens(patch_tokens, num_heads: int) -> np.ndarray:
+def score_tokens(patch_tokens) -> np.ndarray:
     """Logits [B, M] of the M patch tokens [B, M, d] of each item:
-    ||x||^2 / sqrt(H * d)."""
+    ||x||^2 / sqrt(d)."""
     b, m, d = patch_tokens.shape
     x2 = patch_tokens.reshape(b * m, d)
     logits = np.einsum("ij,ij->i", x2, x2).reshape(b, m)
-    logits *= 1.0 / np.sqrt(num_heads * d)
+    logits *= 1.0 / np.sqrt(d)
     return logits
 
 

@@ -168,8 +168,7 @@ def test_criterion_1_gradient_suite():
 
     cfg = ModelConfig(num_identities=4, num_blocks=2, embed_dim=8,
                       num_attn_heads=2, patch_grid=(2, 2), patch_dim=3,
-                      selector=SelectorConfig(k=2, num_heads=2,
-                                              noise_enabled=False))
+                      selector=SelectorConfig(k=2, noise_enabled=False))
     gen = GenConfig(num_ids=4, samples_per_id_per_view=1, grid=(2, 2),
                     patch_dim=3, k_sig=2, seed=0)
     data = generate_dataset(gen)[:2]
@@ -252,7 +251,7 @@ def test_criterion_3_selector_limit_laws():
 
     # noise-off indices equal hard_topk of the logits bitwise
     rng = np.random.default_rng(1)
-    logits = score_tokens(rng.normal(size=(16, 8, 4)), 2)
+    logits = score_tokens(rng.normal(size=(16, 8, 4)))
     bitwise = np.array_equal(perturbed_topk(logits, 3), hard_topk(logits, 3))
 
     # Gumbel Monte-Carlo with K = 1: selection frequency of each index
@@ -264,8 +263,7 @@ def test_criterion_3_selector_limit_laws():
     freq = np.bincount(idx[:, 0], minlength=4) / draws
     mc_dev = float(np.abs(freq - s).max())
 
-    # logits scaled by 1/0.01 concentrate the noisy choice on the argmax (a
-    # smaller selector.heads sharpens the logits the same way)
+    # logits scaled by 1/0.01 concentrate the noisy choice on the argmax
     sharp = np.tile(np.log([0.7, 0.2, 0.1]) / 0.01, (draws, 1))
     idx = perturbed_topk(sharp, 1, noise=True, rng=np.random.default_rng(3))
     mass = float(np.mean(idx[:, 0] == 0))
@@ -291,8 +289,7 @@ def test_criterion_4_full_retention_equivalence():
         m = rows * cols
         blocks = int(rng.integers(1, 4))
         position = str(rng.choice(["last", "second_to_last"]))
-        selcfg = SelectorConfig(k=m, num_heads=heads, position=position,
-                                noise_enabled=False)
+        selcfg = SelectorConfig(k=m, position=position, noise_enabled=False)
         base = dict(num_identities=int(rng.integers(2, 6)), num_blocks=blocks,
                     embed_dim=d, num_attn_heads=heads, patch_grid=(rows, cols),
                     patch_dim=int(rng.integers(2, 5)))
@@ -334,8 +331,7 @@ class BenchRun:
 def _bench_model_cfg(with_selector):
     selcfg = None
     if with_selector:
-        selcfg = SelectorConfig(k=2, num_heads=2, position="last",
-                                noise_enabled=False)
+        selcfg = SelectorConfig(k=2, position="last", noise_enabled=False)
     return ModelConfig(num_identities=32, num_blocks=4, embed_dim=16,
                        num_attn_heads=2, patch_grid=(4, 4), patch_dim=8,
                        selector=selcfg)

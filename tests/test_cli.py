@@ -310,6 +310,52 @@ def test_non_utf8_config_is_a_parse_error(tmp_path):
     assert "latin1.cfg" in record["message"] and f"byte offset {offset}" in record["message"]
 
 
+def _permission_denied(path, *args, **kwargs):
+    raise PermissionError(13, "Permission denied", str(path))
+
+
+def test_unreadable_config_is_a_parse_error(tiny_config, tmp_path, monkeypatch):
+    from dtst import config as config_mod
+
+    monkeypatch.setattr(config_mod, "open", _permission_denied, raising=False)
+    out = tmp_path / "run"
+    assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_RUN
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "ConfigParseError"
+    assert "tiny.cfg" in record["message"] and "Permission denied" in record["message"]
+
+
+def test_unreadable_checkpoint_is_a_run_error(tiny_config, tmp_path, monkeypatch):
+    from dtst import model as model_mod
+
+    out = tmp_path / "run"
+    assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+    monkeypatch.setattr(model_mod, "open", _permission_denied, raising=False)
+    assert run(["eval", "--config", tiny_config, "--out", str(out)]) == EXIT_RUN
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "DomainError"
+    assert "checkpoint.bin" in record["message"] and "Permission denied" in record["message"]
+    assert not (out / "report.jsonl").exists()
+
+
+def test_selector_heads_and_temperature_change_no_noisy_training(tmp_path):
+    # both keys are accepted and inert: with Gumbel noise on, training writes
+    # the same bytes whatever their values
+    artifacts = set()
+    for line in ("selector.heads = 1", "selector.heads = 8",
+                 "selector.temperature = 0.5", "selector.temperature = 2.0"):
+        key = line.split(" =")[0]
+        text = "\n".join(l for l in TINY.splitlines()
+                         if not l.startswith((key + " ", "selector.noise ")))
+        cfg_path = tmp_path / "noisy.cfg"
+        cfg_path.write_text(f"{text}\nselector.noise = true\n{line}\n")
+        out = tmp_path / line.replace(" = ", "_")
+        assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        artifacts.add(((out / "train_log.csv").read_bytes(),
+                       (out / "checkpoint.bin").read_bytes()))
+    assert len(artifacts) == 1
+
+
 def test_seed_override_changes_results(tiny_config, tmp_path):
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")

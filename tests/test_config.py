@@ -47,7 +47,7 @@ def test_missing_required_seed():
 def test_unknown_key_reports_line_number():
     with pytest.raises(ConfigParseError, match=r"line 2: unknown key"):
         parse_config_text("seed = 0\nmodel.depth = 4\n")
-    # `dtst ablate`'s grid has no heads axis; its cells take selector.heads
+    # `dtst ablate`'s grid has no heads axis
     with pytest.raises(ConfigParseError, match=r"line 2: unknown key 'ablate.heads'"):
         parse_config_text("seed = 0\nablate.heads = 2\n")
 
@@ -86,16 +86,22 @@ def test_semantic_validation_fires_at_load():
         with pytest.raises(ConfigError, match="momentum"):
             parse_config_text(f"seed = 0\ntrain.momentum = {momentum}\n")
     parse_config_text("seed = 0\ntrain.momentum = 0.0\n")
-    # selector.temperature has no effect, but a value a temperature cannot
-    # take still fails at load
-    for temperature in ("0.0", "-1.0"):
-        with pytest.raises(ConfigError, match="selector.temperature must be > 0"):
-            parse_config_text(f"seed = 0\nselector.temperature = {temperature}\n")
     # checked before `embed_dim % num_heads`, which a zero head count would
     # turn into ZeroDivisionError
     for line in ("model.num_heads = 0", "model.num_heads = -2", "model.embed_dim = 0"):
         with pytest.raises(ConfigError, match="ModelConfig extents must be positive"):
             parse_config_text(f"seed = 0\nselector.enabled = false\n{line}\n")
+
+
+@pytest.mark.parametrize("line", ["selector.temperature = 0.0", "selector.temperature = -1.0",
+                                  "selector.heads = 0", "selector.heads = -1"])
+@pytest.mark.parametrize("enabled", ["true", "false"])
+def test_inert_selector_keys_still_reject_values_they_cannot_take(line, enabled):
+    # selector.heads and selector.temperature have no effect, but a value a
+    # head count or a temperature cannot take still fails at load, with the
+    # selector on or off
+    with pytest.raises(ConfigError, match=f"{line.split(' =')[0]} must be > 0"):
+        parse_config_text(f"seed = 0\nselector.enabled = {enabled}\n{line}\n")
 
 
 def test_every_float_key_rejects_non_finite_values():

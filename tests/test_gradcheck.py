@@ -38,8 +38,7 @@ def test_model_gradients_without_selector():
 
 def test_model_gradients_with_selector_both_positions():
     for position in ("last", "second_to_last"):
-        sel = SelectorConfig(k=2, num_heads=2, position=position,
-                             noise_enabled=False)
+        sel = SelectorConfig(k=2, position=position, noise_enabled=False)
         cfg, params, results = _check(selector=sel)
         assert {r.name for r in results} == set(params)
         assert all(r.ok for r in results), \

@@ -29,8 +29,6 @@ def test_config_validation():
         small_cfg(embed_dim=9)
     with pytest.raises(ConfigError, match="exceeds M"):
         small_cfg(selector=SelectorConfig(k=7))
-    with pytest.raises(ConfigError, match="selector heads"):
-        small_cfg(selector=SelectorConfig(k=2, num_heads=3))
 
 
 def test_forward_shapes():
@@ -172,8 +170,7 @@ def test_seed_determines_params_and_selector_drawn_last():
 @pytest.mark.parametrize("position", ["last", "second_to_last"])
 def test_full_retention_matches_selector_free(position):
     """K = M with noise off must match the selector-free model exactly."""
-    selcfg = SelectorConfig(k=6, num_heads=2, position=position,
-                            noise_enabled=False)
+    selcfg = SelectorConfig(k=6, position=position, noise_enabled=False)
     cfg_sel = small_cfg(selector=selcfg)
     cfg_plain = small_cfg()
     params = init_params(cfg_sel, seed=13)

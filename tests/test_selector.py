@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtst.errors import ConfigError, ContractError
-from dtst.model import ModelConfig
 from dtst.selector import (SelectorConfig, hard_topk, perturbed_topk,
                            score_tokens, select_tokens)
 from dtst.tensor import Tensor
@@ -14,41 +13,27 @@ from dtst.tensor import Tensor
 RNG = np.random.default_rng(42)
 
 
-def direct_scores(tokens, num_heads):
-    """Independent numpy evaluation of the logit formula: per-head
-    self-dot-products scaled by 1/sqrt(d/H), averaged over the heads."""
-    b, m, d = tokens.shape
-    dh = d // num_heads
-    raw = np.zeros((b, m))
-    for h in range(num_heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        raw += (tokens[..., sl] * tokens[..., sl]).sum(axis=-1) / np.sqrt(dh)
-    return raw / num_heads
+def direct_scores(tokens):
+    """Independent numpy evaluation of the logit formula: one head's
+    self-dot-products scaled by 1/sqrt(d)."""
+    return (tokens * tokens).sum(axis=-1) / np.sqrt(tokens.shape[-1])
 
 
 def test_score_tokens_matches_direct_formula():
-    b, m, d, h = 1, 4, 4, 1
+    b, m, d = 1, 4, 4
     tokens = RNG.normal(size=(b, m, d))
-    got = score_tokens(tokens, h)
+    got = score_tokens(tokens)
     assert isinstance(got, np.ndarray) and got.shape == (b, m)
-    assert np.allclose(got, direct_scores(tokens, h), atol=1e-12)
+    assert np.allclose(got, direct_scores(tokens), atol=1e-12)
 
 
-def test_score_tokens_multihead_matches_direct_formula():
-    b, m, d, h = 3, 7, 8, 2
-    tokens = RNG.normal(size=(b, m, d))
-    assert np.allclose(score_tokens(tokens, h), direct_scores(tokens, h), atol=1e-12)
-
-
-def test_score_tokens_head_mismatch():
-    # the model config owns the check that the selector's heads divide the
-    # token width
-    with pytest.raises(ConfigError, match="divide"):
-        ModelConfig(num_identities=2, embed_dim=6, selector=SelectorConfig(k=1, num_heads=4))
+def test_score_tokens_batched_matches_direct_formula():
+    tokens = RNG.normal(size=(3, 7, 8))
+    assert np.allclose(score_tokens(tokens), direct_scores(tokens), atol=1e-12)
 
 
 def test_zero_tokens_give_uniform_scores():
-    assert np.array_equal(score_tokens(np.zeros((2, 5, 4)), 2), np.zeros((2, 5)))
+    assert np.array_equal(score_tokens(np.zeros((2, 5, 4))), np.zeros((2, 5)))
 
 
 def test_hard_topk_basic():
@@ -102,7 +87,7 @@ def test_gumbel_marginal_matches_scores():
 
 @st.composite
 def token_arrays(draw):
-    """(tokens [B, M, d], heads, K) with small integer entries, so that every
+    """(tokens [B, M, d], K) with small integer entries, so that every
     squared norm is exact; sometimes one slot scaled by 2^j, which keeps it
     exact and can make its logit lead the others by far."""
     b, m = draw(st.integers(1, 3)), draw(st.integers(2, 9))
@@ -112,7 +97,7 @@ def token_arrays(draw):
     scaled = draw(st.none() | st.tuples(st.integers(0, m - 1), st.integers(1, 40)))
     if scaled is not None:
         x[:, scaled[0]] *= 2.0 ** scaled[1]
-    return x, draw(st.sampled_from([1, 2, 4])), draw(st.integers(1, m))
+    return x, draw(st.integers(1, m))
 
 
 _LEADING = np.zeros((1, 4, 4))
@@ -121,12 +106,12 @@ _LEADING[0, [0, 2, 3], 0] = [20.0, 0.5, 1.0]
 
 @settings(max_examples=200, deadline=None)
 @given(case=token_arrays())
-@example(case=(_LEADING, 2, 2))
+@example(case=(_LEADING, 2))
 def test_noise_free_selection_keeps_the_stable_top_k_of_squared_norms(case):
     # a token whose logit leads the rest by more than ln(1e12) must not flatten
     # the others into a tie: in the example, slot 3 (norm 1) beats slot 1 (0)
-    x, heads, k = case
-    kept = perturbed_topk(score_tokens(x, heads), k)
+    x, k = case
+    kept = perturbed_topk(score_tokens(x), k)
     for row, got in zip(x, kept):
         norms = [sum(v * v for v in token) for token in row]
         order = sorted(range(len(row)), key=lambda i: (-norms[i], i))
@@ -169,7 +154,5 @@ def test_select_tokens_rejects_bad_indices():
 def test_selector_config_validation_messages():
     with pytest.raises(ConfigError, match="K must be >= 1"):
         SelectorConfig(k=0)
-    with pytest.raises(ConfigError, match="num_heads must be >= 1"):
-        SelectorConfig(k=1, num_heads=0)
     with pytest.raises(ConfigError, match="position must be one of"):
         SelectorConfig(k=1, position="first")
