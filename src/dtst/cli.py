@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 run error. Run errors also leave a
 machine-readable record in <out>/error.json. A command runs with numpy's
 overflow and invalid-operation errors raised; either is a `NumericError` run
-error.
+error. An `OSError` or `MemoryError` (an artifact that cannot be written, an
+array that cannot be allocated) is a `ResourceError` run error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import evaluate as eval_mod
 from . import gradcheck as gc_mod
 from . import model as model_mod
 from . import train as train_mod
-from .errors import DtstError, NumericError
+from .errors import DtstError, NumericError, ResourceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -175,28 +176,29 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
+    out_dir = None
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = args.out  # where error.json goes if the config fails to load
-    try:
+        out_dir = args.out  # where error.json goes if the config fails to load
         with np.errstate(over="raise", invalid="raise"):
             cfg, out_dir = _load(args)
             return _COMMANDS[args.command](cfg, out_dir)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DtstError, FloatingPointError) as exc:
-        error = NumericError if isinstance(exc, FloatingPointError) else type(exc)
+    except (DtstError, FloatingPointError, OSError, MemoryError) as exc:
+        error = (type(exc) if isinstance(exc, DtstError) else
+                 NumericError if isinstance(exc, FloatingPointError) else ResourceError)
         record = {"error": error.__name__, "message": str(exc),
                   "command": args.command}
         print(json.dumps(record), file=sys.stderr)
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            with open(os.path.join(out_dir, "error.json"), "w") as f:
-                json.dump(record, f)
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+                with open(os.path.join(out_dir, "error.json"), "w") as f:
+                    json.dump(record, f)
+            except OSError:
+                pass  # the record on stderr stands
         return EXIT_RUN
 
 

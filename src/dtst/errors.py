@@ -33,6 +33,10 @@ class ProtocolError(DtstError):
     """An evaluation protocol filter produced an empty query or gallery."""
 
 
+class ResourceError(DtstError):
+    """An artifact could not be written or an array could not be allocated."""
+
+
 class ConfigParseError(DtstError):
     """A config file failed to parse; carries the offending line number."""
 

@@ -59,8 +59,7 @@ def check_model_gradients(cfg: model.ModelConfig, params: dict, x, y, v,
         id_loss = losses.cross_entropy_loss(out.id_logits, y)
         view_loss = losses.cross_entropy_loss(out.view_logits, v)
         orth_loss = losses.orthogonal_loss(out.meta_feature, out.view_feature)
-        total, _ = losses.total_loss(id_loss, view_loss, orth_loss, weights)
-        return total
+        return losses.total_loss(id_loss, view_loss, orth_loss, weights)
 
     with Tape() as tape:
         total = run_loss()

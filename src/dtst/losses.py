@@ -26,14 +26,6 @@ class LossWeights:
                 raise ConfigError(f"{name} must be finite and nonnegative, got {v}")
 
 
-@dataclass
-class LossReport:
-    id_loss: float
-    view_loss: float
-    orth_loss: float
-    total: float
-
-
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of the labelled class (one tape entry)."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -80,17 +72,13 @@ def orthogonal_loss(meta: Tensor, view: Tensor) -> Tensor:
 
 
 def total_loss(id_loss: Tensor, view_loss: Tensor, orth_loss: Tensor,
-               weights: LossWeights):
-    """Weighted sum (one tape entry); returns (total Tensor, LossReport of
-    scalar values)."""
+               weights: LossWeights) -> Tensor:
+    """Weighted sum (one tape entry)."""
     for name, t in (("id_loss", id_loss), ("view_loss", view_loss),
                     ("orth_loss", orth_loss)):
         if not np.isfinite(t.data).all():
             raise NumericError(f"{name} is not finite")
     wv, wo = weights.view_weight, weights.orth_weight
     total = id_loss.data + wv * view_loss.data + wo * orth_loss.data
-    total = T.make(total, (id_loss, view_loss, orth_loss),
-                   lambda g: (g, wv * g, wo * g))
-    report = LossReport(id_loss=id_loss.item(), view_loss=view_loss.item(),
-                        orth_loss=orth_loss.item(), total=total.item())
-    return total, report
+    return T.make(total, (id_loss, view_loss, orth_loss),
+                  lambda g: (g, wv * g, wo * g))

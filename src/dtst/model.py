@@ -259,8 +259,9 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
     directory, then rename it over `path`, so a write that fails midway
     leaves any earlier file intact."""
     tmp = f"{os.fspath(path)}.tmp"
+    f = open(tmp, "wb")  # outside the try: a path it cannot open is not its to remove
     try:
-        with open(tmp, "wb") as f:
+        with f:
             f.write(_MAGIC)
             pairs = " ".join(f"{k}={v}" for k, v in config_echo(cfg).items())
             f.write(f"config {pairs}\n".encode())
@@ -272,8 +273,7 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
                 f.write(p.data.astype("<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        os.remove(tmp)
         raise
 
 

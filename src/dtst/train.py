@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -12,8 +12,6 @@ from . import losses, model, optim
 from .data import batch_arrays, pk_batch
 from .errors import NumericError, SamplingError
 from .tensor import Tape, backward
-
-LOG_COLUMNS = ("step", "lr", "id_loss", "view_loss", "orth_loss", "total")
 
 
 @dataclass
@@ -50,22 +48,22 @@ def train_run(cfg: model.ModelConfig, params: dict, dataset,
             id_loss = losses.cross_entropy_loss(out.id_logits, y)
             view_loss = losses.cross_entropy_loss(out.view_logits, v)
             orth_loss = losses.orthogonal_loss(out.meta_feature, out.view_feature)
-            total, report = losses.total_loss(id_loss, view_loss, orth_loss, weights)
-        if not math.isfinite(report.total):
-            raise NumericError(f"non-finite loss at step {step}: {report}")
-        backward(total, tape)
+            total = losses.total_loss(id_loss, view_loss, orth_loss, weights)
         state.learning_rate = optim.cosine_lr(step, schedule)
+        row = LogRow(step, state.learning_rate, id_loss.item(), view_loss.item(),
+                     orth_loss.item(), total.item())
+        if not math.isfinite(row.total):
+            raise NumericError(f"non-finite loss at step {step}: {row}")
+        backward(total, tape)
         optim.sgd_step(params, state)
-        log.append(LogRow(step=step, lr=state.learning_rate,
-                          id_loss=report.id_loss, view_loss=report.view_loss,
-                          orth_loss=report.orth_loss, total=report.total))
+        log.append(row)
     return log
 
 
 def write_log(path, log) -> None:
+    names = [field.name for field in fields(LogRow)]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(LOG_COLUMNS)
+        w.writerow(names)
         for row in log:
-            w.writerow([row.step, repr(row.lr), repr(row.id_loss),
-                        repr(row.view_loss), repr(row.orth_loss), repr(row.total)])
+            w.writerow([repr(getattr(row, n)) for n in names])

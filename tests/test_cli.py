@@ -457,6 +457,56 @@ def test_eval_of_identical_embeddings_is_a_numeric_error(tiny_config, tmp_path):
     assert not os.path.exists(os.path.join(out, "report.jsonl"))
 
 
+def _stderr_record(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("command, blocker", [
+    ("train", "effective_config.txt"), ("train", "train_log.csv"),
+    ("train", "checkpoint.bin"), ("train", "checkpoint.bin.tmp"),
+    ("eval", "embeddings.txt"), ("eval", "report.jsonl")])
+def test_an_artifact_path_taken_by_a_directory_is_a_resource_error(
+        tiny_config, tmp_path, capsys, command, blocker):
+    out = tmp_path / "run"
+    if command == "eval":
+        assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+    (out / blocker).mkdir(parents=True)
+    assert run([command, "--config", tiny_config, "--out", str(out)]) == EXIT_RUN
+    record = _stderr_record(capsys)
+    assert record["error"] == "ResourceError" and blocker in record["message"]
+    assert json.load(open(out / "error.json")) == record
+    assert (out / blocker).is_dir()  # the blocker is left as it was
+    assert not (out / "checkpoint.bin.tmp").is_file()
+
+
+def test_an_allocation_failure_is_a_resource_error(tiny_config, tmp_path, capsys,
+                                                    monkeypatch):
+    # raised, not provoked: a real oversized allocation may page in memory
+    # instead of failing when the system overcommits
+    from dtst import model as model_mod
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 596. GiB")
+
+    monkeypatch.setattr(model_mod, "init_params", out_of_memory)
+    out = tmp_path / "run"
+    assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_RUN
+    record = _stderr_record(capsys)
+    assert record == {"error": "ResourceError", "message": "Unable to allocate 596. GiB",
+                      "command": "train"}
+    assert json.load(open(out / "error.json")) == record
+
+
+def test_an_unwritable_error_json_leaves_the_stderr_record(tiny_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "error.json").mkdir(parents=True)
+    (out / "train_log.csv").mkdir()
+    assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_RUN
+    record = _stderr_record(capsys)
+    assert record["error"] == "ResourceError" and "train_log.csv" in record["message"]
+    assert (out / "error.json").is_dir()
+
+
 BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
 
 

@@ -87,26 +87,22 @@ def test_orthogonal_loss_matches_mean_squared_cosine():
 def test_total_loss_documented_example():
     # 1.0 + 0.5 * 1.0 + 0.25 * 1.0 = 1.75
     weights = LossWeights(view_weight=0.5, orth_weight=0.25)
-    total, report = total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), weights)
+    total = total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), weights)
     assert abs(total.item() - 1.75) < 1e-15
-    assert report.id_loss == 1.0
-    assert report.view_loss == 1.0
-    assert report.orth_loss == 1.0
-    assert report.total == pytest.approx(1.75)
 
 
 def test_default_weights_are_unit():
     w = LossWeights()
     assert w.view_weight == 1.0 and w.orth_weight == 1.0
-    total, _ = total_loss(Tensor(0.5), Tensor(0.25), Tensor(0.125), w)
+    total = total_loss(Tensor(0.5), Tensor(0.25), Tensor(0.125), w)
     assert abs(total.item() - 0.875) < 1e-15
 
 
 def test_total_loss_is_linear_in_weights():
     vals = (Tensor(0.7), Tensor(0.3), Tensor(0.9))
-    t1, _ = total_loss(*vals, LossWeights(view_weight=2.0, orth_weight=0.0))
-    t2, _ = total_loss(*vals, LossWeights(view_weight=0.0, orth_weight=2.0))
-    t0, _ = total_loss(*vals, LossWeights(view_weight=0.0, orth_weight=0.0))
+    t1 = total_loss(*vals, LossWeights(view_weight=2.0, orth_weight=0.0))
+    t2 = total_loss(*vals, LossWeights(view_weight=0.0, orth_weight=2.0))
+    t0 = total_loss(*vals, LossWeights(view_weight=0.0, orth_weight=0.0))
     assert abs((t1.item() - t0.item()) - 2 * 0.3) < 1e-12
     assert abs((t2.item() - t0.item()) - 2 * 0.9) < 1e-12
 

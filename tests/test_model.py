@@ -286,6 +286,20 @@ def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
 
 
+def test_checkpoint_write_leaves_a_temp_path_it_could_not_open(tmp_path, monkeypatch):
+    def permission_denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    tmp = tmp_path / "checkpoint.bin.tmp"
+    tmp.write_text("another writer's file\n")
+    cfg = small_cfg()
+    params = init_params(cfg, seed=0)
+    monkeypatch.setattr(model, "open", permission_denied, raising=False)
+    with pytest.raises(PermissionError):
+        save_checkpoint(tmp_path / "checkpoint.bin", params, cfg)
+    assert tmp.read_text() == "another writer's file\n"
+
+
 def test_checkpoint_rejects_bad_magic_and_mismatch(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a checkpoint")

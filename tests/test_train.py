@@ -150,6 +150,18 @@ def test_train_run_reduces_loss_and_logs_every_step():
     assert last < first
 
 
+def test_train_run_rejects_a_non_finite_total_before_any_update(monkeypatch):
+    # each component is finite, so only the weighted sum overflows
+    monkeypatch.setattr(losses, "cross_entropy_loss", lambda logits, labels: Tensor(1e308))
+    cfg, params, data = _tiny_setup()
+    before = {name: p.data.copy() for name, p in params.items()}
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="step 0"):
+        train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
+                  epochs=1, batch_p=2, batch_k=2, seed=0)
+    for name, p in params.items():
+        assert np.array_equal(p.data, before[name]), name
+
+
 def test_total_steps_for():
     """train_run runs epochs * (len(dataset) // (P*K)) steps."""
     cfg, params, data = _tiny_setup()  # 32 samples, 8 per identity
@@ -222,7 +234,7 @@ def test_step_tape_is_freed_by_reference_counting():
         with Tape() as tape:
             out = model_forward(cfg, params, x, v, rng=np.random.default_rng(0),
                                 training=True)
-            total, _ = losses.total_loss(
+            total = losses.total_loss(
                 losses.cross_entropy_loss(out.id_logits, y),
                 losses.cross_entropy_loss(out.view_logits, v),
                 losses.orthogonal_loss(out.meta_feature, out.view_feature),
