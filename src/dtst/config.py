@@ -12,10 +12,13 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .data import GenConfig
 from .errors import ConfigError, ConfigParseError
+from .evaluate import EMBED_BATCH
 from .losses import LossWeights
-from .model import ModelConfig
+from .model import MLP_RATIO, ModelConfig
 from .optim import ScheduleConfig, SgdState
 from .selector import POSITION_SECOND_TO_LAST, SelectorConfig
 
@@ -160,7 +163,8 @@ class ExperimentConfig:
         return cells
 
     def validate(self):
-        """Build every typed sub-config so invariants fire before a run."""
+        """Build every typed sub-config so invariants fire before a run, and
+        reject extents that would make an array beyond numpy's index range."""
         for key in ("seed", "eval.split_seed"):
             if self.values[key] < 0:
                 raise ConfigError(f"{key} must be >= 0, got {self.values[key]}")
@@ -185,6 +189,35 @@ class ExperimentConfig:
         if min(self.values["train.batch_p"], self.values["train.batch_k"],
                self.values["train.epochs"]) < 1:
             raise ConfigError("train.* extents must be positive")
+        for keys, count in self._array_extents():
+            if 8 * count > np.iinfo(np.intp).max:
+                raise ConfigError(f"{', '.join(keys)} make a float64 array of {count} "
+                                  f"elements, beyond numpy's index range")
+
+    def _array_extents(self):
+        """(keys, element count) of the largest arrays a run makes, counted
+        with Python integers: each generated split, and for a batch of B
+        samples (the larger of the training batch P x K and the embedding
+        batch) its input grid, its widest activation (the MLP hidden layer,
+        B x (M+2) x 4d) and its attention matrix (B x H x (M+2)^2), then the
+        largest weights."""
+        v = self.values
+        m, d = v["model.patch_rows"] * v["model.patch_cols"], v["model.embed_dim"]
+        b = max(v["train.batch_p"] * v["train.batch_k"], EMBED_BATCH)
+        grid = ("model.patch_rows", "model.patch_cols")
+        batch = ("train.batch_p", "train.batch_k", *grid)
+        return [
+            (("data.num_ids", f"data.{split}_per_id_view", *grid, "model.patch_dim"),
+             v["data.num_ids"] * 2 * v[f"data.{split}_per_id_view"] * m * v["model.patch_dim"])
+            for split in ("train", "test")
+        ] + [
+            ((*batch, "model.patch_dim"), b * m * v["model.patch_dim"]),
+            ((*batch, "model.embed_dim"), b * (m + 2) * MLP_RATIO * d),
+            ((*batch, "model.num_heads"), b * v["model.num_heads"] * (m + 2) ** 2),
+            (("model.patch_dim", "model.embed_dim"), v["model.patch_dim"] * d),
+            (("model.embed_dim",), MLP_RATIO * d * d),
+            (("model.embed_dim", "data.num_ids"), d * v["data.num_ids"]),
+        ]
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

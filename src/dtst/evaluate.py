@@ -58,6 +58,9 @@ PROTOCOLS = (PROTOCOL_ALL, PROTOCOL_AA, PROTOCOL_GG, PROTOCOL_AG,
 # and ran about a quarter slower.
 _BLOCK_SIMILARITIES = 1 << 15
 
+# samples per `embed_samples` forward
+EMBED_BATCH = 64
+
 
 @dataclass
 class RetrievalReport:
@@ -98,7 +101,11 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids):
     if gallery.shape[1] != queries.shape[1]:
         raise DimensionError(
             f"embedding widths disagree: query {queries.shape[1]}, gallery {gallery.shape[1]}")
-    sims = queries @ gallery.T
+    # one query is scored as two copies of itself: a one-row product goes
+    # through GEMV, which can round bitwise-equal gallery rows differently from
+    # the GEMM of a larger block, and so break their tie
+    sims = (queries[[0, 0]] if len(queries) == 1 else queries) @ gallery.T
+    sims = sims[:len(queries)]
     ordered = np.sort(sims, axis=1)
     size = sims.shape[1]
     # every match of the block in row-major order, so `rows` ascends
@@ -259,7 +266,7 @@ def evaluate_protocol(embeddings, ids, views, protocol: str,
     )
 
 
-def embed_samples(cfg, params, samples, batch_size: int = 64):
+def embed_samples(cfg, params, samples, batch_size: int = EMBED_BATCH):
     """Inference-mode embeddings for a list of data.Sample.
 
     Returns (meta [N, d], view [N, d], ids [N], views [N]); the meta features

@@ -20,9 +20,19 @@ a tape can be backpropagated once; `backward` refuses a spent tape. `gelu`
 is the tanh form (Hendrycks & Gimpel), one `np.tanh` pass: the exact
 x * Phi(x) needs the normal CDF, whose scalar loop (scipy's `ndtr`) costs
 several times as much. The module needs only numpy.
+
+The GELU and the middle of `attention`'s backward make many elementwise
+passes over their widest arrays. Over an array of more than four tiles
+(1 MB) they run tile by tile (`_row_tiles`, about 256 KB of rows or whole
+sequences per tile), so that each pass reads a tile a core's L2 cache
+still holds; a smaller array runs as one tile. The GEMMs around them stay whole and each
+element sees the same ufuncs in the same order, so tiling changes no bit.
+`mlp`'s GELU overwrites the hidden layer it reads with its output.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -106,6 +116,24 @@ def make(out_data, inputs, backward_fn):
     if tracked:
         _ACTIVE_TAPES[-1].record(out, tuple(inputs), backward_fn)
     return out
+
+
+# float64 elements per tile, 256 KB. A pass over an array of more than four
+# tiles runs tile by tile (`_row_tiles`), so that its operands stay in a
+# core's L2 cache; a smaller array runs as one tile, since the cache holds
+# it whole and more tiles would only add calls.
+_TILE_ELEMS = 1 << 15
+
+
+def _row_tiles(n, row_elems):
+    """Slices over the `n` rows, of `row_elems` elements each, of an array:
+    one slice for all rows if they hold at most 4 * _TILE_ELEMS elements,
+    else slices of the whole number of rows closest to _TILE_ELEMS elements
+    (at least one), the last one shorter if the rows do not divide evenly."""
+    if n * row_elems <= 4 * _TILE_ELEMS:
+        return [slice(0, n)]
+    step = max(1, round(_TILE_ELEMS / row_elems))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _softmax_inplace(a):
@@ -230,41 +258,67 @@ def clip_min(x: Tensor, floor: float) -> Tensor:
 
 
 def _gelu_forward(xd, tracked):
-    """GELU of the array `xd` in a new array, and, when `tracked`, its
-    derivative in a second one (else None). The tanh form,
+    """GELU of the 2-D array `xd`, written into `xd`; when `tracked`, its
+    derivative in a new array of the same shape, else None. The tanh form,
     0.5 * x * (1 + tanh(c * (x + a * x^3))) with c = sqrt(2 / pi) and
-    a = 0.044715, is within 5e-4 of x * Phi(x)."""
-    t = xd * xd
-    slope = t * (3.0 * _GELU_CA) if tracked else None  # 3ca x^2, before t reuses x * x
-    t *= _GELU_CA
-    t += _GELU_C
-    t *= xd
-    np.tanh(t, out=t)
+    a = 0.044715, is within 5e-4 of x * Phi(x).
+
+    The rows run tile by tile (`_row_tiles`): each tile goes through the
+    whole ufunc sequence in one or two scratch tiles, reused from tile to
+    tile, so that a wide array is read from memory once rather than once per
+    pass. Every element sees the same ufuncs in the same order whatever the
+    tiling, so the result is bit for bit that of one tile."""
+    tiles = _row_tiles(*xd.shape)
+    t_tile = np.empty((tiles[0].stop,) + xd.shape[1:])
     if not tracked:
-        t += 1.0
-        t *= xd
-        t *= 0.5
-        return t, None
-    half = t * 0.5
-    half += 0.5
-    # d/dx = (3ca x^2 + c) (1 - t^2) x / 2 + (1 + t) / 2
-    slope += _GELU_C
-    t *= t
-    np.subtract(1.0, t, out=t)
-    slope *= t
-    slope *= xd
-    slope *= 0.5
-    slope += half
-    half *= xd  # the output, x * (1 + t) / 2
-    return half, slope
+        for rows in tiles:
+            x = xd[rows]
+            t = t_tile[:len(x)]
+            np.multiply(x, x, out=t)
+            t *= _GELU_CA
+            t += _GELU_C
+            t *= x
+            np.tanh(t, out=t)
+            t += 1.0
+            t *= x
+            np.multiply(t, 0.5, out=x)
+        return None
+    half_tile = np.empty_like(t_tile)
+    slope = np.empty_like(xd)
+    for rows in tiles:
+        x, s = xd[rows], slope[rows]
+        t, half = t_tile[:len(x)], half_tile[:len(x)]
+        np.multiply(x, x, out=t)
+        np.multiply(t, 3.0 * _GELU_CA, out=s)  # 3ca x^2, before t reuses x * x
+        t *= _GELU_CA
+        t += _GELU_C
+        t *= x
+        np.tanh(t, out=t)
+        np.multiply(t, 0.5, out=half)
+        half += 0.5
+        # d/dx = (3ca x^2 + c) (1 - t^2) x / 2 + (1 + t) / 2
+        s += _GELU_C
+        t *= t
+        np.subtract(1.0, t, out=t)
+        s *= t
+        s *= x
+        s *= 0.5
+        s += half
+        np.multiply(half, x, out=x)  # the output, x * (1 + t) / 2
+    return slope
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU in its tanh form (`_gelu_forward`). The derivative is taken in
-    the forward pass, so backward is one multiply, into the saved slope."""
-    out, slope = _gelu_forward(x.data, _tracking(x))
+    """GELU in its tanh form (`_gelu_forward`), on a copy of the input seen
+    as 2-D rows. The derivative is taken in the forward pass, so backward is
+    one multiply, into the saved slope."""
+    shape = x.shape
+    out = x.data.copy()
+    slope = _gelu_forward(out.reshape(math.prod(shape[:-1]), shape[-1] if shape else 1),
+                          _tracking(x))
     if slope is None:
         return Tensor(out)
+    slope = slope.reshape(shape)
     return make(out, (x,), lambda g: (np.multiply(slope, g, out=slope),))
 
 
@@ -433,10 +487,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """gelu(x @ w1 + b1) @ w2 + b2 over the last axis of x, as one tape
-    entry: `linear`, `gelu`, `linear` in one. The backward writes the hidden
-    gradient into the GELU output it saved, once that output's part in w2's
-    gradient is taken, and multiplies by the saved slope in place, so it
-    allocates no [rows, hidden] array."""
+    entry: `linear`, `gelu`, `linear` in one. The GELU writes its output
+    over the hidden layer it reads. The backward writes the hidden gradient
+    into that saved output, once its part in w2's gradient is taken, and
+    multiplies by the saved slope in place, so it allocates no [rows, hidden]
+    array."""
     if (w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.ndim < 1
             or x.shape[-1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
             or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
@@ -444,10 +499,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
                              f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
     n, m = w1.shape[0], w2.shape[1]
     x2 = x.data.reshape(-1, n)
-    hidden = x2 @ w1.data
-    hidden += b1.data
-    act, slope = _gelu_forward(hidden, _tracking(x, w1, b1, w2, b2))
-    del hidden  # before the output is allocated, which can then take its place
+    act = x2 @ w1.data
+    act += b1.data
+    slope = _gelu_forward(act, _tracking(x, w1, b1, w2, b2))  # act now holds the GELU
     out = act @ w2.data
     out += b2.data
     out = out.reshape(x.shape[:-1] + (m,))
@@ -471,7 +525,9 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
     x [B, T, d]; `weights` = (wq, wk, wv, wo), each [d, d]; `biases` =
     (bq, bk, bv, bo), each [d]. Q/K/V come from one GEMM and the scores are
     scaled by 1/sqrt(d/H) before the softmax. The backward builds the Q/K/V
-    gradient inside the saved Q/K/V buffer.
+    gradient inside the saved Q/K/V buffer; between the two projections it
+    runs over tiles of whole sequences (`_row_tiles`), with one [tile, H, T,
+    T] scratch for the scores' gradient.
     """
     b, t, d = x.shape
     if d % num_heads != 0:
@@ -500,14 +556,19 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
     def bwd(g):
         g2 = g.reshape(b * t, d)
         gctx = (g2 @ wo.data.T).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
-        gatt = gctx @ v.swapaxes(-1, -2)
-        np.matmul(att.swapaxes(-1, -2), gctx, out=v)  # v's slots now hold gv
-        gatt -= _dot_last(gatt, att)[..., None]
-        gatt *= att  # now the gradient of the pre-softmax logits
-        gatt *= scale
-        gq = gatt @ k
-        np.matmul(gatt.swapaxes(-1, -2), q, out=k)
-        q[...] = gq
+        tiles = _row_tiles(b, h * t * t)
+        gatt_tile = np.empty((tiles[0].stop, h, t, t))
+        for rows in tiles:
+            a, gc = att[rows], gctx[rows]
+            gatt = gatt_tile[:len(a)]
+            np.matmul(gc, v[rows].swapaxes(-1, -2), out=gatt)
+            np.matmul(a.swapaxes(-1, -2), gc, out=v[rows])  # v's slots now hold gv
+            gatt -= _dot_last(gatt, a)[..., None]
+            gatt *= a  # now the gradient of the pre-softmax logits
+            gatt *= scale
+            gq = gatt @ k[rows]
+            np.matmul(gatt.swapaxes(-1, -2), q[rows], out=k[rows])
+            q[rows] = gq
         gqkv = qkv  # the gradient of the Q/K/V projection
         gw = x2.T @ gqkv
         gb = _sum_rows(gqkv)

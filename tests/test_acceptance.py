@@ -57,8 +57,9 @@ def _fd(f, arr, step=1e-6):
     return g
 
 
-def _op_suite():
-    """(name, max rel err) for every differentiable op, FD tol 1e-4."""
+def _op_cases():
+    """(name, op, input array) for every differentiable op: op maps a Tensor
+    made from the array to the Tensor whose sum is differenced."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 3, 4))
     pos = np.abs(x) + 0.5
@@ -148,6 +149,12 @@ def _op_suite():
         return (f"mlp.{which}", op, mlp_args[which])
 
     cases.extend(mlp_case(which) for which in mlp_args)
+    return cases
+
+
+def _worst_case(cases):
+    """(name, rel err) of the case whose autodiff gradient is furthest from
+    its finite differences."""
     worst = ("", 0.0)
     for name, op, arr in cases:
         arr = arr.copy()
@@ -164,7 +171,7 @@ def _op_suite():
 
 def test_criterion_1_gradient_suite():
     start = time.perf_counter()
-    op_name, op_err = _op_suite()
+    op_name, op_err = _worst_case(_op_cases())
 
     cfg = ModelConfig(num_identities=4, num_blocks=2, embed_dim=8,
                       num_attn_heads=2, patch_grid=(2, 2), patch_dim=3,
@@ -185,6 +192,19 @@ def test_criterion_1_gradient_suite():
     verdict(1, "gradient suite", ok,
             f"op worst {op_err:.2e} [{op_name}], end-to-end worst {e2e_err:.2e}, "
             f"{elapsed:.1f}s")
+
+
+def test_criterion_1_fused_cases_across_tiles(monkeypatch):
+    # criterion 1's MLP and attention cases once more, with 4-element tiles:
+    # the MLP's [6, 8] hidden layer then runs as 6 tiles and each attention
+    # backward as 2, one per sequence of the batch
+    monkeypatch.setattr(T, "_TILE_ELEMS", 4)
+    assert len(T._row_tiles(6, 8)) == 6
+    assert all(len(T._row_tiles(2, heads * 4 * 4)) == 2 for heads in (1, 2, 4))
+    cases = [c for c in _op_cases() if c[0].startswith(("mlp.", "attention["))]
+    assert len(cases) == 16
+    name, err = _worst_case(cases)
+    assert err < 1e-4, (name, err)
 
 
 # ---------------------------------------------------------------------------

@@ -531,3 +531,24 @@ def test_second_to_last_selection_changes_training(tmp_path):
         runs[name] = out
     logs = [open(os.path.join(runs[n], "train_log.csv")).read() for n in runs]
     assert logs[0] != logs[1]
+
+
+@pytest.mark.parametrize("lines", [
+    "data.num_ids = 100000000000000000000",
+    "model.patch_rows = 10000000000\nmodel.patch_cols = 10000000000",
+])
+def test_an_oversized_extent_is_a_config_error(tmp_path, monkeypatch, lines):
+    def no_data(*args):
+        raise AssertionError("the config loaded; a split is being generated")
+
+    monkeypatch.setattr("dtst.data.generate_dataset", no_data)
+    keys = [line.split(" =")[0] for line in lines.splitlines()]
+    text = "\n".join(l for l in TINY.splitlines() if l.split(" =")[0] not in keys)
+    cfg_path = tmp_path / "big.cfg"
+    cfg_path.write_text(f"{text}\n{lines}\n")
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUN
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "ConfigError"
+    assert all(key in record["message"] for key in keys)
+    assert not (out / "train_log.csv").exists()

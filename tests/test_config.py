@@ -179,3 +179,20 @@ def test_experiment_config_validate_catches_bad_train_extents():
     cfg.values["train.epochs"] = 0
     with pytest.raises(ConfigError, match="positive"):
         cfg.validate()
+
+
+OVERSIZED = {
+    "num_ids": "data.num_ids = 100000000000000000000\n",
+    "grid": "model.patch_rows = 10000000000\nmodel.patch_cols = 10000000000\n",
+}
+
+
+@pytest.mark.parametrize("lines", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_an_array_beyond_numpys_index_range_fails_at_load(tmp_path, lines):
+    path = tmp_path / "big.cfg"
+    path.write_text("seed = 0\n" + lines)
+    with pytest.raises(ConfigError, match="beyond numpy's index range") as info:
+        load_config(path)
+    for line in lines.splitlines():
+        assert line.split(" =")[0] in str(info.value)
+

@@ -160,6 +160,48 @@ def test_rank_gallery_matches_sorted_oracle_under_exact_ties(
     assert [r.tolist() for r in got] == want
 
 
+def gallery_with_equal_unit_rows(rng, size, copies, d=16):
+    """`size` normal rows of which those at `copies` are power-of-two
+    multiples of one dyadic row, so that their unit rows are bitwise equal."""
+    gallery = rng.normal(size=(size, d))
+    row = rng.integers(-8, 9, size=d) / 4.0
+    gallery[copies] = row * 2.0 ** rng.integers(-2, 3, (len(copies), 1))
+    return gallery
+
+
+def test_one_query_ranks_as_inside_its_block():
+    # gallery columns 16, 69, 80 and 81 hold bitwise-equal unit rows; with
+    # OpenBLAS, the one-row product (GEMV) of query 14 gives columns 80 and 81
+    # a larger value than 16 and 69, where the 76-row product ties all four
+    rng = np.random.default_rng(0)
+    gallery = unit_rows(gallery_with_equal_unit_rows(rng, 83, [16, 69, 80, 81]))
+    queries = unit_rows(rng.normal(size=(76, 16)))
+    gallery_ids = np.arange(83) % 5
+    gallery_ids[[16, 69, 80, 81]] = [1, 1, 0, 0]
+    query_ids = np.zeros(76, dtype=np.int64)
+    block = rank_gallery(queries, query_ids, gallery, gallery_ids)
+    alone, = rank_gallery(queries[14:15], query_ids[14:15], gallery, gallery_ids)
+    assert alone.tolist() == block[14].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_queries=st.integers(2, 80),
+       gallery_size=st.integers(2, 90), num_copies=st.integers(2, 6),
+       num_ids=st.integers(1, 4), d=st.integers(2, 24))
+def test_each_query_alone_ranks_as_in_the_whole_block(seed, num_queries, gallery_size,
+                                                     num_copies, num_ids, d):
+    rng = np.random.default_rng(seed)
+    copies = rng.choice(gallery_size, min(num_copies, gallery_size), replace=False)
+    gallery = unit_rows(gallery_with_equal_unit_rows(rng, gallery_size, copies, d))
+    queries = unit_rows(rng.normal(size=(num_queries, d)))
+    query_ids = rng.integers(0, num_ids, num_queries)
+    gallery_ids = rng.integers(0, num_ids, gallery_size)
+    block = rank_gallery(queries, query_ids, gallery, gallery_ids)
+    for i, want in enumerate(block):
+        got, = rank_gallery(queries[i:i + 1], query_ids[i:i + 1], gallery, gallery_ids)
+        assert got.tolist() == want.tolist(), i
+
+
 def test_rank_gallery_zero_query_ranks_matches_in_gallery_order():
     gallery = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
     ranks, none = rank_gallery(np.zeros((2, 2)), [5, 9], unit_rows(gallery),

@@ -116,6 +116,72 @@ def test_gelu_tracked_and_untracked_forward_are_bitwise_equal():
     assert np.array_equal(tracked.data, untracked)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 0), (3, 1, 5)])
+def test_gelu_keeps_the_shape_of_any_input(shape):
+    x = RNG.normal(size=shape) * 3.0
+    want = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    t = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        y = T.gelu(t)
+        out = T.tsum(y)
+    backward(out, tape)
+    assert y.shape == shape and t.grad.shape == shape
+    assert np.allclose(y.data, want, atol=1e-15)
+    assert np.array_equal(T.gelu(Tensor(x)).data, y.data)
+
+
+# with 32-element tiles, each case below spans three or more tiles, the last
+# one shorter than the others
+SMALL_TILE = 32
+
+
+def _fused_cases():
+    """(name, op, inputs, tile rows, row elements) for the kernels that run
+    tile by tile; `op` maps the input Tensors to one output Tensor."""
+    rng = np.random.default_rng(5)
+    mlp_in = [rng.normal(size=s) for s in ((3, 7, 4), (4, 16), (16,), (16, 4), (4,))]
+    cases = [("gelu", T.gelu, [rng.normal(size=(3, 11, 8)) * 2.0], 33, 8),
+             ("mlp", T.mlp, mlp_in, 21, 16)]
+    for b, t, heads in ((11, 4, 1), (19, 2, 2)):
+        att_in = ([rng.normal(size=(b, t, 8))] + [rng.normal(size=(8, 8)) * 0.5 for _ in range(4)]
+                  + [rng.normal(size=8) * 0.1 for _ in range(4)])
+
+        def attention(x, *wb, heads=heads):
+            return T.attention(x, wb[:4], wb[4:], heads)
+        cases.append((f"attention[h={heads}]", attention, att_in, b, heads * t * t))
+    return cases
+
+
+def _run_fused(op, inputs, tracked):
+    """op's output, and when `tracked`, each input's gradient of
+    sum(out * w) for a fixed w."""
+    ts = [Tensor(a.copy(), requires_grad=tracked) for a in inputs]
+    if not tracked:
+        return [op(*ts).data]
+    with Tape() as tape:
+        y = op(*ts)
+        w = np.random.default_rng(6).normal(size=y.shape)
+        out = T.tsum(T.mul(y, Tensor(w)))
+    backward(out, tape)
+    return [y.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("case", _fused_cases(), ids=lambda c: c[0])
+def test_tiled_kernels_equal_one_tile_bit_for_bit(case, monkeypatch):
+    name, op, inputs, rows, row_elems = case
+    assert len(T._row_tiles(rows, row_elems)) == 1
+    one_tile = [_run_fused(op, inputs, tracked) for tracked in (False, True)]
+    monkeypatch.setattr(T, "_TILE_ELEMS", SMALL_TILE)
+    tiles = T._row_tiles(rows, row_elems)
+    sizes = [s.stop - s.start for s in tiles]
+    assert len(sizes) >= 3 and sizes[-1] < sizes[0], sizes
+    assert sum(sizes) == rows
+    for tracked, want in zip((False, True), one_tile):
+        got = _run_fused(op, inputs, tracked)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (name, tracked)
+
+
 def test_reductions_and_shapes():
     x = RNG.normal(size=(2, 3, 4))
     check_unary(T.tsum, x)
