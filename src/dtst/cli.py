@@ -93,8 +93,9 @@ def _evaluate_checkpoint(cfg, model_cfg, ckpt_path, samples):
     params = model_mod.init_params(model_cfg, cfg["seed"])
     model_mod.restore_params(params, model_mod.load_checkpoint(ckpt_path, model_cfg))
     meta, _, ids, views = eval_mod.embed_samples(model_cfg, params, samples)
+    shared = eval_mod.SharedScoring()  # filled by the calls, as they need it
     reports = [eval_mod.evaluate_protocol(meta, ids, views, proto,
-                                          split_seed=cfg["eval.split_seed"])
+                                          split_seed=cfg["eval.split_seed"], shared=shared)
                for proto in eval_mod.PROTOCOLS]
     return meta, ids, views, reports
 

@@ -289,20 +289,20 @@ def _gelu_forward(xd, tracked):
         x, s = xd[rows], slope[rows]
         t, half = t_tile[:len(x)], half_tile[:len(x)]
         np.multiply(x, x, out=t)
-        np.multiply(t, 3.0 * _GELU_CA, out=s)  # 3ca x^2, before t reuses x * x
+        np.multiply(t, 1.5 * _GELU_CA, out=s)  # 3ca x^2 / 2, before t reuses x * x
         t *= _GELU_CA
         t += _GELU_C
         t *= x
         np.tanh(t, out=t)
         np.multiply(t, 0.5, out=half)
         half += 0.5
-        # d/dx = (3ca x^2 + c) (1 - t^2) x / 2 + (1 + t) / 2
-        s += _GELU_C
+        # d/dx = (3ca x^2 + c) (1 - t^2) x / 2 + (1 + t) / 2, the halving
+        # folded into the constants (exact: it commutes with rounding)
+        s += 0.5 * _GELU_C
         t *= t
         np.subtract(1.0, t, out=t)
         s *= t
         s *= x
-        s *= 0.5
         s += half
         np.multiply(half, x, out=x)  # the output, x * (1 + t) / 2
     return slope

@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from dtst import evaluate
 from dtst.cli import EXIT_OK, EXIT_RUN, EXIT_USAGE, main
 from dtst.config import load_config, parse_config_text
-from dtst.data import generate_dataset
+from dtst.data import batch_arrays, generate_dataset
 from dtst.errors import ConfigError
 from dtst.evaluate import embed_samples
 from dtst.model import (VIEW_NAMES, init_params, load_checkpoint, restore_params,
@@ -79,6 +80,27 @@ def test_eval_after_train(tiny_config, tmp_path):
         fields = dict(part.split("=", 1) for part in line.split())
         assert (fields["id"], fields["view"]) == (str(y), VIEW_NAMES[v])
         assert np.frombuffer(base64.b64decode(fields["x"]), "<f8").tobytes() == emb.tobytes()
+
+
+def test_eval_ranks_each_query_view_once(tiny_config, tmp_path, monkeypatch):
+    # the six protocols share one ranking of every query in the whole
+    # gallery split, made block by block in `rank_gallery`
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
+    similarities = []
+    rank = evaluate.rank_gallery
+
+    def counting(queries, query_ids, gallery, gallery_ids, columns=None):
+        parts = gallery if columns is not None else [gallery]
+        similarities.append(len(queries) * sum(map(len, parts)))
+        return rank(queries, query_ids, gallery, gallery_ids, columns)
+
+    monkeypatch.setattr(evaluate, "rank_gallery", counting)
+    assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_OK
+    cfg = load_config(tiny_config)
+    _, ids, views = batch_arrays(generate_dataset(cfg.gen_config("test")))
+    q_mask, g_mask = evaluate.query_gallery_split(ids, views, cfg["eval.split_seed"])
+    assert sum(similarities) == q_mask.sum() * g_mask.sum()
 
 
 def test_eval_with_baseline_comparison(tiny_config, tmp_path):

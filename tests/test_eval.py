@@ -12,7 +12,7 @@ from dtst import evaluate
 from dtst.errors import DimensionError, NumericError, ProtocolError
 from dtst.evaluate import (PROTOCOL_A2G, PROTOCOL_AG, PROTOCOL_ALL,
                            PROTOCOL_G2A, PROTOCOLS, RetrievalReport,
-                           average_precision, evaluate_protocol,
+                           SharedScoring, average_precision, evaluate_protocol,
                            inverse_negative_penalty, query_gallery_split,
                            rank_gallery, unit_rows, write_reports)
 from dtst.model import VIEW_AERIAL, VIEW_GROUND
@@ -87,6 +87,27 @@ def test_rank_gallery_tie_prefers_lower_index():
     ranks, = rank_gallery(unit_rows(query[None]), [1], unit_rows(gallery),
                           np.array([0, 1, 1]))
     assert ranks.tolist() == [2, 3]
+
+
+def test_rank_gallery_in_parts_ties_in_whole_gallery_order():
+    # whole gallery: [1, 0], [3, 0], [0, 1], [1, 1]; the first two tie at
+    # cosine 1 and sit in different parts, so they rank by gallery index
+    # whichever part is listed first
+    query = unit_rows(np.array([[1.0, 0.0]]))
+    rows = unit_rows(np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    ids = np.array([1, 1, 1, 0])
+    split = [np.array([0, 2]), np.array([1, 3])]
+    for cols in (split, split[::-1]):
+        ranked = rank_gallery(query, [1], [rows[c] for c in cols], [ids[c] for c in cols], cols)
+        parts, whole = [r[0].tolist() for r in ranked[:-1]], ranked[-1][0].tolist()
+        assert parts == ([[1, 2], [1]] if cols is split else [[1], [1, 2]])
+        assert whole == [1, 2, 4]
+
+
+def test_rank_gallery_parts_need_ids_and_columns():
+    rows = np.eye(2)
+    with pytest.raises(DimensionError, match="2 gallery parts"):
+        rank_gallery(rows, [0, 1], [rows, rows], [[0, 1]], [[0, 1], [2, 3]])
 
 
 def test_rank_gallery_width_mismatch():
@@ -202,6 +223,131 @@ def test_each_query_alone_ranks_as_in_the_whole_block(seed, num_queries, gallery
         assert got.tolist() == want.tolist(), i
 
 
+def population_with_cross_view_copies(rng, num_ids):
+    """(embeddings, ids, views) of `num_ids` identities with 0 to 5 rows per
+    view; identity 0 is aerial only, so it has no ground gallery row. Rows
+    are dyadic (exact cosines), a third of the ground rows are power-of-two
+    copies of aerial rows, so gallery rows of both views tie exactly, and
+    every fifth row is a normal draw, whose similarities tie with nothing."""
+    sizes = rng.integers(0, 6, (num_ids, 2))
+    sizes[0] = [rng.integers(1, 6), 0]
+    ids = np.repeat(np.arange(num_ids), sizes.sum(axis=1))
+    views = np.concatenate([np.repeat([VIEW_AERIAL, VIEW_GROUND], n) for n in sizes])
+    perm = rng.permutation(len(ids))
+    ids, views = ids[perm], views[perm]
+    embs = dyadic_rows(rng, len(ids), pool_size=8)
+    embs[::5] = rng.normal(size=(len(embs[::5]), 16))
+    aerial, ground = np.flatnonzero(views == VIEW_AERIAL), np.flatnonzero(views == VIEW_GROUND)
+    copies = ground[:len(ground) // 3]
+    embs[copies] = (embs[rng.choice(aerial, len(copies))]
+                    * 2.0 ** rng.integers(-2, 3, (len(copies), 1)))
+    return embs, ids, views
+
+
+def protocol_outcome(*args, **kwargs):
+    """A report's fields, or the message of the `ProtocolError` instead."""
+    try:
+        return vars(evaluate_protocol(*args, **kwargs))
+    except ProtocolError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_ids=st.integers(1, 9),
+       block=st.integers(1, 120), split_seed=st.integers(0, 3))
+def test_shared_scoring_equals_six_standalone_calls(seed, num_ids, block, split_seed):
+    # `block` similarities per query block: below the gallery's size, each
+    # block holds one query
+    rng = np.random.default_rng(seed)
+    embs, ids, views = population_with_cross_view_copies(rng, num_ids)
+    whole_calls = []
+    rank = evaluate.rank_gallery
+
+    def keeping_whole(queries, query_ids, gallery, gallery_ids, columns=None):
+        ranked = rank(queries, query_ids, gallery, gallery_ids, columns)
+        if columns is not None:
+            whole_calls.append((queries, query_ids, gallery, gallery_ids, columns, ranked[-1]))
+        return ranked
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_BLOCK_SIMILARITIES", block)
+        alone = [protocol_outcome(embs, ids, views, p, split_seed) for p in PROTOCOLS]
+        mp.setattr(evaluate, "rank_gallery", keeping_whole)
+        shared = SharedScoring()
+        together = [protocol_outcome(embs, ids, views, p, split_seed, shared=shared)
+                    for p in PROTOCOLS]
+    assert together == alone
+    # ALL's ranks are those of one ranking in the whole gallery split
+    for queries, query_ids, gallery, gallery_ids, columns, ranked in whole_calls:
+        size = sum(map(len, gallery))
+        whole, whole_ids = np.empty((size, queries.shape[1])), np.empty(size, dtype=ids.dtype)
+        for rows, part_ids, cols in zip(gallery, gallery_ids, columns):
+            whole[cols], whole_ids[cols] = rows, part_ids
+        want = rank(queries, query_ids, whole, whole_ids)
+        assert [r.tolist() for r in ranked] == [r.tolist() for r in want]
+
+
+def counting_similarities(monkeypatch):
+    """Wrap `rank_gallery`, the one ranking pass, to count the query-row by
+    gallery-row similarities it computes; returns the running count."""
+    count = [0]
+    rank = evaluate.rank_gallery
+
+    def counting(queries, query_ids, gallery, gallery_ids, columns=None):
+        parts = gallery if columns is not None else [gallery]
+        count[0] += len(queries) * sum(map(len, parts))
+        return rank(queries, query_ids, gallery, gallery_ids, columns)
+
+    monkeypatch.setattr(evaluate, "rank_gallery", counting)
+    return count
+
+
+def test_each_query_view_is_ranked_once_per_eval(monkeypatch):
+    embs, ids, views = _toy_population(num_ids=9, per_group=5, seed=4)
+    q_mask, g_mask = query_gallery_split(ids, views, 0)
+    count = counting_similarities(monkeypatch)
+    shared = SharedScoring()
+    for protocol in PROTOCOLS:
+        evaluate_protocol(embs, ids, views, protocol, shared=shared)
+    assert count[0] == q_mask.sum() * g_mask.sum()
+
+
+def test_a_standalone_call_ranks_only_its_own_views(monkeypatch):
+    embs, ids, views = _toy_population(num_ids=9, per_group=5, seed=4)
+    q_mask, g_mask = query_gallery_split(ids, views, 0)
+    q = {v: np.count_nonzero(q_mask & (views == v)) for v in (VIEW_AERIAL, VIEW_GROUND)}
+    g = {v: np.count_nonzero(g_mask & (views == v)) for v in (VIEW_AERIAL, VIEW_GROUND)}
+    a, gr = VIEW_AERIAL, VIEW_GROUND
+    want = {PROTOCOL_ALL: q_mask.sum() * g_mask.sum(), "A<->A": q[a] * g[a],
+            "G<->G": q[gr] * g[gr], PROTOCOL_AG: q[a] * g[gr] + q[gr] * g[a],
+            PROTOCOL_A2G: q[a] * g[gr], PROTOCOL_G2A: q[gr] * g[a]}
+    count = counting_similarities(monkeypatch)
+    for protocol in PROTOCOLS:
+        count[0] = 0
+        evaluate_protocol(embs, ids, views, protocol)
+        assert count[0] == want[protocol], protocol
+
+
+def test_shared_scoring_checks_the_embeddings_once(monkeypatch):
+    embs, ids, views = _toy_population()
+    calls = []
+    unit = evaluate.unit_rows
+    monkeypatch.setattr(evaluate, "unit_rows", lambda x: calls.append(len(x)) or unit(x))
+    shared = SharedScoring()
+    for protocol in PROTOCOLS:
+        evaluate_protocol(embs, ids, views, protocol, shared=shared)
+    assert calls == [len(embs)]
+
+
+def test_shared_scoring_belongs_to_its_first_inputs():
+    embs, ids, views = _toy_population()
+    shared = SharedScoring()
+    evaluate_protocol(embs, ids, views, PROTOCOL_ALL, shared=shared)
+    for args, seed in (((embs.copy(), ids, views), 0), ((embs, ids, views), 1)):
+        with pytest.raises(ProtocolError, match="belongs to other"):
+            evaluate_protocol(*args, PROTOCOL_AG, split_seed=seed, shared=shared)
+
+
 def test_rank_gallery_zero_query_ranks_matches_in_gallery_order():
     gallery = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
     ranks, none = rank_gallery(np.zeros((2, 2)), [5, 9], unit_rows(gallery),
@@ -275,8 +421,8 @@ def test_evaluate_protocol_takes_one_ap_call_per_block_and_match_count(monkeypat
     rank, ap = evaluate.rank_gallery, evaluate.average_precision
 
     def ranking(*args):
-        ranked = rank(*args)
-        counts.append(len({len(r) for r in ranked} - {0}))
+        ranked = rank(*args)  # per gallery view, then the whole gallery
+        counts.append(len({len(r) for r in ranked[-1]} - {0}))
         return ranked
 
     def counting(ranks):
@@ -329,6 +475,7 @@ def test_evaluate_protocol_rejects_non_finite_embeddings(bad):
     embs[[1, 7], 3] = bad
     with pytest.raises(NumericError, match="2 of 48 embedding rows"):
         evaluate_protocol(embs, ids, views, PROTOCOL_ALL)
+    assert_each_shared_call_raises(embs, ids, views, NumericError, "2 of 48 embedding rows")
 
 
 def test_evaluate_protocol_rejects_rows_whose_norm_overflows():
@@ -340,6 +487,9 @@ def test_evaluate_protocol_rejects_rows_whose_norm_overflows():
     assert (big.rank1, big.mean_ap) == pytest.approx((ref.rank1, ref.mean_ap))
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="L2 norm"):
         evaluate_protocol(embs * 1e200, ids, views, PROTOCOL_ALL)
+    with np.errstate(over="ignore"):
+        assert_each_shared_call_raises(embs * 1e200, ids, views, NumericError,
+                                       "48 of 48 embedding rows have an L2 norm")
 
 
 def test_evaluate_protocol_rejects_identical_rows():
@@ -349,6 +499,7 @@ def test_evaluate_protocol_rejects_identical_rows():
     for protocol in PROTOCOLS:
         with pytest.raises(NumericError, match="identical"):
             evaluate_protocol(same, ids, views, protocol)
+    assert_each_shared_call_raises(same, ids, views, NumericError, "identical")
     two_rows = same.copy()
     two_rows[5, 0] = np.nextafter(two_rows[5, 0], np.inf)  # one ulp apart is enough
     evaluate_protocol(two_rows, ids, views, PROTOCOL_ALL)
@@ -360,6 +511,16 @@ def test_evaluate_protocol_rejects_mismatched_rows():
         evaluate_protocol(embs[:-1], ids, views, PROTOCOL_ALL)
     with pytest.raises(DimensionError, match="one row per id"):
         evaluate_protocol(embs[:, 0], ids, views, PROTOCOL_ALL)
+    assert_each_shared_call_raises(embs[:-1], ids, views, DimensionError, "one row per id")
+
+
+def assert_each_shared_call_raises(embs, ids, views, error, match):
+    # the first call of an eval's shared scoring checks the embeddings, so
+    # it raises; a call after it checks again, as nothing was kept
+    shared = SharedScoring()
+    for protocol in PROTOCOLS:
+        with pytest.raises(error, match=match):
+            evaluate_protocol(embs, ids, views, protocol, shared=shared)
 
 
 def _toy_population(num_ids=6, per_group=4, d=8, seed=0):
