@@ -245,11 +245,12 @@ def population_with_cross_view_copies(rng, num_ids):
 
 
 def protocol_outcome(*args, **kwargs):
-    """A report's fields, or the message of the `ProtocolError` instead."""
+    """A report's fields, or the error it raised instead (a protocol with
+    no gallery view left, say, or rows that all came out identical)."""
     try:
         return vars(evaluate_protocol(*args, **kwargs))
-    except ProtocolError as exc:
-        return str(exc)
+    except (ProtocolError, NumericError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @settings(max_examples=60, deadline=None)
