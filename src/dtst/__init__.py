@@ -5,7 +5,9 @@ synthetic planted-signal benchmark."""
 import os
 
 # The step works on small arrays, where a second BLAS thread only spins: pin
-# one before numpy loads, unless the caller has set a count.
+# one, unless the caller has set a count. OpenBLAS reads the count once, when
+# numpy loads, so this holds only if `dtst` is imported before numpy; a
+# script that imports numpy first sets the variable in its environment.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

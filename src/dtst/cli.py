@@ -89,39 +89,20 @@ def cmd_train(cfg, out):
     return EXIT_OK
 
 
-def _evaluate_checkpoint(cfg, model_cfg, ckpt_path, samples):
+def cmd_eval(cfg, out):
+    _echo(cfg, out)
+    model_cfg = cfg.model_config()
+    samples = data_mod.generate_dataset(cfg.gen_config("test"))
     params = model_mod.init_params(model_cfg, cfg["seed"])
-    model_mod.restore_params(params, model_mod.load_checkpoint(ckpt_path, model_cfg))
+    model_mod.restore_params(params, model_mod.load_checkpoint(
+        os.path.join(out, "checkpoint.bin"), model_cfg))
     meta, _, ids, views = eval_mod.embed_samples(model_cfg, params, samples)
     shared = eval_mod.SharedScoring()  # filled by the calls, as they need it
     reports = [eval_mod.evaluate_protocol(meta, ids, views, proto,
                                           split_seed=cfg["eval.split_seed"], shared=shared)
                for proto in eval_mod.PROTOCOLS]
-    return meta, ids, views, reports
-
-
-def cmd_eval(cfg, out):
-    _echo(cfg, out)
-    model_cfg = cfg.model_config()
-    ckpt = os.path.join(out, "checkpoint.bin")
-    samples = data_mod.generate_dataset(cfg.gen_config("test"))
-    meta, ids, views, reports = _evaluate_checkpoint(cfg, model_cfg, ckpt, samples)
     data_mod.export_embeddings(os.path.join(out, "embeddings.txt"), meta, ids, views)
     eval_mod.write_reports(os.path.join(out, "report.jsonl"), reports)
-    baseline = cfg["eval.baseline_checkpoint"]
-    if baseline:
-        base_cfg = cfg.model_config(with_selector=False)
-        _, _, _, base_reports = _evaluate_checkpoint(cfg, base_cfg, baseline, samples)
-        with open(os.path.join(out, "comparison.jsonl"), "w") as f:
-            for main, ref in zip(reports, base_reports):
-                for variant, r in (("main", main), ("baseline", ref)):
-                    f.write(json.dumps({"protocol": r.protocol, "variant": variant,
-                                        "rank1": r.rank1, "mAP": r.mean_ap,
-                                        "mINP": r.mean_inp}) + "\n")
-                f.write(json.dumps({"protocol": main.protocol, "variant": "difference",
-                                    "rank1": main.rank1 - ref.rank1,
-                                    "mAP": main.mean_ap - ref.mean_ap,
-                                    "mINP": main.mean_inp - ref.mean_inp}) + "\n")
     return EXIT_OK
 
 
@@ -136,8 +117,9 @@ def cmd_ablate(cfg, out):
         meta, _, ids, views = eval_mod.embed_samples(model_cfg, params, samples)
         report = eval_mod.evaluate_protocol(meta, ids, views, eval_mod.PROTOCOL_AG,
                                             split_seed=cell["eval.split_seed"])
-        rows.append((cell["selector.k"], cell["selector.position"],
-                     report.rank1, report.mean_ap, report.mean_inp))
+        k, position = ((cell["selector.k"], cell["selector.position"])
+                       if cell["selector.enabled"] else ("none", "none"))
+        rows.append((k, position, report.rank1, report.mean_ap, report.mean_inp))
     with open(os.path.join(out, "ablate.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["k", "position", "rank1", "mAP", "mINP"])

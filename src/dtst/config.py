@@ -77,7 +77,6 @@ _SCHEMA = {
     "loss.view_weight": (_float, repr, 1.0),
     "loss.orth_weight": (_float, repr, 3.0),
     "eval.split_seed": (int, str, 0),
-    "eval.baseline_checkpoint": (str, str, ""),
     "ablate.k": (_int_list, lambda v: ",".join(map(str, v)), [2, 3]),
     "ablate.positions": (_str_list, lambda v: ",".join(v), ["last"]),
 }
@@ -103,9 +102,9 @@ class ExperimentConfig:
             noise_enabled=self.values["selector.noise"],
         )
 
-    def model_config(self, with_selector: bool = True) -> ModelConfig:
+    def model_config(self) -> ModelConfig:
         v = self.values
-        selector = self.selector_config() if with_selector else None
+        selector = self.selector_config()
         # `second_to_last` selects in front of the block before the final
         # one, so it needs at least two blocks
         if (selector is not None and selector.position == POSITION_SECOND_TO_LAST
@@ -149,10 +148,12 @@ class ExperimentConfig:
                            orth_weight=self.values["loss.orth_weight"])
 
     def ablation_cells(self):
-        """The `dtst ablate` grid in `ablate.k` x `ablate.positions` order: per
-        cell, this config with the selector on and the cell's `selector.k` and
-        `selector.position`, and that config's model config."""
-        cells = []
+        """The `dtst ablate` cells: this config with the selector off, then the
+        grid in `ablate.k` x `ablate.positions` order, each cell this config
+        with the selector on and the cell's `selector.k` and
+        `selector.position`; per cell, its config and its model config."""
+        off = ExperimentConfig(values={**self.values, "selector.enabled": False})
+        cells = [(off, off.model_config())]
         for k, pos in product(self.values["ablate.k"], self.values["ablate.positions"]):
             cell = ExperimentConfig(values={**self.values, "selector.enabled": True,
                                             "selector.k": k, "selector.position": pos})

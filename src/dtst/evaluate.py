@@ -27,11 +27,9 @@ the Rank-1 hit is whether the first rank is 1.
 The six protocols of one eval share this work through a `SharedScoring`:
 the embedding checks, the unit rows, the split, and each query view's pass
 against every gallery view, each made by the first `evaluate_protocol` call
-that needs it. A call without one ranks only its own protocol's query and
-gallery views (`A<->G` ranks aerial queries in the ground gallery and
-ground queries in the aerial gallery, and nothing else), through the same
-code. Every pass uses query blocks sized by the whole gallery split, so a
-part's similarities are the same products, bit for bit, in either case.
+that needs it. A call without one makes its own, so it makes the same
+passes for the query views it needs and keeps only its own protocol's
+scores.
 
 The query/gallery partition sorts the rows by (id, view) once and draws one
 permutation per group, in ascending (id, view) order.
@@ -114,19 +112,20 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
     ids, and `columns` the places of each part's rows in the whole gallery,
     ascending. The result is then one list of rank arrays as above per
     part, ranking in that part alone, followed by one ranking in the whole
-    gallery. Each part gets one similarity matrix and one sort."""
-    if columns is None:
-        parts = [(gallery, gallery_ids)]
-    elif len(gallery) == len(gallery_ids) == len(columns):
-        parts = list(zip(gallery, gallery_ids))
-    else:
+    gallery. Each part gets one similarity matrix and one sort. Without
+    `columns`, the gallery is the one part of itself, and the result is its
+    whole-gallery list alone."""
+    whole_only = columns is None
+    if whole_only:
+        gallery, gallery_ids, columns = [gallery], [gallery_ids], [np.arange(len(gallery))]
+    if not len(gallery) == len(gallery_ids) == len(columns):
         raise DimensionError(f"{len(gallery)} gallery parts need as many id arrays "
                              f"({len(gallery_ids)}) and column arrays ({len(columns)})")
     query_ids = np.asarray(query_ids)
     if query_ids.shape != (len(queries),):
         raise DimensionError(f"query ids {query_ids.shape} need one entry per row "
                              f"({len(queries)})")
-    parts = [(rows, np.asarray(ids)) for rows, ids in parts]
+    parts = [(rows, np.asarray(ids)) for rows, ids in zip(gallery, gallery_ids)]
     for rows, ids in parts:
         if ids.shape != (len(rows),):
             raise DimensionError(f"gallery ids {ids.shape} need one entry per row ({len(rows)})")
@@ -144,7 +143,7 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
         ordered.append(np.sort(part_sims, axis=1))
         match = np.flatnonzero(query_ids[:, None] == ids)
         row, col = np.divmod(match, len(rows))
-        at = col if columns is None else np.asarray(columns[p])[col]
+        at = np.asarray(columns[p])[col]
         found.append((row, col, at, part_sims.ravel()[match], np.full(len(row), p)))
     row, col, at, vals, part = (np.concatenate(a) for a in zip(*found))
     # matches by row, then by about their value (|value| <= 1), which makes
@@ -169,8 +168,6 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
     for part_sims, tie in zip(sims, tied & own):
         _place_ties(ranks, tie, row, col, lambda tie_rows: part_sims[tie_rows])
     n = len(queries)
-    if columns is None:
-        return _per_query(row, ranks, sizes[0], n)
 
     def whole_rows(tie_rows):
         full = np.empty((len(tie_rows), sum(sizes)))
@@ -183,7 +180,8 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
     # the parts' lists and the whole gallery's, cut from one array
     ranked = _per_query(np.concatenate([part * n + row, len(parts) * n + row]),
                         np.concatenate([ranks, whole]), sum(sizes), (len(parts) + 1) * n)
-    return [ranked[start:start + n] for start in range(0, len(ranked), n)]
+    lists = [ranked[start:start + n] for start in range(0, len(ranked), n)]
+    return lists[-1] if whole_only else lists
 
 
 def _place_ties(ranks, tie, row, col, rows_of):
@@ -281,7 +279,7 @@ class SharedScoring:
 
     def __init__(self):
         self.inputs = None
-        self.scores = {}  # (query view, gallery view or None for all) -> scores
+        self.scores = {}  # query view -> {gallery view or None for all: scores}
 
     def bind(self, embeddings, ids, views, split_seed):
         if self.inputs is not None:
@@ -312,50 +310,40 @@ class SharedScoring:
         for v in np.unique(g_views).tolist():
             cols = np.flatnonzero(g_views == v)
             self.parts[v] = (unit[g_rows[cols]], ids_a[g_rows[cols]], cols)
-        # one block size for every pass, so a part's products are the same
-        # whichever parts a pass ranks against
-        self.block = max(1, _BLOCK_SIMILARITIES // max(len(g_rows), 1))
         self.inputs = (embeddings, ids, views, split_seed)
 
-    def direction(self, q_view, g_view, every_view):
+    def direction(self, q_view, g_view):
         """(AP, INP, hit, has a match) of each query of one direction, in
-        query order; None for a view takes every view. With `every_view`,
-        the first pass of a query view ranks it in every gallery view and
-        keeps all its scores, else only those this direction needs."""
+        query order; None for a view takes every view."""
         if q_view is not None:
-            return self._view(q_view, g_view, every_view)
+            return self._view(q_view)[g_view]
         # each query view's scores in the whole gallery, put back in query order
-        per_view = [self._view(v, None, every_view) for v in np.unique(self.q_views).tolist()]
+        per_view = [self._view(v)[None] for v in np.unique(self.q_views).tolist()]
         back = np.argsort(np.argsort(self.q_views, kind="stable"))
         return [np.concatenate(scores)[back] for scores in zip(*per_view)]
 
-    def _view(self, q_view, g_view, every_view):
-        if (q_view, g_view) not in self.scores:
-            alone = g_view is not None and not every_view
-            parts = {g_view: self.parts[g_view]} if alone else self.parts
-            targets = [g_view] if alone else [*self.parts, None] if every_view else [None]
+    def _view(self, q_view):
+        """The scores of one query view's queries, ranked on first need."""
+        if q_view not in self.scores:
             rows = self.q_rows[self.q_views == q_view]
-            self.scores.update(((q_view, t), scores) for t, scores in _score_pass(
-                self.unit[rows], self.ids[rows], parts, self.block, targets).items())
-        return self.scores[(q_view, g_view)]
+            self.scores[q_view] = _score_pass(self.unit[rows], self.ids[rows], self.parts)
+        return self.scores[q_view]
 
 
-def _score_pass(queries, query_ids, parts, block, targets):
-    """{target: (AP, INP, hit, has a match) per query} of `queries` ranked
-    block by block against the gallery `parts` ({view: (unit rows, ids,
-    places in the gallery split)}); a target is a view of `parts`, or None
-    for the whole gallery."""
-    views = list(parts)
+def _score_pass(queries, query_ids, parts):
+    """{gallery view, or None for the whole gallery: (AP, INP, hit, has a
+    match) per query} of `queries` ranked against the gallery `parts`
+    ({view: (unit rows, ids, places in the gallery split)}), in blocks
+    sized by the whole gallery."""
+    targets = [*parts, None]
     rows, ids, cols = zip(*parts.values())
-    pick = {v: i for i, v in enumerate(views)}
-    pick[None] = -1  # the whole gallery: the last list, or the only part
+    block = max(1, _BLOCK_SIMILARITIES // sum(map(len, rows)))
     out = {t: [] for t in targets}
     for start in range(0, len(queries), block):
-        q, q_ids = queries[start:start + block], query_ids[start:start + block]
-        ranked = (rank_gallery(q, q_ids, rows, ids, cols) if len(views) > 1
-                  else [rank_gallery(q, q_ids, rows[0], ids[0])])
+        ranked = rank_gallery(queries[start:start + block], query_ids[start:start + block],
+                              rows, ids, cols)
         # one scoring of every target's lists, cut back into targets
-        scores = _block_scores([r for t in targets for r in ranked[pick[t]]])
+        scores = _block_scores([r for lists in ranked for r in lists])
         for t, *cut in zip(targets, *(a.reshape(len(targets), -1) for a in scores)):
             out[t].append(cut)
     return {t: [np.concatenate(a) for a in zip(*blocks)] for t, blocks in out.items()}
@@ -375,7 +363,7 @@ def evaluate_protocol(embeddings, ids, views, protocol: str,
                       split_seed: int = 0, *, shared=None) -> RetrievalReport:
     """The report of one protocol. Pass one `SharedScoring` to every call
     of an eval as `shared` to rank each query view once for all of them;
-    without it, the call ranks only its own protocol's views."""
+    without it, the call ranks the query views it needs for itself."""
     if protocol not in PROTOCOLS:
         raise ProtocolError(f"unknown protocol {protocol!r}")
     scoring = SharedScoring() if shared is None else shared
@@ -389,7 +377,7 @@ def evaluate_protocol(embeddings, ids, views, protocol: str,
             raise ProtocolError(f"protocol {protocol}: empty gallery after view filter")
         if not (len(scoring.q_views) if q_view is None else (scoring.q_views == q_view).any()):
             raise ProtocolError(f"protocol {protocol}: empty query set after view filter")
-        ap, inp, hit, scored = scoring.direction(q_view, g_view, shared is not None)
+        ap, inp, hit, scored = scoring.direction(q_view, g_view)
         if not scored.any():
             raise ProtocolError(f"protocol {protocol}: no scoreable queries")
         aps, inps = ap[scored], inp[scored]

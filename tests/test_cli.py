@@ -103,30 +103,6 @@ def test_eval_ranks_each_query_view_once(tiny_config, tmp_path, monkeypatch):
     assert sum(similarities) == q_mask.sum() * g_mask.sum()
 
 
-def test_eval_with_baseline_comparison(tiny_config, tmp_path):
-    main_out = str(tmp_path / "main")
-    base_out = str(tmp_path / "base")
-    assert run(["train", "--config", tiny_config, "--out", main_out]) == EXIT_OK
-
-    base_cfg = tmp_path / "base.cfg"
-    base_cfg.write_text(TINY + "selector.enabled = false\n")
-    assert run(["train", "--config", str(base_cfg), "--out", base_out]) == EXIT_OK
-
-    cmp_cfg = tmp_path / "cmp.cfg"
-    cmp_cfg.write_text(
-        TINY + f"eval.baseline_checkpoint = {base_out}/checkpoint.bin\n")
-    assert run(["eval", "--config", str(cmp_cfg), "--out", main_out]) == EXIT_OK
-    lines = [json.loads(l) for l in
-             open(os.path.join(main_out, "comparison.jsonl"))]
-    assert len(lines) == 6 * 3  # protocols x (main, baseline, difference)
-    diff = [l for l in lines if l["variant"] == "difference"]
-    main_recs = {l["protocol"]: l for l in lines if l["variant"] == "main"}
-    base_recs = {l["protocol"]: l for l in lines if l["variant"] == "baseline"}
-    for d in diff:
-        want = main_recs[d["protocol"]]["rank1"] - base_recs[d["protocol"]]["rank1"]
-        assert d["rank1"] == pytest.approx(want, abs=1e-12)
-
-
 def test_ablate_writes_grid(tmp_path):
     cfg_path = tmp_path / "ab.cfg"
     cfg_path.write_text(TINY + "ablate.k = 1,2\nablate.positions = last\n")
@@ -134,9 +110,27 @@ def test_ablate_writes_grid(tmp_path):
     assert run(["ablate", "--config", str(cfg_path), "--out", out]) == EXIT_OK
     lines = open(os.path.join(out, "ablate.csv")).read().splitlines()
     assert lines[0] == "k,position,rank1,mAP,mINP"
-    assert len(lines) == 3
-    assert lines[1].startswith("1,last,")
-    assert lines[2].startswith("2,last,")
+    assert len(lines) == 4
+    assert lines[1].startswith("none,none,")
+    assert lines[2].startswith("1,last,")
+    assert lines[3].startswith("2,last,")
+
+
+def test_ablate_no_selector_row_equals_a_no_selector_train_and_eval(tmp_path):
+    # the selector-off cell trains and scores as `dtst train` then `dtst
+    # eval` do with the selector off, at the same seed and split
+    cfg_path = tmp_path / "ab.cfg"
+    cfg_path.write_text(TINY + "ablate.k = 1\n")
+    assert run(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "ab")]) == EXIT_OK
+    off_path = tmp_path / "off.cfg"
+    off_path.write_text(TINY + "selector.enabled = false\n")
+    out = str(tmp_path / "off")
+    assert run(["train", "--config", str(off_path), "--out", out]) == EXIT_OK
+    assert run(["eval", "--config", str(off_path), "--out", out]) == EXIT_OK
+    report = {r["protocol"]: r for r in map(json.loads, open(os.path.join(out, "report.jsonl")))}
+    ag = report["A<->G"]
+    row = open(tmp_path / "ab" / "ablate.csv").read().splitlines()[1]
+    assert row == f"none,none,{ag['rank1']!r},{ag['mAP']!r},{ag['mINP']!r}"
 
 
 def test_gradcheck_passes_on_tiny_model(tiny_config, tmp_path, capsys):
@@ -251,18 +245,6 @@ def test_eval_rejects_a_checkpoint_trained_under_another_model_config(
     assert record["error"] == "DomainError"
     assert trained in record["message"] and evaluated in record["message"]
     assert not os.path.exists(os.path.join(out, "report.jsonl"))
-
-
-def test_eval_rejects_a_baseline_checkpoint_trained_with_the_selector(tiny_config, tmp_path):
-    out = str(tmp_path / "run")
-    assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
-    cmp_cfg = tmp_path / "cmp.cfg"
-    cmp_cfg.write_text(TINY + f"eval.baseline_checkpoint = {out}/checkpoint.bin\n")
-    assert run(["eval", "--config", str(cmp_cfg), "--out", out]) == EXIT_RUN
-    record = json.load(open(os.path.join(out, "error.json")))
-    assert record["error"] == "DomainError"
-    assert "selector.enabled = true" in record["message"]
-    assert not os.path.exists(os.path.join(out, "comparison.jsonl"))
 
 
 def test_config_parse_error_is_usage_exit(tmp_path, capsys):

@@ -141,7 +141,8 @@ def test_typed_subconfigs():
     mc = cfg.model_config()
     assert mc.selector is sc or mc.selector == sc
     assert mc.embed_dim == 16 and mc.patch_grid == (4, 4)
-    assert cfg.model_config(with_selector=False).selector is None
+    off, off_mc = cfg.ablation_cells()[0]  # `dtst ablate`'s no-selector cell
+    assert off["selector.enabled"] is False and off_mc.selector is None
 
     disabled = parse_config_text("seed = 0\nselector.enabled = false\n")
     assert disabled.selector_config() is None

@@ -179,6 +179,19 @@ def test_rank_gallery_matches_sorted_oracle_under_exact_ties(
     got = rank_gallery(unit_rows(queries), query_ids, unit_rows(gallery), gallery_ids)
     want = oracle_match_ranks(queries, query_ids, gallery, gallery_ids)
     assert [r.tolist() for r in got] == want
+    # the same gallery in 1 to 3 parts of ascending columns
+    num_parts = min(int(rng.integers(1, 4)), gallery_size)
+    labels = rng.permutation(np.arange(gallery_size) % num_parts)
+    columns = [np.flatnonzero(labels == p) for p in range(num_parts)]
+    unit = unit_rows(gallery)
+    ranked = rank_gallery(unit_rows(queries), query_ids, [unit[c] for c in columns],
+                          [gallery_ids[c] for c in columns], columns)
+    assert len(ranked) == num_parts + 1
+    for got, cols in zip(ranked, columns):
+        want = oracle_match_ranks(queries, query_ids, gallery[cols], gallery_ids[cols])
+        assert [r.tolist() for r in got] == want
+    assert [r.tolist() for r in ranked[-1]] == oracle_match_ranks(queries, query_ids,
+                                                                  gallery, gallery_ids)
 
 
 def gallery_with_equal_unit_rows(rng, size, copies, d=16):
@@ -313,20 +326,19 @@ def test_each_query_view_is_ranked_once_per_eval(monkeypatch):
     assert count[0] == q_mask.sum() * g_mask.sum()
 
 
-def test_a_standalone_call_ranks_only_its_own_views(monkeypatch):
+def test_a_standalone_call_ranks_its_query_views_in_the_whole_gallery(monkeypatch):
+    # each query view a protocol needs is ranked against every gallery view
     embs, ids, views = _toy_population(num_ids=9, per_group=5, seed=4)
     q_mask, g_mask = query_gallery_split(ids, views, 0)
     q = {v: np.count_nonzero(q_mask & (views == v)) for v in (VIEW_AERIAL, VIEW_GROUND)}
-    g = {v: np.count_nonzero(g_mask & (views == v)) for v in (VIEW_AERIAL, VIEW_GROUND)}
     a, gr = VIEW_AERIAL, VIEW_GROUND
-    want = {PROTOCOL_ALL: q_mask.sum() * g_mask.sum(), "A<->A": q[a] * g[a],
-            "G<->G": q[gr] * g[gr], PROTOCOL_AG: q[a] * g[gr] + q[gr] * g[a],
-            PROTOCOL_A2G: q[a] * g[gr], PROTOCOL_G2A: q[gr] * g[a]}
+    want = {PROTOCOL_ALL: q[a] + q[gr], "A<->A": q[a], "G<->G": q[gr],
+            PROTOCOL_AG: q[a] + q[gr], PROTOCOL_A2G: q[a], PROTOCOL_G2A: q[gr]}
     count = counting_similarities(monkeypatch)
     for protocol in PROTOCOLS:
         count[0] = 0
         evaluate_protocol(embs, ids, views, protocol)
-        assert count[0] == want[protocol], protocol
+        assert count[0] == want[protocol] * g_mask.sum(), protocol
 
 
 def test_shared_scoring_checks_the_embeddings_once(monkeypatch):
@@ -415,8 +427,9 @@ def test_metrics_of_a_rank_matrix_equal_its_rows_bit_for_bit(seed, rows, n):
 
 
 def test_evaluate_protocol_takes_one_ap_call_per_block_and_match_count(monkeypatch):
-    # every query of this population has 8 gallery matches in ALL, so each
-    # block computes its APs in one call, not one per query
+    # every query of this population has 4 gallery matches in each view and
+    # 8 in the whole gallery, so each block computes its APs in two calls,
+    # one per match count, not one per query and list
     embs, ids, views = _toy_population(num_ids=32, per_group=8, seed=2)
     counts, calls = [], []
     rank, ap = evaluate.rank_gallery, evaluate.average_precision
@@ -435,7 +448,7 @@ def test_evaluate_protocol_takes_one_ap_call_per_block_and_match_count(monkeypat
     monkeypatch.setattr(evaluate, "_BLOCK_SIMILARITIES", 16 * 256)
     rep = evaluate_protocol(embs, ids, views, PROTOCOL_ALL, split_seed=0)
     assert len(counts) == 16 and set(counts) == {1}
-    assert calls == [(16, 8)] * 16
+    assert calls == [(32, 4), (16, 8)] * 16
     assert rep.num_queries == 256
 
 
