@@ -114,7 +114,7 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
     part, ranking in that part alone, followed by one ranking in the whole
     gallery. Each part gets one similarity matrix and one sort. Without
     `columns`, the gallery is the one part of itself, and the result is its
-    whole-gallery list alone."""
+    whole-gallery list alone. Every part needs at least one row."""
     whole_only = columns is None
     if whole_only:
         gallery, gallery_ids, columns = [gallery], [gallery_ids], [np.arange(len(gallery))]
@@ -127,6 +127,8 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
                              f"({len(queries)})")
     parts = [(rows, np.asarray(ids)) for rows, ids in zip(gallery, gallery_ids)]
     for rows, ids in parts:
+        if len(rows) == 0:
+            raise DimensionError("a gallery part has no rows to rank against")
         if ids.shape != (len(rows),):
             raise DimensionError(f"gallery ids {ids.shape} need one entry per row ({len(rows)})")
         if rows.shape[1] != queries.shape[1]:

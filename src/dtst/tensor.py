@@ -25,9 +25,15 @@ The GELU and the middle of `attention`'s backward make many elementwise
 passes over their widest arrays. Over an array of more than four tiles
 (1 MB) they run tile by tile (`_row_tiles`, about 256 KB of rows or whole
 sequences per tile), so that each pass reads a tile a core's L2 cache
-still holds; a smaller array runs as one tile. The GEMMs around them stay whole and each
-element sees the same ufuncs in the same order, so tiling changes no bit.
-`mlp`'s GELU overwrites the hidden layer it reads with its output.
+still holds; a smaller array runs as one tile. In a tracked forward the
+GEMMs around them stay whole: every activation must land in an array the
+backward keeps, so a tile loop there only adds calls. Untracked, `attention`
+and `mlp` run tile by tile from end to end, GEMMs included, and allocate no
+whole scores, Q/K/V or hidden array; their tiles hold at least two GEMM
+rows, since a one-row product goes through GEMV, which rounds differently.
+Each element sees the same ufuncs and GEMM in the same order, so tiling
+changes no bit. `mlp`'s GELU overwrites the hidden layer it reads with its
+output.
 """
 
 from __future__ import annotations
@@ -125,15 +131,27 @@ def make(out_data, inputs, backward_fn):
 _TILE_ELEMS = 1 << 15
 
 
-def _row_tiles(n, row_elems):
+def _row_tiles(n, row_elems, min_rows=1):
     """Slices over the `n` rows, of `row_elems` elements each, of an array:
     one slice for all rows if they hold at most 4 * _TILE_ELEMS elements,
     else slices of the whole number of rows closest to _TILE_ELEMS elements
-    (at least one), the last one shorter if the rows do not divide evenly."""
+    (at least `min_rows`), the last one shorter if the rows do not divide
+    evenly. A remainder of fewer than `min_rows` rows joins the slice before
+    it. A GEMM over a tile's rows needs two: a one-row product goes through
+    GEMV, which rounds differently from the GEMM of more rows."""
     if n * row_elems <= 4 * _TILE_ELEMS:
         return [slice(0, n)]
-    step = max(1, round(_TILE_ELEMS / row_elems))
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+    step = max(min_rows, round(_TILE_ELEMS / row_elems))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] < min_rows:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _tile_scratch(tiles, *shape):
+    """One scratch array for the longest of `tiles` (the first or the last),
+    each row of `shape`."""
+    return np.empty((max(tiles[0].stop, tiles[-1].stop - tiles[-1].start),) + shape)
 
 
 def _softmax_inplace(a):
@@ -257,6 +275,19 @@ def clip_min(x: Tensor, floor: float) -> Tensor:
     return make(out, (x,), lambda g: (g * mask,))
 
 
+def _gelu_inplace(x, t):
+    """The GELU of `x` (below), written into `x`, with `t` as scratch of
+    x's shape; no derivative."""
+    np.multiply(x, x, out=t)
+    t *= _GELU_CA
+    t += _GELU_C
+    t *= x
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= x
+    np.multiply(t, 0.5, out=x)
+
+
 def _gelu_forward(xd, tracked):
     """GELU of the 2-D array `xd`, written into `xd`; when `tracked`, its
     derivative in a new array of the same shape, else None. The tanh form,
@@ -269,19 +300,10 @@ def _gelu_forward(xd, tracked):
     pass. Every element sees the same ufuncs in the same order whatever the
     tiling, so the result is bit for bit that of one tile."""
     tiles = _row_tiles(*xd.shape)
-    t_tile = np.empty((tiles[0].stop,) + xd.shape[1:])
+    t_tile = _tile_scratch(tiles, xd.shape[1])
     if not tracked:
         for rows in tiles:
-            x = xd[rows]
-            t = t_tile[:len(x)]
-            np.multiply(x, x, out=t)
-            t *= _GELU_CA
-            t += _GELU_C
-            t *= x
-            np.tanh(t, out=t)
-            t += 1.0
-            t *= x
-            np.multiply(t, 0.5, out=x)
+            _gelu_inplace(xd[rows], t_tile[:rows.stop - rows.start])
         return None
     half_tile = np.empty_like(t_tile)
     slope = np.empty_like(xd)
@@ -491,7 +513,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     over the hidden layer it reads. The backward writes the hidden gradient
     into that saved output, once its part in w2's gradient is taken, and
     multiplies by the saved slope in place, so it allocates no [rows, hidden]
-    array."""
+    array. Untracked, linear, GELU and linear run tile by tile over the rows
+    (`_row_tiles`, at least two rows a tile) in two scratch tiles, so no
+    whole hidden layer is allocated at all."""
     if (w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.ndim < 1
             or x.shape[-1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
             or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
@@ -499,14 +523,25 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
                              f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
     n, m = w1.shape[0], w2.shape[1]
     x2 = x.data.reshape(-1, n)
+    if not _tracking(x, w1, b1, w2, b2):
+        hidden = w1.shape[1]
+        tiles = _row_tiles(len(x2), hidden, min_rows=2)
+        act_tile, t_tile = _tile_scratch(tiles, hidden), _tile_scratch(tiles, hidden)
+        out = np.empty((len(x2), m))
+        for rows in tiles:
+            act, y = act_tile[:rows.stop - rows.start], out[rows]
+            np.matmul(x2[rows], w1.data, out=act)
+            act += b1.data
+            _gelu_inplace(act, t_tile[:len(act)])
+            np.matmul(act, w2.data, out=y)
+            y += b2.data
+        return Tensor(out.reshape(x.shape[:-1] + (m,)))
     act = x2 @ w1.data
     act += b1.data
-    slope = _gelu_forward(act, _tracking(x, w1, b1, w2, b2))  # act now holds the GELU
+    slope = _gelu_forward(act, True)  # act now holds the GELU
     out = act @ w2.data
     out += b2.data
     out = out.reshape(x.shape[:-1] + (m,))
-    if slope is None:
-        return Tensor(out)
 
     def bwd(g):
         g2 = g.reshape(-1, m)
@@ -519,6 +554,21 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return make(out, (x, w1, b1, w2, b2), bwd)
 
 
+def _attend(qkv, att, ctx, scale):
+    """Scaled softmax attention over whole sequences: from the Q/K/V
+    projection `qkv` [n * t, 3d], the probabilities into `att` [n, H, t, t]
+    and the heads' context into `ctx` [n * t, d]. Returns the views q, k, v
+    [n, H, t, d / H] of `qkv`."""
+    n, h, t, _ = att.shape
+    q, k, v = qkv.reshape(n, t, 3, h, -1).transpose(2, 0, 3, 1, 4)
+    np.matmul(q, k.swapaxes(-1, -2), out=att)
+    att *= scale
+    att -= att.max(axis=-1, keepdims=True)
+    _softmax_inplace(att)
+    np.matmul(att, v, out=ctx.reshape(n, t, h, -1).transpose(0, 2, 1, 3))
+    return q, k, v
+
+
 def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
     """Multi-head self-attention as one tape entry.
 
@@ -527,7 +577,10 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
     scaled by 1/sqrt(d/H) before the softmax. The backward builds the Q/K/V
     gradient inside the saved Q/K/V buffer; between the two projections it
     runs over tiles of whole sequences (`_row_tiles`), with one [tile, H, T,
-    T] scratch for the scores' gradient.
+    T] scratch for the scores' gradient. Untracked, the whole op runs over
+    such tiles (Q/K/V, scores, softmax, context, output projection) in
+    scratch reused from tile to tile, so it allocates its output and no
+    whole Q/K/V or scores array.
     """
     b, t, d = x.shape
     if d % num_heads != 0:
@@ -538,16 +591,27 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
     bq, bk, bv, bo = biases
     x2 = x.data.reshape(b * t, d)
     w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    b_qkv = np.concatenate([bq.data, bk.data, bv.data])
+    if not _tracking(x, *weights, *biases):
+        # tiles of at least two GEMM rows
+        tiles = _row_tiles(b, h * t * t, min_rows=2 if t == 1 else 1)
+        qkv_tile = _tile_scratch(tiles, t, 3 * d)
+        att_tile, ctx_tile = _tile_scratch(tiles, h, t, t), _tile_scratch(tiles, t, d)
+        out = np.empty((b * t, d))
+        for seqs in tiles:
+            n, rows = seqs.stop - seqs.start, slice(seqs.start * t, seqs.stop * t)
+            qkv, ctx = qkv_tile[:n].reshape(n * t, 3 * d), ctx_tile[:n].reshape(n * t, d)
+            np.matmul(x2[rows], w_qkv, out=qkv)
+            qkv += b_qkv
+            _attend(qkv, att_tile[:n], ctx, scale)
+            y = out[rows]
+            np.matmul(ctx, wo.data, out=y)
+            y += bo.data
+        return Tensor(out.reshape(b, t, d))
     qkv = x2 @ w_qkv
-    qkv += np.concatenate([bq.data, bk.data, bv.data])
-    q, k, v = qkv.reshape(b, t, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [B, H, T, dh]
-    att = q @ k.swapaxes(-1, -2)
-    att *= scale
-    att -= att.max(axis=-1, keepdims=True)
-    _softmax_inplace(att)
-    ctx = np.empty((b, t, h, dh))
-    np.matmul(att, v, out=ctx.transpose(0, 2, 1, 3))
-    ctx = ctx.reshape(b * t, d)
+    qkv += b_qkv
+    att, ctx = np.empty((b, h, t, t)), np.empty((b * t, d))
+    q, k, v = _attend(qkv, att, ctx, scale)
     out = ctx @ wo.data
     out += bo.data
     out = out.reshape(b, t, d)
@@ -557,7 +621,7 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
         g2 = g.reshape(b * t, d)
         gctx = (g2 @ wo.data.T).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
         tiles = _row_tiles(b, h * t * t)
-        gatt_tile = np.empty((tiles[0].stop, h, t, t))
+        gatt_tile = _tile_scratch(tiles, h, t, t)
         for rows in tiles:
             a, gc = att[rows], gctx[rows]
             gatt = gatt_tile[:len(a)]

@@ -110,6 +110,15 @@ def test_rank_gallery_parts_need_ids_and_columns():
         rank_gallery(rows, [0, 1], [rows, rows], [[0, 1]], [[0, 1], [2, 3]])
 
 
+@pytest.mark.parametrize("gallery, gallery_ids, columns", [
+    ([np.eye(2), np.zeros((0, 2))], [[0, 1], []], [[0, 1], []]),  # an empty part
+    (np.zeros((0, 2)), [], None),                                  # an empty gallery
+])
+def test_rank_gallery_rejects_a_part_without_rows(gallery, gallery_ids, columns):
+    with pytest.raises(DimensionError, match="no rows"):
+        rank_gallery(np.eye(2), [0, 1], gallery, gallery_ids, columns)
+
+
 def test_rank_gallery_width_mismatch():
     with pytest.raises(DimensionError, match="widths"):
         rank_gallery(np.zeros((1, 3)), [0], np.zeros((2, 4)), np.array([0, 1]))

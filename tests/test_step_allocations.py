@@ -120,3 +120,19 @@ def test_tiled_attention_backward_holds_no_whole_scores_gradient():
     outputs = 2 * 8 * B * TOKENS * WIDTH
     # and one scratch tile of whole sequences, up to half a tile over size
     assert _peak_bytes(lambda: bwd(g)) < outputs + 3 * TILE_BYTES // 2 + SLACK
+
+
+def test_untracked_attention_and_mlp_hold_their_outputs_and_a_few_tiles():
+    # an eval batch of 64: whole, its scores [64, 4, 66, 66] would take
+    # 8.9 MB, its Q/K/V 3.2 MB and its MLP hidden layer 4.3 MB
+    rng = np.random.default_rng(0)
+    b, hidden = 2 * B, 4 * WIDTH
+    x, *params = _wide_inputs(rng, (b, TOKENS, WIDTH), *[(WIDTH, WIDTH)] * 4, *[(WIDTH,)] * 4,
+                              (WIDTH, hidden), (hidden,), (hidden, WIDTH), (WIDTH,))
+    assert len(T._row_tiles(b, HEADS * TOKENS * TOKENS)) > 1
+    assert len(T._row_tiles(b * TOKENS, hidden, min_rows=2)) > 1
+
+    def forward():
+        T.mlp(T.attention(x, params[:4], params[4:8], HEADS), *params[8:])
+    outputs = 2 * 8 * b * TOKENS * WIDTH
+    assert _peak_bytes(forward) < outputs + 3 * TILE_BYTES + SLACK
