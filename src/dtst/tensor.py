@@ -25,15 +25,18 @@ The GELU and the middle of `attention`'s backward make many elementwise
 passes over their widest arrays. Over an array of more than four tiles
 (1 MB) they run tile by tile (`_row_tiles`, about 256 KB of rows or whole
 sequences per tile), so that each pass reads a tile a core's L2 cache
-still holds; a smaller array runs as one tile. In a tracked forward the
-GEMMs around them stay whole: every activation must land in an array the
-backward keeps, so a tile loop there only adds calls. Untracked, `attention`
-and `mlp` run tile by tile from end to end, GEMMs included, and allocate no
-whole scores, Q/K/V or hidden array; their tiles hold at least two GEMM
-rows, since a one-row product goes through GEMV, which rounds differently.
-Each element sees the same ufuncs and GEMM in the same order, so tiling
-changes no bit. `mlp`'s GELU overwrites the hidden layer it reads with its
-output.
+still holds; a smaller array runs as one tile. `attention`'s forward runs
+one tile loop, GEMMs included: tracked, its tiles write into the whole
+arrays the backward keeps; untracked, into scratch reused from tile to
+tile, so it allocates no whole scores or Q/K/V array. `mlp` tiles its GEMMs
+only when untracked, and then holds no whole hidden layer. Tracked, its
+hidden layer and slope are whole anyway, and an output filled tile by tile
+would live beside the GELU's two scratch tiles, one more [rows, m] array at
+the peak that `tests/test_step_allocations.py` bounds; so its GEMMs stay
+whole around the tiled GELU. No tile a GEMM runs over holds one row, since
+a one-row product goes through GEMV, which rounds differently. Each
+element sees the same ufuncs and GEMM in the same order, so tiling changes
+no bit. `mlp`'s GELU overwrites the hidden layer it reads with its output.
 """
 
 from __future__ import annotations
@@ -288,23 +291,19 @@ def _gelu_inplace(x, t):
     np.multiply(t, 0.5, out=x)
 
 
-def _gelu_forward(xd, tracked):
-    """GELU of the 2-D array `xd`, written into `xd`; when `tracked`, its
-    derivative in a new array of the same shape, else None. The tanh form,
+def _gelu_forward(xd):
+    """GELU of the 2-D array `xd`, written into `xd`, and its derivative in
+    a new array of the same shape. The tanh form,
     0.5 * x * (1 + tanh(c * (x + a * x^3))) with c = sqrt(2 / pi) and
     a = 0.044715, is within 5e-4 of x * Phi(x).
 
     The rows run tile by tile (`_row_tiles`): each tile goes through the
-    whole ufunc sequence in one or two scratch tiles, reused from tile to
+    whole ufunc sequence in two scratch tiles, reused from tile to
     tile, so that a wide array is read from memory once rather than once per
     pass. Every element sees the same ufuncs in the same order whatever the
     tiling, so the result is bit for bit that of one tile."""
     tiles = _row_tiles(*xd.shape)
     t_tile = _tile_scratch(tiles, xd.shape[1])
-    if not tracked:
-        for rows in tiles:
-            _gelu_inplace(xd[rows], t_tile[:rows.stop - rows.start])
-        return None
     half_tile = np.empty_like(t_tile)
     slope = np.empty_like(xd)
     for rows in tiles:
@@ -332,14 +331,11 @@ def _gelu_forward(xd, tracked):
 
 def gelu(x: Tensor) -> Tensor:
     """GELU in its tanh form (`_gelu_forward`), on a copy of the input seen
-    as 2-D rows. The derivative is taken in the forward pass, so backward is
-    one multiply, into the saved slope."""
+    as 2-D rows. The derivative is taken in the forward pass, tracked or
+    not, so backward is one multiply, into the saved slope."""
     shape = x.shape
     out = x.data.copy()
-    slope = _gelu_forward(out.reshape(math.prod(shape[:-1]), shape[-1] if shape else 1),
-                          _tracking(x))
-    if slope is None:
-        return Tensor(out)
+    slope = _gelu_forward(out.reshape(math.prod(shape[:-1]), shape[-1] if shape else 1))
     slope = slope.reshape(shape)
     return make(out, (x,), lambda g: (np.multiply(slope, g, out=slope),))
 
@@ -515,7 +511,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     multiplies by the saved slope in place, so it allocates no [rows, hidden]
     array. Untracked, linear, GELU and linear run tile by tile over the rows
     (`_row_tiles`, at least two rows a tile) in two scratch tiles, so no
-    whole hidden layer is allocated at all."""
+    whole hidden layer is allocated at all. Tracked, the GEMMs stay whole
+    around the tiled GELU (the module docstring says why)."""
     if (w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.ndim < 1
             or x.shape[-1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
             or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
@@ -538,7 +535,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         return Tensor(out.reshape(x.shape[:-1] + (m,)))
     act = x2 @ w1.data
     act += b1.data
-    slope = _gelu_forward(act, True)  # act now holds the GELU
+    slope = _gelu_forward(act)  # act now holds the GELU
     out = act @ w2.data
     out += b2.data
     out = out.reshape(x.shape[:-1] + (m,))
@@ -557,8 +554,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 def _attend(qkv, att, ctx, scale):
     """Scaled softmax attention over whole sequences: from the Q/K/V
     projection `qkv` [n * t, 3d], the probabilities into `att` [n, H, t, t]
-    and the heads' context into `ctx` [n * t, d]. Returns the views q, k, v
-    [n, H, t, d / H] of `qkv`."""
+    and the heads' context into `ctx` [n * t, d]."""
     n, h, t, _ = att.shape
     q, k, v = qkv.reshape(n, t, 3, h, -1).transpose(2, 0, 3, 1, 4)
     np.matmul(q, k.swapaxes(-1, -2), out=att)
@@ -566,7 +562,6 @@ def _attend(qkv, att, ctx, scale):
     att -= att.max(axis=-1, keepdims=True)
     _softmax_inplace(att)
     np.matmul(att, v, out=ctx.reshape(n, t, h, -1).transpose(0, 2, 1, 3))
-    return q, k, v
 
 
 def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
@@ -574,13 +569,17 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
 
     x [B, T, d]; `weights` = (wq, wk, wv, wo), each [d, d]; `biases` =
     (bq, bk, bv, bo), each [d]. Q/K/V come from one GEMM and the scores are
-    scaled by 1/sqrt(d/H) before the softmax. The backward builds the Q/K/V
-    gradient inside the saved Q/K/V buffer; between the two projections it
-    runs over tiles of whole sequences (`_row_tiles`), with one [tile, H, T,
-    T] scratch for the scores' gradient. Untracked, the whole op runs over
-    such tiles (Q/K/V, scores, softmax, context, output projection) in
-    scratch reused from tile to tile, so it allocates its output and no
-    whole Q/K/V or scores array.
+    scaled by 1/sqrt(d/H) before the softmax. The forward runs over tiles of
+    whole sequences (`_row_tiles`): Q/K/V, scores, softmax, context and
+    output projection, tile by tile. Tracked, each tile writes into whole
+    Q/K/V, probability and context arrays, which the backward keeps;
+    untracked, into scratch reused from tile to tile, so the op allocates
+    its output and no whole Q/K/V or scores array. A tile's GEMMs get T rows
+    a sequence, and the model's sequences hold at least three tokens (the
+    kept ones and two extra), so none goes through GEMV. The backward builds
+    the Q/K/V gradient inside the saved Q/K/V buffer; between the two
+    projections it runs over the same kind of tiles, with one [tile, H, T,
+    T] scratch for the scores' gradient.
     """
     b, t, d = x.shape
     if d % num_heads != 0:
@@ -592,35 +591,34 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
     x2 = x.data.reshape(b * t, d)
     w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
     b_qkv = np.concatenate([bq.data, bk.data, bv.data])
-    if not _tracking(x, *weights, *biases):
-        # tiles of at least two GEMM rows
-        tiles = _row_tiles(b, h * t * t, min_rows=2 if t == 1 else 1)
-        qkv_tile = _tile_scratch(tiles, t, 3 * d)
-        att_tile, ctx_tile = _tile_scratch(tiles, h, t, t), _tile_scratch(tiles, t, d)
-        out = np.empty((b * t, d))
-        for seqs in tiles:
-            n, rows = seqs.stop - seqs.start, slice(seqs.start * t, seqs.stop * t)
-            qkv, ctx = qkv_tile[:n].reshape(n * t, 3 * d), ctx_tile[:n].reshape(n * t, d)
-            np.matmul(x2[rows], w_qkv, out=qkv)
-            qkv += b_qkv
-            _attend(qkv, att_tile[:n], ctx, scale)
-            y = out[rows]
-            np.matmul(ctx, wo.data, out=y)
-            y += bo.data
-        return Tensor(out.reshape(b, t, d))
-    qkv = x2 @ w_qkv
-    qkv += b_qkv
-    att, ctx = np.empty((b, h, t, t)), np.empty((b * t, d))
-    q, k, v = _attend(qkv, att, ctx, scale)
-    out = ctx @ wo.data
-    out += bo.data
+    tracked = _tracking(x, *weights, *biases)
+    tiles = _row_tiles(b, h * t * t)
+    if tracked:
+        qkv, att, ctx = np.empty((b, t, 3 * d)), np.empty((b, h, t, t)), np.empty((b, t, d))
+    else:
+        qkv, att, ctx = (_tile_scratch(tiles, t, 3 * d), _tile_scratch(tiles, h, t, t),
+                         _tile_scratch(tiles, t, d))
+    out = np.empty((b * t, d))
+    for seqs in tiles:
+        n, rows = seqs.stop - seqs.start, slice(seqs.start * t, seqs.stop * t)
+        here = seqs if tracked else slice(n)
+        qkv_n, ctx_n = qkv[here].reshape(n * t, 3 * d), ctx[here].reshape(n * t, d)
+        np.matmul(x2[rows], w_qkv, out=qkv_n)
+        qkv_n += b_qkv
+        _attend(qkv_n, att[here], ctx_n, scale)
+        y = out[rows]
+        np.matmul(ctx_n, wo.data, out=y)
+        y += bo.data
     out = out.reshape(b, t, d)
+    if not tracked:
+        return Tensor(out)
+    qkv, ctx = qkv.reshape(b * t, 3 * d), ctx.reshape(b * t, d)
+    q, k, v = qkv.reshape(b, t, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [B, H, T, dh]
     inputs = (x, wq, wk, wv, wo, bq, bk, bv, bo)
 
     def bwd(g):
         g2 = g.reshape(b * t, d)
         gctx = (g2 @ wo.data.T).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
-        tiles = _row_tiles(b, h * t * t)
         gatt_tile = _tile_scratch(tiles, h, t, t)
         for rows in tiles:
             a, gc = att[rows], gctx[rows]
