@@ -20,7 +20,7 @@ from .evaluate import EMBED_BATCH
 from .losses import LossWeights
 from .model import MLP_RATIO, ModelConfig
 from .optim import ScheduleConfig, SgdState
-from .selector import POSITION_SECOND_TO_LAST, SelectorConfig
+from .selector import SelectorConfig
 
 
 def _bool(text):
@@ -93,24 +93,12 @@ class ExperimentConfig:
 
     # -- typed sub-configs -------------------------------------------------
 
-    def selector_config(self) -> SelectorConfig:
-        if not self.values["selector.enabled"]:
-            return None
-        return SelectorConfig(
-            k=self.values["selector.k"],
-            position=self.values["selector.position"],
-            noise_enabled=self.values["selector.noise"],
-        )
-
     def model_config(self) -> ModelConfig:
         v = self.values
-        selector = self.selector_config()
-        # `second_to_last` selects in front of the block before the final
-        # one, so it needs at least two blocks
-        if (selector is not None and selector.position == POSITION_SECOND_TO_LAST
-                and v["model.num_blocks"] < 2):
-            raise ConfigError(f"selector.position = {selector.position} needs "
-                              f"model.num_blocks >= 2, got {v['model.num_blocks']}")
+        selector = None
+        if v["selector.enabled"]:
+            selector = SelectorConfig(k=v["selector.k"], position=v["selector.position"],
+                                      noise_enabled=v["selector.noise"])
         return ModelConfig(
             num_identities=v["data.num_ids"],
             num_blocks=v["model.num_blocks"],

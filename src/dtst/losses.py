@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .tensor import Tensor
 
 NORM_FLOOR = 1e-12
@@ -28,8 +28,12 @@ class LossWeights:
 
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of the labelled class (one tape entry)."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     b, c = logits.shape
+    if labels.shape != (b,):
+        raise DimensionError(f"expected {b} labels, one per row, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         raise DomainError(f"labels must lie in [0, {c}), got range "
                           f"[{labels.min()}, {labels.max()}]")
@@ -49,7 +53,10 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
 
 def orthogonal_loss(meta: Tensor, view: Tensor) -> Tensor:
     """Mean squared cosine similarity between paired feature rows (one tape
-    entry); each norm is floored at NORM_FLOOR."""
+    entry); each norm is floored at NORM_FLOOR. Both are [B, d]."""
+    if len(meta.shape) != 2 or meta.shape != view.shape:
+        raise DimensionError(f"expected two equal [B, d] shapes, got {meta.shape} "
+                             f"and {view.shape}")
     m, v = meta.data, view.data
     dot = (m * v).sum(axis=-1)
     m_norm = np.sqrt((m * m).sum(axis=-1))

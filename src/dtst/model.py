@@ -54,6 +54,9 @@ class ModelConfig:
             m = self.patch_grid[0] * self.patch_grid[1]
             if self.selector.k > m:
                 raise ConfigError(f"SelectorConfig.K={self.selector.k} exceeds M={m}")
+            if self.selector.position == sel.POSITION_SECOND_TO_LAST and self.num_blocks < 2:
+                raise ConfigError(f"selector.position = {self.selector.position} needs "
+                                  f"model.num_blocks >= 2, got {self.num_blocks}")
 
     @property
     def num_patches(self):
@@ -63,14 +66,12 @@ class ModelConfig:
     def selector_block(self):
         """Index of the block the selector runs in front of, or None without
         a selector: the final block for `last`, the one before it for
-        `second_to_last`. A one-block model has no block before the final one;
-        config files reject that combination, and a ModelConfig built directly
-        selects in front of its only block."""
+        `second_to_last`."""
         if self.selector is None:
             return None
         if self.selector.position == sel.POSITION_LAST:
             return self.num_blocks - 1
-        return max(self.num_blocks - 2, 0)
+        return self.num_blocks - 2
 
 
 @dataclass
@@ -150,6 +151,8 @@ def attach_special_tokens(patches: Tensor, view_labels, params: dict) -> TokenSe
     b, m, d = patches.shape
     if view_labels.shape != (b,):
         raise DomainError(f"expected {b} view labels, got shape {view_labels.shape}")
+    if view_labels.dtype.kind not in "iu":
+        raise DomainError(f"view labels must be integers, got dtype {view_labels.dtype}")
     bad = set(view_labels.tolist()) - set(VIEW_NAMES)
     if bad:
         raise DomainError(f"unknown view labels {sorted(bad)}")
@@ -331,7 +334,8 @@ def load_checkpoint(path, cfg: ModelConfig = None) -> dict:
 
 
 def restore_params(params: dict, arrays: dict) -> None:
-    """Load checkpoint arrays into an existing parameter dict in place."""
+    """Check every name and shape, then copy the checkpoint arrays into the
+    existing `p.data` arrays in place (an SgdState's views stay its own)."""
     missing = set(params) - set(arrays)
     extra = set(arrays) - set(params)
     if missing or extra:
@@ -341,4 +345,5 @@ def restore_params(params: dict, arrays: dict) -> None:
         if arrays[name].shape != p.shape:
             raise DimensionError(f"checkpoint shape {arrays[name].shape} for "
                                  f"'{name}' does not match {p.shape}")
-        p.data = arrays[name].copy()
+    for name, p in params.items():
+        p.data[...] = arrays[name]

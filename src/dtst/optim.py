@@ -14,17 +14,16 @@ from .errors import ConfigError, ContractError, NumericError
 class SgdState:
     """Optimizer state: v <- momentum*v + g; w <- w - lr*v.
 
-    `sgd_step` keeps the parameter values and the velocities in one flat
-    float64 buffer each, in the order of the params dict: every parameter's
-    `data` is a view of `_flat`, and `velocity` maps each name to its view of
-    `_vflat`."""
+    The first `sgd_step` adopts its params dict: it copies the values into
+    one flat float64 buffer, `_flat`, and points every parameter's `data` at
+    its view of it; the velocities live in `_vflat`, in the same order. From
+    then on a parameter changes only in place (as `restore_params` writes)."""
 
     learning_rate: float
     momentum: float = 0.9
-    velocity: dict = field(default_factory=dict)
     _flat: np.ndarray = field(default=None, init=False, repr=False)
     _vflat: np.ndarray = field(default=None, init=False, repr=False)
-    _owned: list = field(default_factory=list, init=False, repr=False)  # (name, Tensor, view)
+    _owned: list = field(default=None, init=False, repr=False)  # (Tensor, view)
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -33,39 +32,37 @@ class SgdState:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
-def _adopt(params: dict, state: SgdState) -> None:
-    """Copy the current parameter values into a new flat buffer and point
-    every `p.data` at its view of it. A velocity is kept where its name and
-    shape are unchanged; any other starts at zero."""
-    sizes = [p.data.size for p in params.values()]
-    state._flat = np.concatenate([p.data for p in params.values()], axis=None,
-                                 dtype=np.float64)
-    state._vflat = np.zeros_like(state._flat)
-    old, state.velocity, state._owned = state.velocity, {}, []
-    offset = 0
-    for (name, p), n in zip(params.items(), sizes):
-        shape = p.data.shape
-        p.data = state._flat[offset:offset + n].reshape(shape)
-        v = state._vflat[offset:offset + n].reshape(shape)
-        if name in old and old[name].shape == shape:
-            v[...] = old[name]
-        state.velocity[name] = v
-        state._owned.append((name, p, p.data))
-        offset += n
-
-
 def sgd_step(params: dict, state: SgdState) -> None:
     """Apply one SGD update in place and clear gradients.
 
     `params` maps name -> Tensor; every tensor must carry a populated `.grad`,
     and a non-finite one raises NumericError naming the first such parameter
     before any parameter changes. The update is two operations on the flat
-    buffers of `state`; when the params dict is not the one they hold, or a
-    caller has rebound a `p.data`, the current values are adopted first.
+    buffers of `state`, which adopts `params` on its first step. A later step
+    with another dict, or after a caller rebound a `p.data`, raises
+    ContractError before any update.
     """
     for name, p in params.items():
         if p.grad is None:
             raise ContractError(f"parameter '{name}' has no gradient")
+    if state._owned is None:  # adopt: each p.data becomes a view of `_flat`
+        state._flat = np.concatenate([p.data for p in params.values()], axis=None,
+                                     dtype=np.float64)
+        state._vflat, state._owned, offset = np.zeros_like(state._flat), [], 0
+        for p in params.values():
+            n = p.data.size
+            p.data = state._flat[offset:offset + n].reshape(p.data.shape)
+            state._owned.append((p, p.data))
+            offset += n
+    if len(params) != len(state._owned):
+        raise ContractError(f"SgdState adopted {len(state._owned)} parameters, "
+                            f"got {len(params)}")
+    for (name, p), (owned, view) in zip(params.items(), state._owned):
+        if p is not owned:
+            raise ContractError(f"parameter '{name}' is not the tensor SgdState adopted")
+        if p.data is not view:
+            raise ContractError(f"parameter '{name}' had its data rebound after "
+                                f"SgdState adopted it; write into it in place")
     grads = np.concatenate([p.grad for p in params.values()], axis=None)
     # one reduction over every gradient: any NaN or infinity makes the sum
     # non-finite, and only then is each parameter scanned
@@ -73,10 +70,6 @@ def sgd_step(params: dict, state: SgdState) -> None:
         for name, p in params.items():
             if not np.isfinite(p.grad).all():
                 raise NumericError(f"parameter '{name}' has a non-finite gradient")
-    if len(state._owned) != len(params) or not all(
-            name == owned[0] and p is owned[1] and p.data is owned[2]
-            for (name, p), owned in zip(params.items(), state._owned)):
-        _adopt(params, state)
     v = state._vflat
     v *= state.momentum
     v += grads

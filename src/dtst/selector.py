@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DimensionError, DomainError
 from .tensor import Tensor
 
 # Config-level selector positions: LAST places the selector in front of the
@@ -83,9 +83,14 @@ def select_tokens(tokens: Tensor, indices) -> Tensor:
     0-based within the patch region. Returns the reduced tokens
     [B, 2 + K, d].
     """
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
     b, t, _ = tokens.shape
     m = t - 2
+    if idx.dtype.kind not in "iu":
+        raise DomainError(f"selection indices must be integers, got dtype {idx.dtype}")
+    if idx.ndim != 2 or idx.shape[0] != b or idx.shape[1] < 1:
+        raise DimensionError(f"selection indices must be [{b}, K >= 1], got shape {idx.shape}")
+    idx = idx.astype(np.int64, copy=False)  # `idx + 2` below must not wrap
     ordered = np.sort(idx, axis=1)
     duplicate = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     if duplicate.any() or ordered[:, 0].min() < 0 or ordered[:, -1].max() >= m:

@@ -8,11 +8,13 @@ import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dtst import tensor as T
+from dtst.config import ExperimentConfig, load_config
 from dtst.losses import cross_entropy_loss, orthogonal_loss
 from dtst.data import GenConfig, generate_dataset, pk_batch
 from dtst.evaluate import (PROTOCOL_AG, average_precision, evaluate_protocol,
@@ -309,6 +311,10 @@ def test_criterion_4_full_retention_equivalence():
         m = rows * cols
         blocks = int(rng.integers(1, 4))
         position = str(rng.choice(["last", "second_to_last"]))
+        if blocks == 1:
+            # one block has no block before the final one; the draw stays in
+            # the random stream, and the selector goes in front of block 0
+            position = "last"
         selcfg = SelectorConfig(k=m, position=position, noise_enabled=False)
         base = dict(num_identities=int(rng.integers(2, 6)), num_blocks=blocks,
                     embed_dim=d, num_attn_heads=heads, patch_grid=(rows, cols),
@@ -336,6 +342,22 @@ def test_criterion_4_full_retention_equivalence():
 
 BENCH_SEEDS = (0, 1, 2, 3, 4)
 
+# the benchmark setup, as configs/benchmark.cfg gives it (checked by
+# test_criterion_5_setup_matches_benchmark_cfg)
+BENCH_CFG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg"
+BENCH_MODEL = dict(num_identities=32, num_blocks=4, embed_dim=16, num_attn_heads=2,
+                   patch_grid=(4, 4), patch_dim=8)
+BENCH_SELECTOR = SelectorConfig(k=2, position="last", noise_enabled=False)
+BENCH_DATA = dict(num_ids=32, grid=(4, 4), patch_dim=8, k_sig=3, noise_std=1.0,
+                  view_offset_scale=2.0)
+BENCH_TRAIN_PER_ID_VIEW, BENCH_TEST_PER_ID_VIEW = 8, 32
+BENCH_LR_MAX, BENCH_LR_MIN = 8e-3, 1.6e-6
+BENCH_WEIGHTS = LossWeights(view_weight=1.0, orth_weight=3.0)
+BENCH_EPOCHS = 30
+BENCH_P, BENCH_K = 8, 4
+BENCH_MOMENTUM = 0.9
+BENCH_SPLIT_SEED = 0
+
 
 @dataclass
 class BenchRun:
@@ -349,29 +371,29 @@ class BenchRun:
 
 
 def _bench_model_cfg(with_selector):
-    selcfg = None
-    if with_selector:
-        selcfg = SelectorConfig(k=2, position="last", noise_enabled=False)
-    return ModelConfig(num_identities=32, num_blocks=4, embed_dim=16,
-                       num_attn_heads=2, patch_grid=(4, 4), patch_dim=8,
-                       selector=selcfg)
+    return ModelConfig(selector=BENCH_SELECTOR if with_selector else None, **BENCH_MODEL)
+
+
+def _bench_gen_configs(seed):
+    """The train and test GenConfigs of the benchmark run with seed `seed`."""
+    train_gen = GenConfig(samples_per_id_per_view=BENCH_TRAIN_PER_ID_VIEW, seed=seed,
+                          sample_seed=seed + 1, **BENCH_DATA)
+    test_gen = replace(train_gen, samples_per_id_per_view=BENCH_TEST_PER_ID_VIEW,
+                       sample_seed=seed + 2)
+    return train_gen, test_gen
 
 
 def _bench_run(seed, with_selector):
     cfg = _bench_model_cfg(with_selector)
-    train_gen = GenConfig(num_ids=32, samples_per_id_per_view=8, grid=(4, 4),
-                          patch_dim=8, k_sig=3, noise_std=1.0,
-                          view_offset_scale=2.0, seed=seed, sample_seed=seed + 1)
-    test_gen = replace(train_gen, samples_per_id_per_view=32,
-                       sample_seed=seed + 2)
+    train_gen, test_gen = _bench_gen_configs(seed)
     train_data = generate_dataset(train_gen)
     test_data = generate_dataset(test_gen)
     params = init_params(cfg, seed)
-    log = train_run(cfg, params, train_data, 8e-3, 1.6e-6,
-                    LossWeights(view_weight=1.0, orth_weight=3.0),
-                    epochs=30, batch_p=8, batch_k=4, seed=seed)
+    log = train_run(cfg, params, train_data, BENCH_LR_MAX, BENCH_LR_MIN, BENCH_WEIGHTS,
+                    epochs=BENCH_EPOCHS, batch_p=BENCH_P, batch_k=BENCH_K, seed=seed,
+                    momentum=BENCH_MOMENTUM)
     meta, view_feat, ids, views = embed_samples(cfg, params, test_data)
-    report = evaluate_protocol(meta, ids, views, PROTOCOL_AG, split_seed=0)
+    report = evaluate_protocol(meta, ids, views, PROTOCOL_AG, split_seed=BENCH_SPLIT_SEED)
     cos = (meta * view_feat).sum(-1) / (
         np.linalg.norm(meta, axis=-1) * np.linalg.norm(view_feat, axis=-1))
     return BenchRun(seed=seed, with_selector=with_selector,
@@ -406,6 +428,22 @@ def test_criterion_5_directional_ablation(benchmark_runs):
     verdict(5, "directional ablation", ok,
             f"A<->G Rank-1 gap per seed {['%+.1f' % g for g in gaps]}, "
             f"mean {mean_gap:+.2f} points, {elapsed:.0f}s")
+
+
+def test_criterion_5_setup_matches_benchmark_cfg():
+    cfg = load_config(BENCH_CFG)
+    off = ExperimentConfig(values={**cfg.values, "selector.enabled": False})
+    assert _bench_model_cfg(True) == cfg.model_config()
+    assert _bench_model_cfg(False) == off.model_config()
+    for seed in BENCH_SEEDS:
+        seeded = ExperimentConfig(values={**cfg.values, "seed": seed})
+        assert _bench_gen_configs(seed) == (seeded.gen_config("train"),
+                                            seeded.gen_config("test")), seed
+    assert (BENCH_LR_MAX, BENCH_LR_MIN) == (cfg["schedule.lr_max"], cfg["schedule.lr_min"])
+    assert BENCH_WEIGHTS == cfg.loss_weights()
+    assert (BENCH_EPOCHS, BENCH_P, BENCH_K, BENCH_MOMENTUM, BENCH_SPLIT_SEED) == (
+        cfg["train.epochs"], cfg["train.batch_p"], cfg["train.batch_k"],
+        cfg["train.momentum"], cfg["eval.split_seed"])
 
 
 def test_criterion_6_schedule_and_pk_batches():

@@ -135,17 +135,15 @@ def test_format_config_round_trips():
 
 def test_typed_subconfigs():
     cfg = parse_config_text("seed = 0\nselector.k = 3\nselector.temperature = 0.5\n")
-    sc = cfg.selector_config()
+    mc = cfg.model_config()
+    sc = mc.selector
     assert sc.k == 3 and sc.noise_enabled is True
     assert cfg["selector.temperature"] == 0.5
-    mc = cfg.model_config()
-    assert mc.selector is sc or mc.selector == sc
     assert mc.embed_dim == 16 and mc.patch_grid == (4, 4)
     off, off_mc = cfg.ablation_cells()[0]  # `dtst ablate`'s no-selector cell
     assert off["selector.enabled"] is False and off_mc.selector is None
 
     disabled = parse_config_text("seed = 0\nselector.enabled = false\n")
-    assert disabled.selector_config() is None
     assert disabled.model_config().selector is None
 
 

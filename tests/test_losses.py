@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dtst import tensor as T
-from dtst.errors import ConfigError, DomainError, NumericError
+from dtst.errors import ConfigError, DimensionError, DomainError, NumericError
 from dtst.losses import (LossWeights, cross_entropy_loss, orthogonal_loss,
                          total_loss)
 from dtst.tensor import Tape, Tensor, backward
@@ -54,6 +54,25 @@ def test_cross_entropy_label_range_check():
         cross_entropy_loss(Tensor(np.zeros((2, 3))), np.array([0, 3]))
     with pytest.raises(DomainError):
         cross_entropy_loss(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
+
+
+@pytest.mark.parametrize("labels, error, match", [
+    (np.array([[0], [1]]), DimensionError, r"expected 2 labels, one per row, got shape \(2, 1\)"),
+    (np.array([0, 1, 2]), DimensionError, r"got shape \(3,\)"),
+    (np.array([0.7, 1.2]), DomainError, "labels must be integers, got dtype float64"),
+    (np.array([True, False]), DomainError, "labels must be integers, got dtype bool"),
+], ids=["column", "extra_row", "float", "bool"])
+def test_cross_entropy_rejects_malformed_labels(labels, error, match):
+    with pytest.raises(error, match=match):
+        cross_entropy_loss(Tensor(np.zeros((2, 3))), labels)
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (1, 4)), ((3, 4), (3, 5)), ((2, 3, 4), (2, 3, 4))],
+                         ids=["broadcast_rows", "widths", "three_dims"])
+def test_orthogonal_loss_rejects_unequal_or_non_matrix_shapes(shapes):
+    meta, view = (Tensor(RNG.normal(size=s)) for s in shapes)
+    with pytest.raises(DimensionError, match="two equal"):
+        orthogonal_loss(meta, view)
 
 
 def test_orthogonal_loss_endpoints():

@@ -29,6 +29,26 @@ def test_config_validation():
         small_cfg(embed_dim=9)
     with pytest.raises(ConfigError, match="exceeds M"):
         small_cfg(selector=SelectorConfig(k=7))
+    small_cfg(num_blocks=2, selector=SelectorConfig(k=2, position="second_to_last"))
+    with pytest.raises(ConfigError, match="needs model.num_blocks >= 2, got 1"):
+        small_cfg(num_blocks=1, selector=SelectorConfig(k=2, position="second_to_last"))
+
+
+@pytest.mark.parametrize("views, frozen, error, match", [
+    ([0.0, 1.0], None, DomainError, "view labels must be integers"),
+    ([True, False], None, DomainError, "view labels must be integers"),
+    ([0, 1], [[0.0, 1.0], [2.0, 3.0]], DomainError, "indices must be integers"),
+    ([0, 1], [0, 1], DimensionError, r"must be \[2, K >= 1\], got shape \(2,\)"),
+    ([0, 1], [[0, 1], [2, 3], [4, 5]], DimensionError, r"got shape \(3, 2\)"),
+    ([0, 1], np.zeros((2, 0), dtype=int), DimensionError, r"got shape \(2, 0\)"),
+], ids=["float_views", "bool_views", "float_selection", "flat_selection",
+        "selection_rows", "empty_selection"])
+def test_model_forward_rejects_malformed_labels_and_selections(views, frozen, error, match):
+    cfg = small_cfg(selector=SelectorConfig(k=2, noise_enabled=False))
+    params = init_params(cfg, seed=0)
+    with pytest.raises(error, match=match):
+        model_forward(cfg, params, RNG.normal(size=(2, 2, 3, 4)), np.array(views),
+                      frozen_selection=frozen)
 
 
 def test_forward_shapes():
@@ -265,6 +285,24 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     a = model_forward(cfg, params, x, v)
     b = model_forward(cfg, fresh, x, v)
     assert np.array_equal(a.id_logits.data, b.id_logits.data)
+
+
+def test_restore_params_writes_in_place_after_checking_every_shape():
+    cfg = small_cfg()
+    params = init_params(cfg, seed=0)
+    before = {name: p.data for name, p in params.items()}
+    arrays = {name: RNG.normal(size=p.shape) for name, p in params.items()}
+    restore_params(params, arrays)
+    for name, p in params.items():
+        assert p.data is before[name], name
+        assert np.array_equal(p.data, arrays[name]), name
+        assert not np.shares_memory(p.data, arrays[name]), name
+    last = list(params)[-1]
+    shifted = {name: a + 1.0 for name, a in arrays.items()}
+    with pytest.raises(DimensionError, match=f"'{last}'"):
+        restore_params(params, {**shifted, last: np.zeros(3)})
+    for name, p in params.items():
+        assert np.array_equal(p.data, arrays[name]), name
 
 
 def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path):

@@ -64,8 +64,8 @@ def test_sgd_momentum_law_matches_hand_rollout():
 
 def test_sgd_step_matches_the_per_parameter_update_bit_for_bit():
     # the flat-buffer update against v <- momentum*v + g; w <- w - lr*v on
-    # each parameter alone; between steps 2 and 3 a caller rebinds one
-    # parameter's data (as restore_params does), which the state adopts
+    # each parameter alone; between steps 2 and 3 a caller overwrites one
+    # parameter's values in place (as restore_params does)
     rng = np.random.default_rng(5)
     shapes = {"w": (3, 4), "b": (4,), "t": (2, 1, 3)}
     params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
@@ -74,7 +74,7 @@ def test_sgd_step_matches_the_per_parameter_update_bit_for_bit():
     state = SgdState(learning_rate=0.0, momentum=0.9)
     for step, lr in enumerate((0.1, 0.05, 0.3, 0.07, 0.2)):
         if step == 3:
-            params["b"].data = rng.normal(size=4)
+            params["b"].data[...] = rng.normal(size=4)
             ref["b"] = params["b"].data.copy()
         grads = {n: rng.normal(size=s) for n, s in shapes.items()}
         for n, p in params.items():
@@ -85,7 +85,6 @@ def test_sgd_step_matches_the_per_parameter_update_bit_for_bit():
             vel[n] = 0.9 * vel[n] + grads[n]
             ref[n] -= lr * vel[n]
             assert params[n].data.tobytes() == ref[n].tobytes(), (step, n)
-            assert state.velocity[n].tobytes() == vel[n].tobytes(), (step, n)
             assert params[n].grad is None
 
 
@@ -109,7 +108,47 @@ def test_sgd_rejects_non_finite_gradient_before_any_update(bad):
         sgd_step(params, state)
     for i, n in enumerate(names):
         assert np.array_equal(params[n].data, np.full((2, 3), float(i)))
-    assert state.velocity == {}
+    # the velocities are still zero, so one finite step moves each value by -lr
+    for p in params.values():
+        p.grad = np.ones((2, 3))
+    sgd_step(params, state)
+    for i, n in enumerate(names):
+        assert np.array_equal(params[n].data, np.full((2, 3), float(i) - 0.1))
+
+
+def _stepped_params():
+    """Three parameters after one SGD step, their state, and their values."""
+    params = {n: Tensor(np.full(3, float(i)), requires_grad=True)
+              for i, n in enumerate(("a", "b", "c"))}
+    state = SgdState(learning_rate=0.1)
+    for p in params.values():
+        p.grad = np.ones(3)
+    sgd_step(params, state)
+    for p in params.values():
+        p.grad = np.ones(3)
+    return params, state, {n: p.data.copy() for n, p in params.items()}
+
+
+def test_sgd_rejects_rebound_data_before_any_update():
+    params, state, before = _stepped_params()
+    params["b"].data = np.zeros(3)
+    with pytest.raises(ContractError, match="'b' had its data rebound"):
+        sgd_step(params, state)
+    for n in ("a", "c"):
+        assert np.array_equal(params[n].data, before[n]), n
+    assert all(p.grad is not None for p in params.values())
+
+
+def test_sgd_rejects_a_params_dict_it_did_not_adopt():
+    params, state, before = _stepped_params()
+    other = Tensor(np.zeros(3), requires_grad=True)
+    other.grad = np.ones(3)
+    with pytest.raises(ContractError, match="'c' is not the tensor"):
+        sgd_step({**params, "c": other}, state)
+    with pytest.raises(ContractError, match="adopted 3 parameters, got 2"):
+        sgd_step({"a": params["a"], "b": params["b"]}, state)
+    for n, p in params.items():
+        assert np.array_equal(p.data, before[n]), n
 
 
 def test_sgd_finite_gradients_whose_sum_overflows_still_update():
