@@ -49,7 +49,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import model as model_mod
-from .errors import DimensionError, NumericError, ProtocolError
+from .errors import ContractError, DimensionError, NumericError, ProtocolError
 from .model import VIEW_AERIAL, VIEW_GROUND
 
 PROTOCOL_ALL = "ALL"
@@ -410,6 +410,10 @@ def embed_samples(cfg, params, samples, batch_size: int = EMBED_BATCH):
     looked up on their modules at each call, so a wrapper installed there
     (a profiler's, say) sees every batch.
     """
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be at least 1, got {batch_size}")
+    if len(samples) == 0:
+        raise DimensionError("no samples to embed")
     metas, view_feats, ids, views = [], [], [], []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]

@@ -29,6 +29,8 @@ class LossWeights:
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of the labelled class (one tape entry)."""
     labels = np.asarray(labels)
+    if len(logits.shape) != 2:
+        raise DimensionError(f"logits must be [B, C], got shape {logits.shape}")
     b, c = logits.shape
     if labels.shape != (b,):
         raise DimensionError(f"expected {b} labels, one per row, got shape {labels.shape}")

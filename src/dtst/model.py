@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from . import selector as sel
-from .errors import ConfigError, DimensionError, DomainError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, DomainError, NumericError
 from .selector import SelectorConfig
 from .tensor import Tensor
 
@@ -215,6 +215,8 @@ def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
                   frozen_selection=None) -> ForwardResult:
     """Full forward pass: embed, N encoder+decouple blocks with the selector
     in front of `cfg.selector_block`, classifier heads."""
+    if frozen_selection is not None and cfg.selector is None:
+        raise ContractError("frozen_selection needs a model with a selector")
     patches = patch_embed(x, params, cfg)
     seq = attach_special_tokens(patches, view_labels, params)
     selection = {}

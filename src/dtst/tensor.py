@@ -21,27 +21,22 @@ is the tanh form (Hendrycks & Gimpel), one `np.tanh` pass: the exact
 x * Phi(x) needs the normal CDF, whose scalar loop (scipy's `ndtr`) costs
 several times as much. The module needs only numpy.
 
-The GELU and the middle of `attention`'s backward make many elementwise
-passes over their widest arrays. Over an array of more than four tiles
-(1 MB) they run tile by tile (`_row_tiles`, about 256 KB of rows or whole
-sequences per tile), so that each pass reads a tile a core's L2 cache
-still holds; a smaller array runs as one tile. `attention`'s forward runs
-one tile loop, GEMMs included: tracked, its tiles write into the whole
-arrays the backward keeps; untracked, into scratch reused from tile to
-tile, so it allocates no whole scores or Q/K/V array. `mlp` tiles its GEMMs
-only when untracked, and then holds no whole hidden layer. Tracked, its
-hidden layer and slope are whole anyway, and an output filled tile by tile
-would live beside the GELU's two scratch tiles, one more [rows, m] array at
-the peak that `tests/test_step_allocations.py` bounds; so its GEMMs stay
-whole around the tiled GELU. No tile a GEMM runs over holds one row, since
-a one-row product goes through GEMV, which rounds differently. Each
-element sees the same ufuncs and GEMM in the same order, so tiling changes
-no bit. `mlp`'s GELU overwrites the hidden layer it reads with its output.
+`attention` and `mlp` run their forward in one tile loop, tracked or not
+(`_row_tiles`, about 256 KB of whole sequences or of rows per tile) over
+an array of more than four tiles (1 MB), so that each of their many
+elementwise passes reads a tile a core's L2 cache still holds; a smaller
+array runs as one tile. Tracked, each tile writes into the whole arrays
+the backward keeps, and `mlp`'s second GEMM runs whole after the loop, once
+its scratch is freed; untracked, into scratch reused from tile to tile, so
+the op allocates its output and no whole scores, Q/K/V or hidden array.
+The middle of `attention`'s backward runs over the same tiles. No tile a
+GEMM runs over holds one row, since a one-row product goes through GEMV,
+which rounds differently. Each element sees the same ufuncs and GEMM in
+the same order, so tiling changes no bit. `mlp`'s GELU overwrites the
+hidden layer it reads with its output.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -278,65 +273,40 @@ def clip_min(x: Tensor, floor: float) -> Tensor:
     return make(out, (x,), lambda g: (g * mask,))
 
 
-def _gelu_inplace(x, t):
-    """The GELU of `x` (below), written into `x`, with `t` as scratch of
-    x's shape; no derivative."""
+def _gelu_tile(x, t, half, slope=None):
+    """GELU of `x`, written into `x` as x * (0.5 t + 0.5), in the tanh form
+    0.5 * x * (1 + tanh(c * (x + a * x^3))) with t the tanh, c = sqrt(2 / pi)
+    and a = 0.044715; within 5e-4 of x * Phi(x). `t` and `half` are scratch
+    of x's shape (`half` may be `t` when no `slope` is asked). Given `slope`,
+    the derivative is written into it as well; the output's ufuncs are the
+    same either way, so it is bit for bit the same."""
     np.multiply(x, x, out=t)
+    if slope is not None:
+        np.multiply(t, 1.5 * _GELU_CA, out=slope)  # 3ca x^2 / 2, before t reuses x * x
     t *= _GELU_CA
     t += _GELU_C
     t *= x
     np.tanh(t, out=t)
-    t += 1.0
-    t *= x
-    np.multiply(t, 0.5, out=x)
-
-
-def _gelu_forward(xd):
-    """GELU of the 2-D array `xd`, written into `xd`, and its derivative in
-    a new array of the same shape. The tanh form,
-    0.5 * x * (1 + tanh(c * (x + a * x^3))) with c = sqrt(2 / pi) and
-    a = 0.044715, is within 5e-4 of x * Phi(x).
-
-    The rows run tile by tile (`_row_tiles`): each tile goes through the
-    whole ufunc sequence in two scratch tiles, reused from tile to
-    tile, so that a wide array is read from memory once rather than once per
-    pass. Every element sees the same ufuncs in the same order whatever the
-    tiling, so the result is bit for bit that of one tile."""
-    tiles = _row_tiles(*xd.shape)
-    t_tile = _tile_scratch(tiles, xd.shape[1])
-    half_tile = np.empty_like(t_tile)
-    slope = np.empty_like(xd)
-    for rows in tiles:
-        x, s = xd[rows], slope[rows]
-        t, half = t_tile[:len(x)], half_tile[:len(x)]
-        np.multiply(x, x, out=t)
-        np.multiply(t, 1.5 * _GELU_CA, out=s)  # 3ca x^2 / 2, before t reuses x * x
-        t *= _GELU_CA
-        t += _GELU_C
-        t *= x
-        np.tanh(t, out=t)
-        np.multiply(t, 0.5, out=half)
-        half += 0.5
+    np.multiply(t, 0.5, out=half)
+    half += 0.5
+    if slope is not None:
         # d/dx = (3ca x^2 + c) (1 - t^2) x / 2 + (1 + t) / 2, the halving
         # folded into the constants (exact: it commutes with rounding)
-        s += 0.5 * _GELU_C
+        slope += 0.5 * _GELU_C
         t *= t
         np.subtract(1.0, t, out=t)
-        s *= t
-        s *= x
-        s += half
-        np.multiply(half, x, out=x)  # the output, x * (1 + t) / 2
-    return slope
+        slope *= t
+        slope *= x
+        slope += half
+    np.multiply(half, x, out=x)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU in its tanh form (`_gelu_forward`), on a copy of the input seen
-    as 2-D rows. The derivative is taken in the forward pass, tracked or
+    """GELU in its tanh form (`_gelu_tile`) on a copy of the input, in one
+    pass over it. The derivative is taken in the forward pass, tracked or
     not, so backward is one multiply, into the saved slope."""
-    shape = x.shape
-    out = x.data.copy()
-    slope = _gelu_forward(out.reshape(math.prod(shape[:-1]), shape[-1] if shape else 1))
-    slope = slope.reshape(shape)
+    out, slope = x.data.copy(), np.empty_like(x.data)
+    _gelu_tile(out, np.empty_like(out), np.empty_like(out), slope)
     return make(out, (x,), lambda g: (np.multiply(slope, g, out=slope),))
 
 
@@ -509,34 +479,42 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     over the hidden layer it reads. The backward writes the hidden gradient
     into that saved output, once its part in w2's gradient is taken, and
     multiplies by the saved slope in place, so it allocates no [rows, hidden]
-    array. Untracked, linear, GELU and linear run tile by tile over the rows
-    (`_row_tiles`, at least two rows a tile) in two scratch tiles, so no
-    whole hidden layer is allocated at all. Tracked, the GEMMs stay whole
-    around the tiled GELU (the module docstring says why)."""
+    array. Linear and GELU run tile by tile over the rows (`_row_tiles`, at
+    least two rows a tile). Tracked, each tile writes into the whole hidden
+    layer and slope that the backward keeps, and the second linear is one
+    GEMM after the loop, once the GELU's two scratch tiles are freed, so
+    they never live beside the output. Untracked, the second linear runs
+    in the loop too, and no whole hidden layer is allocated at all."""
     if (w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.ndim < 1
             or x.shape[-1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
             or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
         raise DimensionError(f"mlp needs x[..., n], w1[n, h], b1[h], w2[h, m], b2[m], got "
                              f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
-    n, m = w1.shape[0], w2.shape[1]
+    (n, hidden), m = w1.shape, w2.shape[1]
     x2 = x.data.reshape(-1, n)
-    if not _tracking(x, w1, b1, w2, b2):
-        hidden = w1.shape[1]
-        tiles = _row_tiles(len(x2), hidden, min_rows=2)
-        act_tile, t_tile = _tile_scratch(tiles, hidden), _tile_scratch(tiles, hidden)
+    tracked = _tracking(x, w1, b1, w2, b2)
+    tiles = _row_tiles(len(x2), hidden, min_rows=2)
+    if tracked:
+        act, slope = np.empty((len(x2), hidden)), np.empty((len(x2), hidden))
+        t_tile, half_tile = _tile_scratch(tiles, hidden), _tile_scratch(tiles, hidden)
+    else:
+        act, slope = _tile_scratch(tiles, hidden), None
+        t_tile = half_tile = _tile_scratch(tiles, hidden)
         out = np.empty((len(x2), m))
-        for rows in tiles:
-            act, y = act_tile[:rows.stop - rows.start], out[rows]
-            np.matmul(x2[rows], w1.data, out=act)
-            act += b1.data
-            _gelu_inplace(act, t_tile[:len(act)])
-            np.matmul(act, w2.data, out=y)
+    for rows in tiles:
+        r = rows.stop - rows.start
+        a = act[rows if tracked else slice(r)]
+        np.matmul(x2[rows], w1.data, out=a)
+        a += b1.data
+        _gelu_tile(a, t_tile[:r], half_tile[:r], slope[rows] if tracked else None)
+        if not tracked:
+            y = out[rows]
+            np.matmul(a, w2.data, out=y)
             y += b2.data
+    if not tracked:
         return Tensor(out.reshape(x.shape[:-1] + (m,)))
-    act = x2 @ w1.data
-    act += b1.data
-    slope = _gelu_forward(act)  # act now holds the GELU
-    out = act @ w2.data
+    del t_tile, half_tile  # freed before the output is allocated
+    out = act @ w2.data  # act now holds the GELU
     out += b2.data
     out = out.reshape(x.shape[:-1] + (m,))
 

@@ -198,10 +198,10 @@ def test_criterion_1_gradient_suite():
 
 def test_criterion_1_fused_cases_across_tiles(monkeypatch):
     # criterion 1's MLP and attention cases once more, with 4-element tiles:
-    # the MLP's [6, 8] hidden layer then runs as 6 tiles and each attention
-    # backward as 2, one per sequence of the batch
+    # the MLP's [6, 8] hidden layer then runs as 3 tiles of two rows and each
+    # attention forward and backward as 2, one per sequence of the batch
     monkeypatch.setattr(T, "_TILE_ELEMS", 4)
-    assert len(T._row_tiles(6, 8)) == 6
+    assert len(T._row_tiles(6, 8, min_rows=2)) == 3
     assert all(len(T._row_tiles(2, heads * 4 * 4)) == 2 for heads in (1, 2, 4))
     cases = [c for c in _op_cases() if c[0].startswith(("mlp.", "attention["))]
     assert len(cases) == 16

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtst import evaluate
-from dtst.errors import DimensionError, NumericError, ProtocolError
+from dtst import data, evaluate, model
+from dtst.errors import ContractError, DimensionError, NumericError, ProtocolError
 from dtst.evaluate import (PROTOCOL_A2G, PROTOCOL_AG, PROTOCOL_ALL,
                            PROTOCOL_G2A, PROTOCOLS, RetrievalReport,
                            SharedScoring, average_precision, evaluate_protocol,
@@ -670,3 +670,21 @@ def test_reports_round_trip(tmp_path):
                             num_excluded=r["num_excluded"])
             for r in records]
     assert back == reports
+
+
+@pytest.mark.parametrize("batch_size, count, error, match", [
+    (0, 4, ContractError, "batch_size must be at least 1, got 0"),
+    (-1, 4, ContractError, "batch_size must be at least 1, got -1"),
+    (64, 0, DimensionError, "no samples to embed"),
+], ids=["zero_batch", "negative_batch", "no_samples"])
+def test_embed_samples_rejects_bad_input_before_any_forward(batch_size, count, error, match,
+                                                            monkeypatch):
+    forwards = []
+    monkeypatch.setattr(model, "model_forward", lambda *a, **k: forwards.append(a))
+    samples = data.generate_dataset(data.GenConfig(num_ids=2, samples_per_id_per_view=1,
+                                                   grid=(2, 2), patch_dim=3, k_sig=1, seed=0))
+    cfg = model.ModelConfig(num_identities=2, num_blocks=1, embed_dim=4, patch_grid=(2, 2),
+                            patch_dim=3)
+    with pytest.raises(error, match=match):
+        evaluate.embed_samples(cfg, model.init_params(cfg, 0), samples[:count], batch_size)
+    assert forwards == []

@@ -56,15 +56,20 @@ def test_cross_entropy_label_range_check():
         cross_entropy_loss(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
 
 
-@pytest.mark.parametrize("labels, error, match", [
-    (np.array([[0], [1]]), DimensionError, r"expected 2 labels, one per row, got shape \(2, 1\)"),
-    (np.array([0, 1, 2]), DimensionError, r"got shape \(3,\)"),
-    (np.array([0.7, 1.2]), DomainError, "labels must be integers, got dtype float64"),
-    (np.array([True, False]), DomainError, "labels must be integers, got dtype bool"),
-], ids=["column", "extra_row", "float", "bool"])
-def test_cross_entropy_rejects_malformed_labels(labels, error, match):
+@pytest.mark.parametrize("logits, labels, error, match", [
+    ((2, 3), np.array([[0], [1]]), DimensionError,
+     r"expected 2 labels, one per row, got shape \(2, 1\)"),
+    ((2, 3), np.array([0, 1, 2]), DimensionError, r"got shape \(3,\)"),
+    ((2, 3), np.array([0.7, 1.2]), DomainError, "labels must be integers, got dtype float64"),
+    ((2, 3), np.array([True, False]), DomainError, "labels must be integers, got dtype bool"),
+    ((), np.array([0, 1]), DimensionError, r"logits must be \[B, C\], got shape \(\)"),
+    ((3,), np.array([0, 1]), DimensionError, r"logits must be \[B, C\], got shape \(3,\)"),
+    ((2, 3, 1), np.array([0, 1]), DimensionError, r"logits must be \[B, C\], got shape"),
+], ids=["column", "extra_row", "float", "bool", "scalar_logits", "vector_logits",
+        "three_dim_logits"])
+def test_cross_entropy_rejects_malformed_labels(logits, labels, error, match):
     with pytest.raises(error, match=match):
-        cross_entropy_loss(Tensor(np.zeros((2, 3))), labels)
+        cross_entropy_loss(Tensor(np.zeros(logits)), labels)
 
 
 @pytest.mark.parametrize("shapes", [((3, 4), (1, 4)), ((3, 4), (3, 5)), ((2, 3, 4), (2, 3, 4))],

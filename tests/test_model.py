@@ -6,7 +6,7 @@ import pytest
 
 from dtst import model
 from dtst import tensor as T
-from dtst.errors import ConfigError, DimensionError, DomainError, NumericError
+from dtst.errors import ConfigError, ContractError, DimensionError, DomainError, NumericError
 from dtst.losses import LossWeights, cross_entropy_loss, orthogonal_loss, total_loss
 from dtst.model import (ModelConfig, attach_special_tokens, encoder_block,
                         init_params, load_checkpoint, model_forward, patch_embed,
@@ -48,6 +48,15 @@ def test_model_forward_rejects_malformed_labels_and_selections(views, frozen, er
     params = init_params(cfg, seed=0)
     with pytest.raises(error, match=match):
         model_forward(cfg, params, RNG.normal(size=(2, 2, 3, 4)), np.array(views),
+                      frozen_selection=frozen)
+
+
+@pytest.mark.parametrize("frozen", [[[0], [1]], [[0], [5]]], ids=["in_range", "out_of_range"])
+def test_model_forward_rejects_a_selection_without_a_selector(frozen):
+    cfg = small_cfg(patch_grid=(2, 2))
+    params = init_params(cfg, seed=0)
+    with pytest.raises(ContractError, match="needs a model with a selector"):
+        model_forward(cfg, params, RNG.normal(size=(2, 2, 2, 4)), np.array([0, 1]),
                       frozen_selection=frozen)
 
 

@@ -130,6 +130,16 @@ def test_gelu_keeps_the_shape_of_any_input(shape):
     assert np.array_equal(T.gelu(Tensor(x)).data, y.data)
 
 
+def test_gelu_tile_output_is_the_same_with_and_without_the_slope():
+    mags = np.logspace(-300, np.log10(40.0), 2001)
+    x = np.concatenate([mags, -mags, [0.0, -0.0]])
+    with_slope, without = x.copy(), x.copy()
+    T._gelu_tile(with_slope, np.empty_like(x), np.empty_like(x), np.empty_like(x))
+    t = np.empty_like(x)
+    T._gelu_tile(without, t, t)  # `half` may be `t` without a slope
+    assert with_slope.view(np.int64).tolist() == without.view(np.int64).tolist()
+
+
 # with 32-element tiles, each case below spans three or more tiles, the last
 # one shorter than the others
 SMALL_TILE = 32
@@ -140,8 +150,7 @@ def _fused_cases():
     tile by tile; `op` maps the input Tensors to one output Tensor."""
     rng = np.random.default_rng(5)
     mlp_in = [rng.normal(size=s) for s in ((3, 7, 4), (4, 16), (16,), (16, 4), (4,))]
-    cases = [("gelu", T.gelu, [rng.normal(size=(3, 11, 8)) * 2.0], 33, 8),
-             ("mlp", T.mlp, mlp_in, 21, 16)]
+    cases = [("mlp", T.mlp, mlp_in, 21, 16)]
     for b, t, heads in ((11, 4, 1), (19, 2, 2)):
         att_in = ([rng.normal(size=(b, t, 8))] + [rng.normal(size=(8, 8)) * 0.5 for _ in range(4)]
                   + [rng.normal(size=8) * 0.1 for _ in range(4)])
@@ -180,11 +189,12 @@ def test_tiled_kernels_equal_one_tile_bit_for_bit(case, monkeypatch):
         got = _run_fused(op, inputs, tracked)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), (name, tracked)
+    # and the untracked output is the tracked one, so at every tiling above
+    assert np.array_equal(one_tile[0][0], one_tile[1][0]), name
 
 
 @pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked"])
-@pytest.mark.parametrize("case", [c for c in _fused_cases() if c[0] != "gelu"],
-                         ids=lambda c: c[0])
+@pytest.mark.parametrize("case", _fused_cases(), ids=lambda c: c[0])
 def test_tiles_equal_one_tile_at_every_tile_size(case, tracked, monkeypatch):
     # a one-row GEMM goes through GEMV, which rounds differently, so no tile
     # that a GEMM runs over may hold one row: not at one-element tiles, and
