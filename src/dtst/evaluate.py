@@ -6,30 +6,30 @@ against itself; same-view and cross-view protocols keep the queries of one
 view and rank them in the gallery rows of one view. Bidirectional protocols
 run both directions and average the aggregates.
 
-Scoring runs one query view at a time against the gallery split in parts,
-one part per gallery view. Each block of queries makes one similarity
-matrix per part, about `_BLOCK_SIMILARITIES` entries in all, value-sorts
-its rows, and finds every true match of the block in one comparison of ids
-per part. A match's count of larger values in a part comes from a binary
-search in that part's sorted row: one `searchsorted` per query row and
-part, the only per-query calls. Its rank in its own part is one plus the
-count there; its rank in the whole gallery is one plus the counts of all
-parts. So one pass gives a query view's rows of its same-view protocol, of
-its cross-view protocol and of `ALL`. Ties are found for the whole block
-at once, as a value that occurs again in some part; only the rows holding
-such a match are sorted again, stably by descending similarity, over the
-part or over the whole gallery in gallery order, and give those matches
-their place in that order, so equal values rank in gallery order, the lower
-index first. AP and INP are computed at once for all queries of a block
+Scoring ranks every query of the split in one pass against the gallery
+split in parts, one part per gallery view. Each block of queries makes one
+similarity matrix per part, about `_BLOCK_SIMILARITIES` entries in all,
+value-sorts its rows, and finds every true match of the block in one
+comparison of ids per part. A match's count of larger values in a part
+comes from a binary search in that part's sorted row: one `searchsorted`
+per query row and part, the only per-query calls. Its rank in its own part
+is one plus the count there; its rank in the whole gallery is one plus the
+counts of all parts. So one pass gives every query's scores in each gallery
+view and in the whole gallery, in query order: a protocol keeps the queries
+of its query view. Ties are found for the whole block at once, as a value
+that occurs again in some part; only the rows holding such a match are
+sorted again, stably by descending similarity, over the part or over the
+whole gallery in gallery order, and give those matches their place in that
+order, so equal values rank in gallery order, the lower index first. A
+one-row block or part is scored as two copies of itself, as GEMV rounds
+apart from GEMM. AP and INP are computed at once for all queries of a block
 that have the same number of matches, bit for bit as one query at a time;
 the Rank-1 hit is whether the first rank is 1.
 
 The six protocols of one eval share this work through a `SharedScoring`:
-the embedding checks, the unit rows, the split, and each query view's pass
-against every gallery view, each made by the first `evaluate_protocol` call
-that needs it. A call without one makes its own, so it makes the same
-passes for the query views it needs and keeps only its own protocol's
-scores.
+the embedding checks, the split and the one pass, made by the first
+`evaluate_protocol` call that needs them. A call without one makes its own
+and ranks every query once, whatever its protocol.
 
 The query/gallery partition sorts the rows by (id, view) once and draws one
 permutation per group, in ascending (id, view) order.
@@ -134,13 +134,15 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
         if rows.shape[1] != queries.shape[1]:
             raise DimensionError(
                 f"embedding widths disagree: query {queries.shape[1]}, gallery {rows.shape[1]}")
-    # one query is scored as two copies of itself: a one-row product goes
-    # through GEMV, which can round bitwise-equal gallery rows differently from
-    # the GEMM of a larger block, and so break their tie
-    lhs = queries[[0, 0]] if len(queries) == 1 else queries
+    # a one-row side (a query, or a gallery part) is scored as two copies of
+    # itself: GEMV can round bitwise-equal rows differently from the GEMM of
+    # a larger block, and so break their tie
+    def two(a):
+        return a[[0, 0]] if len(a) == 1 else a
+
     sims, ordered, found = [], [], []
     for p, (rows, ids) in enumerate(parts):
-        part_sims = (lhs @ rows.T)[:len(queries)]
+        part_sims = (two(queries) @ two(rows).T)[:len(queries), :len(rows)]
         sims.append(part_sims)
         ordered.append(np.sort(part_sims, axis=1))
         match = np.flatnonzero(query_ids[:, None] == ids)
@@ -257,8 +259,9 @@ def query_gallery_split(ids, views, seed: int):
     """Seeded partition into (query mask, gallery mask), balanced per
     (id, view) group so each side keeps roughly half of every group. Groups
     draw their permutations in ascending (id, view) order."""
-    ids = np.asarray(ids)
-    views = np.asarray(views)
+    ids, views = np.asarray(ids), np.asarray(views)
+    if ids.ndim != 1 or views.shape != ids.shape:
+        raise DimensionError(f"ids {ids.shape} and views {views.shape} need one entry per sample")
     rng = np.random.default_rng(seed)
     is_query = np.zeros(len(ids), dtype=bool)
     order = np.lexsort((views, ids))
@@ -273,15 +276,15 @@ def query_gallery_split(ids, views, seed: int):
 
 class SharedScoring:
     """What the `evaluate_protocol` calls of one eval share: the embedding
-    checks, the unit rows, the query/gallery split and, per query view, the
-    scores of its queries in each gallery view and in the whole gallery.
-    Made empty, it is filled by the calls as they first need each part, and
-    it belongs to the embeddings, ids, views and split seed of the first
-    call; a later call with others is a `ProtocolError`."""
+    checks, the query/gallery split and the scores of every query in each
+    gallery view and in the whole gallery, ranked in one pass by the first
+    call that needs a score. It belongs to the embeddings, ids, views and
+    split seed of the first call; a later call with others is a
+    `ProtocolError`."""
 
     def __init__(self):
         self.inputs = None
-        self.scores = {}  # query view -> {gallery view or None for all: scores}
+        self.scores = None  # gallery view or None for all -> scores of every query
 
     def bind(self, embeddings, ids, views, split_seed):
         if self.inputs is not None:
@@ -304,8 +307,8 @@ class SharedScoring:
                                f"similarity ties")
         unit = unit_rows(emb)
         q_mask, g_mask = query_gallery_split(ids_a, views_a, split_seed)
-        self.q_rows, g_rows = np.flatnonzero(q_mask), np.flatnonzero(g_mask)
-        self.unit, self.ids, self.q_views = unit, ids_a, views_a[self.q_rows]
+        self.queries, self.q_ids, self.q_views = unit[q_mask], ids_a[q_mask], views_a[q_mask]
+        g_rows = np.flatnonzero(g_mask)
         g_views = views_a[g_rows]
         # gallery view -> (unit rows, ids, places in the gallery split)
         self.parts = {}
@@ -317,19 +320,10 @@ class SharedScoring:
     def direction(self, q_view, g_view):
         """(AP, INP, hit, has a match) of each query of one direction, in
         query order; None for a view takes every view."""
-        if q_view is not None:
-            return self._view(q_view)[g_view]
-        # each query view's scores in the whole gallery, put back in query order
-        per_view = [self._view(v)[None] for v in np.unique(self.q_views).tolist()]
-        back = np.argsort(np.argsort(self.q_views, kind="stable"))
-        return [np.concatenate(scores)[back] for scores in zip(*per_view)]
-
-    def _view(self, q_view):
-        """The scores of one query view's queries, ranked on first need."""
-        if q_view not in self.scores:
-            rows = self.q_rows[self.q_views == q_view]
-            self.scores[q_view] = _score_pass(self.unit[rows], self.ids[rows], self.parts)
-        return self.scores[q_view]
+        if self.scores is None:
+            self.scores = _score_pass(self.queries, self.q_ids, self.parts)
+        scores = self.scores[g_view]
+        return scores if q_view is None else [a[self.q_views == q_view] for a in scores]
 
 
 def _score_pass(queries, query_ids, parts):
@@ -364,8 +358,8 @@ _VIEW_FILTERS = {
 def evaluate_protocol(embeddings, ids, views, protocol: str,
                       split_seed: int = 0, *, shared=None) -> RetrievalReport:
     """The report of one protocol. Pass one `SharedScoring` to every call
-    of an eval as `shared` to rank each query view once for all of them;
-    without it, the call ranks the query views it needs for itself."""
+    of an eval as `shared` to rank the queries once for all of them;
+    without it, the call ranks every query for itself."""
     if protocol not in PROTOCOLS:
         raise ProtocolError(f"unknown protocol {protocol!r}")
     scoring = SharedScoring() if shared is None else shared

@@ -57,6 +57,8 @@ def hard_topk(scores, k: int):
     returned sorted ascending by original index."""
     scores = np.asarray(scores, dtype=np.float64)
     m = scores.shape[-1]
+    if k < 1:
+        raise ConfigError(f"K must be >= 1, got {k}")
     if k > m:
         raise ConfigError(f"K={k} exceeds token count M={m}")
     order = np.argsort(-scores, axis=-1, kind="stable")

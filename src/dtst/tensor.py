@@ -344,6 +344,11 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Entries start .. start + length - 1 of `axis`; at least one, all
+    inside the axis."""
+    if not (0 <= axis < x.data.ndim and 0 <= start < start + length <= x.shape[axis]):
+        raise DimensionError(f"narrow({start}, {length}) on axis {axis} of {x.shape} "
+                             f"leaves the tensor or takes no entry")
     index = [slice(None)] * x.data.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
@@ -559,6 +564,12 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
     projections it runs over the same kind of tiles, with one [tile, H, T,
     T] scratch for the scores' gradient.
     """
+    if x.data.ndim != 3 or len(weights) != 4 or len(biases) != 4 or any(
+            w.shape != (x.shape[2],) * 2 or bias.shape != x.shape[2:]
+            for w, bias in zip(weights, biases)):
+        raise DimensionError(f"attention needs x[B, T, d], weights [d, d] and biases [d], got "
+                             f"{x.shape}, {[w.shape for w in weights]}, "
+                             f"{[bias.shape for bias in biases]}")
     b, t, d = x.shape
     if d % num_heads != 0:
         raise DimensionError(f"attention heads {num_heads} must divide width {d}")

@@ -231,6 +231,20 @@ def test_reductions_and_shapes():
     check_unary(lambda t: T.narrow(t, 1, 1, 2), x)
 
 
+@pytest.mark.parametrize("axis, start, length", [
+    (1, 3, 5),   # runs past the end
+    (1, -1, 1),  # starts before the start
+    (1, 2, 0),   # takes no entry
+    (3, 0, 1),   # no such axis
+    (-1, 0, 1),  # a negative axis
+])
+def test_narrow_rejects_slices_outside_the_tensor(axis, start, length):
+    x = Tensor(np.zeros((2, 4)))
+    assert T.narrow(x, 1, 3, 1).shape == (2, 1)
+    with pytest.raises(DimensionError, match="narrow"):
+        T.narrow(x, axis, start, length)
+
+
 def test_concat_gradient_splits():
     a = RNG.normal(size=(2, 3))
     b = RNG.normal(size=(2, 2))
@@ -415,6 +429,20 @@ def test_mlp_shape_errors_name_every_operand():
                 (x, w1, b1, w2, Tensor(np.zeros(4)))):
         with pytest.raises(DimensionError, match="mlp needs"):
             T.mlp(*bad)
+
+
+def test_attention_shape_errors_name_every_operand():
+    d = 4
+    x = Tensor(np.zeros((2, 3, d)))
+    ws = [Tensor(np.zeros((d, d))) for _ in range(4)]
+    bs = [Tensor(np.zeros(d)) for _ in range(4)]
+    T.attention(x, ws, bs, 2)
+    for bad in ((Tensor(np.zeros((3, d))), ws, bs),
+                (x, ws[:3] + [Tensor(np.zeros((4, 5)))], bs),
+                (x, ws, bs[:3] + [Tensor(np.zeros(3))]),
+                (x, ws[:3], bs)):
+        with pytest.raises(DimensionError, match="attention needs"):
+            T.attention(*bad, 2)
 
 
 def test_grad_accumulates_across_backward_calls():
