@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SamplingError
+from .errors import ConfigError, SamplingError, check_count
 from .model import VIEW_AERIAL, VIEW_GROUND, VIEW_NAMES
 
 
@@ -107,8 +107,15 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     return samples
 
 
+def check_pk(p, k_inst):
+    """(P, K) as ints; `SamplingError` unless both are integers >= 1."""
+    return tuple(check_count(n, 1, SamplingError, f"batch {name} must be an integer >= 1, "
+                             f"got {n!r}") for name, n in (("P", p), ("K", k_inst)))
+
+
 def pk_batch(dataset, p: int, k_inst: int, rng: np.random.Generator):
     """P distinct identities with exactly k_inst samples each."""
+    p, k_inst = check_pk(p, k_inst)
     by_id = dataset.by_id() if isinstance(dataset, Dataset) else _index_by_id(dataset)
     eligible = [y for y, idxs in by_id.items() if len(idxs) >= k_inst]
     if len(eligible) < p:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises them."""
+
+import operator
 
 
 class DtstError(Exception):
@@ -45,3 +48,16 @@ class ConfigParseError(DtstError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def check_count(value, least, error, message):
+    """`value` as an int, through `operator.index`, so Python and numpy
+    integers pass; raises `error(message)` for anything else (1.5, 2.0) and
+    for an integer below `least`."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise error(message) from None
+    if n < least:
+        raise error(message)
+    return n

@@ -22,9 +22,12 @@ sorted again, stably by descending similarity, over the part or over the
 whole gallery in gallery order, and give those matches their place in that
 order, so equal values rank in gallery order, the lower index first. A
 one-row block or part is scored as two copies of itself, as GEMV rounds
-apart from GEMM. AP and INP are computed at once for all queries of a block
-that have the same number of matches, bit for bit as one query at a time;
-the Rank-1 hit is whether the first rank is 1.
+apart from GEMM. A block's ranks stay in one array, by target (each
+gallery view, then the whole gallery), then query, with one count of
+matches per target and query. AP and INP are computed at once for all
+queries of a block that have the same number of matches, bit for bit as one
+query at a time; the Rank-1 hit is whether the first rank is 1. A report
+holds the aggregates alone, no per-query score.
 
 The six protocols of one eval share this work through a `SharedScoring`:
 the embedding checks, the split and the one pass, made by the first
@@ -43,13 +46,14 @@ overflows, or rows that are all identical (every similarity ties), with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import data as data_mod
 from . import model as model_mod
-from .errors import ContractError, DimensionError, NumericError, ProtocolError
+from .errors import (ContractError, DimensionError, DomainError, NumericError, ProtocolError,
+                     check_count)
 from .model import VIEW_AERIAL, VIEW_GROUND
 
 PROTOCOL_ALL = "ALL"
@@ -82,8 +86,6 @@ class RetrievalReport:
     mean_inp: float
     num_queries: int
     num_excluded: int
-    per_query_ap: list = field(default_factory=list)
-    per_query_inp: list = field(default_factory=list)
 
 
 def unit_rows(x):
@@ -98,10 +100,11 @@ def unit_rows(x):
 
 
 def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
-    """Ascending 1-based ranks of each query's true matches in the gallery
+    """The 1-based ranks of every query's true matches in the gallery
     sorted by descending similarity, ties broken toward the lower gallery
-    index; an empty array for a query with no match. The arrays are slices
-    of one array, in query order.
+    index, as `(ranks, counts)`: `counts` [targets, B] holds each query's
+    number of matches in each target, and `ranks` all of them in one array,
+    by target, then query, ascending within a query.
 
     `queries` [B, d] and `gallery` [G, d] are finite unit rows (`unit_rows`),
     so the similarity is cosine; `query_ids` [B] and `gallery_ids` [G] hold
@@ -110,11 +113,11 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
     With `columns`, the gallery comes in parts (`evaluate_protocol` makes
     one per view): `gallery` and `gallery_ids` list each part's rows and
     ids, and `columns` the places of each part's rows in the whole gallery,
-    ascending. The result is then one list of rank arrays as above per
-    part, ranking in that part alone, followed by one ranking in the whole
-    gallery. Each part gets one similarity matrix and one sort. Without
-    `columns`, the gallery is the one part of itself, and the result is its
-    whole-gallery list alone. Every part needs at least one row."""
+    ascending. The targets are then each part, ranking in that part alone,
+    followed by the whole gallery. Each part gets one similarity matrix and
+    one sort. Without `columns`, the gallery is the one part of itself, and
+    the whole gallery is the only target. Every part needs at least one
+    row."""
     whole_only = columns is None
     if whole_only:
         gallery, gallery_ids, columns = [gallery], [gallery_ids], [np.arange(len(gallery))]
@@ -181,11 +184,12 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
 
     whole = sum(sizes) + 1 - past.sum(axis=0)
     _place_ties(whole, tied.any(axis=0), row, at, whole_rows)
-    # the parts' lists and the whole gallery's, cut from one array
-    ranked = _per_query(np.concatenate([part * n + row, len(parts) * n + row]),
-                        np.concatenate([ranks, whole]), sum(sizes), (len(parts) + 1) * n)
-    lists = [ranked[start:start + n] for start in range(0, len(ranked), n)]
-    return lists[-1] if whole_only else lists
+    # by target, then query, then rank: one sort of one key per match
+    group = np.concatenate([part * n + row, len(parts) * n + row])
+    top = sum(sizes) + 1
+    ranks = np.sort(group * top + np.concatenate([ranks, whole])) % top
+    counts = np.bincount(group, minlength=(len(parts) + 1) * n).reshape(len(parts) + 1, n)
+    return (ranks[len(row):], counts[1:]) if whole_only else (ranks, counts)
 
 
 def _place_ties(ranks, tie, row, col, rows_of):
@@ -199,15 +203,6 @@ def _place_ties(ranks, tie, row, col, rows_of):
         place = np.empty_like(order)
         np.put_along_axis(place, order, np.arange(1, order.shape[1] + 1), axis=1)
         ranks[tie] = place[which, col[tie]]
-
-
-def _per_query(group, ranks, size, num_groups):
-    """The `ranks` of each group (a query row) in ascending order: slices
-    of one array, in group order. Ranks are at most `size`."""
-    keyed = np.sort(group * (size + 1) + ranks)
-    bounds = [0, *np.cumsum(np.bincount(group, minlength=num_groups)).tolist()]
-    ranks = keyed % (size + 1)
-    return [ranks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def average_precision(ranks):
@@ -236,22 +231,21 @@ def inverse_negative_penalty(ranks):
     return float(inp) if ranks.ndim == 1 else inp
 
 
-def _block_scores(ranked):
+def _block_scores(ranks, counts):
     """(AP, INP, Rank-1 hit, has a match) of each query of a block, from
-    its per-query ranks; AP and INP are NaN for a query with no match."""
-    flat = np.concatenate(ranked)
-    counts = np.fromiter(map(len, ranked), dtype=np.int64, count=len(ranked))
+    one array of `ranks` holding `counts[i]` ascending ranks for query i,
+    in query order; AP and INP are NaN for a query with no match."""
     first = np.cumsum(counts) - counts
     scored = counts > 0
     ap, inp = np.full(len(counts), np.nan), np.full(len(counts), np.nan)
     # one [queries, n] array per distinct match count n
     for n in np.unique(counts[scored]).tolist():
         same = np.flatnonzero(counts == n)
-        group = flat[first[same, None] + np.arange(n)]
+        group = ranks[first[same, None] + np.arange(n)]
         ap[same] = average_precision(group)
         inp[same] = inverse_negative_penalty(group)
     hit = np.zeros(len(counts), dtype=bool)
-    hit[scored] = flat[first[scored]] == 1
+    hit[scored] = ranks[first[scored]] == 1
     return ap, inp, hit, scored
 
 
@@ -262,6 +256,7 @@ def query_gallery_split(ids, views, seed: int):
     ids, views = np.asarray(ids), np.asarray(views)
     if ids.ndim != 1 or views.shape != ids.shape:
         raise DimensionError(f"ids {ids.shape} and views {views.shape} need one entry per sample")
+    seed = check_count(seed, 0, DomainError, f"split seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     is_query = np.zeros(len(ids), dtype=bool)
     order = np.lexsort((views, ids))
@@ -336,10 +331,10 @@ def _score_pass(queries, query_ids, parts):
     block = max(1, _BLOCK_SIMILARITIES // sum(map(len, rows)))
     out = {t: [] for t in targets}
     for start in range(0, len(queries), block):
-        ranked = rank_gallery(queries[start:start + block], query_ids[start:start + block],
-                              rows, ids, cols)
-        # one scoring of every target's lists, cut back into targets
-        scores = _block_scores([r for lists in ranked for r in lists])
+        ranks, counts = rank_gallery(queries[start:start + block],
+                                     query_ids[start:start + block], rows, ids, cols)
+        # one scoring of every target's ranks, cut back into targets
+        scores = _block_scores(ranks, counts.ravel())
         for t, *cut in zip(targets, *(a.reshape(len(targets), -1) for a in scores)):
             out[t].append(cut)
     return {t: [np.concatenate(a) for a in zip(*blocks)] for t, blocks in out.items()}
@@ -365,7 +360,6 @@ def evaluate_protocol(embeddings, ids, views, protocol: str,
     scoring = SharedScoring() if shared is None else shared
     scoring.bind(embeddings, ids, views, split_seed)
     rank1s, map_vals, minp_vals = [], [], []
-    all_ap, all_inp = [], []
     num_queries = 0
     excluded = 0
     for q_view, g_view in _VIEW_FILTERS[protocol]:
@@ -376,13 +370,10 @@ def evaluate_protocol(embeddings, ids, views, protocol: str,
         ap, inp, hit, scored = scoring.direction(q_view, g_view)
         if not scored.any():
             raise ProtocolError(f"protocol {protocol}: no scoreable queries")
-        aps, inps = ap[scored], inp[scored]
         rank1s.append(float(np.mean(hit[scored])))
-        map_vals.append(float(np.mean(aps)))
-        minp_vals.append(float(np.mean(inps)))
-        all_ap.extend(aps.tolist())
-        all_inp.extend(inps.tolist())
-        num_queries += len(aps)
+        map_vals.append(float(np.mean(ap[scored])))
+        minp_vals.append(float(np.mean(inp[scored])))
+        num_queries += int(np.count_nonzero(scored))
         excluded += int(np.count_nonzero(~scored))
     return RetrievalReport(
         protocol=protocol,
@@ -391,8 +382,6 @@ def evaluate_protocol(embeddings, ids, views, protocol: str,
         mean_inp=float(np.mean(minp_vals)),
         num_queries=num_queries,
         num_excluded=excluded,
-        per_query_ap=all_ap,
-        per_query_inp=all_inp,
     )
 
 
@@ -404,8 +393,8 @@ def embed_samples(cfg, params, samples, batch_size: int = EMBED_BATCH):
     looked up on their modules at each call, so a wrapper installed there
     (a profiler's, say) sees every batch.
     """
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be at least 1, got {batch_size}")
+    batch_size = check_count(batch_size, 1, ContractError,
+                             f"batch_size must be at least 1, got {batch_size}")
     if len(samples) == 0:
         raise DimensionError("no samples to embed")
     metas, view_feats, ids, views = [], [], [], []
@@ -422,7 +411,7 @@ def embed_samples(cfg, params, samples, batch_size: int = EMBED_BATCH):
 
 
 def write_reports(path, reports) -> None:
-    """JSON-lines, one record per protocol (per-query lists omitted)."""
+    """JSON-lines, one record per protocol."""
     with open(path, "w") as f:
         for r in reports:
             f.write(json.dumps({

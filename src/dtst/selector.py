@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DimensionError, DomainError
+from .errors import ConfigError, ContractError, DimensionError, DomainError, check_count
 from .tensor import Tensor
 
 # Config-level selector positions: LAST places the selector in front of the
@@ -57,8 +57,7 @@ def hard_topk(scores, k: int):
     returned sorted ascending by original index."""
     scores = np.asarray(scores, dtype=np.float64)
     m = scores.shape[-1]
-    if k < 1:
-        raise ConfigError(f"K must be >= 1, got {k}")
+    k = check_count(k, 1, ConfigError, f"K must be an integer >= 1, got {k!r}")
     if k > m:
         raise ConfigError(f"K={k} exceeds token count M={m}")
     order = np.argsort(-scores, axis=-1, kind="stable")

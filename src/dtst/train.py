@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import losses, model, optim
-from .data import batch_arrays, pk_batch
+from .data import batch_arrays, check_pk, pk_batch
 from .errors import NumericError, SamplingError
 from .tensor import Tape, backward
 
@@ -30,8 +30,9 @@ def train_run(cfg: model.ModelConfig, params: dict, dataset,
               momentum: float = 0.9):
     """Train in place for `epochs` epochs of len(dataset) // (P*K) steps
     each, the learning rate decaying from `lr_max` to `lr_min` over the whole
-    run; returns the list of LogRow. A dataset smaller than one P*K batch
-    raises SamplingError before any step."""
+    run; returns the list of LogRow. A P or K below 1, or a dataset smaller
+    than one P*K batch, raises SamplingError before any step."""
+    batch_p, batch_k = check_pk(batch_p, batch_k)
     if len(dataset) < batch_p * batch_k:
         raise SamplingError(f"{len(dataset)} samples cannot fill one "
                             f"{batch_p}x{batch_k} batch")

@@ -6,9 +6,20 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+import numpy as np
 import pytest
 
 VERDICTS = []
+
+
+def per_query_ranks(ranked):
+    """`rank_gallery`'s `(ranks, counts)` cut into one list per target (each
+    gallery part, then the whole gallery) of each query's list of ranks."""
+    ranks, counts = ranked
+    assert counts.dtype == np.int64 and len(ranks) == counts.sum()
+    lists = [r.tolist() for r in np.split(ranks, np.cumsum(counts.ravel())[:-1])]
+    n = counts.shape[1]
+    return [lists[t * n:(t + 1) * n] for t in range(len(counts))]
 
 
 @pytest.fixture(scope="session")

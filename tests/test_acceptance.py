@@ -29,7 +29,7 @@ from dtst.selector import SelectorConfig, hard_topk, perturbed_topk, score_token
 from dtst.tensor import Tape, Tensor, backward
 from dtst.train import train_run, write_log
 
-from conftest import VERDICTS
+from conftest import VERDICTS, per_query_ranks
 
 
 def verdict(num, label, ok, detail=""):
@@ -232,7 +232,8 @@ def test_criterion_2_metric_oracles():
         gids = rng.integers(0, 3, size=n)
         if not (gids == qid).any():
             gids[rng.integers(0, n)] = qid
-        ranks, = rank_gallery(unit_rows(query[None]), [qid], unit_rows(gallery), gids)
+        (ranks,), = per_query_ranks(rank_gallery(unit_rows(query[None]), [qid],
+                                                 unit_rows(gallery), gids))
 
         # brute-force oracle: full sort by cosine, then definitional sums
         sims = [float(g @ query / (np.linalg.norm(g) * np.linalg.norm(query)))
@@ -250,7 +251,7 @@ def test_criterion_2_metric_oracles():
         ref_rank1 = ref_flags[0]
 
         ref_ranks = [r for r, f in enumerate(ref_flags, 1) if f]
-        if (ranks.tolist() != ref_ranks
+        if (ranks != ref_ranks
                 or abs(average_precision(ranks) - ref_ap) > 1e-12
                 or abs(inverse_negative_penalty(ranks) - ref_inp) > 1e-12
                 or (ranks[0] == 1) != ref_rank1):

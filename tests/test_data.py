@@ -113,6 +113,20 @@ def test_pk_batch_insufficient_identities():
         pk_batch(data, p=2, k_inst=7, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("p, k_inst", [(0, 2), (2, 0), (-1, 2), (2, -1), (1.5, 2), (2, 2.0)])
+def test_pk_batch_needs_a_p_and_k_of_at_least_one(p, k_inst):
+    data = generate_dataset(tiny_cfg())
+    with pytest.raises(SamplingError, match="must be an integer >= 1"):
+        pk_batch(data, p, k_inst, np.random.default_rng(0))
+
+
+def test_pk_batch_takes_numpy_integers():
+    data = generate_dataset(tiny_cfg())
+    want = pk_batch(data, 2, 3, np.random.default_rng(0))
+    got = pk_batch(data, np.int64(2), np.int32(3), np.random.default_rng(0))
+    assert len(got) == len(want) == 6 and all(a is b for a, b in zip(got, want))
+
+
 def test_pk_batch_covers_all_identities_over_time():
     data = generate_dataset(tiny_cfg())
     rng = np.random.default_rng(0)

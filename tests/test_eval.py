@@ -9,13 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtst import data, evaluate, model
-from dtst.errors import ContractError, DimensionError, NumericError, ProtocolError
+from dtst.errors import ContractError, DimensionError, DomainError, NumericError, ProtocolError
 from dtst.evaluate import (PROTOCOL_A2G, PROTOCOL_AG, PROTOCOL_ALL,
                            PROTOCOL_G2A, PROTOCOLS, RetrievalReport,
                            SharedScoring, average_precision, evaluate_protocol,
                            inverse_negative_penalty, query_gallery_split,
                            rank_gallery, unit_rows, write_reports)
 from dtst.model import VIEW_AERIAL, VIEW_GROUND
+
+from conftest import per_query_ranks
 
 RNG = np.random.default_rng(11)
 
@@ -76,17 +78,17 @@ def test_rank_gallery_orders_by_cosine():
     gallery = np.array([[0.0, 1.0],    # cos 0
                         [2.0, 0.0],    # cos 1 (scale must not matter)
                         [1.0, 1.0]])   # cos ~0.707
-    ranks, = rank_gallery(unit_rows(query[None]), [7], unit_rows(gallery),
-                          np.array([0, 7, 7]))
-    assert ranks.tolist() == [1, 2]
+    (ranks,), = per_query_ranks(rank_gallery(unit_rows(query[None]), [7], unit_rows(gallery),
+                                             np.array([0, 7, 7])))
+    assert ranks == [1, 2]
 
 
 def test_rank_gallery_tie_prefers_lower_index():
     query = np.array([1.0, 0.0])
     gallery = np.array([[1.0, 0.0], [3.0, 0.0], [1.0, 0.0]])  # all cos 1
-    ranks, = rank_gallery(unit_rows(query[None]), [1], unit_rows(gallery),
-                          np.array([0, 1, 1]))
-    assert ranks.tolist() == [2, 3]
+    (ranks,), = per_query_ranks(rank_gallery(unit_rows(query[None]), [1], unit_rows(gallery),
+                                             np.array([0, 1, 1])))
+    assert ranks == [2, 3]
 
 
 def test_rank_gallery_in_parts_ties_in_whole_gallery_order():
@@ -98,10 +100,52 @@ def test_rank_gallery_in_parts_ties_in_whole_gallery_order():
     ids = np.array([1, 1, 1, 0])
     split = [np.array([0, 2]), np.array([1, 3])]
     for cols in (split, split[::-1]):
-        ranked = rank_gallery(query, [1], [rows[c] for c in cols], [ids[c] for c in cols], cols)
-        parts, whole = [r[0].tolist() for r in ranked[:-1]], ranked[-1][0].tolist()
+        *parts, (whole,) = per_query_ranks(
+            rank_gallery(query, [1], [rows[c] for c in cols], [ids[c] for c in cols], cols))
+        parts = [ranks for ranks, in parts]
         assert parts == ([[1, 2], [1]] if cols is split else [[1], [1, 2]])
         assert whole == [1, 2, 4]
+
+
+def test_rank_gallery_returns_one_array_and_a_count_per_target_and_query():
+    rng = np.random.default_rng(3)
+    queries, gallery = unit_rows(rng.normal(size=(5, 4))), unit_rows(rng.normal(size=(9, 4)))
+    query_ids, gallery_ids = rng.integers(0, 3, 5), rng.integers(0, 3, 9)
+    cols = [np.arange(0, 9, 2), np.arange(1, 9, 2)]
+    ranks, counts = rank_gallery(queries, query_ids, [gallery[c] for c in cols],
+                                 [gallery_ids[c] for c in cols], cols)
+    match = query_ids[:, None] == gallery_ids
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [match[:, c].sum(axis=1).tolist() for c in cols] + [
+        match.sum(axis=1).tolist()]
+    assert ranks.shape == (counts.sum(),)
+    whole_ranks, whole_counts = rank_gallery(queries, query_ids, gallery, gallery_ids)
+    assert whole_counts.tolist() == counts[-1:].tolist()
+    assert whole_ranks.tolist() == ranks[counts[:-1].sum():].tolist()
+
+
+def test_evaluate_protocol_scores_each_query_block_once(monkeypatch):
+    embs, ids, views = _toy_population(num_ids=9, per_group=5, seed=4)
+    blocks, scored = [], []
+    rank, block_scores = evaluate.rank_gallery, evaluate._block_scores
+
+    def ranking(*args):
+        blocks.append(rank(*args))
+        return blocks[-1]
+
+    def scoring(ranks, counts):
+        scored.append((ranks, counts))
+        return block_scores(ranks, counts)
+
+    monkeypatch.setattr(evaluate, "rank_gallery", ranking)
+    monkeypatch.setattr(evaluate, "_block_scores", scoring)
+    monkeypatch.setattr(evaluate, "_BLOCK_SIMILARITIES", 200)
+    shared = SharedScoring()
+    for protocol in PROTOCOLS:
+        evaluate_protocol(embs, ids, views, protocol, shared=shared)
+    assert len(blocks) > 1 and len(scored) == len(blocks)
+    for (ranks, counts), (got_ranks, got_counts) in zip(blocks, scored):
+        assert got_ranks is ranks and got_counts.tolist() == counts.ravel().tolist()
 
 
 def test_rank_gallery_parts_need_ids_and_columns():
@@ -127,8 +171,8 @@ def test_rank_gallery_width_mismatch():
 def test_rank_gallery_takes_id_lists():
     query = unit_rows(np.array([[1.0, 0.0]]))
     gallery = unit_rows(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
-    ranks, = rank_gallery(query, [0], gallery, [0, 1, 0])
-    assert ranks.tolist() == [2, 3]
+    (ranks,), = per_query_ranks(rank_gallery(query, [0], gallery, [0, 1, 0]))
+    assert ranks == [2, 3]
 
 
 @pytest.mark.parametrize("query_ids, gallery_ids", [
@@ -185,22 +229,23 @@ def test_rank_gallery_matches_sorted_oracle_under_exact_ties(
     # ids beyond the gallery's leave some queries without a match
     query_ids = rng.integers(0, num_ids + 1, num_queries)
     gallery_ids = rng.integers(0, num_ids, gallery_size)
-    got = rank_gallery(unit_rows(queries), query_ids, unit_rows(gallery), gallery_ids)
+    got, = per_query_ranks(rank_gallery(unit_rows(queries), query_ids, unit_rows(gallery),
+                                        gallery_ids))
     want = oracle_match_ranks(queries, query_ids, gallery, gallery_ids)
-    assert [r.tolist() for r in got] == want
+    assert got == want
     # the same gallery in 1 to 3 parts of ascending columns
     num_parts = min(int(rng.integers(1, 4)), gallery_size)
     labels = rng.permutation(np.arange(gallery_size) % num_parts)
     columns = [np.flatnonzero(labels == p) for p in range(num_parts)]
     unit = unit_rows(gallery)
-    ranked = rank_gallery(unit_rows(queries), query_ids, [unit[c] for c in columns],
-                          [gallery_ids[c] for c in columns], columns)
+    ranked = per_query_ranks(rank_gallery(unit_rows(queries), query_ids,
+                                          [unit[c] for c in columns],
+                                          [gallery_ids[c] for c in columns], columns))
     assert len(ranked) == num_parts + 1
     for got, cols in zip(ranked, columns):
         want = oracle_match_ranks(queries, query_ids, gallery[cols], gallery_ids[cols])
-        assert [r.tolist() for r in got] == want
-    assert [r.tolist() for r in ranked[-1]] == oracle_match_ranks(queries, query_ids,
-                                                                  gallery, gallery_ids)
+        assert got == want
+    assert ranked[-1] == oracle_match_ranks(queries, query_ids, gallery, gallery_ids)
 
 
 def gallery_with_equal_unit_rows(rng, size, copies, d=16):
@@ -222,9 +267,10 @@ def test_one_query_ranks_as_inside_its_block():
     gallery_ids = np.arange(83) % 5
     gallery_ids[[16, 69, 80, 81]] = [1, 1, 0, 0]
     query_ids = np.zeros(76, dtype=np.int64)
-    block = rank_gallery(queries, query_ids, gallery, gallery_ids)
-    alone, = rank_gallery(queries[14:15], query_ids[14:15], gallery, gallery_ids)
-    assert alone.tolist() == block[14].tolist()
+    block, = per_query_ranks(rank_gallery(queries, query_ids, gallery, gallery_ids))
+    (alone,), = per_query_ranks(rank_gallery(queries[14:15], query_ids[14:15], gallery,
+                                             gallery_ids))
+    assert alone == block[14]
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,10 +285,11 @@ def test_each_query_alone_ranks_as_in_the_whole_block(seed, num_queries, gallery
     queries = unit_rows(rng.normal(size=(num_queries, d)))
     query_ids = rng.integers(0, num_ids, num_queries)
     gallery_ids = rng.integers(0, num_ids, gallery_size)
-    block = rank_gallery(queries, query_ids, gallery, gallery_ids)
+    block, = per_query_ranks(rank_gallery(queries, query_ids, gallery, gallery_ids))
     for i, want in enumerate(block):
-        got, = rank_gallery(queries[i:i + 1], query_ids[i:i + 1], gallery, gallery_ids)
-        assert got.tolist() == want.tolist(), i
+        (got,), = per_query_ranks(rank_gallery(queries[i:i + 1], query_ids[i:i + 1], gallery,
+                                               gallery_ids))
+        assert got == want, i
 
 
 def population_with_cross_view_copies(rng, num_ids):
@@ -290,10 +337,11 @@ def test_shared_scoring_equals_six_standalone_calls(seed, num_ids, block, split_
     rank = evaluate.rank_gallery
 
     def keeping_whole(queries, query_ids, gallery, gallery_ids, columns=None):
-        ranked = rank(queries, query_ids, gallery, gallery_ids, columns)
+        ranks, counts = rank(queries, query_ids, gallery, gallery_ids, columns)
         if columns is not None:
-            whole_calls.append((queries, query_ids, gallery, gallery_ids, columns, ranked[-1]))
-        return ranked
+            whole = ranks[counts[:-1].sum():], counts[-1:]
+            whole_calls.append((queries, query_ids, gallery, gallery_ids, columns, whole))
+        return ranks, counts
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluate, "_BLOCK_SIMILARITIES", block)
@@ -310,7 +358,7 @@ def test_shared_scoring_equals_six_standalone_calls(seed, num_ids, block, split_
         for rows, part_ids, cols in zip(gallery, gallery_ids, columns):
             whole[cols], whole_ids[cols] = rows, part_ids
         want = rank(queries, query_ids, whole, whole_ids)
-        assert [r.tolist() for r in ranked] == [r.tolist() for r in want]
+        assert per_query_ranks(ranked) == per_query_ranks(want)
 
 
 def counting_similarities(monkeypatch):
@@ -377,12 +425,30 @@ def test_shared_scoring_belongs_to_its_first_inputs():
             evaluate_protocol(*args, PROTOCOL_AG, split_seed=seed, shared=shared)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "0", None])
+def test_a_split_seed_must_be_a_non_negative_integer(seed):
+    embs, ids, views = _toy_population()
+    with pytest.raises(DomainError, match="split seed must be an integer >= 0"):
+        query_gallery_split(ids, views, seed)
+    with pytest.raises(DomainError, match="split seed"):
+        evaluate_protocol(embs, ids, views, PROTOCOL_ALL, split_seed=seed)
+
+
+def test_a_numpy_integer_split_seed_splits_as_its_python_int():
+    embs, ids, views = _toy_population()
+    for seed in (np.int64(3), np.uint8(3)):
+        assert all(np.array_equal(a, b) for a, b in zip(query_gallery_split(ids, views, seed),
+                                                        query_gallery_split(ids, views, 3)))
+        assert (evaluate_protocol(embs, ids, views, PROTOCOL_AG, split_seed=seed)
+                == evaluate_protocol(embs, ids, views, PROTOCOL_AG, split_seed=3))
+
+
 def test_rank_gallery_zero_query_ranks_matches_in_gallery_order():
     gallery = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
-    ranks, none = rank_gallery(np.zeros((2, 2)), [5, 9], unit_rows(gallery),
-                               np.array([0, 5, 5, 0]))
-    assert ranks.tolist() == [2, 3]  # all similarities 0: index order
-    assert none.size == 0
+    (ranks, none), = per_query_ranks(rank_gallery(np.zeros((2, 2)), [5, 9], unit_rows(gallery),
+                                                  np.array([0, 5, 5, 0])))
+    assert ranks == [2, 3]  # all similarities 0: index order
+    assert none == []
 
 
 @settings(max_examples=15, deadline=None)
@@ -408,26 +474,32 @@ def test_block_scoring_equals_the_per_query_reference_bit_for_bit(seed, big, blo
     embs = dyadic_rows(rng, len(ids), pool_size=24)
     untied = g_mask & (np.arange(len(ids)) % 3 == 0)
     embs[untied] = rng.normal(size=(untied.sum(), 16))
-    directions = {PROTOCOL_ALL: [(q_mask, g_mask)],
-                  PROTOCOL_AG: [(q_mask & (views == VIEW_AERIAL), g_mask & (views == VIEW_GROUND)),
-                                (q_mask & (views == VIEW_GROUND), g_mask & (views == VIEW_AERIAL))]}
+    side = {v: views == v for v in (VIEW_AERIAL, VIEW_GROUND)}
+    directions = {PROTOCOL_ALL: [(None, None, q_mask, g_mask)],
+                  PROTOCOL_AG: [(q, g, q_mask & side[q], g_mask & side[g])
+                                for q, g in ((VIEW_AERIAL, VIEW_GROUND),
+                                             (VIEW_GROUND, VIEW_AERIAL))]}
     for protocol, sides in directions.items():
+        shared = SharedScoring()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluate, "_BLOCK_SIMILARITIES", block)
-            rep = evaluate_protocol(embs, ids, views, protocol, split_seed=seed % 7)
-        aps, inps, rank1s, excluded = [], [], [], 0
-        for qm, gm in sides:
+            rep = evaluate_protocol(embs, ids, views, protocol, split_seed=seed % 7,
+                                    shared=shared)
+        rank1s, num_queries, excluded = [], 0, 0
+        for q_view, g_view, qm, gm in sides:
             ranks = oracle_match_ranks(embs[qm], ids[qm], embs[gm], ids[gm])
             scored = [r for r in ranks if r]
-            excluded += len(ranks) - len(scored)
-            aps += [average_precision(r) for r in scored]
-            inps += [inverse_negative_penalty(r) for r in scored]
+            num_queries, excluded = num_queries + len(scored), excluded + len(ranks) - len(scored)
             rank1s.append(float(np.mean([r[0] == 1 for r in scored])))
+            # each query's scores, in query order, bit for bit
+            ap, inp, hit, has = shared.direction(q_view, g_view)
+            assert has.tolist() == [bool(r) for r in ranks]
+            assert ap[has].tolist() == [average_precision(r) for r in scored]
+            assert inp[has].tolist() == [inverse_negative_penalty(r) for r in scored]
+            assert hit[has].tolist() == [r[0] == 1 for r in scored]
         assert max(map(len, scored)) > 128 or protocol == PROTOCOL_AG
-        assert rep.per_query_ap == aps
-        assert rep.per_query_inp == inps
         assert rep.rank1 == float(np.mean(rank1s))
-        assert (rep.num_queries, rep.num_excluded) == (len(aps), excluded)
+        assert (rep.num_queries, rep.num_excluded) == (num_queries, excluded)
         json.dumps(vars(rep))  # plain Python numbers, as `write_reports` needs
     assert rep.num_excluded > 0
 
@@ -451,9 +523,9 @@ def test_evaluate_protocol_takes_one_ap_call_per_block_and_match_count(monkeypat
     rank, ap = evaluate.rank_gallery, evaluate.average_precision
 
     def ranking(*args):
-        ranked = rank(*args)  # per gallery view, then the whole gallery
-        counts.append(len({len(r) for r in ranked[-1]} - {0}))
-        return ranked
+        ranks, matches = rank(*args)  # per gallery view, then the whole gallery
+        counts.append(len(set(matches[-1].tolist()) - {0}))
+        return ranks, matches
 
     def counting(ranks):
         calls.append(np.shape(ranks))
@@ -479,7 +551,8 @@ def test_evaluate_protocol_over_several_blocks_matches_the_oracle():
     q_mask, g_mask = query_gallery_split(ids, views, 0)
     block = evaluate._BLOCK_SIMILARITIES // g_mask.sum()
     assert q_mask.sum() > 3 * block
-    rep = evaluate_protocol(embs, ids, views, PROTOCOL_ALL, split_seed=0)
+    shared = SharedScoring()
+    rep = evaluate_protocol(embs, ids, views, PROTOCOL_ALL, split_seed=0, shared=shared)
 
     q, g = embs[q_mask], embs[g_mask]
     sims = unit_rows(q) @ unit_rows(g).T
@@ -494,8 +567,10 @@ def test_evaluate_protocol_over_several_blocks_matches_the_oracle():
         inps.append(len(ranks) / ranks[-1])
         hits.append(ranks[0] == 1)
     assert rep.num_queries == len(aps) and rep.num_excluded == excluded
-    assert np.allclose(rep.per_query_ap, aps, rtol=0, atol=1e-12)
-    assert np.allclose(rep.per_query_inp, inps, rtol=0, atol=1e-12)
+    ap, inp, hit, has = shared.direction(None, None)
+    assert np.allclose(ap[has], aps, rtol=0, atol=1e-12)
+    assert np.allclose(inp[has], inps, rtol=0, atol=1e-12)
+    assert hit[has].tolist() == hits
     assert rep.rank1 == np.mean(hits)
 
 
@@ -692,8 +767,10 @@ def test_reports_round_trip(tmp_path):
 @pytest.mark.parametrize("batch_size, count, error, match", [
     (0, 4, ContractError, "batch_size must be at least 1, got 0"),
     (-1, 4, ContractError, "batch_size must be at least 1, got -1"),
+    (1.5, 4, ContractError, "batch_size must be at least 1, got 1.5"),
+    (2.0, 4, ContractError, "batch_size must be at least 1, got 2.0"),
     (64, 0, DimensionError, "no samples to embed"),
-], ids=["zero_batch", "negative_batch", "no_samples"])
+], ids=["zero_batch", "negative_batch", "fractional_batch", "float_batch", "no_samples"])
 def test_embed_samples_rejects_bad_input_before_any_forward(batch_size, count, error, match,
                                                             monkeypatch):
     forwards = []

@@ -49,11 +49,12 @@ def test_hard_topk_k_equals_m_and_overflow():
     assert hard_topk(np.array([0.3, 0.1, 0.6]), 3).tolist() == [0, 1, 2]
     with pytest.raises(ConfigError, match="exceeds"):
         hard_topk(np.array([0.3, 0.7]), 3)
-    for k in (0, -1):
+    for k in (0, -1, 1.5, 2.0):
         with pytest.raises(ConfigError, match=">= 1"):
             hard_topk(np.array([[3.0, 1.0, 2.0]]), k)
         with pytest.raises(ConfigError, match=">= 1"):
             perturbed_topk(np.array([[3.0, 1.0, 2.0]]), k)
+    assert hard_topk(np.array([[3.0, 1.0, 2.0]]), np.int64(2)).tolist() == [[0, 2]]
 
 
 def test_hard_topk_batched_rows_sorted_ascending():

@@ -218,6 +218,17 @@ def test_total_steps_for():
         assert np.array_equal(params[name].data, value), name
 
 
+@pytest.mark.parametrize("batch_p, batch_k", [(0, 2), (2, 0), (-1, 2)])
+def test_train_run_rejects_a_p_or_k_below_one_before_any_step(batch_p, batch_k):
+    cfg, params, data = _tiny_setup()
+    before = {k: v.data.copy() for k, v in params.items()}
+    with pytest.raises(SamplingError, match="must be an integer >= 1"):
+        train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
+                  epochs=1, batch_p=batch_p, batch_k=batch_k, seed=0)
+    for name, value in before.items():
+        assert np.array_equal(params[name].data, value), name
+
+
 def test_train_run_rejects_mismatched_schedule():
     """An lr range that cannot decay is refused before any step is taken."""
     cfg, params, data = _tiny_setup()
