@@ -134,8 +134,7 @@ def cmd_gradcheck(cfg, out):
     params = model_mod.init_params(model_cfg, cfg["seed"])
     samples = data_mod.generate_dataset(cfg.gen_config("train"))[:2]
     x, y, v = data_mod.batch_arrays(samples)
-    results = gc_mod.check_model_gradients(model_cfg, params, x, y, v,
-                                           cfg.loss_weights(), tolerance=1e-3,
+    results = gc_mod.check_model_gradients(model_cfg, params, x, y, v, cfg.loss_weights(),
                                            max_coords=5, coord_seed=cfg["seed"])
     lines = [f"{'parameter':32s} {'rel_err':>12s}  status"]
     for r in results:

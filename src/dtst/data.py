@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SamplingError, check_count
+from .errors import ConfigError, DimensionError, SamplingError, check_count
 from .model import VIEW_AERIAL, VIEW_GROUND, VIEW_NAMES
 
 
@@ -47,6 +47,12 @@ class GenConfig:
             raise ConfigError("GenConfig extents must be positive")
         if self.noise_std < 0 or self.view_offset_scale < 0:
             raise ConfigError("noise scales must be nonnegative")
+        self.seed = check_count(self.seed, 0, ConfigError,
+                                f"GenConfig.seed must be an integer >= 0, got {self.seed!r}")
+        if self.sample_seed is not None:
+            self.sample_seed = check_count(
+                self.sample_seed, 0, ConfigError,
+                f"GenConfig.sample_seed must be an integer >= 0, got {self.sample_seed!r}")
 
 
 def identity_prototypes(cfg: GenConfig):
@@ -130,7 +136,10 @@ def pk_batch(dataset, p: int, k_inst: int, rng: np.random.Generator):
 
 
 def batch_arrays(batch):
-    """(x [B, rows, cols, pd], y [B], v [B]) stacked from a list of samples."""
+    """(x [B, rows, cols, pd], y [B], v [B]) stacked from a nonempty list of
+    samples."""
+    if len(batch) == 0:
+        raise DimensionError("no samples to batch")
     x = np.stack([s.x for s in batch])
     y = np.array([s.y for s in batch], dtype=np.int64)
     v = np.array([s.v for s in batch], dtype=np.int64)

@@ -27,7 +27,9 @@ gallery view, then the whole gallery), then query, with one count of
 matches per target and query. AP and INP are computed at once for all
 queries of a block that have the same number of matches, bit for bit as one
 query at a time; the Rank-1 hit is whether the first rank is 1. A report
-holds the aggregates alone, no per-query score.
+holds the aggregates alone, no per-query score. `rank_gallery` takes a
+gallery in parts only, each part with its rows' places in the whole
+gallery; a gallery in one piece is the one part of itself.
 
 The six protocols of one eval share this work through a `SharedScoring`:
 the embedding checks, the split and the one pass, made by the first
@@ -99,41 +101,36 @@ def unit_rows(x):
     return x / np.maximum(norms, 1e-12)
 
 
-def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
-    """The 1-based ranks of every query's true matches in the gallery
-    sorted by descending similarity, ties broken toward the lower gallery
-    index, as `(ranks, counts)`: `counts` [targets, B] holds each query's
-    number of matches in each target, and `ranks` all of them in one array,
-    by target, then query, ascending within a query.
+def rank_gallery(queries, query_ids, parts):
+    """The 1-based ranks of every query's true matches in each gallery part
+    and in the whole gallery, each sorted by descending similarity, ties
+    broken toward the lower gallery index, as `(ranks, counts)`: `counts`
+    [targets, B] holds each query's number of matches in each target (each
+    part, then the whole gallery), and `ranks` all of them in one array, by
+    target, then query, ascending within a query.
 
-    `queries` [B, d] and `gallery` [G, d] are finite unit rows (`unit_rows`),
-    so the similarity is cosine; `query_ids` [B] and `gallery_ids` [G] hold
-    one identity per row.
-
-    With `columns`, the gallery comes in parts (`evaluate_protocol` makes
-    one per view): `gallery` and `gallery_ids` list each part's rows and
-    ids, and `columns` the places of each part's rows in the whole gallery,
-    ascending. The targets are then each part, ranking in that part alone,
-    followed by the whole gallery. Each part gets one similarity matrix and
-    one sort. Without `columns`, the gallery is the one part of itself, and
-    the whole gallery is the only target. Every part needs at least one
-    row."""
-    whole_only = columns is None
-    if whole_only:
-        gallery, gallery_ids, columns = [gallery], [gallery_ids], [np.arange(len(gallery))]
-    if not len(gallery) == len(gallery_ids) == len(columns):
-        raise DimensionError(f"{len(gallery)} gallery parts need as many id arrays "
-                             f"({len(gallery_ids)}) and column arrays ({len(columns)})")
+    `queries` [B, d] are finite unit rows (`unit_rows`), so the similarity
+    is cosine, and `query_ids` [B] holds one identity per row. `parts` is
+    the gallery in parts (`evaluate_protocol` makes one per view), each a
+    triple `(rows, ids, columns)`: at least one unit row, one identity per
+    row and each row's place in the whole gallery, ascending. Each part
+    gets one similarity matrix and one sort; a whole gallery is the one part
+    `(gallery, ids, arange(G))` of itself."""
     query_ids = np.asarray(query_ids)
     if query_ids.shape != (len(queries),):
         raise DimensionError(f"query ids {query_ids.shape} need one entry per row "
                              f"({len(queries)})")
-    parts = [(rows, np.asarray(ids)) for rows, ids in zip(gallery, gallery_ids)]
-    for rows, ids in parts:
+    parts = [(rows, np.asarray(ids), np.asarray(cols)) for rows, ids, cols in parts]
+    if not parts:
+        raise DimensionError("a gallery needs at least one part to rank against")
+    for rows, ids, cols in parts:
         if len(rows) == 0:
             raise DimensionError("a gallery part has no rows to rank against")
         if ids.shape != (len(rows),):
             raise DimensionError(f"gallery ids {ids.shape} need one entry per row ({len(rows)})")
+        if cols.shape != (len(rows),):
+            raise DimensionError(f"gallery columns {cols.shape} need one entry per row "
+                                 f"({len(rows)})")
         if rows.shape[1] != queries.shape[1]:
             raise DimensionError(
                 f"embedding widths disagree: query {queries.shape[1]}, gallery {rows.shape[1]}")
@@ -144,14 +141,13 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
         return a[[0, 0]] if len(a) == 1 else a
 
     sims, ordered, found = [], [], []
-    for p, (rows, ids) in enumerate(parts):
+    for p, (rows, ids, cols) in enumerate(parts):
         part_sims = (two(queries) @ two(rows).T)[:len(queries), :len(rows)]
         sims.append(part_sims)
         ordered.append(np.sort(part_sims, axis=1))
         match = np.flatnonzero(query_ids[:, None] == ids)
         row, col = np.divmod(match, len(rows))
-        at = np.asarray(columns[p])[col]
-        found.append((row, col, at, part_sims.ravel()[match], np.full(len(row), p)))
+        found.append((row, col, cols[col], part_sims.ravel()[match], np.full(len(row), p)))
     row, col, at, vals, part = (np.concatenate(a) for a in zip(*found))
     # matches by row, then by about their value (|value| <= 1), which makes
     # the binary searches below about twice as fast
@@ -170,7 +166,7 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
     own = part == np.arange(len(parts))[:, None]
     tied = np.stack([asc[row, k - 1 - mine] == vals
                      for asc, k, mine in zip(ordered, past, own)])
-    sizes = [len(rows) for rows, _ in parts]
+    sizes = [len(rows) for rows, _, _ in parts]
     ranks = np.array(sizes)[part] + 1 - past[part, np.arange(len(part))]
     for part_sims, tie in zip(sims, tied & own):
         _place_ties(ranks, tie, row, col, lambda tie_rows: part_sims[tie_rows])
@@ -178,7 +174,7 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
 
     def whole_rows(tie_rows):
         full = np.empty((len(tie_rows), sum(sizes)))
-        for part_sims, cols in zip(sims, columns):
+        for part_sims, (_, _, cols) in zip(sims, parts):
             full[:, cols] = part_sims[tie_rows]
         return full
 
@@ -189,7 +185,7 @@ def rank_gallery(queries, query_ids, gallery, gallery_ids, columns=None):
     top = sum(sizes) + 1
     ranks = np.sort(group * top + np.concatenate([ranks, whole])) % top
     counts = np.bincount(group, minlength=(len(parts) + 1) * n).reshape(len(parts) + 1, n)
-    return (ranks[len(row):], counts[1:]) if whole_only else (ranks, counts)
+    return ranks, counts
 
 
 def _place_ties(ranks, tie, row, col, rows_of):
@@ -206,29 +202,26 @@ def _place_ties(ranks, tie, row, col, rows_of):
 
 
 def average_precision(ranks):
-    """AP = (1/|G|) * sum over the ascending match ranks r_i of i / r_i.
-
-    `ranks` is one query's [n] ranks, giving a float, or [Q, n] for Q
-    queries with n matches each, giving an array [Q]. A C-contiguous row
-    sums in the same pairwise order as the 1-D array, so each row's AP is
-    bit for bit the AP of that row alone."""
+    """AP = (1/|G|) * sum over the ascending match ranks r_i of i / r_i,
+    over the last axis: [n] ranks of one query give a scalar, [Q, n] ranks
+    of Q queries with n matches each an array [Q]. A C-contiguous row sums
+    in the same pairwise order as the 1-D array, so each row's AP is bit for
+    bit the AP of that row alone."""
     ranks = np.ascontiguousarray(ranks, dtype=np.int64)
     n = ranks.shape[-1]
     if n == 0:
         raise ProtocolError("average_precision needs at least one true match")
-    ap = (np.arange(1, n + 1) / ranks).sum(axis=-1) / n
-    return float(ap) if ranks.ndim == 1 else ap
+    return (np.arange(1, n + 1) / ranks).sum(axis=-1) / n
 
 
 def inverse_negative_penalty(ranks):
     """INP = (number of true matches) / (rank of the hardest true match),
-    for [n] ranks (a float) or each row of [Q, n] (an array [Q])."""
+    over the last axis of [n] or [Q, n] ranks."""
     ranks = np.asarray(ranks, dtype=np.int64)
     n = ranks.shape[-1]
     if n == 0:
         raise ProtocolError("inverse_negative_penalty needs at least one true match")
-    inp = n / ranks[..., -1]
-    return float(inp) if ranks.ndim == 1 else inp
+    return n / ranks[..., -1]
 
 
 def _block_scores(ranks, counts):
@@ -327,12 +320,12 @@ def _score_pass(queries, query_ids, parts):
     ({view: (unit rows, ids, places in the gallery split)}), in blocks
     sized by the whole gallery."""
     targets = [*parts, None]
-    rows, ids, cols = zip(*parts.values())
-    block = max(1, _BLOCK_SIMILARITIES // sum(map(len, rows)))
+    gallery = list(parts.values())
+    block = max(1, _BLOCK_SIMILARITIES // sum(len(rows) for rows, _, _ in gallery))
     out = {t: [] for t in targets}
     for start in range(0, len(queries), block):
         ranks, counts = rank_gallery(queries[start:start + block],
-                                     query_ids[start:start + block], rows, ids, cols)
+                                     query_ids[start:start + block], gallery)
         # one scoring of every target's ranks, cut back into targets
         scores = _block_scores(ranks, counts.ravel())
         for t, *cut in zip(targets, *(a.reshape(len(targets), -1) for a in scores)):

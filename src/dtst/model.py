@@ -21,7 +21,8 @@ import numpy as np
 
 from . import tensor as T
 from . import selector as sel
-from .errors import ConfigError, ContractError, DimensionError, DomainError, NumericError
+from .errors import (ConfigError, ContractError, DimensionError, DomainError, NumericError,
+                     check_count)
 from .selector import SelectorConfig
 from .tensor import Tensor
 
@@ -30,7 +31,6 @@ VIEW_GROUND = 1
 VIEW_NAMES = {VIEW_AERIAL: "aerial", VIEW_GROUND: "ground"}
 
 MLP_RATIO = 4
-LN_EPS = 1e-6
 
 
 @dataclass
@@ -95,7 +95,9 @@ def _uniform(rng, fan_in, shape):
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict:
-    """Fresh parameter dict, fully determined by the seed."""
+    """Fresh parameter dict, fully determined by the seed (an integer >= 0)."""
+    seed = check_count(seed, 0, DomainError, f"parameter seed must be an integer >= 0, "
+                       f"got {seed!r}")
     rng = np.random.default_rng(seed)
     d = cfg.embed_dim
     m = cfg.num_patches
@@ -175,13 +177,13 @@ def encoder_block(seq: TokenSequence, params: dict, index: int,
     """Pre-norm multi-head self-attention and MLP, both with residuals."""
     pre = f"block{index}."
     x = seq.tokens
-    normed = T.layer_norm(x, params[pre + "ln1.gamma"], params[pre + "ln1.beta"], LN_EPS)
+    normed = T.layer_norm(x, params[pre + "ln1.gamma"], params[pre + "ln1.beta"])
     attn = T.attention(normed,
                        [params[pre + "attn." + n] for n in ("wq", "wk", "wv", "wo")],
                        [params[pre + "attn." + n] for n in ("bq", "bk", "bv", "bo")],
                        cfg.num_attn_heads)
     x = x + attn
-    normed = T.layer_norm(x, params[pre + "ln2.gamma"], params[pre + "ln2.beta"], LN_EPS)
+    normed = T.layer_norm(x, params[pre + "ln2.gamma"], params[pre + "ln2.beta"])
     x = x + T.mlp(normed, *(params[pre + "mlp." + n] for n in ("w1", "b1", "w2", "b2")))
     return replace(seq, tokens=x)
 

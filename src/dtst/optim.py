@@ -40,8 +40,10 @@ def sgd_step(params: dict, state: SgdState) -> None:
     before any parameter changes. The update is two operations on the flat
     buffers of `state`, which adopts `params` on its first step. A later step
     with another dict, or after a caller rebound a `p.data`, raises
-    ContractError before any update.
+    ContractError before any update, as does an empty `params`.
     """
+    if not params:
+        raise ContractError("sgd_step needs at least one parameter")
     for name, p in params.items():
         if p.grad is None:
             raise ContractError(f"parameter '{name}' has no gradient")

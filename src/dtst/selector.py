@@ -45,6 +45,9 @@ class SelectorConfig:
 def score_tokens(patch_tokens) -> np.ndarray:
     """Logits [B, M] of the M patch tokens [B, M, d] of each item:
     ||x||^2 / sqrt(d)."""
+    if np.ndim(patch_tokens) != 3:
+        raise DimensionError(f"patch tokens must be [B, M, d], got shape "
+                             f"{np.shape(patch_tokens)}")
     b, m, d = patch_tokens.shape
     x2 = patch_tokens.reshape(b * m, d)
     logits = np.einsum("ij,ij->i", x2, x2).reshape(b, m)

@@ -48,6 +48,8 @@ _ACTIVE_TAPES: list["Tape"] = []
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_CA = _GELU_C * 0.044715
 
+LAYER_NORM_EPS = 1e-6  # added to the variance in `layer_norm`
+
 
 class Tape:
     """Ordered record of differentiable operations (a fresh one per forward)."""
@@ -420,7 +422,7 @@ def log_softmax_lastdim(x: Tensor) -> Tensor:
     return make(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalise the last axis, then scale and shift. One pass: the input is
     centred once and the variance taken from the centred values."""
     d = x.shape[-1] if x.data.ndim else 0
@@ -431,7 +433,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last extent {d}")
     xhat = x.data - (_sum_last(x.data) / d)[..., None]
     var = _dot_last(xhat, xhat) / d
-    var += eps
+    var += LAYER_NORM_EPS
     inv = np.sqrt(var, out=var)[..., None]
     np.divide(1.0, inv, out=inv)
     xhat *= inv
@@ -455,7 +457,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return make(out, (x, gamma, beta), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x[..., n] @ w[n, m] + b[m] as one 2-D GEMM over all leading axes;
     w's gradient is one 2-D GEMM as well."""
     if w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0]:
@@ -464,18 +466,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
     n, m = w.shape
     x2 = x.data.reshape(-1, n)
     out = x2 @ w.data
-    if b is not None:
-        out += b.data
+    out += b.data
     out = out.reshape(x.shape[:-1] + (m,))
-    inputs = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
         g2 = g.reshape(-1, m)
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
         gw = x2.T @ g2 if w.requires_grad else None
-        return (gx, gw, _sum_rows(g2) if b is not None else None)
+        return gx, gw, _sum_rows(g2)
 
-    return make(out, inputs, bwd)
+    return make(out, (x, w, b), bwd)
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

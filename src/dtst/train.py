@@ -10,7 +10,7 @@ import numpy as np
 
 from . import losses, model, optim
 from .data import batch_arrays, check_pk, pk_batch
-from .errors import NumericError, SamplingError
+from .errors import DomainError, NumericError, SamplingError, check_count
 from .tensor import Tape, backward
 
 
@@ -31,8 +31,11 @@ def train_run(cfg: model.ModelConfig, params: dict, dataset,
     """Train in place for `epochs` epochs of len(dataset) // (P*K) steps
     each, the learning rate decaying from `lr_max` to `lr_min` over the whole
     run; returns the list of LogRow. A P or K below 1, or a dataset smaller
-    than one P*K batch, raises SamplingError before any step."""
+    than one P*K batch, raises SamplingError before any step, and a seed
+    that is not an integer >= 0 DomainError."""
     batch_p, batch_k = check_pk(batch_p, batch_k)
+    seed = check_count(seed, 0, DomainError, f"training seed must be an integer >= 0, "
+                       f"got {seed!r}")
     if len(dataset) < batch_p * batch_k:
         raise SamplingError(f"{len(dataset)} samples cannot fill one "
                             f"{batch_p}x{batch_k} batch")

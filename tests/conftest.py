@@ -9,6 +9,8 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
+from dtst.evaluate import rank_gallery
+
 VERDICTS = []
 
 
@@ -20,6 +22,16 @@ def per_query_ranks(ranked):
     lists = [r.tolist() for r in np.split(ranks, np.cumsum(counts.ravel())[:-1])]
     n = counts.shape[1]
     return [lists[t * n:(t + 1) * n] for t in range(len(counts))]
+
+
+def whole_gallery_ranks(queries, query_ids, gallery, gallery_ids):
+    """Each query's list of ranks in `gallery`, ranked as the one part
+    `(gallery, ids, arange(G))` of itself; the part's ranks must be the
+    whole gallery's."""
+    part, whole = per_query_ranks(
+        rank_gallery(queries, query_ids, [(gallery, gallery_ids, np.arange(len(gallery)))]))
+    assert part == whole
+    return whole
 
 
 @pytest.fixture(scope="session")

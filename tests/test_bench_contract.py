@@ -77,7 +77,7 @@ def test_tracer_and_clock_install_and_restore(dtst):
         x = dtst.tensor.Tensor(np.ones((2, 3)), requires_grad=True)
         w = dtst.tensor.Tensor(np.eye(3), requires_grad=True)
         with dtst.train.Tape() as tape:
-            out = dtst.tensor.tsum(dtst.tensor.linear(x, w))
+            out = dtst.tensor.tsum(dtst.tensor.linear(x, w, dtst.tensor.Tensor(np.zeros(3))))
         dtst.train.backward(out, tape)
         assert tr.tape_entries == [2]
         assert np.array_equal(w.grad, np.full((3, 3), 2.0))

@@ -90,10 +90,9 @@ def test_eval_ranks_each_query_view_once(tiny_config, tmp_path, monkeypatch):
     similarities = []
     rank = evaluate.rank_gallery
 
-    def counting(queries, query_ids, gallery, gallery_ids, columns=None):
-        parts = gallery if columns is not None else [gallery]
-        similarities.append(len(queries) * sum(map(len, parts)))
-        return rank(queries, query_ids, gallery, gallery_ids, columns)
+    def counting(queries, query_ids, parts):
+        similarities.append(len(queries) * sum(len(rows) for rows, _, _ in parts))
+        return rank(queries, query_ids, parts)
 
     monkeypatch.setattr(evaluate, "rank_gallery", counting)
     assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_OK

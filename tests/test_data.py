@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dtst.data import (GenConfig, Sample, batch_arrays, export_embeddings,
                        generate_dataset, identity_prototypes, pk_batch)
-from dtst.errors import ConfigError, SamplingError
+from dtst.errors import ConfigError, DimensionError, SamplingError
 from dtst.model import VIEW_AERIAL, VIEW_GROUND, VIEW_NAMES
 
 
@@ -143,6 +143,25 @@ def test_batch_arrays_stacking():
     assert y.dtype == np.int64 and v.dtype == np.int64
     assert np.array_equal(x[2], data[2].x)
     assert y[2] == data[2].y and v[2] == data[2].v
+
+
+def test_batch_arrays_needs_a_sample():
+    with pytest.raises(DimensionError, match="no samples"):
+        batch_arrays([])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 1.5), ("seed", None), ("sample_seed", -3), ("sample_seed", 2.5)])
+def test_gen_config_seeds_must_be_non_negative_integers(field, value):
+    with pytest.raises(ConfigError, match=f"GenConfig.{field} must be an integer >= 0"):
+        tiny_cfg(**{field: value})
+
+
+def test_gen_config_takes_numpy_integer_seeds_as_python_ints():
+    cfg = tiny_cfg(seed=np.int64(5), sample_seed=np.uint8(255))
+    assert (type(cfg.seed), type(cfg.sample_seed)) == (int, int)
+    assert all(np.array_equal(a.x, b.x) for a, b in zip(
+        generate_dataset(cfg), generate_dataset(tiny_cfg(seed=5, sample_seed=255))))
 
 
 @settings(max_examples=20, deadline=None)

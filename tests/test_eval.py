@@ -17,7 +17,7 @@ from dtst.evaluate import (PROTOCOL_A2G, PROTOCOL_AG, PROTOCOL_ALL,
                            rank_gallery, unit_rows, write_reports)
 from dtst.model import VIEW_AERIAL, VIEW_GROUND
 
-from conftest import per_query_ranks
+from conftest import per_query_ranks, whole_gallery_ranks
 
 RNG = np.random.default_rng(11)
 
@@ -78,16 +78,16 @@ def test_rank_gallery_orders_by_cosine():
     gallery = np.array([[0.0, 1.0],    # cos 0
                         [2.0, 0.0],    # cos 1 (scale must not matter)
                         [1.0, 1.0]])   # cos ~0.707
-    (ranks,), = per_query_ranks(rank_gallery(unit_rows(query[None]), [7], unit_rows(gallery),
-                                             np.array([0, 7, 7])))
+    (ranks,) = whole_gallery_ranks(unit_rows(query[None]), [7], unit_rows(gallery),
+                                   np.array([0, 7, 7]))
     assert ranks == [1, 2]
 
 
 def test_rank_gallery_tie_prefers_lower_index():
     query = np.array([1.0, 0.0])
     gallery = np.array([[1.0, 0.0], [3.0, 0.0], [1.0, 0.0]])  # all cos 1
-    (ranks,), = per_query_ranks(rank_gallery(unit_rows(query[None]), [1], unit_rows(gallery),
-                                             np.array([0, 1, 1])))
+    (ranks,) = whole_gallery_ranks(unit_rows(query[None]), [1], unit_rows(gallery),
+                                   np.array([0, 1, 1]))
     assert ranks == [2, 3]
 
 
@@ -101,7 +101,7 @@ def test_rank_gallery_in_parts_ties_in_whole_gallery_order():
     split = [np.array([0, 2]), np.array([1, 3])]
     for cols in (split, split[::-1]):
         *parts, (whole,) = per_query_ranks(
-            rank_gallery(query, [1], [rows[c] for c in cols], [ids[c] for c in cols], cols))
+            rank_gallery(query, [1], [(rows[c], ids[c], c) for c in cols]))
         parts = [ranks for ranks, in parts]
         assert parts == ([[1, 2], [1]] if cols is split else [[1], [1, 2]])
         assert whole == [1, 2, 4]
@@ -112,16 +112,15 @@ def test_rank_gallery_returns_one_array_and_a_count_per_target_and_query():
     queries, gallery = unit_rows(rng.normal(size=(5, 4))), unit_rows(rng.normal(size=(9, 4)))
     query_ids, gallery_ids = rng.integers(0, 3, 5), rng.integers(0, 3, 9)
     cols = [np.arange(0, 9, 2), np.arange(1, 9, 2)]
-    ranks, counts = rank_gallery(queries, query_ids, [gallery[c] for c in cols],
-                                 [gallery_ids[c] for c in cols], cols)
+    ranks, counts = rank_gallery(queries, query_ids,
+                                 [(gallery[c], gallery_ids[c], c) for c in cols])
     match = query_ids[:, None] == gallery_ids
     assert counts.dtype == np.int64
     assert counts.tolist() == [match[:, c].sum(axis=1).tolist() for c in cols] + [
         match.sum(axis=1).tolist()]
     assert ranks.shape == (counts.sum(),)
-    whole_ranks, whole_counts = rank_gallery(queries, query_ids, gallery, gallery_ids)
-    assert whole_counts.tolist() == counts[-1:].tolist()
-    assert whole_ranks.tolist() == ranks[counts[:-1].sum():].tolist()
+    assert (per_query_ranks((ranks, counts))[-1]
+            == whole_gallery_ranks(queries, query_ids, gallery, gallery_ids))
 
 
 def test_evaluate_protocol_scores_each_query_block_once(monkeypatch):
@@ -149,29 +148,36 @@ def test_evaluate_protocol_scores_each_query_block_once(monkeypatch):
 
 
 def test_rank_gallery_parts_need_ids_and_columns():
+    # the second part's columns: short, long, 2-D and a scalar
     rows = np.eye(2)
-    with pytest.raises(DimensionError, match="2 gallery parts"):
-        rank_gallery(rows, [0, 1], [rows, rows], [[0, 1]], [[0, 1], [2, 3]])
+    for cols in ([2], [2, 3, 4], [[2, 3]], 2):
+        with pytest.raises(DimensionError, match=r"gallery columns .* one entry per row \(2\)"):
+            rank_gallery(rows, [0, 1], [(rows, [0, 1], [0, 1]), (rows, [0, 1], cols)])
 
 
 @pytest.mark.parametrize("gallery, gallery_ids, columns", [
     ([np.eye(2), np.zeros((0, 2))], [[0, 1], []], [[0, 1], []]),  # an empty part
-    (np.zeros((0, 2)), [], None),                                  # an empty gallery
+    ([np.zeros((0, 2))], [[]], [[]]),                              # an empty gallery
 ])
 def test_rank_gallery_rejects_a_part_without_rows(gallery, gallery_ids, columns):
     with pytest.raises(DimensionError, match="no rows"):
-        rank_gallery(np.eye(2), [0, 1], gallery, gallery_ids, columns)
+        rank_gallery(np.eye(2), [0, 1], list(zip(gallery, gallery_ids, columns)))
+
+
+def test_rank_gallery_needs_a_part():
+    with pytest.raises(DimensionError, match="at least one part"):
+        rank_gallery(np.eye(2), [0, 1], [])
 
 
 def test_rank_gallery_width_mismatch():
     with pytest.raises(DimensionError, match="widths"):
-        rank_gallery(np.zeros((1, 3)), [0], np.zeros((2, 4)), np.array([0, 1]))
+        rank_gallery(np.zeros((1, 3)), [0], [(np.zeros((2, 4)), np.array([0, 1]), np.arange(2))])
 
 
 def test_rank_gallery_takes_id_lists():
     query = unit_rows(np.array([[1.0, 0.0]]))
     gallery = unit_rows(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
-    (ranks,), = per_query_ranks(rank_gallery(query, [0], gallery, [0, 1, 0]))
+    (ranks,), _ = per_query_ranks(rank_gallery(query, [0], [(gallery, [0, 1, 0], [0, 1, 2])]))
     assert ranks == [2, 3]
 
 
@@ -185,7 +191,7 @@ def test_rank_gallery_takes_id_lists():
 def test_rank_gallery_needs_one_id_per_row(query_ids, gallery_ids):
     queries, gallery = np.eye(2), np.eye(2)[[0, 1, 0]]
     with pytest.raises(DimensionError, match="one entry per row"):
-        rank_gallery(queries, query_ids, gallery, gallery_ids)
+        rank_gallery(queries, query_ids, [(gallery, gallery_ids, np.arange(len(gallery)))])
 
 
 def dyadic_rows(rng, n, pool_size, d=16):
@@ -229,8 +235,7 @@ def test_rank_gallery_matches_sorted_oracle_under_exact_ties(
     # ids beyond the gallery's leave some queries without a match
     query_ids = rng.integers(0, num_ids + 1, num_queries)
     gallery_ids = rng.integers(0, num_ids, gallery_size)
-    got, = per_query_ranks(rank_gallery(unit_rows(queries), query_ids, unit_rows(gallery),
-                                        gallery_ids))
+    got = whole_gallery_ranks(unit_rows(queries), query_ids, unit_rows(gallery), gallery_ids)
     want = oracle_match_ranks(queries, query_ids, gallery, gallery_ids)
     assert got == want
     # the same gallery in 1 to 3 parts of ascending columns
@@ -239,8 +244,7 @@ def test_rank_gallery_matches_sorted_oracle_under_exact_ties(
     columns = [np.flatnonzero(labels == p) for p in range(num_parts)]
     unit = unit_rows(gallery)
     ranked = per_query_ranks(rank_gallery(unit_rows(queries), query_ids,
-                                          [unit[c] for c in columns],
-                                          [gallery_ids[c] for c in columns], columns))
+                                          [(unit[c], gallery_ids[c], c) for c in columns]))
     assert len(ranked) == num_parts + 1
     for got, cols in zip(ranked, columns):
         want = oracle_match_ranks(queries, query_ids, gallery[cols], gallery_ids[cols])
@@ -267,9 +271,8 @@ def test_one_query_ranks_as_inside_its_block():
     gallery_ids = np.arange(83) % 5
     gallery_ids[[16, 69, 80, 81]] = [1, 1, 0, 0]
     query_ids = np.zeros(76, dtype=np.int64)
-    block, = per_query_ranks(rank_gallery(queries, query_ids, gallery, gallery_ids))
-    (alone,), = per_query_ranks(rank_gallery(queries[14:15], query_ids[14:15], gallery,
-                                             gallery_ids))
+    block = whole_gallery_ranks(queries, query_ids, gallery, gallery_ids)
+    (alone,) = whole_gallery_ranks(queries[14:15], query_ids[14:15], gallery, gallery_ids)
     assert alone == block[14]
 
 
@@ -285,10 +288,9 @@ def test_each_query_alone_ranks_as_in_the_whole_block(seed, num_queries, gallery
     queries = unit_rows(rng.normal(size=(num_queries, d)))
     query_ids = rng.integers(0, num_ids, num_queries)
     gallery_ids = rng.integers(0, num_ids, gallery_size)
-    block, = per_query_ranks(rank_gallery(queries, query_ids, gallery, gallery_ids))
+    block = whole_gallery_ranks(queries, query_ids, gallery, gallery_ids)
     for i, want in enumerate(block):
-        (got,), = per_query_ranks(rank_gallery(queries[i:i + 1], query_ids[i:i + 1], gallery,
-                                               gallery_ids))
+        (got,) = whole_gallery_ranks(queries[i:i + 1], query_ids[i:i + 1], gallery, gallery_ids)
         assert got == want, i
 
 
@@ -336,11 +338,9 @@ def test_shared_scoring_equals_six_standalone_calls(seed, num_ids, block, split_
     whole_calls = []
     rank = evaluate.rank_gallery
 
-    def keeping_whole(queries, query_ids, gallery, gallery_ids, columns=None):
-        ranks, counts = rank(queries, query_ids, gallery, gallery_ids, columns)
-        if columns is not None:
-            whole = ranks[counts[:-1].sum():], counts[-1:]
-            whole_calls.append((queries, query_ids, gallery, gallery_ids, columns, whole))
+    def keeping_whole(queries, query_ids, parts):
+        ranks, counts = rank(queries, query_ids, parts)
+        whole_calls.append((queries, query_ids, parts, per_query_ranks((ranks, counts))[-1]))
         return ranks, counts
 
     with pytest.MonkeyPatch.context() as mp:
@@ -352,13 +352,12 @@ def test_shared_scoring_equals_six_standalone_calls(seed, num_ids, block, split_
                     for p in PROTOCOLS]
     assert together == alone
     # ALL's ranks are those of one ranking in the whole gallery split
-    for queries, query_ids, gallery, gallery_ids, columns, ranked in whole_calls:
-        size = sum(map(len, gallery))
+    for queries, query_ids, parts, ranked in whole_calls:
+        size = sum(len(rows) for rows, _, _ in parts)
         whole, whole_ids = np.empty((size, queries.shape[1])), np.empty(size, dtype=ids.dtype)
-        for rows, part_ids, cols in zip(gallery, gallery_ids, columns):
+        for rows, part_ids, cols in parts:
             whole[cols], whole_ids[cols] = rows, part_ids
-        want = rank(queries, query_ids, whole, whole_ids)
-        assert per_query_ranks(ranked) == per_query_ranks(want)
+        assert ranked == whole_gallery_ranks(queries, query_ids, whole, whole_ids)
 
 
 def counting_similarities(monkeypatch):
@@ -367,10 +366,9 @@ def counting_similarities(monkeypatch):
     count = [0]
     rank = evaluate.rank_gallery
 
-    def counting(queries, query_ids, gallery, gallery_ids, columns=None):
-        parts = gallery if columns is not None else [gallery]
-        count[0] += len(queries) * sum(map(len, parts))
-        return rank(queries, query_ids, gallery, gallery_ids, columns)
+    def counting(queries, query_ids, parts):
+        count[0] += len(queries) * sum(len(rows) for rows, _, _ in parts)
+        return rank(queries, query_ids, parts)
 
     monkeypatch.setattr(evaluate, "rank_gallery", counting)
     return count
@@ -445,8 +443,8 @@ def test_a_numpy_integer_split_seed_splits_as_its_python_int():
 
 def test_rank_gallery_zero_query_ranks_matches_in_gallery_order():
     gallery = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
-    (ranks, none), = per_query_ranks(rank_gallery(np.zeros((2, 2)), [5, 9], unit_rows(gallery),
-                                                  np.array([0, 5, 5, 0])))
+    ranks, none = whole_gallery_ranks(np.zeros((2, 2)), [5, 9], unit_rows(gallery),
+                                      np.array([0, 5, 5, 0]))
     assert ranks == [2, 3]  # all similarities 0: index order
     assert none == []
 

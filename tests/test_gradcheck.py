@@ -1,8 +1,10 @@
 """Finite-difference checker: helpers and whole-model checks."""
 
 import numpy as np
+import pytest
 
 from dtst.data import GenConfig, batch_arrays, generate_dataset
+from dtst.errors import DomainError
 from dtst.gradcheck import check_model_gradients, relative_error
 from dtst.losses import LossWeights
 from dtst.model import ModelConfig, init_params
@@ -53,3 +55,14 @@ def test_max_coords_bounds_work():
     # every perturbed coordinate is restored in place
     fresh = init_params(cfg, seed=1)
     assert all(np.array_equal(p.data, fresh[n].data) for n, p in params.items())
+
+
+@pytest.mark.parametrize("coord_seed", [-1, 1.5, None])
+def test_a_coordinate_seed_must_be_a_non_negative_integer(coord_seed):
+    cfg = ModelConfig(num_identities=4, num_blocks=1, embed_dim=8, num_attn_heads=2,
+                      patch_grid=(2, 2), patch_dim=3)
+    x, y, v = batch_arrays(generate_dataset(GenConfig(num_ids=4, samples_per_id_per_view=1,
+                                                      grid=(2, 2), patch_dim=3, k_sig=2))[:2])
+    with pytest.raises(DomainError, match="coordinate seed must be an integer >= 0"):
+        check_model_gradients(cfg, init_params(cfg, seed=1), x, y, v, LossWeights(),
+                              max_coords=1, coord_seed=coord_seed)

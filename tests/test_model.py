@@ -153,7 +153,7 @@ def test_single_block_hand_forward_oracle():
     def layernorm(z, gamma, beta):
         mu = z.mean(axis=-1, keepdims=True)
         var = z.var(axis=-1, keepdims=True)
-        return (z - mu) / np.sqrt(var + model.LN_EPS) * gamma + beta
+        return (z - mu) / np.sqrt(var + T.LAYER_NORM_EPS) * gamma + beta
 
     def softmax(z):
         e = np.exp(z - z.max(axis=-1, keepdims=True))
@@ -194,6 +194,18 @@ def test_seed_determines_params_and_selector_drawn_last():
     assert list(a) == list(b)
     for name, p in a.items():
         assert np.array_equal(p.data, b[name].data), name
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+def test_a_parameter_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(DomainError, match="parameter seed must be an integer >= 0"):
+        init_params(small_cfg(), seed)
+
+
+def test_a_numpy_integer_parameter_seed_draws_as_its_python_int():
+    want = init_params(small_cfg(), 7)
+    for name, p in init_params(small_cfg(), np.int64(7)).items():
+        assert np.array_equal(p.data, want[name].data), name
 
 
 @pytest.mark.parametrize("position", ["last", "second_to_last"])

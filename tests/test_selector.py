@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtst.errors import ConfigError, ContractError
+from dtst.errors import ConfigError, ContractError, DimensionError
 from dtst.selector import (SelectorConfig, hard_topk, perturbed_topk,
                            score_tokens, select_tokens)
 from dtst.tensor import Tensor
@@ -25,6 +25,12 @@ def test_score_tokens_matches_direct_formula():
     got = score_tokens(tokens)
     assert isinstance(got, np.ndarray) and got.shape == (b, m)
     assert np.allclose(got, direct_scores(tokens), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4, 5), ()])
+def test_score_tokens_needs_three_axes(shape):
+    with pytest.raises(DimensionError, match=r"\[B, M, d\]"):
+        score_tokens(np.zeros(shape))
 
 
 def test_score_tokens_batched_matches_direct_formula():

@@ -475,6 +475,6 @@ def test_operations_outside_tape_are_untracked():
 
 def test_linear_shape_errors_name_both_operands():
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\)"):
-        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
     with pytest.raises(DimensionError):
-        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), Tensor(np.zeros(3)))

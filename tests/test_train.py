@@ -9,7 +9,7 @@ import pytest
 
 from dtst import losses
 from dtst.data import GenConfig, batch_arrays, generate_dataset, pk_batch
-from dtst.errors import ConfigError, ContractError, NumericError, SamplingError
+from dtst.errors import ConfigError, ContractError, DomainError, NumericError, SamplingError
 from dtst.losses import LossWeights
 from dtst.model import ModelConfig, init_params, model_forward
 from dtst.optim import ScheduleConfig, SgdState, cosine_lr, sgd_step
@@ -216,6 +216,22 @@ def test_total_steps_for():
                   epochs=1, batch_p=4, batch_k=9, seed=0)
     for name, value in before.items():
         assert np.array_equal(params[name].data, value), name
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_train_run_rejects_a_bad_seed_before_any_step(seed):
+    cfg, params, data = _tiny_setup()
+    before = {k: v.data.copy() for k, v in params.items()}
+    with pytest.raises(DomainError, match="training seed must be an integer >= 0"):
+        train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
+                  epochs=1, batch_p=4, batch_k=2, seed=seed)
+    for name, value in before.items():
+        assert np.array_equal(params[name].data, value), name
+
+
+def test_sgd_step_needs_a_parameter():
+    with pytest.raises(ContractError, match="at least one parameter"):
+        sgd_step({}, SgdState(0.1))
 
 
 @pytest.mark.parametrize("batch_p, batch_k", [(0, 2), (2, 0), (-1, 2)])
