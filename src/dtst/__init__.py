@@ -14,7 +14,6 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 from .tensor import Tape, Tensor, backward
 from .model import ModelConfig, TokenSequence, model_forward, init_params
 from .selector import SelectorConfig
-from .losses import LossWeights
 from .data import GenConfig, Sample, generate_dataset, pk_batch
 from .optim import ScheduleConfig, SgdState, cosine_lr, sgd_step
 from .train import train_run
@@ -24,7 +23,6 @@ __all__ = [
     "Tape", "Tensor", "backward",
     "ModelConfig", "TokenSequence", "model_forward", "init_params",
     "SelectorConfig",
-    "LossWeights",
     "GenConfig", "Sample", "generate_dataset", "pk_batch",
     "ScheduleConfig", "SgdState", "cosine_lr", "sgd_step",
     "train_run",

@@ -71,11 +71,9 @@ def _train_one(cfg, model_cfg, seed, dataset):
     """Train a fresh model on `dataset`, the config's train split; returns
     (params, log)."""
     params = model_mod.init_params(model_cfg, seed)
-    log = train_mod.train_run(model_cfg, params, dataset,
-                              cfg["schedule.lr_max"], cfg["schedule.lr_min"],
-                              cfg.loss_weights(), cfg["train.epochs"],
-                              cfg["train.batch_p"], cfg["train.batch_k"],
-                              seed=seed, momentum=cfg["train.momentum"])
+    log = train_mod.train_run(model_cfg, params, dataset, cfg["schedule.lr_max"],
+                              cfg["train.epochs"], cfg["train.batch_p"],
+                              cfg["train.batch_k"], seed=seed)
     return params, log
 
 
@@ -134,8 +132,8 @@ def cmd_gradcheck(cfg, out):
     params = model_mod.init_params(model_cfg, cfg["seed"])
     samples = data_mod.generate_dataset(cfg.gen_config("train"))[:2]
     x, y, v = data_mod.batch_arrays(samples)
-    results = gc_mod.check_model_gradients(model_cfg, params, x, y, v, cfg.loss_weights(),
-                                           max_coords=5, coord_seed=cfg["seed"])
+    results = gc_mod.check_model_gradients(model_cfg, params, x, y, v, max_coords=5,
+                                           coord_seed=cfg["seed"])
     lines = [f"{'parameter':32s} {'rel_err':>12s}  status"]
     for r in results:
         lines.append(f"{r.name:32s} {r.rel_err:12.3e}  {'pass' if r.ok else 'FAIL'}")

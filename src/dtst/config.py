@@ -17,9 +17,8 @@ import numpy as np
 from .data import GenConfig
 from .errors import ConfigError, ConfigParseError
 from .evaluate import EMBED_BATCH
-from .losses import LossWeights
 from .model import MLP_RATIO, ModelConfig
-from .optim import ScheduleConfig, SgdState
+from .optim import ScheduleConfig
 from .selector import SelectorConfig
 
 
@@ -69,13 +68,9 @@ _SCHEMA = {
     "data.noise_std": (_float, repr, 1.0),
     "data.view_offset_scale": (_float, repr, 2.0),
     "schedule.lr_max": (_float, repr, 8e-3),
-    "schedule.lr_min": (_float, repr, 1.6e-6),
     "train.epochs": (int, str, 30),
     "train.batch_p": (int, str, 8),
     "train.batch_k": (int, str, 4),
-    "train.momentum": (_float, repr, 0.9),
-    "loss.view_weight": (_float, repr, 1.0),
-    "loss.orth_weight": (_float, repr, 3.0),
     "eval.split_seed": (int, str, 0),
     "ablate.k": (_int_list, lambda v: ",".join(map(str, v)), [2, 3]),
     "ablate.positions": (_str_list, lambda v: ",".join(v), ["last"]),
@@ -131,10 +126,6 @@ class ExperimentConfig:
             sample_seed=sample_seed,
         )
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(view_weight=self.values["loss.view_weight"],
-                           orth_weight=self.values["loss.orth_weight"])
-
     def ablation_cells(self):
         """The `dtst ablate` cells: this config with the selector off, then the
         grid in `ablate.k` x `ablate.positions` order, each cell this config
@@ -160,13 +151,8 @@ class ExperimentConfig:
         self.model_config()
         self.gen_config("train")
         self.gen_config("test")
-        # train_run sets the step count and builds the optimizer state; these
-        # check the lr range and the momentum alone
-        ScheduleConfig(lr_max=self.values["schedule.lr_max"],
-                       lr_min=self.values["schedule.lr_min"], total_steps=1)
-        SgdState(learning_rate=self.values["schedule.lr_max"],
-                 momentum=self.values["train.momentum"])
-        self.loss_weights()
+        # train_run sets the step count; this checks the lr range alone
+        ScheduleConfig(lr_max=self.values["schedule.lr_max"], total_steps=1)
         # accepted so that older configs still load; neither has an effect
         for key in ("selector.heads", "selector.temperature"):
             if self.values[key] <= 0:

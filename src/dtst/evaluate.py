@@ -17,19 +17,18 @@ is one plus the count there; its rank in the whole gallery is one plus the
 counts of all parts. So one pass gives every query's scores in each gallery
 view and in the whole gallery, in query order: a protocol keeps the queries
 of its query view. Ties are found for the whole block at once, as a value
-that occurs again in some part; only the rows holding such a match are
-sorted again, stably by descending similarity, over the part or over the
-whole gallery in gallery order, and give those matches their place in that
-order, so equal values rank in gallery order, the lower index first. A
-one-row block or part is scored as two copies of itself, as GEMV rounds
-apart from GEMM. A block's ranks stay in one array, by target (each
-gallery view, then the whole gallery), then query, with one count of
-matches per target and query. AP and INP are computed at once for all
-queries of a block that have the same number of matches, bit for bit as one
-query at a time; the Rank-1 hit is whether the first rank is 1. A report
-holds the aggregates alone, no per-query score. `rank_gallery` takes a
-gallery in parts only, each part with its rows' places in the whole
-gallery; a gallery in one piece is the one part of itself.
+that occurs again in some part; only in a block that has one, each such
+match's rank adds the count of equal values at lower gallery places, in its
+own part and in the whole gallery, so equal values rank in gallery order,
+the lower index first. A one-row block or part is scored as two copies of
+itself, as GEMV rounds apart from GEMM. A block's ranks stay in one array,
+by target (each gallery view, then the whole gallery), then query, with
+one count of matches per target and query. AP and INP are computed at once
+for all queries of a block that have the same number of matches, bit for
+bit as one query at a time; the Rank-1 hit is whether the first rank is 1.
+A report holds the aggregates alone, no per-query score. `rank_gallery`
+takes a gallery in parts only, each part with its rows' places in the
+whole gallery; a gallery in one piece is the one part of itself.
 
 The six protocols of one eval share this work through a `SharedScoring`:
 the embedding checks, the split and the one pass, made by the first
@@ -113,8 +112,9 @@ def rank_gallery(queries, query_ids, parts):
     is cosine, and `query_ids` [B] holds one identity per row. `parts` is
     the gallery in parts (`evaluate_protocol` makes one per view), each a
     triple `(rows, ids, columns)`: at least one unit row, one identity per
-    row and each row's place in the whole gallery, ascending. Each part
-    gets one similarity matrix and one sort; a whole gallery is the one part
+    row and each row's place in the whole gallery, the columns of all parts
+    together holding each place 0 ... G-1 once. Each part gets one
+    similarity matrix and one sort; a whole gallery is the one part
     `(gallery, ids, arange(G))` of itself."""
     query_ids = np.asarray(query_ids)
     if query_ids.shape != (len(queries),):
@@ -134,6 +134,11 @@ def rank_gallery(queries, query_ids, parts):
         if rows.shape[1] != queries.shape[1]:
             raise DimensionError(
                 f"embedding widths disagree: query {queries.shape[1]}, gallery {rows.shape[1]}")
+    places = np.concatenate([cols for _, _, cols in parts])
+    g = len(places)
+    if not (places.dtype.kind in "iu" and places.min() >= 0 and places.max() < g
+            and np.bincount(places.astype(np.int64, copy=False), minlength=g).max() == 1):
+        raise DimensionError(f"gallery columns must hold each place 0 ... {g - 1} once")
     # a one-row side (a query, or a gallery part) is scored as two copies of
     # itself: GEMV can round bitwise-equal rows differently from the GEMM of
     # a larger block, and so break their tie
@@ -147,12 +152,12 @@ def rank_gallery(queries, query_ids, parts):
         ordered.append(np.sort(part_sims, axis=1))
         match = np.flatnonzero(query_ids[:, None] == ids)
         row, col = np.divmod(match, len(rows))
-        found.append((row, col, cols[col], part_sims.ravel()[match], np.full(len(row), p)))
-    row, col, at, vals, part = (np.concatenate(a) for a in zip(*found))
+        found.append((row, cols[col], part_sims.ravel()[match], np.full(len(row), p)))
+    row, at, vals, part = (np.concatenate(a) for a in zip(*found))
     # matches by row, then by about their value (|value| <= 1), which makes
     # the binary searches below about twice as fast
     merged = np.argsort(row * 4.0 + vals)
-    row, col, at, vals, part = (a[merged] for a in (row, col, at, vals, part))
+    row, at, vals, part = (a[merged] for a in (row, at, vals, part))
     bounds = np.searchsorted(row, np.arange(len(queries) + 1)).tolist()
     spans = list(zip(bounds[:-1], bounds[1:]))
     # past[p, m]: the values of part p at or below match m's
@@ -168,37 +173,22 @@ def rank_gallery(queries, query_ids, parts):
                      for asc, k, mine in zip(ordered, past, own)])
     sizes = [len(rows) for rows, _, _ in parts]
     ranks = np.array(sizes)[part] + 1 - past[part, np.arange(len(part))]
-    for part_sims, tie in zip(sims, tied & own):
-        _place_ties(ranks, tie, row, col, lambda tie_rows: part_sims[tie_rows])
-    n = len(queries)
-
-    def whole_rows(tie_rows):
-        full = np.empty((len(tie_rows), sum(sizes)))
-        for part_sims, (_, _, cols) in zip(sims, parts):
-            full[:, cols] = part_sims[tie_rows]
-        return full
-
     whole = sum(sizes) + 1 - past.sum(axis=0)
-    _place_ties(whole, tied.any(axis=0), row, at, whole_rows)
+    # a match tied in part p ranks after the equal values of p at lower
+    # gallery places, in the whole gallery and, if p is its own, in p
+    for p in np.flatnonzero(tied.any(axis=1)).tolist():
+        m = np.flatnonzero(tied[p])
+        ahead = np.count_nonzero((sims[p][row[m]] == vals[m, None])
+                                 & (parts[p][2] < at[m, None]), axis=1)
+        ranks[m] += ahead * (part[m] == p)
+        whole[m] += ahead
+    n = len(queries)
     # by target, then query, then rank: one sort of one key per match
     group = np.concatenate([part * n + row, len(parts) * n + row])
     top = sum(sizes) + 1
     ranks = np.sort(group * top + np.concatenate([ranks, whole])) % top
     counts = np.bincount(group, minlength=(len(parts) + 1) * n).reshape(len(parts) + 1, n)
     return ranks, counts
-
-
-def _place_ties(ranks, tie, row, col, rows_of):
-    """Give each match in `tie` its place in a stable sort of its row by
-    descending similarity, so equal values at lower gallery indices rank
-    first; `rows_of(tie_rows)` gives those rows' similarities, in gallery
-    order."""
-    if tie.any():
-        tie_rows, which = np.unique(row[tie], return_inverse=True)
-        order = np.argsort(-rows_of(tie_rows), axis=1, kind="stable")
-        place = np.empty_like(order)
-        np.put_along_axis(place, order, np.arange(1, order.shape[1] + 1), axis=1)
-        ranks[tie] = place[which, col[tie]]
 
 
 def average_precision(ranks):

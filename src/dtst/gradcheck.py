@@ -44,8 +44,7 @@ class GroupResult:
 
 
 def check_model_gradients(cfg: model.ModelConfig, params: dict, x, y, v,
-                          weights: losses.LossWeights, max_coords: int = None,
-                          coord_seed: int = 0):
+                          max_coords: int = None, coord_seed: int = 0):
     """Compare the end-to-end analytic gradient of the total loss against
     central differences of step `STEP`, one result per parameter.
 
@@ -62,7 +61,7 @@ def check_model_gradients(cfg: model.ModelConfig, params: dict, x, y, v,
         id_loss = losses.cross_entropy_loss(out.id_logits, y)
         view_loss = losses.cross_entropy_loss(out.view_logits, v)
         orth_loss = losses.orthogonal_loss(out.meta_feature, out.view_feature)
-        return losses.total_loss(id_loss, view_loss, orth_loss, weights)
+        return losses.total_loss(id_loss, view_loss, orth_loss)
 
     with Tape() as tape:
         total = run_loss()

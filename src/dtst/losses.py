@@ -2,28 +2,16 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, DomainError, NumericError
+from .errors import DimensionError, DomainError, NumericError
 from .tensor import Tensor
 
 NORM_FLOOR = 1e-12
-
-
-@dataclass
-class LossWeights:
-    view_weight: float = 1.0
-    orth_weight: float = 1.0
-
-    def __post_init__(self):
-        for name in ("view_weight", "orth_weight"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ConfigError(f"{name} must be finite and nonnegative, got {v}")
+# weights of the view and orthogonal losses in the total; the identity loss weighs 1
+VIEW_WEIGHT = 1.0
+ORTH_WEIGHT = 3.0
 
 
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
@@ -80,14 +68,12 @@ def orthogonal_loss(meta: Tensor, view: Tensor) -> Tensor:
     return T.make(loss, (meta, view), bwd)
 
 
-def total_loss(id_loss: Tensor, view_loss: Tensor, orth_loss: Tensor,
-               weights: LossWeights) -> Tensor:
-    """Weighted sum (one tape entry)."""
+def total_loss(id_loss: Tensor, view_loss: Tensor, orth_loss: Tensor) -> Tensor:
+    """id + VIEW_WEIGHT * view + ORTH_WEIGHT * orth (one tape entry)."""
     for name, t in (("id_loss", id_loss), ("view_loss", view_loss),
                     ("orth_loss", orth_loss)):
         if not np.isfinite(t.data).all():
             raise NumericError(f"{name} is not finite")
-    wv, wo = weights.view_weight, weights.orth_weight
-    total = id_loss.data + wv * view_loss.data + wo * orth_loss.data
+    total = id_loss.data + VIEW_WEIGHT * view_loss.data + ORTH_WEIGHT * orth_loss.data
     return T.make(total, (id_loss, view_loss, orth_loss),
-                  lambda g: (g, wv * g, wo * g))
+                  lambda g: (g, VIEW_WEIGHT * g, ORTH_WEIGHT * g))

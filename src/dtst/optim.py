@@ -9,10 +9,13 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError
 
+LR_MIN = 1.6e-6  # the floor the cosine schedule decays to
+MOMENTUM = 0.9
+
 
 @dataclass
 class SgdState:
-    """Optimizer state: v <- momentum*v + g; w <- w - lr*v.
+    """Optimizer state: v <- MOMENTUM*v + g; w <- w - lr*v.
 
     The first `sgd_step` adopts its params dict: it copies the values into
     one flat float64 buffer, `_flat`, and points every parameter's `data` at
@@ -20,7 +23,6 @@ class SgdState:
     then on a parameter changes only in place (as `restore_params` writes)."""
 
     learning_rate: float
-    momentum: float = 0.9
     _flat: np.ndarray = field(default=None, init=False, repr=False)
     _vflat: np.ndarray = field(default=None, init=False, repr=False)
     _owned: list = field(default=None, init=False, repr=False)  # (Tensor, view)
@@ -28,8 +30,6 @@ class SgdState:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 def sgd_step(params: dict, state: SgdState) -> None:
@@ -73,7 +73,7 @@ def sgd_step(params: dict, state: SgdState) -> None:
             if not np.isfinite(p.grad).all():
                 raise NumericError(f"parameter '{name}' has a non-finite gradient")
     v = state._vflat
-    v *= state.momentum
+    v *= MOMENTUM
     v += grads
     state._flat -= np.multiply(v, state.learning_rate, out=grads)
     for p in params.values():
@@ -83,23 +83,21 @@ def sgd_step(params: dict, state: SgdState) -> None:
 @dataclass
 class ScheduleConfig:
     lr_max: float
-    lr_min: float
     total_steps: int
 
     def __post_init__(self):
-        if not self.lr_max > self.lr_min > 0:
-            raise ConfigError(
-                f"schedule needs lr_max > lr_min > 0, got {self.lr_max}, {self.lr_min}")
+        if not self.lr_max > LR_MIN:
+            raise ConfigError(f"schedule needs lr_max > LR_MIN = {LR_MIN}, got {self.lr_max}")
         if self.total_steps < 1:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
 
 
 def cosine_lr(step: int, cfg: ScheduleConfig) -> float:
-    """Half-cosine decay from lr_max at step 0 to lr_min at total_steps."""
+    """Half-cosine decay from lr_max at step 0 to LR_MIN at total_steps."""
     if step < 0:
         raise ConfigError(f"step must be nonnegative, got {step}")
     if step >= cfg.total_steps:
         # at and past the end of the schedule the rate stays at the floor
-        return cfg.lr_min
+        return LR_MIN
     t = step / cfg.total_steps
-    return cfg.lr_min + 0.5 * (cfg.lr_max - cfg.lr_min) * (1.0 + math.cos(math.pi * t))
+    return LR_MIN + 0.5 * (cfg.lr_max - LR_MIN) * (1.0 + math.cos(math.pi * t))

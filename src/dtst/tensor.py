@@ -329,7 +329,11 @@ def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    return make(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
+    try:
+        out = x.data.reshape(shape)
+    except ValueError:
+        raise DimensionError(f"cannot reshape {x.shape} to {shape}") from None
+    return make(out, (x,), lambda g: (g.reshape(x.shape),))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -425,9 +429,9 @@ def log_softmax_lastdim(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalise the last axis, then scale and shift. One pass: the input is
     centred once and the variance taken from the centred values."""
-    d = x.shape[-1] if x.data.ndim else 0
+    d = x.shape[-1] if x.data.ndim >= 2 else 0
     if d < 1:
-        raise DimensionError("layer_norm over a zero-length dimension")
+        raise DimensionError(f"layer_norm needs x [..., rows, d] with d >= 1, got {x.shape}")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last extent {d}")
@@ -460,9 +464,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x[..., n] @ w[n, m] + b[m] as one 2-D GEMM over all leading axes;
     w's gradient is one 2-D GEMM as well."""
-    if w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0]:
-        raise DimensionError(f"linear needs a 2-d weight whose rows match the last "
-                             f"extent of x, got {x.shape} and {w.shape}")
+    if (w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise DimensionError(f"linear needs x[..., n], w[n, m] and b[m], got "
+                             f"{x.shape}, {w.shape} and {b.shape}")
     n, m = w.shape
     x2 = x.data.reshape(-1, n)
     out = x2 @ w.data
@@ -633,6 +638,9 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
 def sub_slot(x: Tensor, dst: int, src: int) -> Tensor:
     """x with slot `src` of axis 1 subtracted from slot `dst`; every other
     slot passes through."""
+    if not (x.data.ndim >= 2 and all(isinstance(i, (int, np.integer)) and 0 <= i < x.shape[1]
+                                     for i in (dst, src))):
+        raise DimensionError(f"sub_slot({dst!r}, {src!r}) needs two slots of axis 1 of {x.shape}")
     out = x.data.copy()
     out[:, dst] -= x.data[:, src]
 
@@ -650,7 +658,11 @@ def sub_slot(x: Tensor, dst: int, src: int) -> Tensor:
 
 def gather_tokens(x: Tensor, indices) -> Tensor:
     """Select rows along axis 1: x[B,T,d], indices[B,K] -> [B,K,d]."""
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
+    if (x.data.ndim != 3 or idx.ndim != 2 or len(idx) != len(x.data) or idx.dtype.kind not in "iu"
+            or idx.min(initial=0) < 0 or idx.max(initial=0) >= x.shape[1]):
+        raise DimensionError(f"gather_tokens needs x[B, T, d] and integer indices [B, K] in "
+                             f"[0, T), got {x.shape} and {idx.dtype} {idx.shape}")
     b = np.arange(x.shape[0])[:, None]
     out = x.data[b, idx]
 

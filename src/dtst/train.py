@@ -24,15 +24,13 @@ class LogRow:
     total: float
 
 
-def train_run(cfg: model.ModelConfig, params: dict, dataset,
-              lr_max: float, lr_min: float, weights: losses.LossWeights,
-              epochs: int, batch_p: int, batch_k: int, seed: int,
-              momentum: float = 0.9):
+def train_run(cfg: model.ModelConfig, params: dict, dataset, lr_max: float,
+              epochs: int, batch_p: int, batch_k: int, seed: int):
     """Train in place for `epochs` epochs of len(dataset) // (P*K) steps
-    each, the learning rate decaying from `lr_max` to `lr_min` over the whole
-    run; returns the list of LogRow. A P or K below 1, or a dataset smaller
-    than one P*K batch, raises SamplingError before any step, and a seed
-    that is not an integer >= 0 DomainError."""
+    each, the learning rate decaying from `lr_max` to `optim.LR_MIN` over
+    the whole run; returns the list of LogRow. A P or K below 1, or a
+    dataset smaller than one P*K batch, raises SamplingError before any
+    step, and a seed that is not an integer >= 0 DomainError."""
     batch_p, batch_k = check_pk(batch_p, batch_k)
     seed = check_count(seed, 0, DomainError, f"training seed must be an integer >= 0, "
                        f"got {seed!r}")
@@ -41,8 +39,8 @@ def train_run(cfg: model.ModelConfig, params: dict, dataset,
                             f"{batch_p}x{batch_k} batch")
     rng = np.random.default_rng(seed)
     total_steps = epochs * (len(dataset) // (batch_p * batch_k))
-    schedule = optim.ScheduleConfig(lr_max=lr_max, lr_min=lr_min, total_steps=total_steps)
-    state = optim.SgdState(learning_rate=schedule.lr_max, momentum=momentum)
+    schedule = optim.ScheduleConfig(lr_max=lr_max, total_steps=total_steps)
+    state = optim.SgdState(learning_rate=schedule.lr_max)
     log = []
     for step in range(total_steps):
         batch = pk_batch(dataset, batch_p, batch_k, rng)
@@ -52,7 +50,7 @@ def train_run(cfg: model.ModelConfig, params: dict, dataset,
             id_loss = losses.cross_entropy_loss(out.id_logits, y)
             view_loss = losses.cross_entropy_loss(out.view_logits, v)
             orth_loss = losses.orthogonal_loss(out.meta_feature, out.view_feature)
-            total = losses.total_loss(id_loss, view_loss, orth_loss, weights)
+            total = losses.total_loss(id_loss, view_loss, orth_loss)
         state.learning_rate = optim.cosine_lr(step, schedule)
         row = LogRow(step, state.learning_rate, id_loss.item(), view_loss.item(),
                      orth_loss.item(), total.item())

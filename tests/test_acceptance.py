@@ -21,7 +21,6 @@ from dtst.evaluate import (PROTOCOL_AG, average_precision, evaluate_protocol,
                            embed_samples, inverse_negative_penalty, unit_rows,
                            write_reports)
 from dtst.gradcheck import check_model_gradients, relative_error
-from dtst.losses import LossWeights
 from dtst.model import (ModelConfig, init_params, model_forward,
                         save_checkpoint)
 from dtst.optim import ScheduleConfig, cosine_lr
@@ -185,7 +184,7 @@ def test_criterion_1_gradient_suite():
     y = np.array([s.y for s in data])
     v = np.array([s.v for s in data])
     params = init_params(cfg, seed=0)
-    results = check_model_gradients(cfg, params, x, y, v, LossWeights(), max_coords=None)
+    results = check_model_gradients(cfg, params, x, y, v, max_coords=None)
     e2e_err = max(r.rel_err for r in results)
     elapsed = time.perf_counter() - start
 
@@ -350,11 +349,9 @@ BENCH_SELECTOR = SelectorConfig(k=2, position="last", noise_enabled=False)
 BENCH_DATA = dict(num_ids=32, grid=(4, 4), patch_dim=8, k_sig=3, noise_std=1.0,
                   view_offset_scale=2.0)
 BENCH_TRAIN_PER_ID_VIEW, BENCH_TEST_PER_ID_VIEW = 8, 32
-BENCH_LR_MAX, BENCH_LR_MIN = 8e-3, 1.6e-6
-BENCH_WEIGHTS = LossWeights(view_weight=1.0, orth_weight=3.0)
+BENCH_LR_MAX = 8e-3
 BENCH_EPOCHS = 30
 BENCH_P, BENCH_K = 8, 4
-BENCH_MOMENTUM = 0.9
 BENCH_SPLIT_SEED = 0
 
 
@@ -388,9 +385,8 @@ def _bench_run(seed, with_selector):
     train_data = generate_dataset(train_gen)
     test_data = generate_dataset(test_gen)
     params = init_params(cfg, seed)
-    log = train_run(cfg, params, train_data, BENCH_LR_MAX, BENCH_LR_MIN, BENCH_WEIGHTS,
-                    epochs=BENCH_EPOCHS, batch_p=BENCH_P, batch_k=BENCH_K, seed=seed,
-                    momentum=BENCH_MOMENTUM)
+    log = train_run(cfg, params, train_data, BENCH_LR_MAX, epochs=BENCH_EPOCHS,
+                    batch_p=BENCH_P, batch_k=BENCH_K, seed=seed)
     meta, view_feat, ids, views = embed_samples(cfg, params, test_data)
     report = evaluate_protocol(meta, ids, views, PROTOCOL_AG, split_seed=BENCH_SPLIT_SEED)
     cos = (meta * view_feat).sum(-1) / (
@@ -438,15 +434,13 @@ def test_criterion_5_setup_matches_benchmark_cfg():
         seeded = ExperimentConfig(values={**cfg.values, "seed": seed})
         assert _bench_gen_configs(seed) == (seeded.gen_config("train"),
                                             seeded.gen_config("test")), seed
-    assert (BENCH_LR_MAX, BENCH_LR_MIN) == (cfg["schedule.lr_max"], cfg["schedule.lr_min"])
-    assert BENCH_WEIGHTS == cfg.loss_weights()
-    assert (BENCH_EPOCHS, BENCH_P, BENCH_K, BENCH_MOMENTUM, BENCH_SPLIT_SEED) == (
-        cfg["train.epochs"], cfg["train.batch_p"], cfg["train.batch_k"],
-        cfg["train.momentum"], cfg["eval.split_seed"])
+    assert (BENCH_LR_MAX, BENCH_EPOCHS, BENCH_P, BENCH_K, BENCH_SPLIT_SEED) == (
+        cfg["schedule.lr_max"], cfg["train.epochs"], cfg["train.batch_p"],
+        cfg["train.batch_k"], cfg["eval.split_seed"])
 
 
 def test_criterion_6_schedule_and_pk_batches():
-    cfg = ScheduleConfig(lr_max=8e-3, lr_min=1.6e-6, total_steps=480)
+    cfg = ScheduleConfig(lr_max=8e-3, total_steps=480)
     endpoints = cosine_lr(0, cfg) == 8e-3 and cosine_lr(480, cfg) == 1.6e-6
 
     gen = GenConfig(num_ids=32, samples_per_id_per_view=8, grid=(4, 4),

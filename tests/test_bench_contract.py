@@ -15,8 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 MODULES = ("cli", "config", "data", "evaluate", "losses", "model", "optim",
            "selector", "tensor", "train")
@@ -152,3 +154,20 @@ def test_forward_exposes_what_the_tracer_and_checks_read(dtst, monkeypatch):
     out = dtst.model.model_forward(cfg, dtst.model.init_params(cfg, 0), x, np.array([0, 1, 0]))
     assert widths == [6, 3]
     assert out.selected_slots.shape == out.selected_origin.shape == (3, 1)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_workload_config_loads_with_what_run_and_checks_read(dtst, name, tmp_path):
+    # run.py loads the workload's config ("" is the shipped one) from a file
+    # and reads the seed, P, K and both splits' GenConfigs; checks.py reads
+    # eval.split_seed and the model config
+    path = ROOT / "configs" / "benchmark.cfg"
+    if workloads.WORKLOADS[name].config:
+        path = tmp_path / "workload.cfg"
+        path.write_text(workloads.WORKLOADS[name].config)
+    cfg = dtst.config.load_config(path)
+    for key in ("seed", "train.batch_p", "train.batch_k", "eval.split_seed"):
+        assert isinstance(cfg[key], int), key
+    cfg.gen_config("train")
+    cfg.gen_config("test")
+    cfg.model_config()

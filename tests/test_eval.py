@@ -155,6 +155,21 @@ def test_rank_gallery_parts_need_ids_and_columns():
             rank_gallery(rows, [0, 1], [(rows, [0, 1], [0, 1]), (rows, [0, 1], cols)])
 
 
+@pytest.mark.parametrize("first, second", [
+    ([1], [1]),      # a place twice: whole-gallery ranks [1, 1], no error
+    ([0], [7]),      # a place beyond the gallery: a raw IndexError on the tie
+    ([-1], [0]),     # a negative place
+    ([0.0], [1.0]),  # places that are not integers
+])
+def test_rank_gallery_columns_must_partition_the_gallery(first, second):
+    # two parts holding the same unit row, so the query's two matches tie
+    row = unit_rows(np.array([[1.0, 1.0]]))
+    with pytest.raises(DimensionError, match=r"each place 0 \.\.\. 1 once"):
+        rank_gallery(row, [0], [(row, [0], first), (row, [0], second)])
+    ranks, counts = rank_gallery(row, [0], [(row, [0], [0]), (row, [0], [1])])
+    assert ranks.tolist() == [1, 1, 1, 2] and counts.tolist() == [[1], [1], [2]]
+
+
 @pytest.mark.parametrize("gallery, gallery_ids, columns", [
     ([np.eye(2), np.zeros((0, 2))], [[0, 1], []], [[0, 1], []]),  # an empty part
     ([np.zeros((0, 2))], [[]], [[]]),                              # an empty gallery

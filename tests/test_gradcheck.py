@@ -6,7 +6,6 @@ import pytest
 from dtst.data import GenConfig, batch_arrays, generate_dataset
 from dtst.errors import DomainError
 from dtst.gradcheck import check_model_gradients, relative_error
-from dtst.losses import LossWeights
 from dtst.model import ModelConfig, init_params
 from dtst.selector import SelectorConfig
 
@@ -28,8 +27,7 @@ def _check(selector, max_coords=6):
                     patch_dim=3, k_sig=2, seed=0)
     x, y, v = batch_arrays(generate_dataset(gen)[:3])
     params = init_params(cfg, seed=1)
-    return cfg, params, check_model_gradients(cfg, params, x, y, v,
-                                              LossWeights(), max_coords=max_coords)
+    return cfg, params, check_model_gradients(cfg, params, x, y, v, max_coords=max_coords)
 
 
 def test_model_gradients_without_selector():
@@ -64,5 +62,5 @@ def test_a_coordinate_seed_must_be_a_non_negative_integer(coord_seed):
     x, y, v = batch_arrays(generate_dataset(GenConfig(num_ids=4, samples_per_id_per_view=1,
                                                       grid=(2, 2), patch_dim=3, k_sig=2))[:2])
     with pytest.raises(DomainError, match="coordinate seed must be an integer >= 0"):
-        check_model_gradients(cfg, init_params(cfg, seed=1), x, y, v, LossWeights(),
-                              max_coords=1, coord_seed=coord_seed)
+        check_model_gradients(cfg, init_params(cfg, seed=1), x, y, v, max_coords=1,
+                              coord_seed=coord_seed)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dtst import tensor as T
-from dtst.errors import ConfigError, DimensionError, DomainError, NumericError
-from dtst.losses import (LossWeights, cross_entropy_loss, orthogonal_loss,
+from dtst.errors import DimensionError, DomainError, NumericError
+from dtst.losses import (ORTH_WEIGHT, VIEW_WEIGHT, cross_entropy_loss, orthogonal_loss,
                          total_loss)
 from dtst.tensor import Tape, Tensor, backward
 
@@ -109,38 +109,24 @@ def test_orthogonal_loss_matches_mean_squared_cosine():
 
 
 def test_total_loss_documented_example():
-    # 1.0 + 0.5 * 1.0 + 0.25 * 1.0 = 1.75
-    weights = LossWeights(view_weight=0.5, orth_weight=0.25)
-    total = total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), weights)
-    assert abs(total.item() - 1.75) < 1e-15
-
-
-def test_default_weights_are_unit():
-    w = LossWeights()
-    assert w.view_weight == 1.0 and w.orth_weight == 1.0
-    total = total_loss(Tensor(0.5), Tensor(0.25), Tensor(0.125), w)
-    assert abs(total.item() - 0.875) < 1e-15
+    # the weights configs/benchmark.cfg trained with: 1.0 + 1.0 * 1.0 + 3.0 * 1.0 = 5.0
+    assert (VIEW_WEIGHT, ORTH_WEIGHT) == (1.0, 3.0)
+    total = total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0))
+    assert abs(total.item() - 5.0) < 1e-15
 
 
 def test_total_loss_is_linear_in_weights():
-    vals = (Tensor(0.7), Tensor(0.3), Tensor(0.9))
-    t1 = total_loss(*vals, LossWeights(view_weight=2.0, orth_weight=0.0))
-    t2 = total_loss(*vals, LossWeights(view_weight=0.0, orth_weight=2.0))
-    t0 = total_loss(*vals, LossWeights(view_weight=0.0, orth_weight=0.0))
-    assert abs((t1.item() - t0.item()) - 2 * 0.3) < 1e-12
-    assert abs((t2.item() - t0.item()) - 2 * 0.9) < 1e-12
-
-
-def test_weight_validation():
-    with pytest.raises(ConfigError):
-        LossWeights(view_weight=-1.0)
-    with pytest.raises(ConfigError):
-        LossWeights(orth_weight=float("nan"))
+    parts = [Tensor(v, requires_grad=True) for v in (0.7, 0.3, 0.9)]
+    with Tape() as tape:
+        total = total_loss(*parts)
+    backward(total, tape)
+    assert abs(total.item() - (0.7 + VIEW_WEIGHT * 0.3 + ORTH_WEIGHT * 0.9)) < 1e-12
+    assert [float(p.grad) for p in parts] == [1.0, VIEW_WEIGHT, ORTH_WEIGHT]
 
 
 def test_non_finite_losses_are_rejected():
     with pytest.raises(NumericError, match="not finite"):
-        total_loss(Tensor(float("inf")), Tensor(0.0), Tensor(0.0), LossWeights())
+        total_loss(Tensor(float("inf")), Tensor(0.0), Tensor(0.0))
 
 
 def test_orthogonal_descent_decorrelates_toy_features():

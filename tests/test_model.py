@@ -7,7 +7,7 @@ import pytest
 from dtst import model
 from dtst import tensor as T
 from dtst.errors import ConfigError, ContractError, DimensionError, DomainError, NumericError
-from dtst.losses import LossWeights, cross_entropy_loss, orthogonal_loss, total_loss
+from dtst.losses import cross_entropy_loss, orthogonal_loss, total_loss
 from dtst.model import (ModelConfig, attach_special_tokens, encoder_block,
                         init_params, load_checkpoint, model_forward, patch_embed,
                         restore_params, save_checkpoint, vdt_decouple)
@@ -432,7 +432,7 @@ def _step_tape(cfg, params, x, y, v):
     with Tape() as tape:
         out = model_forward(cfg, params, x, v, rng=np.random.default_rng(0), training=True)
         total_loss(cross_entropy_loss(out.id_logits, y), cross_entropy_loss(out.view_logits, v),
-                   orthogonal_loss(out.meta_feature, out.view_feature), LossWeights())
+                   orthogonal_loss(out.meta_feature, out.view_feature))
     return tape
 
 

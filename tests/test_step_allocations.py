@@ -52,9 +52,8 @@ def _faults_per_step(config_path, steps):
 
     optim.sgd_step = counted  # train_run looks it up on the module
     train.train_run(model_cfg, model.init_params(model_cfg, cfg["seed"]), dataset,
-                    cfg["schedule.lr_max"], cfg["schedule.lr_min"], cfg.loss_weights(),
-                    -(-steps // per_epoch), cfg["train.batch_p"], cfg["train.batch_k"],
-                    seed=cfg["seed"], momentum=cfg["train.momentum"])
+                    cfg["schedule.lr_max"], -(-steps // per_epoch), cfg["train.batch_p"],
+                    cfg["train.batch_k"], seed=cfg["seed"])
     return [b - a for a, b in zip(marks, marks[1:])]
 
 

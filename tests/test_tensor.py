@@ -478,3 +478,39 @@ def test_linear_shape_errors_name_both_operands():
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
     with pytest.raises(DimensionError):
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("bias", [3, 1])
+def test_linear_rejects_a_bias_that_does_not_fit_the_weight(bias):
+    # [1] broadcast in the forward and failed only in the backward
+    with pytest.raises(DimensionError, match=rf"\(3, 4\) and \({bias},\)"):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(bias)))
+
+
+def test_layer_norm_rejects_a_one_dimensional_input():
+    with pytest.raises(DimensionError, match=r"layer_norm needs .* got \(3,\)"):
+        T.layer_norm(Tensor(np.ones(3)), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("dst, src", [(5, 0), (0, 3), (-1, 0), (1.5, 0)])
+def test_sub_slot_rejects_a_slot_outside_axis_1(dst, src):
+    with pytest.raises(DimensionError, match=r"sub_slot.*\(1, 3, 4\)"):
+        T.sub_slot(Tensor(np.zeros((1, 3, 4))), dst, src)
+
+
+@pytest.mark.parametrize("indices", [
+    [[3]],          # past the end
+    [[-1]],         # negative: wrapped to the last slot
+    [[0.5]],        # not integers: truncated to slot 0
+    [[1.7]],
+    [[0], [1]],     # two rows of indices for one sample
+    [0],            # one axis
+])
+def test_gather_tokens_rejects_indices_outside_axis_1(indices):
+    with pytest.raises(DimensionError, match="gather_tokens needs"):
+        T.gather_tokens(Tensor(np.zeros((1, 3, 4))), indices)
+
+
+def test_reshape_to_another_size_is_a_dimension_error():
+    with pytest.raises(DimensionError, match=r"cannot reshape \(3, 4\) to \(5,\)"):
+        T.reshape(Tensor(np.zeros((3, 4))), (5,))

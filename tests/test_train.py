@@ -10,48 +10,48 @@ import pytest
 from dtst import losses
 from dtst.data import GenConfig, batch_arrays, generate_dataset, pk_batch
 from dtst.errors import ConfigError, ContractError, DomainError, NumericError, SamplingError
-from dtst.losses import LossWeights
 from dtst.model import ModelConfig, init_params, model_forward
-from dtst.optim import ScheduleConfig, SgdState, cosine_lr, sgd_step
+from dtst.optim import LR_MIN, ScheduleConfig, SgdState, cosine_lr, sgd_step
 from dtst.selector import SelectorConfig
 from dtst.tensor import Tape, Tensor, backward
 from dtst.train import LogRow, train_run, write_log
 
 
 def test_cosine_endpoints_are_exact():
-    cfg = ScheduleConfig(lr_max=8e-3, lr_min=1.6e-6, total_steps=100)
+    cfg = ScheduleConfig(lr_max=8e-3, total_steps=100)
+    assert LR_MIN == 1.6e-6
     assert cosine_lr(0, cfg) == 8e-3
-    assert cosine_lr(100, cfg) == 1.6e-6
-    assert cosine_lr(1000, cfg) == 1.6e-6
+    assert cosine_lr(100, cfg) == LR_MIN
+    assert cosine_lr(1000, cfg) == LR_MIN
 
 
 def test_cosine_midpoint_and_monotonicity():
-    cfg = ScheduleConfig(lr_max=1.0, lr_min=0.1, total_steps=10)
-    assert cosine_lr(5, cfg) == pytest.approx(0.55, abs=1e-15)
+    cfg = ScheduleConfig(lr_max=1.0, total_steps=10)
+    assert cosine_lr(5, cfg) == pytest.approx((1.0 + LR_MIN) / 2, abs=1e-15)
     values = [cosine_lr(t, cfg) for t in range(11)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_cosine_rejects_negative_step():
-    cfg = ScheduleConfig(lr_max=1.0, lr_min=0.1, total_steps=10)
+    cfg = ScheduleConfig(lr_max=1.0, total_steps=10)
     with pytest.raises(ConfigError, match="nonnegative"):
         cosine_lr(-1, cfg)
 
 
 def test_schedule_validation():
+    # lr_max must lie above the floor the schedule decays to
+    for lr_max in (LR_MIN, 1e-7, 0.0, float("nan")):
+        with pytest.raises(ConfigError, match="lr_max > LR_MIN"):
+            ScheduleConfig(lr_max=lr_max, total_steps=10)
     with pytest.raises(ConfigError):
-        ScheduleConfig(lr_max=0.1, lr_min=0.1, total_steps=10)
-    with pytest.raises(ConfigError):
-        ScheduleConfig(lr_max=0.1, lr_min=0.0, total_steps=10)
-    with pytest.raises(ConfigError):
-        ScheduleConfig(lr_max=0.1, lr_min=0.01, total_steps=0)
+        ScheduleConfig(lr_max=0.1, total_steps=0)
 
 
 def test_sgd_momentum_law_matches_hand_rollout():
     w0 = np.array([1.0, -2.0])
     grads = [np.array([0.5, 0.5]), np.array([-1.0, 2.0]), np.array([0.25, 0.0])]
     p = Tensor(w0.copy(), requires_grad=True)
-    state = SgdState(learning_rate=0.1, momentum=0.9)
+    state = SgdState(learning_rate=0.1)
     w, v = w0.copy(), np.zeros(2)
     for g in grads:
         p.grad = g.copy()
@@ -63,7 +63,7 @@ def test_sgd_momentum_law_matches_hand_rollout():
 
 
 def test_sgd_step_matches_the_per_parameter_update_bit_for_bit():
-    # the flat-buffer update against v <- momentum*v + g; w <- w - lr*v on
+    # the flat-buffer update against v <- MOMENTUM*v + g; w <- w - lr*v on
     # each parameter alone; between steps 2 and 3 a caller overwrites one
     # parameter's values in place (as restore_params does)
     rng = np.random.default_rng(5)
@@ -71,7 +71,7 @@ def test_sgd_step_matches_the_per_parameter_update_bit_for_bit():
     params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
     ref = {n: p.data.copy() for n, p in params.items()}
     vel = {n: np.zeros(s) for n, s in shapes.items()}
-    state = SgdState(learning_rate=0.0, momentum=0.9)
+    state = SgdState(learning_rate=0.0)
     for step, lr in enumerate((0.1, 0.05, 0.3, 0.07, 0.2)):
         if step == 3:
             params["b"].data[...] = rng.normal(size=4)
@@ -155,15 +155,13 @@ def test_sgd_finite_gradients_whose_sum_overflows_still_update():
     p = Tensor(np.zeros(2), requires_grad=True)
     p.grad = np.array([1e308, 1e308])
     with np.errstate(over="ignore"):  # the fused check's sum overflows
-        sgd_step({"w": p}, SgdState(learning_rate=1e-308, momentum=0.0))
+        sgd_step({"w": p}, SgdState(learning_rate=1e-308))
     assert np.allclose(p.data, -1.0)
 
 
 def test_sgd_state_validation():
     with pytest.raises(ConfigError):
         SgdState(learning_rate=-1.0)
-    with pytest.raises(ConfigError):
-        SgdState(learning_rate=0.1, momentum=1.0)
 
 
 def _tiny_setup(selector=True, seed=0):
@@ -180,8 +178,7 @@ def _tiny_setup(selector=True, seed=0):
 
 def test_train_run_reduces_loss_and_logs_every_step():
     cfg, params, data = _tiny_setup()
-    log = train_run(cfg, params, data, 5e-2, 1e-4, LossWeights(),
-                    epochs=10, batch_p=2, batch_k=2, seed=1)
+    log = train_run(cfg, params, data, 5e-2, epochs=10, batch_p=2, batch_k=2, seed=1)
     assert [r.step for r in log] == list(range(len(log)))
     assert log[0].lr == 5e-2
     first = np.mean([r.id_loss for r in log[:8]])
@@ -195,8 +192,7 @@ def test_train_run_rejects_a_non_finite_total_before_any_update(monkeypatch):
     cfg, params, data = _tiny_setup()
     before = {name: p.data.copy() for name, p in params.items()}
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="step 0"):
-        train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
-                  epochs=1, batch_p=2, batch_k=2, seed=0)
+        train_run(cfg, params, data, 1e-2, epochs=1, batch_p=2, batch_k=2, seed=0)
     for name, p in params.items():
         assert np.array_equal(p.data, before[name]), name
 
@@ -204,16 +200,13 @@ def test_train_run_rejects_a_non_finite_total_before_any_update(monkeypatch):
 def test_total_steps_for():
     """train_run runs epochs * (len(dataset) // (P*K)) steps."""
     cfg, params, data = _tiny_setup()  # 32 samples, 8 per identity
-    log = train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
-                    epochs=1, batch_p=4, batch_k=8, seed=0)
+    log = train_run(cfg, params, data, 1e-2, epochs=1, batch_p=4, batch_k=8, seed=0)
     assert len(log) == 1  # one batch takes the whole dataset
-    log = train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
-                    epochs=2, batch_p=4, batch_k=2, seed=0)
+    log = train_run(cfg, params, data, 1e-2, epochs=2, batch_p=4, batch_k=2, seed=0)
     assert len(log) == 2 * (32 // 8)
     before = {k: v.data.copy() for k, v in params.items()}
     with pytest.raises(SamplingError, match="32 samples cannot fill one 4x9 batch"):
-        train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
-                  epochs=1, batch_p=4, batch_k=9, seed=0)
+        train_run(cfg, params, data, 1e-2, epochs=1, batch_p=4, batch_k=9, seed=0)
     for name, value in before.items():
         assert np.array_equal(params[name].data, value), name
 
@@ -223,8 +216,7 @@ def test_train_run_rejects_a_bad_seed_before_any_step(seed):
     cfg, params, data = _tiny_setup()
     before = {k: v.data.copy() for k, v in params.items()}
     with pytest.raises(DomainError, match="training seed must be an integer >= 0"):
-        train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
-                  epochs=1, batch_p=4, batch_k=2, seed=seed)
+        train_run(cfg, params, data, 1e-2, epochs=1, batch_p=4, batch_k=2, seed=seed)
     for name, value in before.items():
         assert np.array_equal(params[name].data, value), name
 
@@ -239,8 +231,7 @@ def test_train_run_rejects_a_p_or_k_below_one_before_any_step(batch_p, batch_k):
     cfg, params, data = _tiny_setup()
     before = {k: v.data.copy() for k, v in params.items()}
     with pytest.raises(SamplingError, match="must be an integer >= 1"):
-        train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
-                  epochs=1, batch_p=batch_p, batch_k=batch_k, seed=0)
+        train_run(cfg, params, data, 1e-2, epochs=1, batch_p=batch_p, batch_k=batch_k, seed=0)
     for name, value in before.items():
         assert np.array_equal(params[name].data, value), name
 
@@ -249,20 +240,18 @@ def test_train_run_rejects_mismatched_schedule():
     """An lr range that cannot decay is refused before any step is taken."""
     cfg, params, data = _tiny_setup()
     before = {k: v.data.copy() for k, v in params.items()}
-    for lr_max, lr_min in [(1e-5, 1e-2), (1e-2, 1e-2)]:
-        with pytest.raises(ConfigError, match="lr_max > lr_min"):
-            train_run(cfg, params, data, lr_max, lr_min, LossWeights(),
-                      epochs=1, batch_p=2, batch_k=2, seed=0)
+    for lr_max in (1e-7, LR_MIN):
+        with pytest.raises(ConfigError, match="lr_max > LR_MIN"):
+            train_run(cfg, params, data, lr_max, epochs=1, batch_p=2, batch_k=2, seed=0)
     for name, value in before.items():
         assert np.array_equal(params[name].data, value), name
 
 
 def test_train_run_derives_step_count_and_schedule():
     cfg, params, data = _tiny_setup()  # 32 samples
-    log = train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
-                    epochs=3, batch_p=2, batch_k=2, seed=0)
+    log = train_run(cfg, params, data, 1e-2, epochs=3, batch_p=2, batch_k=2, seed=0)
     assert len(log) == 3 * (32 // 4)
-    schedule = ScheduleConfig(lr_max=1e-2, lr_min=1e-5, total_steps=len(log))
+    schedule = ScheduleConfig(lr_max=1e-2, total_steps=len(log))
     assert [r.lr for r in log] == [cosine_lr(r.step, schedule) for r in log]
 
 
@@ -270,8 +259,7 @@ def test_train_run_is_deterministic():
     runs = []
     for _ in range(2):
         cfg, params, data = _tiny_setup()
-        log = train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
-                        epochs=2, batch_p=2, batch_k=2, seed=7)
+        log = train_run(cfg, params, data, 1e-2, epochs=2, batch_p=2, batch_k=2, seed=7)
         runs.append((log, {k: v.data.copy() for k, v in params.items()}))
     (log_a, pa), (log_b, pb) = runs
     assert [r.total for r in log_a] == [r.total for r in log_b]
@@ -284,8 +272,7 @@ def test_training_changes_predictions():
     x = np.stack([s.x for s in data[:4]])
     v = np.array([s.v for s in data[:4]])
     before = model_forward(cfg, params, x, v).id_logits.data.copy()
-    train_run(cfg, params, data, 1e-2, 1e-5, LossWeights(),
-              epochs=2, batch_p=2, batch_k=2, seed=0)
+    train_run(cfg, params, data, 1e-2, epochs=2, batch_p=2, batch_k=2, seed=0)
     after = model_forward(cfg, params, x, v).id_logits.data
     assert not np.allclose(before, after)
 
@@ -303,8 +290,7 @@ def test_step_tape_is_freed_by_reference_counting():
             total = losses.total_loss(
                 losses.cross_entropy_loss(out.id_logits, y),
                 losses.cross_entropy_loss(out.view_logits, v),
-                losses.orthogonal_loss(out.meta_feature, out.view_feature),
-                LossWeights())
+                losses.orthogonal_loss(out.meta_feature, out.view_feature))
         backward(total, tape)
         return weakref.ref(tape)
 
