@@ -191,27 +191,32 @@ def rank_gallery(queries, query_ids, parts):
     return ranks, counts
 
 
+def _match_ranks(ranks, metric):
+    """C-contiguous int64 `ranks`, each row one or more ascending integers >= 1."""
+    ranks = np.asarray(ranks)
+    if (ranks.ndim == 0 or ranks.shape[-1] == 0 or ranks.dtype.kind not in "iu"
+            or (ranks[..., 0] < 1).any() or (ranks[..., 1:] <= ranks[..., :-1]).any()):
+        raise ProtocolError(f"{metric} needs one or more match ranks along the last axis, "
+                            f"integers >= 1 in strictly ascending order; got {ranks!r}")
+    return np.ascontiguousarray(ranks, dtype=np.int64)
+
+
 def average_precision(ranks):
     """AP = (1/|G|) * sum over the ascending match ranks r_i of i / r_i,
     over the last axis: [n] ranks of one query give a scalar, [Q, n] ranks
     of Q queries with n matches each an array [Q]. A C-contiguous row sums
     in the same pairwise order as the 1-D array, so each row's AP is bit for
     bit the AP of that row alone."""
-    ranks = np.ascontiguousarray(ranks, dtype=np.int64)
+    ranks = _match_ranks(ranks, "average_precision")
     n = ranks.shape[-1]
-    if n == 0:
-        raise ProtocolError("average_precision needs at least one true match")
     return (np.arange(1, n + 1) / ranks).sum(axis=-1) / n
 
 
 def inverse_negative_penalty(ranks):
     """INP = (number of true matches) / (rank of the hardest true match),
     over the last axis of [n] or [Q, n] ranks."""
-    ranks = np.asarray(ranks, dtype=np.int64)
-    n = ranks.shape[-1]
-    if n == 0:
-        raise ProtocolError("inverse_negative_penalty needs at least one true match")
-    return n / ranks[..., -1]
+    ranks = _match_ranks(ranks, "inverse_negative_penalty")
+    return ranks.shape[-1] / ranks[..., -1]
 
 
 def _block_scores(ranks, counts):

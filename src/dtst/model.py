@@ -37,7 +37,7 @@ MLP_RATIO = 4
 class ModelConfig:
     num_identities: int
     num_blocks: int = 4
-    embed_dim: int = 32
+    embed_dim: int = 16
     num_attn_heads: int = 2
     patch_grid: tuple = (4, 4)
     patch_dim: int = 8
@@ -106,16 +106,16 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
     p["patch_embed.b"] = Tensor(np.zeros(d), requires_grad=True)
     p["pos_embed"] = _uniform(rng, d, (m, d))
     p["meta_token"] = _uniform(rng, d, (d,))
-    p["view_token.aerial"] = _uniform(rng, d, (d,))
-    p["view_token.ground"] = _uniform(rng, d, (d,))
+    p["view_tokens"] = _uniform(rng, d, (len(VIEW_NAMES), d))  # row = view id
     for i in range(cfg.num_blocks):
         pre = f"block{i}."
         p[pre + "ln1.gamma"] = Tensor(np.ones(d), requires_grad=True)
         p[pre + "ln1.beta"] = Tensor(np.zeros(d), requires_grad=True)
-        for name in ("wq", "wk", "wv", "wo"):
-            p[pre + "attn." + name] = _uniform(rng, d, (d, d))
-        for name in ("bq", "bk", "bv", "bo"):
-            p[pre + "attn." + name] = Tensor(np.zeros(d), requires_grad=True)
+        p[pre + "attn.w_qkv"] = qkv = _uniform(rng, d, (3, d, d))  # Q, K, V: 3 [d, d] draws
+        qkv.data = qkv.data.transpose(1, 0, 2).reshape(d, 3 * d)  # laid side by side
+        p[pre + "attn.b_qkv"] = Tensor(np.zeros(3 * d), requires_grad=True)
+        p[pre + "attn.w_o"] = _uniform(rng, d, (d, d))
+        p[pre + "attn.b_o"] = Tensor(np.zeros(d), requires_grad=True)
         p[pre + "ln2.gamma"] = Tensor(np.ones(d), requires_grad=True)
         p[pre + "ln2.beta"] = Tensor(np.zeros(d), requires_grad=True)
         h = MLP_RATIO * d
@@ -158,18 +158,17 @@ def attach_special_tokens(patches: Tensor, view_labels, params: dict) -> TokenSe
     bad = set(view_labels.tolist()) - set(VIEW_NAMES)
     if bad:
         raise DomainError(f"unknown view labels {sorted(bad)}")
-    meta = params["meta_token"]
-    views = (params["view_token.aerial"], params["view_token.ground"])
+    meta, views = params["meta_token"], params["view_tokens"]
     tokens = np.empty((b, m + 2, d))
     tokens[:, 0] = meta.data
-    tokens[:, 1] = np.stack([t.data for t in views])[view_labels]
+    tokens[:, 1] = views.data[view_labels]
     tokens[:, 2:] = patches.data
 
     def bwd(g):
-        gview = [g[view_labels == v, 1].sum(axis=0) for v in (VIEW_AERIAL, VIEW_GROUND)]
-        return (g[:, 0].sum(axis=0), gview[0], gview[1], g[:, 2:])
+        gview = np.stack([g[view_labels == v, 1].sum(axis=0) for v in VIEW_NAMES])
+        return g[:, 0].sum(axis=0), gview, g[:, 2:]
 
-    return TokenSequence(tokens=T.make(tokens, (meta,) + views + (patches,), bwd))
+    return TokenSequence(tokens=T.make(tokens, (meta, views, patches), bwd))
 
 
 def encoder_block(seq: TokenSequence, params: dict, index: int,
@@ -178,11 +177,8 @@ def encoder_block(seq: TokenSequence, params: dict, index: int,
     pre = f"block{index}."
     x = seq.tokens
     normed = T.layer_norm(x, params[pre + "ln1.gamma"], params[pre + "ln1.beta"])
-    attn = T.attention(normed,
-                       [params[pre + "attn." + n] for n in ("wq", "wk", "wv", "wo")],
-                       [params[pre + "attn." + n] for n in ("bq", "bk", "bv", "bo")],
-                       cfg.num_attn_heads)
-    x = x + attn
+    attn = [params[pre + "attn." + n] for n in ("w_qkv", "b_qkv", "w_o", "b_o")]
+    x = x + T.attention(normed, *attn, cfg.num_attn_heads)
     normed = T.layer_norm(x, params[pre + "ln2.gamma"], params[pre + "ln2.beta"])
     x = x + T.mlp(normed, *(params[pre + "mlp." + n] for n in ("w1", "b1", "w2", "b2")))
     return replace(seq, tokens=x)

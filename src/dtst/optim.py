@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 LR_MIN = 1.6e-6  # the floor the cosine schedule decays to
 MOMENTUM = 0.9
@@ -35,18 +35,21 @@ class SgdState:
 def sgd_step(params: dict, state: SgdState) -> None:
     """Apply one SGD update in place and clear gradients.
 
-    `params` maps name -> Tensor; every tensor must carry a populated `.grad`,
-    and a non-finite one raises NumericError naming the first such parameter
-    before any parameter changes. The update is two operations on the flat
-    buffers of `state`, which adopts `params` on its first step. A later step
-    with another dict, or after a caller rebound a `p.data`, raises
-    ContractError before any update, as does an empty `params`.
+    `params` maps name -> Tensor; every tensor must carry a populated `.grad`
+    of its own shape (else DimensionError), and a non-finite one raises
+    NumericError naming the first such parameter before any parameter changes.
+    The update is two operations on the flat buffers of `state`, which adopts
+    `params` on its first step. A later step with another dict, or after a
+    caller rebound a `p.data`, raises ContractError before any update, as does
+    an empty `params`.
     """
     if not params:
         raise ContractError("sgd_step needs at least one parameter")
     for name, p in params.items():
         if p.grad is None:
             raise ContractError(f"parameter '{name}' has no gradient")
+        if p.grad.shape != p.data.shape:
+            raise DimensionError(f"parameter '{name}' {p.data.shape} has a {p.grad.shape} gradient")
     if state._owned is None:  # adopt: each p.data becomes a view of `_flat`
         state._flat = np.concatenate([p.data for p in params.values()], axis=None,
                                      dtype=np.float64)

@@ -13,8 +13,10 @@ counting as soon as the caller drops the tape.
 
 Besides the elementary ops, the module has fused ops with hand-derived
 backward passes (`linear`, `attention`, `layer_norm`, `gelu`, `mlp`,
-`sub_slot`): each records one tape entry. When no tape records them they keep
-no backward state and work in place on their own temporaries. A backward
+`sub_slot`): each records one tape entry and takes its parameters in the
+form it computes with (`attention` one [d, 3d] Q/K/V weight). When no tape
+records them they keep no backward state and work in place on their own
+temporaries. A backward
 writes into the buffers its entry saved instead of allocating new ones, so
 a tape can be backpropagated once; `backward` refuses a spent tape. `gelu`
 is the tanh form (Hendrycks & Gimpel), one `np.tanh` pass: the exact
@@ -552,40 +554,38 @@ def _attend(qkv, att, ctx, scale):
     np.matmul(att, v, out=ctx.reshape(n, t, h, -1).transpose(0, 2, 1, 3))
 
 
-def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
+def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_o: Tensor, b_o: Tensor,
+              num_heads: int) -> Tensor:
     """Multi-head self-attention as one tape entry.
 
-    x [B, T, d]; `weights` = (wq, wk, wv, wo), each [d, d]; `biases` =
-    (bq, bk, bv, bo), each [d]. Q/K/V come from one GEMM and the scores are
-    scaled by 1/sqrt(d/H) before the softmax. The forward runs over tiles of
-    whole sequences (`_row_tiles`): Q/K/V, scores, softmax, context and
-    output projection, tile by tile. Tracked, each tile writes into whole
-    Q/K/V, probability and context arrays, which the backward keeps;
-    untracked, into scratch reused from tile to tile, so the op allocates
-    its output and no whole Q/K/V or scores array. A tile's GEMMs get T rows
-    a sequence, and the model's sequences hold at least three tokens (the
-    kept ones and two extra), so none goes through GEMV. The backward builds
-    the Q/K/V gradient inside the saved Q/K/V buffer; between the two
+    x [B, T, d]; `w_qkv` [d, 3d] holds the Q, K and V projections side by
+    side and `b_qkv` [3d] their biases; `w_o` [d, d] and `b_o` [d] are the
+    output projection. Q/K/V come from one GEMM and the scores are scaled by
+    1/sqrt(d/H) before the softmax. The forward runs over tiles of whole
+    sequences (`_row_tiles`): Q/K/V, scores, softmax, context and output
+    projection, tile by tile. Tracked, each tile writes into whole Q/K/V,
+    probability and context arrays, which the backward keeps; untracked,
+    into scratch reused from tile to tile, so the op allocates its output
+    and no whole Q/K/V or scores array. A tile's GEMMs get T rows a
+    sequence, and the model's sequences hold at least three tokens (the kept
+    ones and two extra), so none goes through GEMV. The backward builds the
+    Q/K/V gradient inside the saved Q/K/V buffer; between the two
     projections it runs over the same kind of tiles, with one [tile, H, T,
     T] scratch for the scores' gradient.
     """
-    if x.data.ndim != 3 or len(weights) != 4 or len(biases) != 4 or any(
-            w.shape != (x.shape[2],) * 2 or bias.shape != x.shape[2:]
-            for w, bias in zip(weights, biases)):
-        raise DimensionError(f"attention needs x[B, T, d], weights [d, d] and biases [d], got "
-                             f"{x.shape}, {[w.shape for w in weights]}, "
-                             f"{[bias.shape for bias in biases]}")
+    if x.data.ndim != 3 or (w_qkv.shape, b_qkv.shape, w_o.shape, b_o.shape) != (
+            (x.shape[2], 3 * x.shape[2]), (3 * x.shape[2],), (x.shape[2],) * 2, x.shape[2:]):
+        raise DimensionError(f"attention needs x[B, T, d], w_qkv[d, 3d], b_qkv[3d], w_o[d, d] "
+                             f"and b_o[d], got {x.shape}, {w_qkv.shape}, {b_qkv.shape}, "
+                             f"{w_o.shape}, {b_o.shape}")
     b, t, d = x.shape
     if d % num_heads != 0:
         raise DimensionError(f"attention heads {num_heads} must divide width {d}")
     h, dh = num_heads, d // num_heads
     scale = 1.0 / np.sqrt(dh)
-    wq, wk, wv, wo = weights
-    bq, bk, bv, bo = biases
     x2 = x.data.reshape(b * t, d)
-    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    b_qkv = np.concatenate([bq.data, bk.data, bv.data])
-    tracked = _tracking(x, *weights, *biases)
+    inputs = (x, w_qkv, b_qkv, w_o, b_o)
+    tracked = _tracking(*inputs)
     tiles = _row_tiles(b, h * t * t)
     if tracked:
         qkv, att, ctx = np.empty((b, t, 3 * d)), np.empty((b, h, t, t)), np.empty((b, t, d))
@@ -597,22 +597,21 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
         n, rows = seqs.stop - seqs.start, slice(seqs.start * t, seqs.stop * t)
         here = seqs if tracked else slice(n)
         qkv_n, ctx_n = qkv[here].reshape(n * t, 3 * d), ctx[here].reshape(n * t, d)
-        np.matmul(x2[rows], w_qkv, out=qkv_n)
-        qkv_n += b_qkv
+        np.matmul(x2[rows], w_qkv.data, out=qkv_n)
+        qkv_n += b_qkv.data
         _attend(qkv_n, att[here], ctx_n, scale)
         y = out[rows]
-        np.matmul(ctx_n, wo.data, out=y)
-        y += bo.data
+        np.matmul(ctx_n, w_o.data, out=y)
+        y += b_o.data
     out = out.reshape(b, t, d)
     if not tracked:
         return Tensor(out)
     qkv, ctx = qkv.reshape(b * t, 3 * d), ctx.reshape(b * t, d)
     q, k, v = qkv.reshape(b, t, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [B, H, T, dh]
-    inputs = (x, wq, wk, wv, wo, bq, bk, bv, bo)
 
     def bwd(g):
         g2 = g.reshape(b * t, d)
-        gctx = (g2 @ wo.data.T).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
+        gctx = (g2 @ w_o.data.T).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
         gatt_tile = _tile_scratch(tiles, h, t, t)
         for rows in tiles:
             a, gc = att[rows], gctx[rows]
@@ -624,13 +623,9 @@ def attention(x: Tensor, weights, biases, num_heads: int) -> Tensor:
             gatt *= scale
             gq = gatt @ k[rows]
             np.matmul(gatt.swapaxes(-1, -2), q[rows], out=k[rows])
-            q[rows] = gq
-        gqkv = qkv  # the gradient of the Q/K/V projection
-        gw = x2.T @ gqkv
-        gb = _sum_rows(gqkv)
-        gx = (gqkv @ w_qkv.T).reshape(b, t, d)
-        return (gx, gw[:, :d], gw[:, d:2 * d], gw[:, 2 * d:], ctx.T @ g2,
-                gb[:d], gb[d:2 * d], gb[2 * d:], _sum_rows(g2))
+            q[rows] = gq  # qkv now holds the gradient of the Q/K/V projection
+        return ((qkv @ w_qkv.data.T).reshape(b, t, d), x2.T @ qkv, _sum_rows(qkv),
+                ctx.T @ g2, _sum_rows(g2))
 
     return make(out, inputs, bwd)
 

@@ -113,30 +113,24 @@ def _op_cases():
          lambda t: orthogonal_loss(Tensor(y2.reshape(6, 4)), T.reshape(t, (6, 4))), x),
     ]
     # attention on a K+2-token sequence (K=2) with 1, 2 and 4 heads; each
-    # input differenced on its own
+    # input differenced on its own, the Q, K and V weights and biases side by
+    # side as the op takes them
     seq = rng.normal(size=(2, 4, 8))
     att_w = [rng.normal(size=(8, 8)) * 0.5 for _ in range(4)]
     att_b = [rng.normal(size=8) * 0.1 for _ in range(4)]
     w_att = Tensor(rng.normal(size=(2, 4, 8)))
+    att_args = {"x": seq, "w_qkv": np.concatenate(att_w[:3], axis=1),
+                "b_qkv": np.concatenate(att_b[:3]), "w_o": att_w[3], "b_o": att_b[3]}
 
     def attention_case(heads, which):
         def op(t):
-            ws = [Tensor(w) for w in att_w]
-            bs = [Tensor(b) for b in att_b]
-            xs = Tensor(seq)
-            if which == "x":
-                xs = t
-            elif which[0] == "w":
-                ws[int(which[1])] = t
-            else:
-                bs[int(which[1])] = t
-            return T.mul(T.attention(xs, ws, bs, heads), w_att)
-        arr = seq if which == "x" else (att_w if which[0] == "w" else att_b)[int(which[1])]
-        return (f"attention[h={heads}].{which}", op, arr)
+            args = {name: t if name == which else Tensor(a) for name, a in att_args.items()}
+            return T.mul(T.attention(*args.values(), heads), w_att)
+        return (f"attention[h={heads}].{which}", op, att_args[which])
 
     for heads in (1, 2, 4):
         cases.append(attention_case(heads, "x"))
-    for which in ("w0", "w1", "w2", "w3", "b0", "b1", "b2", "b3"):
+    for which in ("w_qkv", "b_qkv", "w_o", "b_o"):
         cases.append(attention_case(2, which))
     # the fused MLP, x [2, 3, 4] through a hidden width of 8; each input
     # differenced on its own
@@ -202,7 +196,7 @@ def test_criterion_1_fused_cases_across_tiles(monkeypatch):
     assert len(T._row_tiles(6, 8, min_rows=2)) == 3
     assert all(len(T._row_tiles(2, heads * 4 * 4)) == 2 for heads in (1, 2, 4))
     cases = [c for c in _op_cases() if c[0].startswith(("mlp.", "attention["))]
-    assert len(cases) == 16
+    assert len(cases) == 12
     name, err = _worst_case(cases)
     assert err < 1e-4, (name, err)
 

@@ -222,6 +222,41 @@ def test_eval_on_checkpoint_with_two_scorer_matrices_is_run_error(tiny_config, t
         assert not os.path.exists(os.path.join(out, "report.jsonl"))
 
 
+def _separate_qkv_layout(arrays):
+    """The arrays under the names of the layout that kept Q, K and V as
+    three weights and three biases, and the view tokens as two vectors."""
+    old = {}
+    for name, a in arrays.items():
+        block, _, leaf = name.rpartition(".")
+        if name == "view_tokens":
+            old["view_token.aerial"], old["view_token.ground"] = a
+        elif leaf in ("w_qkv", "b_qkv"):
+            for part, third in zip("qkv", np.split(a, 3, axis=-1)):
+                old[f"{block}.{leaf[0]}{part}"] = third
+        elif leaf in ("w_o", "b_o"):
+            old[f"{block}.{leaf[0]}o"] = a
+        else:
+            old[name] = a
+    return old
+
+
+def test_eval_rejects_a_checkpoint_in_the_separate_qkv_layout(tiny_config, tmp_path):
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
+    ckpt = os.path.join(out, "checkpoint.bin")
+    old = _separate_qkv_layout(load_checkpoint(ckpt))
+    assert {"view_token.aerial", "block0.attn.wq", "block0.attn.bo"} <= set(old)
+    save_checkpoint(ckpt, {name: Tensor(a) for name, a in old.items()},
+                    load_config(tiny_config).model_config())
+    assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
+    record = json.load(open(os.path.join(out, "error.json")))
+    assert record["error"] == "DomainError"
+    assert all(f"'{name}'" in record["message"]
+               for name in ("view_tokens", "block0.attn.w_qkv", "view_token.aerial",
+                            "block0.attn.wq"))
+    assert not os.path.exists(os.path.join(out, "report.jsonl"))
+
+
 @pytest.mark.parametrize("trained, evaluated", [
     ("selector.k = 2", "selector.k = 3"),
     ("selector.enabled = true", "selector.enabled = false"),

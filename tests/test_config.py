@@ -4,7 +4,10 @@ import pytest
 
 from dtst import config as config_mod
 from dtst.config import format_config, load_config, parse_config_text
+from dtst.data import GenConfig
 from dtst.errors import ConfigError, ConfigParseError
+from dtst.model import ModelConfig
+from dtst.selector import SelectorConfig
 
 MINIMAL = "seed = 0\n"
 
@@ -141,6 +144,14 @@ def test_typed_subconfigs():
 
     disabled = parse_config_text("seed = 0\nselector.enabled = false\n")
     assert disabled.model_config().selector is None
+
+
+def test_the_dataclass_defaults_are_the_config_defaults():
+    # each setting has one default: a dataclass given only the fields with
+    # no default (and the train split's sample seed) equals a minimal config's
+    cfg = parse_config_text(MINIMAL)
+    assert ModelConfig(num_identities=32, selector=SelectorConfig(k=2)) == cfg.model_config()
+    assert GenConfig(sample_seed=1) == cfg.gen_config("train")
 
 
 def test_gen_config_split_seeds():

@@ -73,6 +73,16 @@ def test_metrics_require_a_match():
         inverse_negative_penalty(match_ranks([False]))
 
 
+@pytest.mark.parametrize("ranks", [
+    [3, 1], [2, 2], [0], [-1, 2], [1, 3, 3], [1.0, 2.0], [[1, 2], [2, 1]], [[1, 2], [0, 3]],
+])
+def test_metrics_reject_ranks_that_are_not_ascending_integers_from_one(ranks):
+    # [3, 1] would read AP 1.1667 and INP 2.0, [2, 2] AP 0.75, [0] INP inf
+    for metric in (average_precision, inverse_negative_penalty):
+        with pytest.raises(ProtocolError, match="strictly ascending"):
+            metric(ranks)
+
+
 def test_rank_gallery_orders_by_cosine():
     query = np.array([1.0, 0.0])
     gallery = np.array([[0.0, 1.0],    # cos 0

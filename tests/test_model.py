@@ -8,9 +8,9 @@ from dtst import model
 from dtst import tensor as T
 from dtst.errors import ConfigError, ContractError, DimensionError, DomainError, NumericError
 from dtst.losses import cross_entropy_loss, orthogonal_loss, total_loss
-from dtst.model import (ModelConfig, attach_special_tokens, encoder_block,
-                        init_params, load_checkpoint, model_forward, patch_embed,
-                        restore_params, save_checkpoint, vdt_decouple)
+from dtst.model import (VIEW_AERIAL, VIEW_GROUND, ModelConfig, attach_special_tokens,
+                        encoder_block, init_params, load_checkpoint, model_forward,
+                        patch_embed, restore_params, save_checkpoint, vdt_decouple)
 from dtst.selector import SelectorConfig, hard_topk
 from dtst.tensor import Tape, Tensor
 
@@ -109,8 +109,8 @@ def test_attach_special_tokens_layout_and_errors():
     seq = attach_special_tokens(patches, np.array([0, 1]), params)
     assert seq.tokens.shape == (2, 8, 8)
     assert np.allclose(seq.tokens.data[0, 0], params["meta_token"].data)
-    assert np.allclose(seq.tokens.data[0, 1], params["view_token.aerial"].data)
-    assert np.allclose(seq.tokens.data[1, 1], params["view_token.ground"].data)
+    assert np.allclose(seq.tokens.data[0, 1], params["view_tokens"].data[VIEW_AERIAL])
+    assert np.allclose(seq.tokens.data[1, 1], params["view_tokens"].data[VIEW_GROUND])
     with pytest.raises(DomainError, match="view labels"):
         attach_special_tokens(patches, np.array([0]), params)
     with pytest.raises(DomainError, match="unknown view"):
@@ -161,14 +161,16 @@ def test_single_block_hand_forward_oracle():
 
     patches = x.reshape(1, 2, 2) @ g("patch_embed.w") + g("patch_embed.b") + g("pos_embed")
     seq = np.concatenate([g("meta_token")[None, None],
-                          g("view_token.ground")[None, None], patches], axis=1)
+                          g("view_tokens")[VIEW_GROUND][None, None], patches], axis=1)
 
     normed = layernorm(seq, g("block0.ln1.gamma"), g("block0.ln1.beta"))
-    q = normed @ g("block0.attn.wq") + g("block0.attn.bq")
-    k = normed @ g("block0.attn.wk") + g("block0.attn.bk")
-    vv = normed @ g("block0.attn.wv") + g("block0.attn.bv")
+    # Q, K and V are the three [d, d] column blocks of w_qkv, in that order
+    w_qkv, b_qkv = g("block0.attn.w_qkv"), g("block0.attn.b_qkv")
+    q = normed @ w_qkv[:, 0:4] + b_qkv[0:4]
+    k = normed @ w_qkv[:, 4:8] + b_qkv[4:8]
+    vv = normed @ w_qkv[:, 8:12] + b_qkv[8:12]
     att = softmax(q @ k.transpose(0, 2, 1) / np.sqrt(4))
-    seq = seq + (att @ vv) @ g("block0.attn.wo") + g("block0.attn.bo")
+    seq = seq + (att @ vv) @ g("block0.attn.w_o") + g("block0.attn.b_o")
 
     normed = layernorm(seq, g("block0.ln2.gamma"), g("block0.ln2.beta"))
     h = normed @ g("block0.mlp.w1") + g("block0.mlp.b1")

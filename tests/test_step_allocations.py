@@ -109,10 +109,11 @@ def test_tiled_mlp_holds_the_hidden_layer_its_slope_and_two_tiles():
 
 def test_tiled_attention_backward_holds_no_whole_scores_gradient():
     rng = np.random.default_rng(0)
-    x, *params = _wide_inputs(rng, (B, TOKENS, WIDTH), *[(WIDTH, WIDTH)] * 4, *[(WIDTH,)] * 4)
+    x, *params = _wide_inputs(rng, (B, TOKENS, WIDTH), (WIDTH, 3 * WIDTH), (3 * WIDTH,),
+                              (WIDTH, WIDTH), (WIDTH,))
     assert len(T._row_tiles(B, HEADS * TOKENS * TOKENS)) > 1
     with T.Tape() as tape:
-        T.attention(x, params[:4], params[4:], HEADS)
+        T.attention(x, *params, HEADS)
     (_, _, bwd), = tape.entries
     g = rng.normal(size=(B, TOKENS, WIDTH))
     # its gradients: g @ wo^T and the input's gradient, [B*T, d] each
@@ -126,12 +127,13 @@ def test_untracked_attention_and_mlp_hold_their_outputs_and_a_few_tiles():
     # 8.9 MB, its Q/K/V 3.2 MB and its MLP hidden layer 4.3 MB
     rng = np.random.default_rng(0)
     b, hidden = 2 * B, 4 * WIDTH
-    x, *params = _wide_inputs(rng, (b, TOKENS, WIDTH), *[(WIDTH, WIDTH)] * 4, *[(WIDTH,)] * 4,
+    x, *params = _wide_inputs(rng, (b, TOKENS, WIDTH), (WIDTH, 3 * WIDTH), (3 * WIDTH,),
+                              (WIDTH, WIDTH), (WIDTH,),
                               (WIDTH, hidden), (hidden,), (hidden, WIDTH), (WIDTH,))
     assert len(T._row_tiles(b, HEADS * TOKENS * TOKENS)) > 1
     assert len(T._row_tiles(b * TOKENS, hidden, min_rows=2)) > 1
 
     def forward():
-        T.mlp(T.attention(x, params[:4], params[4:8], HEADS), *params[8:])
+        T.mlp(T.attention(x, *params[:4], HEADS), *params[4:])
     outputs = 2 * 8 * b * TOKENS * WIDTH
     assert _peak_bytes(forward) < outputs + 3 * TILE_BYTES + SLACK

@@ -152,11 +152,13 @@ def _fused_cases():
     mlp_in = [rng.normal(size=s) for s in ((3, 7, 4), (4, 16), (16,), (16, 4), (4,))]
     cases = [("mlp", T.mlp, mlp_in, 21, 16)]
     for b, t, heads in ((11, 4, 1), (19, 2, 2)):
-        att_in = ([rng.normal(size=(b, t, 8))] + [rng.normal(size=(8, 8)) * 0.5 for _ in range(4)]
-                  + [rng.normal(size=8) * 0.1 for _ in range(4)])
+        x = rng.normal(size=(b, t, 8))
+        w = [rng.normal(size=(8, 8)) * 0.5 for _ in range(4)]
+        bias = [rng.normal(size=8) * 0.1 for _ in range(4)]
+        att_in = [x, np.concatenate(w[:3], axis=1), np.concatenate(bias[:3]), w[3], bias[3]]
 
-        def attention(x, *wb, heads=heads):
-            return T.attention(x, wb[:4], wb[4:], heads)
+        def attention(*args, heads=heads):
+            return T.attention(*args, heads)
         cases.append((f"attention[h={heads}]", attention, att_in, b, heads * t * t))
     return cases
 
@@ -432,17 +434,17 @@ def test_mlp_shape_errors_name_every_operand():
 
 
 def test_attention_shape_errors_name_every_operand():
+    # x, w_qkv, b_qkv, w_o, b_o; each replaced in turn by a wrong shape
     d = 4
-    x = Tensor(np.zeros((2, 3, d)))
-    ws = [Tensor(np.zeros((d, d))) for _ in range(4)]
-    bs = [Tensor(np.zeros(d)) for _ in range(4)]
-    T.attention(x, ws, bs, 2)
-    for bad in ((Tensor(np.zeros((3, d))), ws, bs),
-                (x, ws[:3] + [Tensor(np.zeros((4, 5)))], bs),
-                (x, ws, bs[:3] + [Tensor(np.zeros(3))]),
-                (x, ws[:3], bs)):
-        with pytest.raises(DimensionError, match="attention needs"):
+    args = [Tensor(np.zeros(s)) for s in ((2, 3, d), (d, 3 * d), (3 * d,), (d, d), (d,))]
+    T.attention(*args, 2)
+    for i, shape in enumerate(((3, d), (d, d), (d,), (d, 3 * d), (3 * d,))):
+        bad = args[:i] + [Tensor(np.zeros(shape))] + args[i + 1:]
+        with pytest.raises(DimensionError, match="attention needs") as err:
             T.attention(*bad, 2)
+        shapes = ", ".join(str(t.shape) for t in bad)
+        assert shapes in str(err.value)
+        assert all(name in str(err.value) for name in ("x[", "w_qkv[", "b_qkv[", "w_o[", "b_o["))
 
 
 def test_grad_accumulates_across_backward_calls():

@@ -9,7 +9,8 @@ import pytest
 
 from dtst import losses
 from dtst.data import GenConfig, batch_arrays, generate_dataset, pk_batch
-from dtst.errors import ConfigError, ContractError, DomainError, NumericError, SamplingError
+from dtst.errors import (ConfigError, ContractError, DimensionError, DomainError, NumericError,
+                         SamplingError)
 from dtst.model import ModelConfig, init_params, model_forward
 from dtst.optim import LR_MIN, ScheduleConfig, SgdState, cosine_lr, sgd_step
 from dtst.selector import SelectorConfig
@@ -114,6 +115,26 @@ def test_sgd_rejects_non_finite_gradient_before_any_update(bad):
     sgd_step(params, state)
     for i, n in enumerate(names):
         assert np.array_equal(params[n].data, np.full((2, 3), float(i) - 0.1))
+
+
+@pytest.mark.parametrize("grads", [
+    ([1.0, 2.0, 3.0], [4.0, 5.0]),  # five values for five: a flat update would realign them
+    ([1.0, 2.0], [[4.0, 5.0, 6.0]]),  # the right size in another shape
+    ([1.0, 2.0], [4.0, 5.0]),  # one value short
+])
+def test_sgd_rejects_a_gradient_of_another_shape_before_any_update(grads):
+    params = {n: Tensor(np.zeros(size), requires_grad=True) for n, size in (("a", 2), ("b", 3))}
+    for p, g in zip(params.values(), grads):
+        p.grad = np.array(g)
+    state = SgdState(learning_rate=1.0)
+    with pytest.raises(DimensionError, match=r"'[ab]' \(.*\) has a \(.*\) gradient"):
+        sgd_step(params, state)
+    assert not any(p.data.any() for p in params.values())
+    # the velocities are still zero, so a step with the right shapes moves by -grad
+    for p, g in zip(params.values(), ([1.0, 2.0], [3.0, 4.0, 5.0])):
+        p.grad = np.array(g)
+    sgd_step(params, state)
+    assert [p.data.tolist() for p in params.values()] == [[-1.0, -2.0], [-3.0, -4.0, -5.0]]
 
 
 def _stepped_params():
