@@ -1,10 +1,12 @@
 """Command-line entry point: train, eval, ablate, gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 run error. Run errors also leave a
-machine-readable record in <out>/error.json. A command runs with numpy's
-overflow and invalid-operation errors raised; either is a `NumericError` run
-error. An `OSError` or `MemoryError` (an artifact that cannot be written, an
-array that cannot be allocated) is a `ResourceError` run error.
+Exit codes: 0 success, 1 usage error, 2 run error. A command writes only
+into `--out` (default `runs`), which it makes before the config loads, so
+every run error also leaves a machine-readable record in <out>/error.json.
+A command runs with numpy's overflow and invalid-operation errors raised;
+either is a `NumericError` run error. An `OSError` or `MemoryError` (an
+artifact that cannot be written, an array that cannot be allocated) is a
+`ResourceError` run error.
 """
 
 from __future__ import annotations
@@ -39,32 +41,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _make_out(out):
+def _load(args):
+    """Make the run directory, before the config loads so that error.json
+    has a home; then load the config, apply `--seed` and echo the result
+    there. Returns the config."""
+    if not os.path.isfile(args.config):
+        raise _UsageError(f"config file not found: {args.config}")
+    out = args.out
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise _UsageError(f"cannot make output directory {out}: {exc.strerror}")
-
-
-def _load(args):
-    if not os.path.isfile(args.config):
-        raise _UsageError(f"config file not found: {args.config}")
-    if args.out is not None:
-        _make_out(args.out)  # before the config loads: error.json goes there
     cfg = config_mod.load_config(args.config)
     if args.seed is not None:
         cfg.values["seed"] = args.seed
         cfg.validate()
-    if args.out is not None:
-        cfg.values["output_dir"] = args.out
-    out = cfg.values["output_dir"]
-    _make_out(out)
-    return cfg, out
-
-
-def _echo(cfg, out):
     with open(os.path.join(out, "effective_config.txt"), "w") as f:
         f.write(config_mod.format_config(cfg))
+    return cfg
 
 
 def _train_one(cfg, model_cfg, seed, dataset):
@@ -78,7 +72,6 @@ def _train_one(cfg, model_cfg, seed, dataset):
 
 
 def cmd_train(cfg, out):
-    _echo(cfg, out)
     model_cfg = cfg.model_config()
     dataset = data_mod.generate_dataset(cfg.gen_config("train"))
     params, log = _train_one(cfg, model_cfg, cfg["seed"], dataset)
@@ -88,7 +81,6 @@ def cmd_train(cfg, out):
 
 
 def cmd_eval(cfg, out):
-    _echo(cfg, out)
     model_cfg = cfg.model_config()
     samples = data_mod.generate_dataset(cfg.gen_config("test"))
     params = model_mod.init_params(model_cfg, cfg["seed"])
@@ -105,7 +97,6 @@ def cmd_eval(cfg, out):
 
 
 def cmd_ablate(cfg, out):
-    _echo(cfg, out)
     # the cells differ only in selector keys, so they share both splits
     train_set = data_mod.generate_dataset(cfg.gen_config("train"))
     samples = data_mod.generate_dataset(cfg.gen_config("test"))
@@ -127,7 +118,6 @@ def cmd_ablate(cfg, out):
 
 
 def cmd_gradcheck(cfg, out):
-    _echo(cfg, out)
     model_cfg = cfg.model_config()
     params = model_mod.init_params(model_cfg, cfg["seed"])
     samples = data_mod.generate_dataset(cfg.gen_config("train"))[:2]
@@ -155,14 +145,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-    out_dir = None
+        p.add_argument("--out", default="runs")
     try:
         args = parser.parse_args(argv)
-        out_dir = args.out  # where error.json goes if the config fails to load
         with np.errstate(over="raise", invalid="raise"):
-            cfg, out_dir = _load(args)
-            return _COMMANDS[args.command](cfg, out_dir)
+            return _COMMANDS[args.command](_load(args), args.out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -172,13 +159,12 @@ def main(argv=None) -> int:
         record = {"error": error.__name__, "message": str(exc),
                   "command": args.command}
         print(json.dumps(record), file=sys.stderr)
-        if out_dir is not None:
-            try:
-                os.makedirs(out_dir, exist_ok=True)
-                with open(os.path.join(out_dir, "error.json"), "w") as f:
-                    json.dump(record, f)
-            except OSError:
-                pass  # the record on stderr stands
+        out = args.out  # _load made it before anything could fail
+        try:
+            with open(os.path.join(out, "error.json"), "w") as f:
+                json.dump(record, f)
+        except OSError:
+            pass  # the record on stderr stands
         return EXIT_RUN
 
 

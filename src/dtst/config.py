@@ -48,7 +48,6 @@ _REQUIRED = object()
 # key -> (parse, format, default)
 _SCHEMA = {
     "seed": (int, str, _REQUIRED),
-    "output_dir": (str, str, "runs"),
     "model.num_blocks": (int, str, 4),
     "model.embed_dim": (int, str, 16),
     "model.num_heads": (int, str, 2),

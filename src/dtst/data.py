@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, SamplingError, check_count, check_grid
+from .errors import (ConfigError, DimensionError, SamplingError, check_count, check_grid,
+                     is_finite_real)
 from .model import VIEW_AERIAL, VIEW_GROUND, VIEW_NAMES
 
 SAMPLE_SEED_OFFSET = {"train": 1, "test": 2}  # a split draws its samples from seed + offset
@@ -53,8 +54,11 @@ class GenConfig:
         m = self.grid[0] * self.grid[1]
         if not self.k_sig < m:
             raise ConfigError(f"k_sig must satisfy 1 <= k_sig < {m}, got {self.k_sig}")
-        if self.noise_std < 0 or self.view_offset_scale < 0:
-            raise ConfigError("noise scales must be nonnegative")
+        for name in ("noise_std", "view_offset_scale"):
+            value = getattr(self, name)
+            if not (is_finite_real(value) and value >= 0):
+                raise ConfigError(f"GenConfig noise scales must be finite nonnegative numbers, "
+                                  f"got {name} = {value!r}")
         self.seed = check_count(self.seed, 0, ConfigError,
                                 f"GenConfig.seed must be an integer >= 0, got {self.seed!r}")
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer checks that
+"""Exception types shared across the package, and the number checks that
 raise them."""
 
+import math
+import numbers
 import operator
 
 
@@ -52,8 +54,10 @@ class ConfigParseError(DtstError):
 
 def check_count(value, least, error, message):
     """`value` as an int, through `operator.index`, so Python and numpy
-    integers pass; raises `error(message)` for anything else (1.5, 2.0) and
-    for an integer below `least`."""
+    integers pass; raises `error(message)` for anything else (1.5, 2.0,
+    True) and for an integer below `least`."""
+    if isinstance(value, bool):
+        raise error(message)
     try:
         n = operator.index(value)
     except TypeError:
@@ -70,3 +74,10 @@ def check_grid(value, error, message):
     except (TypeError, ValueError):
         raise error(message) from None
     return check_count(rows, 1, error, message), check_count(cols, 1, error, message)
+
+
+def is_finite_real(value):
+    """Whether `value` is a finite real number: a Python or numpy integer or
+    float, not a bool, NaN or infinity."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))

@@ -54,6 +54,9 @@ class ModelConfig:
             raise ConfigError(
                 f"num_attn_heads {self.num_attn_heads} must divide embed_dim {self.embed_dim}")
         if self.selector is not None:
+            if not isinstance(self.selector, SelectorConfig):
+                raise ConfigError(f"ModelConfig.selector must be a SelectorConfig or None, "
+                                  f"got {self.selector!r}")
             m = self.num_patches
             if self.selector.k > m:
                 raise ConfigError(f"SelectorConfig.K={self.selector.k} exceeds M={m}")

@@ -1,12 +1,12 @@
 """SGD with momentum and the cosine learning-rate schedule."""
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, NumericError
+from .errors import (ConfigError, ContractError, DimensionError, NumericError, check_count,
+                     is_finite_real)
 
 LR_MIN = 1.6e-6  # the floor the cosine schedule decays to
 MOMENTUM = 0.9
@@ -45,7 +45,7 @@ def sgd_step(state: SgdState, lr: float) -> None:
     caller rebound, ContractError; a `.grad` of another shape than its
     `data`, DimensionError; a non-finite one, NumericError naming the first
     such parameter. The update is two operations on the flat buffers."""
-    if not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr >= 0):
+    if not (is_finite_real(lr) and lr >= 0):
         raise ConfigError(f"learning rate must be a finite number >= 0, got {lr!r}")
     for name, (p, view) in state._owned.items():
         if p.grad is None:
@@ -77,16 +77,17 @@ class ScheduleConfig:
     total_steps: int
 
     def __post_init__(self):
-        if not self.lr_max > LR_MIN:
-            raise ConfigError(f"schedule needs lr_max > LR_MIN = {LR_MIN}, got {self.lr_max}")
-        if self.total_steps < 1:
-            raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
+        if not (is_finite_real(self.lr_max) and self.lr_max > LR_MIN):
+            raise ConfigError(f"schedule needs lr_max > LR_MIN = {LR_MIN}, a finite number, "
+                              f"got {self.lr_max!r}")
+        self.total_steps = check_count(self.total_steps, 1, ConfigError, f"total_steps must "
+                                       f"be an integer >= 1, got {self.total_steps!r}")
 
 
 def cosine_lr(step: int, cfg: ScheduleConfig) -> float:
-    """Half-cosine decay from lr_max at step 0 to LR_MIN at total_steps."""
-    if step < 0:
-        raise ConfigError(f"step must be nonnegative, got {step}")
+    """Half-cosine decay from lr_max at step 0 to LR_MIN at total_steps; a
+    step that is not an integer >= 0 raises ConfigError."""
+    step = check_count(step, 0, ConfigError, f"step must be a nonnegative integer, got {step!r}")
     if step >= cfg.total_steps:
         # at and past the end of the schedule the rate stays at the floor
         return LR_MIN

@@ -281,12 +281,44 @@ def test_eval_rejects_a_checkpoint_trained_under_another_model_config(
     assert not os.path.exists(os.path.join(out, "report.jsonl"))
 
 
-def test_config_parse_error_is_usage_exit(tmp_path, capsys):
+def test_config_parse_error_is_usage_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # without --out, error.json goes to ./runs
     cfg_path = tmp_path / "broken.cfg"
     cfg_path.write_text("seed = 0\nbogus.key = 1\n")
     code = run(["train", "--config", str(cfg_path)])
     assert code == EXIT_RUN  # DtstError from the parser surfaces as run error
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_a_config_that_fails_to_load_without_out_leaves_error_json_in_runs(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.cfg").write_text("seed = 0\nbogus.key = 1\n")
+    assert run(["train", "--config", "broken.cfg"]) == EXIT_RUN
+    record = json.load(open(tmp_path / "runs" / "error.json"))
+    assert record["error"] == "ConfigParseError" and "unknown key" in record["message"]
+
+
+def test_output_dir_is_no_config_key(tmp_path):
+    cfg_path = tmp_path / "out.cfg"
+    cfg_path.write_text(TINY + f"output_dir = {tmp_path / 'elsewhere'}\n")
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUN
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "ConfigParseError"
+    assert "unknown key 'output_dir'" in record["message"]
+    assert not (tmp_path / "elsewhere").exists()
+    assert not (out / "train_log.csv").exists()
+
+
+def test_effective_config_does_not_depend_on_out(tiny_config, tmp_path):
+    echoes = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+        echoes.append((out / "effective_config.txt").read_bytes())
+    assert echoes[0] == echoes[1]
+    assert str(tmp_path).encode() not in echoes[0]
 
 
 @pytest.mark.parametrize("line", ["selector.temperature = inf",

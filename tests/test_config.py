@@ -1,13 +1,17 @@
 """Config parsing: defaults, validation, error line numbers, round-trips."""
 
+import numpy as np
 import pytest
 
 from dtst import config as config_mod
 from dtst.config import format_config, load_config, parse_config_text
-from dtst.data import GenConfig
-from dtst.errors import ConfigError, ConfigParseError
-from dtst.model import ModelConfig
-from dtst.selector import SelectorConfig
+from dtst.data import GenConfig, generate_dataset, pk_batch
+from dtst.errors import (ConfigError, ConfigParseError, ContractError, DomainError,
+                         SamplingError)
+from dtst.evaluate import embed_samples, evaluate_protocol
+from dtst.model import ModelConfig, init_params
+from dtst.selector import SelectorConfig, hard_topk
+from dtst.train import train_run
 
 MINIMAL = "seed = 0\n"
 
@@ -202,3 +206,35 @@ def test_an_array_beyond_numpys_index_range_fails_at_load(tmp_path, lines):
     for line in lines.splitlines():
         assert line.split(" =")[0] in str(info.value)
 
+
+
+def _tiny_run():
+    cfg = ModelConfig(num_identities=2, num_blocks=1, embed_dim=4, patch_grid=(2, 2),
+                      patch_dim=3)
+    data = generate_dataset(GenConfig(num_ids=2, samples_per_id_per_view=2, grid=(2, 2),
+                                      patch_dim=3, k_sig=1))
+    return cfg, init_params(cfg, 0), data
+
+
+# a bool passed as a count is malformed input, not the count 0 or 1
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: ModelConfig(num_identities=4, num_blocks=True), ConfigError,
+                 id="ModelConfig.num_blocks"),
+    pytest.param(lambda: GenConfig(seed=True), ConfigError, id="GenConfig.seed"),
+    pytest.param(lambda: SelectorConfig(k=True), ConfigError, id="SelectorConfig.k"),
+    pytest.param(lambda: hard_topk([[3.0, 1.0, 2.0]], True), ConfigError, id="hard_topk.k"),
+    pytest.param(lambda: init_params(ModelConfig(num_identities=4), True), DomainError,
+                 id="init_params.seed"),
+    pytest.param(lambda: pk_batch(_tiny_run()[2], True, 2, np.random.default_rng(0)),
+                 SamplingError, id="pk_batch.p"),
+    pytest.param(lambda: train_run(*_tiny_run(), 0.01, epochs=True, batch_p=2, batch_k=2,
+                                   seed=0), ConfigError, id="train_run.epochs"),
+    pytest.param(lambda: embed_samples(*_tiny_run(), batch_size=True), ContractError,
+                 id="embed_samples.batch_size"),
+    pytest.param(lambda: evaluate_protocol(np.eye(4), [0, 0, 1, 1], [0, 1, 0, 1], "ALL",
+                                           split_seed=True), DomainError,
+                 id="evaluate_protocol.split_seed"),
+])
+def test_a_bool_is_refused_as_a_count(call, error):
+    with pytest.raises(error):
+        call()

@@ -89,8 +89,10 @@ def test_gen_config_validation():
         tiny_cfg(k_sig=0)
     with pytest.raises(ConfigError, match="positive"):
         tiny_cfg(num_ids=0)
-    with pytest.raises(ConfigError, match="nonnegative"):
-        tiny_cfg(noise_std=-1.0)
+    for field, value in [("noise_std", -1.0), ("noise_std", float("nan")), ("noise_std", None),
+                         ("view_offset_scale", "2"), ("view_offset_scale", float("inf"))]:
+        with pytest.raises(ConfigError, match=f"finite nonnegative numbers, got {field} = "):
+            tiny_cfg(**{field: value})
 
 
 def test_pk_batch_composition():

@@ -29,6 +29,9 @@ def test_config_validation():
         small_cfg(embed_dim=9)
     with pytest.raises(ConfigError, match="exceeds M"):
         small_cfg(selector=SelectorConfig(k=7))
+    for selector in ("x", 2, {"k": 2}):
+        with pytest.raises(ConfigError, match="a SelectorConfig or None"):
+            small_cfg(selector=selector)
     small_cfg(num_blocks=2, selector=SelectorConfig(k=2, position="second_to_last"))
     with pytest.raises(ConfigError, match="needs model.num_blocks >= 2, got 1"):
         small_cfg(num_blocks=1, selector=SelectorConfig(k=2, position="second_to_last"))

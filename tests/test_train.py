@@ -35,17 +35,19 @@ def test_cosine_midpoint_and_monotonicity():
 
 def test_cosine_rejects_negative_step():
     cfg = ScheduleConfig(lr_max=1.0, total_steps=10)
-    with pytest.raises(ConfigError, match="nonnegative"):
-        cosine_lr(-1, cfg)
+    for step in (-1, None, 1.5, "1", True):  # and any step that is no integer
+        with pytest.raises(ConfigError, match="nonnegative integer"):
+            cosine_lr(step, cfg)
 
 
 def test_schedule_validation():
-    # lr_max must lie above the floor the schedule decays to
-    for lr_max in (LR_MIN, 1e-7, 0.0, float("nan")):
+    # lr_max must be a finite number above the floor the schedule decays to
+    for lr_max in (LR_MIN, 1e-7, 0.0, float("nan"), float("inf"), "0.01", None):
         with pytest.raises(ConfigError, match="lr_max > LR_MIN"):
             ScheduleConfig(lr_max=lr_max, total_steps=10)
-    with pytest.raises(ConfigError):
-        ScheduleConfig(lr_max=0.1, total_steps=0)
+    for total_steps in (0, 1.5, None, True):
+        with pytest.raises(ConfigError, match="total_steps must be an integer >= 1"):
+            ScheduleConfig(lr_max=0.1, total_steps=total_steps)
 
 
 def test_sgd_momentum_law_matches_hand_rollout():
