@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionError, SamplingError, check_count, check_grid,
-                     is_finite_real)
+from .errors import (ConfigError, ContractError, DimensionError, SamplingError, check_count,
+                     check_grid, is_finite_real)
 from .model import VIEW_AERIAL, VIEW_GROUND, VIEW_NAMES
 
 SAMPLE_SEED_OFFSET = {"train": 1, "test": 2}  # a split draws its samples from seed + offset
@@ -43,7 +43,7 @@ class GenConfig:
     split: str = "train"  # a key of SAMPLE_SEED_OFFSET
 
     def __post_init__(self):
-        if self.split not in SAMPLE_SEED_OFFSET:
+        if not isinstance(self.split, str) or self.split not in SAMPLE_SEED_OFFSET:
             raise ConfigError(f"unknown split {self.split!r}, not in {list(SAMPLE_SEED_OFFSET)}")
         for name in ("num_ids", "samples_per_id_per_view", "patch_dim", "k_sig"):
             value = getattr(self, name)
@@ -129,6 +129,8 @@ def check_pk(p, k_inst):
 def pk_batch(dataset, p: int, k_inst: int, rng: np.random.Generator):
     """P distinct identities with exactly k_inst samples each."""
     p, k_inst = check_pk(p, k_inst)
+    if not isinstance(rng, np.random.Generator):
+        raise ContractError(f"pk_batch draws from a numpy Generator, got {rng!r}")
     by_id = dataset.by_id() if isinstance(dataset, Dataset) else _index_by_id(dataset)
     eligible = [y for y, idxs in by_id.items() if len(idxs) >= k_inst]
     if len(eligible) < p:

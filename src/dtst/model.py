@@ -32,6 +32,11 @@ VIEW_NAMES = {VIEW_AERIAL: "aerial", VIEW_GROUND: "ground"}
 
 MLP_RATIO = 4
 
+# each block's parameters after its "block<i>." prefix, in the order
+# `tensor.encoder_block` takes them
+_BLOCK_PARAMS = ("ln1.gamma", "ln1.beta", "attn.w_qkv", "attn.b_qkv", "attn.w_o", "attn.b_o",
+                 "ln2.gamma", "ln2.beta", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
+
 
 @dataclass
 class ModelConfig:
@@ -136,6 +141,13 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
     return p
 
 
+def _param_names(cfg: ModelConfig):
+    """The names of the parameters `init_params` makes for `cfg`, in its order."""
+    blocks = [f"block{i}.{name}" for i in range(cfg.num_blocks) for name in _BLOCK_PARAMS]
+    return ["patch_embed.w", "patch_embed.b", "pos_embed", "meta_token", "view_tokens",
+            *blocks, "head.id.w", "head.id.b", "head.view.w", "head.view.b"]
+
+
 def patch_embed(x, params: dict, cfg: ModelConfig) -> Tensor:
     """Project the feature grid to embeddings and add positional embeddings."""
     x = np.asarray(x, dtype=np.float64)
@@ -179,15 +191,11 @@ def attach_special_tokens(patches: Tensor, view_labels, params: dict) -> TokenSe
 
 def encoder_block(seq: TokenSequence, params: dict, index: int,
                   cfg: ModelConfig) -> TokenSequence:
-    """Pre-norm multi-head self-attention and MLP, both with residuals."""
+    """Pre-norm multi-head self-attention and MLP, both with residuals, as
+    one fused op (`tensor.encoder_block`)."""
     pre = f"block{index}."
-    x = seq.tokens
-    normed = T.layer_norm(x, params[pre + "ln1.gamma"], params[pre + "ln1.beta"])
-    attn = [params[pre + "attn." + n] for n in ("w_qkv", "b_qkv", "w_o", "b_o")]
-    x = x + T.attention(normed, *attn, cfg.num_attn_heads)
-    normed = T.layer_norm(x, params[pre + "ln2.gamma"], params[pre + "ln2.beta"])
-    x = x + T.mlp(normed, *(params[pre + "mlp." + n] for n in ("w1", "b1", "w2", "b2")))
-    return replace(seq, tokens=x)
+    weights = (params[pre + name] for name in _BLOCK_PARAMS)
+    return replace(seq, tokens=T.encoder_block(seq.tokens, *weights, cfg.num_attn_heads))
 
 
 def vdt_decouple(seq: TokenSequence) -> TokenSequence:
@@ -221,6 +229,11 @@ def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
     in front of `cfg.selector_block`, classifier heads."""
     if frozen_selection is not None and cfg.selector is None:
         raise ContractError("frozen_selection needs a model with a selector")
+    if not isinstance(params, dict):
+        raise ContractError(f"params must be a dict of name -> Tensor, got {type(params).__name__}")
+    missing = next((name for name in _param_names(cfg) if name not in params), None)
+    if missing is not None:
+        raise DomainError(f"params hold no '{missing}', which the model needs")
     patches = patch_embed(x, params, cfg)
     seq = attach_special_tokens(patches, view_labels, params)
     selection = {}

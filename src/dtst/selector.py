@@ -40,6 +40,10 @@ class SelectorConfig:
         if self.position not in POSITIONS:
             raise ConfigError(f"SelectorConfig.position must be one of {POSITIONS}, "
                               f"got {self.position!r}")
+        if not isinstance(self.noise_enabled, (bool, np.bool_)):
+            raise ConfigError(f"SelectorConfig.noise_enabled must be a bool, "
+                              f"got {self.noise_enabled!r}")
+        self.noise_enabled = bool(self.noise_enabled)
 
 
 def score_tokens(patch_tokens) -> np.ndarray:

@@ -12,37 +12,43 @@ step's tape and every activation its entries hold are freed by reference
 counting as soon as the caller drops the tape.
 
 Besides the elementary ops, the module has fused ops with hand-derived
-backward passes (`linear`, `attention`, `layer_norm`, `gelu`, `mlp`,
+backward passes (`linear`, `layer_norm`, `gelu`, `encoder_block`,
 `sub_slot`): each records one tape entry and takes its parameters in the
-form it computes with (`attention` one [d, 3d] Q/K/V weight). When no tape
-records them they keep no backward state and work in place on their own
-temporaries. A backward
-writes into the buffers its entry saved instead of allocating new ones, so
-a tape can be backpropagated once; `backward` refuses a spent tape. `gelu`
-is the tanh form (Hendrycks & Gimpel), one `np.tanh` pass: the exact
-x * Phi(x) needs the normal CDF, whose scalar loop (scipy's `ndtr`) costs
-several times as much. The module needs only numpy.
+form it computes with (`encoder_block` one [d, 3d] Q/K/V weight). When no
+tape records them they keep no backward state and work in place on their
+own temporaries. A backward writes into the buffers its entry saved instead
+of allocating new ones, so a tape can be backpropagated once; `backward`
+refuses a spent tape. `gelu` is the tanh form (Hendrycks & Gimpel), one
+`np.tanh` pass: the exact x * Phi(x) needs the normal CDF, whose scalar
+loop (scipy's `ndtr`) costs several times as much. The module needs only
+numpy.
 
-`attention` and `mlp` run their forward in one tile loop, tracked or not
-(`_row_tiles`, about 256 KB of whole sequences or of rows per tile) over
-an array of more than four tiles (1 MB), so that each of their many
-elementwise passes reads a tile a core's L2 cache still holds; a smaller
-array runs as one tile. Tracked, each tile writes into the whole arrays
-the backward keeps, and `mlp`'s second GEMM runs whole after the loop, once
-its scratch is freed; untracked, into scratch reused from tile to tile, so
-the op allocates its output and no whole scores, Q/K/V or hidden array.
-The middle of `attention`'s backward runs over the same tiles. No tile a
-GEMM runs over holds one row, since a one-row product goes through GEMV,
-which rounds differently. Each element sees the same ufuncs and GEMM in
-the same order, so tiling changes no bit. `mlp`'s GELU overwrites the
-hidden layer it reads with its output.
+`encoder_block` is a whole pre-norm block, LayerNorm -> attention ->
+residual -> LayerNorm -> MLP -> residual, as one entry, so a
+`configs/benchmark.cfg` training step records 22. It is built from private
+forward/backward kernel pairs (`_layer_norm_fwd`/`_bwd`, `_attention_*`,
+`_mlp_*`): a forward returns its output and what its backward needs, and a
+backward maps the output's gradient to one per input. The attention and MLP
+kernels run their forward in one tile loop, tracked or not (`_row_tiles`,
+about 256 KB of whole sequences or of rows per tile) over an array of more
+than four tiles (1 MB), so that each of their many elementwise passes reads
+a tile a core's L2 cache still holds; a smaller array runs as one tile.
+Tracked, each tile writes into the whole arrays the backward keeps, and the
+MLP's second GEMM runs whole after the loop, once its scratch is freed;
+untracked, into scratch reused from tile to tile, so a kernel allocates its
+output and no whole scores, Q/K/V or hidden array. The middle of the
+attention's backward runs over the same tiles. No tile a GEMM runs over
+holds one row, since a one-row product goes through GEMV, which rounds
+differently. Each element sees the same ufuncs and GEMM in the same order,
+so tiling changes no bit. The MLP's GELU overwrites the hidden layer it
+reads with its output.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, check_count
 
 _ACTIVE_TAPES: list["Tape"] = []
 
@@ -428,39 +434,55 @@ def log_softmax_lastdim(x: Tensor) -> Tensor:
     return make(out, (x,), bwd)
 
 
+def _layer_norm_fwd(x, gamma, beta, tracked):
+    """Normalise the last axis of `x`, then scale by `gamma` and shift by
+    `beta`; returns the output and what `_layer_norm_bwd` needs (None when
+    not `tracked`). One pass: the input is centred once and the variance
+    taken from the centred values. Untracked, the output overwrites the
+    centred copy."""
+    d = x.shape[-1]
+    xhat = x - (_sum_last(x) / d)[..., None]
+    var = _dot_last(xhat, xhat) / d
+    var += LAYER_NORM_EPS
+    inv = np.sqrt(var, out=var)[..., None]
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    if not tracked:
+        xhat *= gamma
+        xhat += beta
+        return xhat, None
+    out = xhat * gamma
+    out += beta
+    return out, (gamma, xhat, inv)
+
+
+def _layer_norm_bwd(g, saved):
+    """The gradients of x, gamma and beta from the output's, `g`."""
+    gamma, xhat, inv = saved
+    d = xhat.shape[-1]
+    gi = g * gamma
+    m1 = _sum_last(gi) / d
+    m2 = _dot_last(gi, xhat) / d
+    gi -= m1[..., None]
+    gi -= xhat * m2[..., None]
+    gi *= inv
+    g2 = g.reshape(-1, d)
+    return gi, _sum_rows(g2 * xhat.reshape(-1, d)), _sum_rows(g2)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalise the last axis, then scale and shift. One pass: the input is
-    centred once and the variance taken from the centred values."""
+    """Normalise the last axis, then scale and shift (`_layer_norm_fwd`)."""
     d = x.shape[-1] if x.data.ndim >= 2 else 0
     if d < 1:
         raise DimensionError(f"layer_norm needs x [..., rows, d] with d >= 1, got {x.shape}")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last extent {d}")
-    xhat = x.data - (_sum_last(x.data) / d)[..., None]
-    var = _dot_last(xhat, xhat) / d
-    var += LAYER_NORM_EPS
-    inv = np.sqrt(var, out=var)[..., None]
-    np.divide(1.0, inv, out=inv)
-    xhat *= inv
-    if not _tracking(x, gamma, beta):
-        xhat *= gamma.data
-        xhat += beta.data
-        return Tensor(xhat)
-    out = xhat * gamma.data
-    out += beta.data
-
-    def bwd(g):
-        gi = g * gamma.data
-        m1 = _sum_last(gi) / d
-        m2 = _dot_last(gi, xhat) / d
-        gi -= m1[..., None]
-        gi -= xhat * m2[..., None]
-        gi *= inv
-        g2 = g.reshape(-1, d)
-        return gi, _sum_rows(g2 * xhat.reshape(-1, d)), _sum_rows(g2)
-
-    return make(out, (x, gamma, beta), bwd)
+    tracked = _tracking(x, gamma, beta)
+    out, saved = _layer_norm_fwd(x.data, gamma.data, beta.data, tracked)
+    if not tracked:
+        return Tensor(out)
+    return make(out, (x, gamma, beta), lambda g: _layer_norm_bwd(g, saved))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -485,26 +507,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return make(out, (x, w, b), bwd)
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 over the last axis of x, as one tape
-    entry: `linear`, `gelu`, `linear` in one. The GELU writes its output
-    over the hidden layer it reads. The backward writes the hidden gradient
-    into that saved output, once its part in w2's gradient is taken, and
-    multiplies by the saved slope in place, so it allocates no [rows, hidden]
-    array. Linear and GELU run tile by tile over the rows (`_row_tiles`, at
-    least two rows a tile). Tracked, each tile writes into the whole hidden
-    layer and slope that the backward keeps, and the second linear is one
-    GEMM after the loop, once the GELU's two scratch tiles are freed, so
-    they never live beside the output. Untracked, the second linear runs
-    in the loop too, and no whole hidden layer is allocated at all."""
-    if (w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.ndim < 1
-            or x.shape[-1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
-            or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
-        raise DimensionError(f"mlp needs x[..., n], w1[n, h], b1[h], w2[h, m], b2[m], got "
-                             f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+def _mlp_fwd(x, w1, b1, w2, b2, tracked):
+    """gelu(x @ w1 + b1) @ w2 + b2 over the last axis of x; returns the
+    output and what `_mlp_bwd` needs (None when not `tracked`). The GELU
+    writes its output over the hidden layer it reads. Linear and GELU run
+    tile by tile over the rows (`_row_tiles`, at least two rows a tile).
+    Tracked, each tile writes into the whole hidden layer and slope that the
+    backward keeps, and the second linear is one GEMM after the loop, once
+    the GELU's two scratch tiles are freed, so they never live beside the
+    output. Untracked, the second linear runs in the loop too, and no whole
+    hidden layer is allocated at all."""
     (n, hidden), m = w1.shape, w2.shape[1]
-    x2 = x.data.reshape(-1, n)
-    tracked = _tracking(x, w1, b1, w2, b2)
+    x2 = x.reshape(-1, n)
     tiles = _row_tiles(len(x2), hidden, min_rows=2)
     if tracked:
         act, slope = np.empty((len(x2), hidden)), np.empty((len(x2), hidden))
@@ -516,29 +530,60 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     for rows in tiles:
         r = rows.stop - rows.start
         a = act[rows if tracked else slice(r)]
-        np.matmul(x2[rows], w1.data, out=a)
-        a += b1.data
+        np.matmul(x2[rows], w1, out=a)
+        a += b1
         _gelu_tile(a, t_tile[:r], half_tile[:r], slope[rows] if tracked else None)
         if not tracked:
             y = out[rows]
-            np.matmul(a, w2.data, out=y)
-            y += b2.data
+            np.matmul(a, w2, out=y)
+            y += b2
     if not tracked:
-        return Tensor(out.reshape(x.shape[:-1] + (m,)))
+        return out.reshape(x.shape[:-1] + (m,)), None
     del t_tile, half_tile  # freed before the output is allocated
-    out = act @ w2.data  # act now holds the GELU
-    out += b2.data
-    out = out.reshape(x.shape[:-1] + (m,))
+    out = act @ w2  # act now holds the GELU
+    out += b2
+    return out.reshape(x.shape[:-1] + (m,)), (x2, w1, w2, act, slope)
 
-    def bwd(g):
-        g2 = g.reshape(-1, m)
-        gw2 = act.T @ g2
-        gh = np.matmul(g2, w2.data.T, out=act)
-        gh *= slope
-        return ((gh @ w1.data.T).reshape(x.shape), x2.T @ gh, _sum_rows(gh),
-                gw2, _sum_rows(g2))
 
-    return make(out, (x, w1, b1, w2, b2), bwd)
+def _mlp_bwd(g, saved):
+    """The gradients of x, w1, b1, w2 and b2 from the output's, `g`. The
+    hidden gradient is written into the saved GELU output, once its part in
+    w2's gradient is taken, and multiplied by the saved slope in place, so
+    no [rows, hidden] array is allocated."""
+    x2, w1, w2, act, slope = saved
+    g2 = g.reshape(-1, w2.shape[1])
+    gw2 = act.T @ g2
+    gh = np.matmul(g2, w2.T, out=act)
+    gh *= slope
+    return ((gh @ w1.T).reshape(g.shape[:-1] + (len(w1),)), x2.T @ gh, _sum_rows(gh),
+            gw2, _sum_rows(g2))
+
+
+# The row max of the attention scores. numpy's reduction over a short last
+# axis costs about 55 ns a row; one `np.maximum` per column costs about
+# 1.7 us plus 0.8 ns a row. So the column loop is the faster where the rows
+# outnumber the columns by more than about 30 to 1: 3x on [32, 4, 10, 10]
+# scores, while on a [2, 4, 66, 66] tile it would be 3-4x slower.
+# (Measured on 2-core Xeon, numpy 2.4.)
+_ROWS_PER_COLUMN = 32
+
+
+def _row_max(a):
+    """a.max(axis=-1), bit for bit, by the faster of two ways (see above).
+
+    A maximum is one value, so the column loop finds the reduction's bits,
+    except in a row whose maximum is a zero or a NaN: then the reduction's
+    order picks the zero's sign or the NaN, so such a result is taken from
+    the reduction instead."""
+    t = a.shape[-1]
+    if a.size <= _ROWS_PER_COLUMN * t * t:
+        return a.max(axis=-1)
+    m = a[..., 0].copy()
+    for j in range(1, t):
+        np.maximum(m, a[..., j], out=m)
+    if not np.abs(m).min() > 0:  # a zero or a NaN
+        return a.max(axis=-1)
+    return m
 
 
 def _attend(qkv, att, ctx, scale):
@@ -549,43 +594,30 @@ def _attend(qkv, att, ctx, scale):
     q, k, v = qkv.reshape(n, t, 3, h, -1).transpose(2, 0, 3, 1, 4)
     np.matmul(q, k.swapaxes(-1, -2), out=att)
     att *= scale
-    att -= att.max(axis=-1, keepdims=True)
+    att -= _row_max(att)[..., None]
     _softmax_inplace(att)
     np.matmul(att, v, out=ctx.reshape(n, t, h, -1).transpose(0, 2, 1, 3))
 
 
-def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_o: Tensor, b_o: Tensor,
-              num_heads: int) -> Tensor:
-    """Multi-head self-attention as one tape entry.
+def _attention_fwd(x, w_qkv, b_qkv, w_o, b_o, num_heads, tracked):
+    """Multi-head self-attention of x [B, T, d]; returns the output and what
+    `_attention_bwd` needs (None when not `tracked`).
 
-    x [B, T, d]; `w_qkv` [d, 3d] holds the Q, K and V projections side by
-    side and `b_qkv` [3d] their biases; `w_o` [d, d] and `b_o` [d] are the
-    output projection. Q/K/V come from one GEMM and the scores are scaled by
+    `w_qkv` [d, 3d] holds the Q, K and V projections side by side and
+    `b_qkv` [3d] their biases; `w_o` [d, d] and `b_o` [d] are the output
+    projection. Q/K/V come from one GEMM and the scores are scaled by
     1/sqrt(d/H) before the softmax. The forward runs over tiles of whole
     sequences (`_row_tiles`): Q/K/V, scores, softmax, context and output
     projection, tile by tile. Tracked, each tile writes into whole Q/K/V,
     probability and context arrays, which the backward keeps; untracked,
-    into scratch reused from tile to tile, so the op allocates its output
-    and no whole Q/K/V or scores array. A tile's GEMMs get T rows a
-    sequence, and the model's sequences hold at least three tokens (the kept
-    ones and two extra), so none goes through GEMV. The backward builds the
-    Q/K/V gradient inside the saved Q/K/V buffer; between the two
-    projections it runs over the same kind of tiles, with one [tile, H, T,
-    T] scratch for the scores' gradient.
-    """
-    if x.data.ndim != 3 or (w_qkv.shape, b_qkv.shape, w_o.shape, b_o.shape) != (
-            (x.shape[2], 3 * x.shape[2]), (3 * x.shape[2],), (x.shape[2],) * 2, x.shape[2:]):
-        raise DimensionError(f"attention needs x[B, T, d], w_qkv[d, 3d], b_qkv[3d], w_o[d, d] "
-                             f"and b_o[d], got {x.shape}, {w_qkv.shape}, {b_qkv.shape}, "
-                             f"{w_o.shape}, {b_o.shape}")
+    into scratch reused from tile to tile, so only the output is allocated
+    whole. A tile's GEMMs get T rows a sequence, and the model's sequences
+    hold at least three tokens (the kept ones and two extra), so none goes
+    through GEMV."""
     b, t, d = x.shape
-    if d % num_heads != 0:
-        raise DimensionError(f"attention heads {num_heads} must divide width {d}")
-    h, dh = num_heads, d // num_heads
-    scale = 1.0 / np.sqrt(dh)
-    x2 = x.data.reshape(b * t, d)
-    inputs = (x, w_qkv, b_qkv, w_o, b_o)
-    tracked = _tracking(*inputs)
+    h = num_heads
+    scale = 1.0 / np.sqrt(d // h)
+    x2 = x.reshape(b * t, d)
     tiles = _row_tiles(b, h * t * t)
     if tracked:
         qkv, att, ctx = np.empty((b, t, 3 * d)), np.empty((b, h, t, t)), np.empty((b, t, d))
@@ -597,35 +629,94 @@ def attention(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_o: Tensor, b_o: Tensor,
         n, rows = seqs.stop - seqs.start, slice(seqs.start * t, seqs.stop * t)
         here = seqs if tracked else slice(n)
         qkv_n, ctx_n = qkv[here].reshape(n * t, 3 * d), ctx[here].reshape(n * t, d)
-        np.matmul(x2[rows], w_qkv.data, out=qkv_n)
-        qkv_n += b_qkv.data
+        np.matmul(x2[rows], w_qkv, out=qkv_n)
+        qkv_n += b_qkv
         _attend(qkv_n, att[here], ctx_n, scale)
         y = out[rows]
-        np.matmul(ctx_n, w_o.data, out=y)
-        y += b_o.data
+        np.matmul(ctx_n, w_o, out=y)
+        y += b_o
     out = out.reshape(b, t, d)
     if not tracked:
+        return out, None
+    return out, (x2, w_qkv, w_o, qkv.reshape(b * t, 3 * d), att, ctx.reshape(b * t, d),
+                 tiles, scale)
+
+
+def _attention_bwd(g, saved):
+    """The gradients of x, w_qkv, b_qkv, w_o and b_o from the output's, `g`.
+    The Q/K/V gradient is built inside the saved Q/K/V buffer; between the
+    two projections the backward runs over the forward's tiles, with one
+    [tile, H, T, T] scratch for the scores' gradient."""
+    x2, w_qkv, w_o, qkv, att, ctx, tiles, scale = saved
+    b, h, t, _ = att.shape
+    d = ctx.shape[1]
+    q, k, v = qkv.reshape(b, t, 3, h, d // h).transpose(2, 0, 3, 1, 4)  # each [B, H, T, dh]
+    g2 = g.reshape(b * t, d)
+    gctx = (g2 @ w_o.T).reshape(b, t, h, d // h).transpose(0, 2, 1, 3)
+    gatt_tile = _tile_scratch(tiles, h, t, t)
+    for rows in tiles:
+        a, gc = att[rows], gctx[rows]
+        gatt = gatt_tile[:len(a)]
+        np.matmul(gc, v[rows].swapaxes(-1, -2), out=gatt)
+        np.matmul(a.swapaxes(-1, -2), gc, out=v[rows])  # v's slots now hold gv
+        gatt -= _dot_last(gatt, a)[..., None]
+        gatt *= a  # now the gradient of the pre-softmax logits
+        gatt *= scale
+        gq = gatt @ k[rows]
+        np.matmul(gatt.swapaxes(-1, -2), q[rows], out=k[rows])
+        q[rows] = gq  # qkv now holds the gradient of the Q/K/V projection
+    return ((qkv @ w_qkv.T).reshape(b, t, d), x2.T @ qkv, _sum_rows(qkv),
+            ctx.T @ g2, _sum_rows(g2))
+
+
+def encoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, w_qkv: Tensor, b_qkv: Tensor,
+                  w_o: Tensor, b_o: Tensor, ln2_g: Tensor, ln2_b: Tensor, w1: Tensor,
+                  b1: Tensor, w2: Tensor, b2: Tensor, num_heads: int) -> Tensor:
+    """A pre-norm encoder block as one tape entry: x + attention(LN1(x)),
+    then that plus mlp(LN2(that)).
+
+    x [B, T, d]; `ln*_g`, `ln*_b` [d] are the LayerNorms' scales and shifts;
+    `w_qkv` [d, 3d], `b_qkv` [3d], `w_o` [d, d] and `b_o` [d] are the
+    attention's (`_attention_fwd`) with `num_heads` heads; `w1` [d, h],
+    `b1` [h], `w2` [h, d] and `b2` [d] are the MLP's (`_mlp_fwd`). Each
+    residual is added in place into the output buffer of the part it
+    closes, and the backward sums the input's two gradients in place. Every
+    element sees the same ufuncs and GEMMs in the same order as the parts
+    run one by one, so the output and gradients are bit for bit theirs."""
+    inputs = (x, ln1_g, ln1_b, w_qkv, b_qkv, w_o, b_o, ln2_g, ln2_b, w1, b1, w2, b2)
+    want = None
+    if x.data.ndim == 3 and x.shape[2] >= 1 and w1.data.ndim == 2:
+        d, hidden = x.shape[2], w1.shape[1]
+        want = [(d,), (d,), (d, 3 * d), (3 * d,), (d, d), (d,), (d,), (d,),
+                (d, hidden), (hidden,), (hidden, d), (d,)]
+    if want is None or [t.shape for t in inputs[1:]] != want:
+        raise DimensionError(
+            "encoder_block needs x[B, T, d >= 1], ln1_g[d], ln1_b[d], w_qkv[d, 3d], b_qkv[3d], "
+            "w_o[d, d], b_o[d], ln2_g[d], ln2_b[d], w1[d, h], b1[h], w2[h, d] and b2[d], "
+            "got " + ", ".join(str(t.shape) for t in inputs))
+    heads = check_count(num_heads, 1, DimensionError, f"encoder_block needs a head count "
+                        f"that divides width {d}, got {num_heads!r}")
+    if d % heads:
+        raise DimensionError(f"encoder_block heads {heads} must divide width {d}")
+    tracked = _tracking(*inputs)
+    n1, ln1 = _layer_norm_fwd(x.data, ln1_g.data, ln1_b.data, tracked)
+    x1, att = _attention_fwd(n1, w_qkv.data, b_qkv.data, w_o.data, b_o.data, heads, tracked)
+    del n1  # the attention keeps it when tracked
+    x1 += x.data
+    n2, ln2 = _layer_norm_fwd(x1, ln2_g.data, ln2_b.data, tracked)
+    out, mlp = _mlp_fwd(n2, w1.data, b1.data, w2.data, b2.data, tracked)
+    out += x1
+    if not tracked:
         return Tensor(out)
-    qkv, ctx = qkv.reshape(b * t, 3 * d), ctx.reshape(b * t, d)
-    q, k, v = qkv.reshape(b, t, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [B, H, T, dh]
 
     def bwd(g):
-        g2 = g.reshape(b * t, d)
-        gctx = (g2 @ w_o.data.T).reshape(b, t, h, dh).transpose(0, 2, 1, 3)
-        gatt_tile = _tile_scratch(tiles, h, t, t)
-        for rows in tiles:
-            a, gc = att[rows], gctx[rows]
-            gatt = gatt_tile[:len(a)]
-            np.matmul(gc, v[rows].swapaxes(-1, -2), out=gatt)
-            np.matmul(a.swapaxes(-1, -2), gc, out=v[rows])  # v's slots now hold gv
-            gatt -= _dot_last(gatt, a)[..., None]
-            gatt *= a  # now the gradient of the pre-softmax logits
-            gatt *= scale
-            gq = gatt @ k[rows]
-            np.matmul(gatt.swapaxes(-1, -2), q[rows], out=k[rows])
-            q[rows] = gq  # qkv now holds the gradient of the Q/K/V projection
-        return ((qkv @ w_qkv.data.T).reshape(b, t, d), x2.T @ qkv, _sum_rows(qkv),
-                ctx.T @ g2, _sum_rows(g2))
+        gn2, *g_mlp = _mlp_bwd(g, mlp)
+        gx1, *g_ln2 = _layer_norm_bwd(gn2, ln2)
+        gx1 += g
+        gn1, *g_att = _attention_bwd(gx1, att)
+        gx, *g_ln1 = _layer_norm_bwd(gn1, ln1)
+        gx += gx1
+        return (gx, *g_ln1, *g_att, *g_ln2, *g_mlp)
 
     return make(out, inputs, bwd)
 

@@ -9,6 +9,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
+from dtst import tensor as T
 from dtst.evaluate import rank_gallery
 
 VERDICTS = []
@@ -32,6 +33,41 @@ def whole_gallery_ranks(queries, query_ids, gallery, gallery_ids):
         rank_gallery(queries, query_ids, [(gallery, gallery_ids, np.arange(len(gallery)))]))
     assert part == whole
     return whole
+
+
+def kernel_op(fwd, bwd):
+    """A Tensor op made of one of `dtst.tensor`'s private forward/backward
+    kernel pairs: `op(*tensors, *static)` runs `fwd` on the tensors' arrays
+    and the static arguments and, when a tape records, records one entry
+    whose backward is `bwd`."""
+    def op(*args):
+        tensors = [a for a in args if isinstance(a, T.Tensor)]
+        tracked = T._tracking(*tensors)
+        out, saved = fwd(*(t.data for t in tensors), *args[len(tensors):], tracked)
+        if not tracked:
+            return T.Tensor(out)
+        return T.make(out, tensors, lambda g: bwd(g, saved))
+    return op
+
+
+# attention(x, w_qkv, b_qkv, w_o, b_o, num_heads) and mlp(x, w1, b1, w2, b2),
+# the two halves of `tensor.encoder_block`, each as one tape entry
+attention = kernel_op(T._attention_fwd, T._attention_bwd)
+mlp = kernel_op(T._mlp_fwd, T._mlp_bwd)
+
+
+def block_inputs(rng, b, t, d, hidden):
+    """Arrays for `tensor.encoder_block`'s 13 tensors: x [b, t, d] and
+    parameters of a d-wide block with a hidden width of `hidden`."""
+    shapes = [(b, t, d), (d,), (d,), (d, 3 * d), (3 * d,), (d, d), (d,), (d,), (d,),
+              (d, hidden), (hidden,), (hidden, d), (d,)]
+    arrays = [rng.normal(size=s) for s in shapes]
+    for i in (3, 5, 9):  # the weights feeding a d-wide sum
+        arrays[i] *= 0.5
+    arrays[11] *= 0.25  # w2 feeds a sum over the hidden width
+    for i in (1, 6):  # the LayerNorms' scales, about 1
+        arrays[i] = 1.0 + 0.1 * arrays[i]
+    return arrays
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from dtst.selector import SelectorConfig, hard_topk, perturbed_topk, score_token
 from dtst.tensor import Tape, Tensor, backward
 from dtst.train import train_run, write_log
 
-from conftest import VERDICTS, whole_gallery_ranks
+from conftest import VERDICTS, attention, block_inputs, mlp, whole_gallery_ranks
 
 
 def verdict(num, label, ok, detail=""):
@@ -126,7 +126,7 @@ def _op_cases():
     def attention_case(heads, which):
         def op(t):
             args = {name: t if name == which else Tensor(a) for name, a in att_args.items()}
-            return T.mul(T.attention(*args.values(), heads), w_att)
+            return T.mul(attention(*args.values(), heads), w_att)
         return (f"attention[h={heads}].{which}", op, att_args[which])
 
     for heads in (1, 2, 4):
@@ -141,10 +141,23 @@ def _op_cases():
     def mlp_case(which):
         def op(t):
             args = {name: t if name == which else Tensor(a) for name, a in mlp_args.items()}
-            return T.mul(T.mlp(*args.values()), w_mix)
+            return T.mul(mlp(*args.values()), w_mix)
         return (f"mlp.{which}", op, mlp_args[which])
 
     cases.extend(mlp_case(which) for which in mlp_args)
+    # the fused encoder block on the same [2, 4, 8] sequences with 2 heads
+    # and a hidden width of 32; each of its 13 inputs differenced on its own
+    names = ("x", "ln1_g", "ln1_b", "w_qkv", "b_qkv", "w_o", "b_o", "ln2_g", "ln2_b",
+             "w1", "b1", "w2", "b2")
+    block_args = dict(zip(names, block_inputs(rng, 2, 4, 8, 32)))
+
+    def block_case(which):
+        def op(t):
+            args = [t if name == which else Tensor(a) for name, a in block_args.items()]
+            return T.mul(T.encoder_block(*args, 2), w_att)
+        return (f"encoder_block.{which}", op, block_args[which])
+
+    cases.extend(block_case(which) for which in names)
     return cases
 
 
@@ -190,14 +203,17 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_1_fused_cases_across_tiles(monkeypatch):
-    # criterion 1's MLP and attention cases once more, with 4-element tiles:
-    # the MLP's [6, 8] hidden layer then runs as 3 tiles of two rows and each
-    # attention forward and backward as 2, one per sequence of the batch
+    # criterion 1's MLP, attention and encoder block cases once more, with
+    # 4-element tiles: the MLP's [6, 8] hidden layer then runs as 3 tiles of
+    # two rows and each attention forward and backward as 2, one per
+    # sequence of the batch; the block's [8, 32] hidden layer runs as 4
     monkeypatch.setattr(T, "_TILE_ELEMS", 4)
     assert len(T._row_tiles(6, 8, min_rows=2)) == 3
     assert all(len(T._row_tiles(2, heads * 4 * 4)) == 2 for heads in (1, 2, 4))
-    cases = [c for c in _op_cases() if c[0].startswith(("mlp.", "attention["))]
-    assert len(cases) == 12
+    assert len(T._row_tiles(8, 32, min_rows=2)) == 4
+    cases = [c for c in _op_cases()
+             if c[0].startswith(("mlp.", "attention[", "encoder_block."))]
+    assert len(cases) == 25
     name, err = _worst_case(cases)
     assert err < 1e-4, (name, err)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dtst.data import (GenConfig, Sample, batch_arrays, export_embeddings,
                        generate_dataset, identity_prototypes, pk_batch)
-from dtst.errors import ConfigError, DimensionError, SamplingError
+from dtst.errors import ConfigError, ContractError, DimensionError, SamplingError
 from dtst.model import VIEW_AERIAL, VIEW_GROUND, VIEW_NAMES
 
 
@@ -177,10 +177,17 @@ def test_a_split_draws_its_samples_from_its_seed_offset():
         assert np.array_equal(a.x.reshape(4, 3)[noise], b.x.reshape(4, 3)[noise])
 
 
-@pytest.mark.parametrize("split", ["validation", "Train", None, 1])
+@pytest.mark.parametrize("split", ["validation", "Train", None, 1, ["train"], {"test": 2}])
 def test_gen_config_rejects_an_unknown_split(split):
     with pytest.raises(ConfigError, match="unknown split"):
         tiny_cfg(split=split)
+
+
+@pytest.mark.parametrize("rng", [None, 0, np.random.RandomState(0)], ids=["none", "int", "legacy"])
+def test_pk_batch_needs_a_numpy_generator(rng):
+    data = generate_dataset(tiny_cfg())
+    with pytest.raises(ContractError, match="pk_batch draws from a numpy Generator"):
+        pk_batch(data, 2, 2, rng)
 
 
 @pytest.mark.parametrize("field, value", [

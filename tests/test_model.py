@@ -83,6 +83,24 @@ def test_model_forward_rejects_a_selection_without_a_selector(frozen):
                       frozen_selection=frozen)
 
 
+def test_model_forward_names_the_first_parameter_it_lacks():
+    cfg = small_cfg(patch_grid=(2, 2))
+    x, views = RNG.normal(size=(2, 2, 2, 4)), np.array([0, 1])
+    with pytest.raises(DomainError, match="params hold no 'patch_embed.w'"):
+        model_forward(cfg, {}, x, views)
+    params = init_params(cfg, seed=0)
+    del params["block1.mlp.w2"], params["head.view.b"]
+    with pytest.raises(DomainError, match="params hold no 'block1.mlp.w2'"):
+        model_forward(cfg, params, x, views)
+    with pytest.raises(ContractError, match="params must be a dict"):
+        model_forward(cfg, list(params.values()), x, views)
+
+
+def test_the_forward_asks_for_the_parameters_init_params_makes():
+    for cfg in (small_cfg(), small_cfg(num_blocks=3, selector=SelectorConfig(k=1))):
+        assert model._param_names(cfg) == list(init_params(cfg, seed=0))
+
+
 def test_forward_shapes():
     cfg = small_cfg()
     params = init_params(cfg, seed=0)

@@ -171,3 +171,15 @@ def test_selector_config_validation_messages():
             SelectorConfig(k=k)
     with pytest.raises(ConfigError, match="position must be one of"):
         SelectorConfig(k=1, position="first")
+
+
+@pytest.mark.parametrize("noise", ["no", "false", 0, 1, None, 1.0])
+def test_selector_noise_switch_must_be_a_bool(noise):
+    # any non-empty string is true, so "no" used to train with the noise on
+    with pytest.raises(ConfigError, match=f"noise_enabled must be a bool, got {noise!r}"):
+        SelectorConfig(k=1, noise_enabled=noise)
+
+
+def test_selector_noise_switch_takes_a_numpy_bool_as_a_bool():
+    cfg = SelectorConfig(k=1, noise_enabled=np.bool_(False))
+    assert cfg.noise_enabled is False

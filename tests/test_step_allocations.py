@@ -27,6 +27,8 @@ import pytest
 
 from dtst import tensor as T
 
+from conftest import attention, mlp
+
 BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
 STEPS = 120
 WARM_UP = 20
@@ -68,10 +70,12 @@ def test_steady_state_step_takes_few_page_faults():
     assert median < MAX_FAULTS_PER_STEP, (median, faults[WARM_UP:STEPS])
 
 
-# The tiled kernels at the shapes of a d = 32, 8x8-grid step (B = 32, T = 66,
-# H = 4), where the MLP hidden layer ([2112, 128]) and the attention matrix
-# ([32, 4, 66, 66]) exceed the one-tile budget. numpy reports its array
-# memory to tracemalloc, so each test reads the peak an op adds.
+# The tiled kernels, each as one tape entry (conftest's `attention` and
+# `mlp`), and the encoder block that runs both, at the shapes of a d = 32,
+# 8x8-grid step (B = 32, T = 66, H = 4), where the MLP hidden layer
+# ([2112, 128]) and the attention matrix ([32, 4, 66, 66]) exceed the
+# one-tile budget. numpy reports its array memory to tracemalloc, so each
+# test reads the peak an op adds.
 B, TOKENS, WIDTH, HEADS = 32, 66, 32, 4
 TILE_BYTES = 8 * T._TILE_ELEMS
 SLACK = 256 << 10  # the Python objects an op makes, traced as well
@@ -103,7 +107,7 @@ def test_tiled_mlp_holds_the_hidden_layer_its_slope_and_two_tiles():
 
     def forward():
         with T.Tape():
-            T.mlp(*args)
+            mlp(*args)
     assert _peak_bytes(forward) < 2 * hidden_bytes + 2 * TILE_BYTES + SLACK
 
 
@@ -113,7 +117,7 @@ def test_tiled_attention_backward_holds_no_whole_scores_gradient():
                               (WIDTH, WIDTH), (WIDTH,))
     assert len(T._row_tiles(B, HEADS * TOKENS * TOKENS)) > 1
     with T.Tape() as tape:
-        T.attention(x, *params, HEADS)
+        attention(x, *params, HEADS)
     (_, _, bwd), = tape.entries
     g = rng.normal(size=(B, TOKENS, WIDTH))
     # its gradients: g @ wo^T and the input's gradient, [B*T, d] each
@@ -134,6 +138,23 @@ def test_untracked_attention_and_mlp_hold_their_outputs_and_a_few_tiles():
     assert len(T._row_tiles(b * TOKENS, hidden, min_rows=2)) > 1
 
     def forward():
-        T.mlp(T.attention(x, *params[:4], HEADS), *params[4:])
+        mlp(attention(x, *params[:4], HEADS), *params[4:])
     outputs = 2 * 8 * b * TOKENS * WIDTH
     assert _peak_bytes(forward) < outputs + 3 * TILE_BYTES + SLACK
+
+
+def test_untracked_encoder_block_holds_three_activations_and_a_few_tiles():
+    # the attention's output, which takes the first residual, the second
+    # LayerNorm's and the MLP's output; the first LayerNorm's is freed once
+    # the attention has read it
+    rng = np.random.default_rng(0)
+    b, hidden = 2 * B, 4 * WIDTH
+    x, *params = _wide_inputs(rng, (b, TOKENS, WIDTH), (WIDTH,), (WIDTH,),
+                              (WIDTH, 3 * WIDTH), (3 * WIDTH,), (WIDTH, WIDTH), (WIDTH,),
+                              (WIDTH,), (WIDTH,), (WIDTH, hidden), (hidden,), (hidden, WIDTH),
+                              (WIDTH,))
+
+    def forward():
+        T.encoder_block(x, *params, HEADS)
+    activations = 3 * 8 * b * TOKENS * WIDTH
+    assert _peak_bytes(forward) < activations + 3 * TILE_BYTES + SLACK

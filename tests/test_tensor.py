@@ -9,6 +9,8 @@ from dtst import tensor as T
 from dtst.errors import ContractError, DimensionError
 from dtst.tensor import Tape, Tensor, backward
 
+from conftest import attention, block_inputs, mlp
+
 RNG = np.random.default_rng(1234)
 
 
@@ -147,19 +149,25 @@ SMALL_TILE = 32
 
 def _fused_cases():
     """(name, op, inputs, tile rows, row elements) for the kernels that run
-    tile by tile; `op` maps the input Tensors to one output Tensor."""
+    tile by tile, and the encoder block that runs both, tiled by its
+    attention; `op` maps the input Tensors to one output Tensor."""
     rng = np.random.default_rng(5)
     mlp_in = [rng.normal(size=s) for s in ((3, 7, 4), (4, 16), (16,), (16, 4), (4,))]
-    cases = [("mlp", T.mlp, mlp_in, 21, 16)]
+    cases = [("mlp", mlp, mlp_in, 21, 16)]
     for b, t, heads in ((11, 4, 1), (19, 2, 2)):
         x = rng.normal(size=(b, t, 8))
         w = [rng.normal(size=(8, 8)) * 0.5 for _ in range(4)]
         bias = [rng.normal(size=8) * 0.1 for _ in range(4)]
         att_in = [x, np.concatenate(w[:3], axis=1), np.concatenate(bias[:3]), w[3], bias[3]]
 
-        def attention(*args, heads=heads):
-            return T.attention(*args, heads)
-        cases.append((f"attention[h={heads}]", attention, att_in, b, heads * t * t))
+        def attention_op(*args, heads=heads):
+            return attention(*args, heads)
+
+        def block_op(*args, heads=heads):
+            return T.encoder_block(*args, heads)
+        cases.append((f"attention[h={heads}]", attention_op, att_in, b, heads * t * t))
+        cases.append((f"encoder_block[h={heads}]", block_op, block_inputs(rng, b, t, 8, 32),
+                      b, heads * t * t))
     return cases
 
 
@@ -383,12 +391,9 @@ def test_backward_rejects_foreign_root():
 def test_a_spent_tape_is_refused():
     # backward functions write into the buffers their entries saved, so a
     # second pass over the same tape would read gradients as activations
-    x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
-    w1, w2 = (Tensor(RNG.normal(size=s), requires_grad=True) for s in ((4, 8), (8, 4)))
-    b1, b2 = (Tensor(RNG.normal(size=n), requires_grad=True) for n in (8, 4))
-    leaves = (x, w1, b1, w2, b2)
+    leaves = [Tensor(a, requires_grad=True) for a in block_inputs(RNG, 2, 3, 4, 8)]
     with Tape() as tape:
-        out = T.tsum(T.mlp(x, w1, b1, w2, b2))
+        out = T.tsum(T.encoder_block(*leaves, 2))
     backward(out, tape)
     first = [t.grad.copy() for t in leaves]
     with pytest.raises(ContractError, match="backpropagated already"):
@@ -406,7 +411,7 @@ def test_mlp_is_linear_gelu_linear():
         for t in (x, w1, b1, w2, b2):
             t.grad = None
         with Tape() as tape:
-            y = (T.mlp(x, w1, b1, w2, b2) if fused else
+            y = (mlp(x, w1, b1, w2, b2) if fused else
                  T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2))
             out = T.tsum(T.mul(y, y))
         entries.append(len(tape))
@@ -415,36 +420,126 @@ def test_mlp_is_linear_gelu_linear():
     for fused, composed in zip(*grads):
         assert np.array_equal(fused, composed)
     assert entries == [3, 5]
-    untracked = T.mlp(Tensor(x.data), Tensor(w1.data), Tensor(b1.data),
-                      Tensor(w2.data), Tensor(b2.data))
+    untracked = mlp(Tensor(x.data), Tensor(w1.data), Tensor(b1.data),
+                    Tensor(w2.data), Tensor(b2.data))
     assert not untracked.requires_grad
     assert np.array_equal(untracked.data, grads[0][0])
 
 
+def composed_block(x, ln1_g, ln1_b, w_qkv, b_qkv, w_o, b_o, ln2_g, ln2_b, w1, b1, w2, b2,
+                   num_heads):
+    """`tensor.encoder_block` as its parts, one tape entry each."""
+    x = T.add(x, attention(T.layer_norm(x, ln1_g, ln1_b), w_qkv, b_qkv, w_o, b_o, num_heads))
+    return T.add(x, mlp(T.layer_norm(x, ln2_g, ln2_b), w1, b1, w2, b2))
+
+
+@pytest.mark.parametrize("b, t, heads", [(3, 5, 2), (17, 18, 2)])
+def test_encoder_block_is_its_parts_bit_for_bit(b, t, heads):
+    # one tape entry with its residuals added in place, against layer_norm,
+    # attention, add, layer_norm, mlp and add as six; the first shape's
+    # scores take numpy's row max, the second's the column loop
+    assert (b * heads > T._ROWS_PER_COLUMN) == (t == 18)
+    leaves = [Tensor(a, requires_grad=True) for a in block_inputs(RNG, b, t, 4, 16)]
+    w = Tensor(RNG.normal(size=(b, t, 4)))
+    grads, entries = [], []
+    for op in (T.encoder_block, composed_block):
+        for leaf in leaves:
+            leaf.grad = None
+        with Tape() as tape:
+            y = op(*leaves, heads)
+            out = T.tsum(T.mul(y, w))
+        entries.append(len(tape))
+        backward(out, tape)
+        untracked = op(*(Tensor(leaf.data) for leaf in leaves), heads)
+        assert not untracked.requires_grad and np.array_equal(untracked.data, y.data)
+        grads.append([y.data] + [leaf.grad for leaf in leaves])
+    assert entries == [3, 8]
+    for i, (fused, parts) in enumerate(zip(*grads)):
+        assert fused.view(np.int64).tolist() == parts.view(np.int64).tolist(), i
+
+
+def _block_args(**replace):
+    """Zero tensors for `encoder_block` with d = 4 and a hidden width of 8,
+    any of them replaced by name."""
+    d, h = 4, 8
+    shapes = {"x": (2, 3, d), "ln1_g": (d,), "ln1_b": (d,), "w_qkv": (d, 3 * d),
+              "b_qkv": (3 * d,), "w_o": (d, d), "b_o": (d,), "ln2_g": (d,), "ln2_b": (d,),
+              "w1": (d, h), "b1": (h,), "w2": (h, d), "b2": (d,)}
+    shapes.update(replace)
+    return [Tensor(np.zeros(s)) for s in shapes.values()]
+
+
+def _assert_block_refuses(bad):
+    with pytest.raises(DimensionError, match="encoder_block needs") as err:
+        T.encoder_block(*bad, 2)
+    assert ", ".join(str(t.shape) for t in bad) in str(err.value)
+    names = ("x[", "ln1_g[", "ln1_b[", "w_qkv[", "b_qkv[", "w_o[", "b_o[", "ln2_g[", "ln2_b[",
+             "w1[", "b1[", "w2[", "b2[")
+    assert all(name in str(err.value) for name in names)
+
+
 def test_mlp_shape_errors_name_every_operand():
-    x, w1, b1 = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 8))), Tensor(np.zeros(8))
-    w2, b2 = Tensor(np.zeros((8, 3))), Tensor(np.zeros(3))
-    T.mlp(x, w1, b1, w2, b2)
-    for bad in ((Tensor(np.zeros((2, 4))), w1, b1, w2, b2),
-                (x, w1, Tensor(np.zeros(7)), w2, b2),
-                (x, w1, b1, Tensor(np.zeros((7, 3))), b2),
-                (x, w1, b1, w2, Tensor(np.zeros(4)))):
-        with pytest.raises(DimensionError, match="mlp needs"):
-            T.mlp(*bad)
+    # the block's MLP operands, and its LayerNorms', each wrong in turn
+    T.encoder_block(*_block_args(), 2)
+    for name, shape in (("w1", (3, 8)), ("b1", (7,)), ("w2", (7, 4)), ("b2", (5,)),
+                        ("w2", (8, 5)), ("w1", (8,)), ("ln1_g", (3,)), ("ln2_b", (4, 1))):
+        _assert_block_refuses(_block_args(**{name: shape}))
 
 
 def test_attention_shape_errors_name_every_operand():
     # x, w_qkv, b_qkv, w_o, b_o; each replaced in turn by a wrong shape
     d = 4
-    args = [Tensor(np.zeros(s)) for s in ((2, 3, d), (d, 3 * d), (3 * d,), (d, d), (d,))]
-    T.attention(*args, 2)
-    for i, shape in enumerate(((3, d), (d, d), (d,), (d, 3 * d), (3 * d,))):
-        bad = args[:i] + [Tensor(np.zeros(shape))] + args[i + 1:]
-        with pytest.raises(DimensionError, match="attention needs") as err:
-            T.attention(*bad, 2)
-        shapes = ", ".join(str(t.shape) for t in bad)
-        assert shapes in str(err.value)
-        assert all(name in str(err.value) for name in ("x[", "w_qkv[", "b_qkv[", "w_o[", "b_o["))
+    for name, shape in (("x", (3, d)), ("w_qkv", (d, d)), ("b_qkv", (d,)), ("w_o", (d, 3 * d)),
+                        ("b_o", (3 * d,)), ("x", (2, 3, 0))):
+        _assert_block_refuses(_block_args(**{name: shape}))
+
+
+@pytest.mark.parametrize("heads", [3, 0, 1.0, True])
+def test_encoder_block_needs_a_head_count_that_divides_the_width(heads):
+    with pytest.raises(DimensionError, match="encoder_block"):
+        T.encoder_block(*_block_args(), heads)
+
+
+def _rows_with_ties_zeros_and_nans(t, rng):
+    """[5, 3, t, t] scores whose rows hold ties, signed zeros, infinities and
+    NaNs of both signs at every position among random values."""
+    a = rng.normal(size=(5, 3, t, t))
+    a[0, 0, :, :] = -1.0
+    a[0, 0, np.arange(t), np.arange(t)] = 0.0
+    a[0, 0, np.arange(t), (np.arange(t) + 1) % t] = -0.0
+    a[0, 1] = -0.0
+    a[0, 1, :, t // 2] = 0.0
+    a[0, 2] = np.round(a[0, 2])  # ties
+    a[1, 0, np.arange(t), np.arange(t)] = np.nan
+    a[1, 0, np.arange(t), (np.arange(t) + 1) % t] = -np.nan
+    a[1, 1, np.arange(t), np.arange(t)] = -np.nan
+    a[2, 0, np.arange(t), np.arange(t)] = np.inf
+    a[2, 1] = -np.inf
+    a[2, 2, :, 0] = np.inf
+    a[2, 2, :, -1] = -np.inf
+    return a
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 10, 18, 66])
+@pytest.mark.parametrize("method", ["column_loop", "reduction"])
+def test_row_max_is_the_reduction_bit_for_bit(t, method, monkeypatch):
+    rng = np.random.default_rng(t)
+    monkeypatch.setattr(T, "_ROWS_PER_COLUMN", 0 if method == "column_loop" else 1 << 20)
+    a = _rows_with_ties_zeros_and_nans(t, rng)
+    for scores in (a, a[:, :, :1], a[3:], a[3:, :, :, ::-1].copy(), a[:, :, :0]):
+        want = scores.max(axis=-1)
+        got = T._row_max(scores)
+        assert got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_row_max_takes_the_column_loop_where_the_rows_outnumber_the_columns():
+    # the shapes the benchmark configs' blocks score; the full-width tile of
+    # a 66-token sequence keeps the reduction
+    short = [(32, 2, 18, 18), (32, 2, 4, 4), (32, 4, 10, 10), (64, 2, 18, 18)]
+    for shape in short + [(2, 4, 66, 66), (1, 2, 18, 18)]:
+        loop = np.prod(shape) > T._ROWS_PER_COLUMN * shape[-1] ** 2
+        assert loop == (shape in short), shape
 
 
 def test_grad_accumulates_across_backward_calls():
