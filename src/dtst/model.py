@@ -8,7 +8,8 @@ final meta slot. The selector, when present, runs in front of one block
 patch tokens of largest norm (Gumbel-perturbed when training with noise
 on); that block and every later one encode the reduced sequence. Patch slot
 i is grid cell i up to the selection, so the kept slot indices are also the
-kept grid indices.
+kept grid indices. The heads read only the meta and view slots, so the last
+block outputs those two rows alone (`tensor.encoder_block`'s `out_rows`).
 """
 
 from __future__ import annotations
@@ -141,11 +142,37 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
     return p
 
 
-def _param_names(cfg: ModelConfig):
-    """The names of the parameters `init_params` makes for `cfg`, in its order."""
-    blocks = [f"block{i}.{name}" for i in range(cfg.num_blocks) for name in _BLOCK_PARAMS]
-    return ["patch_embed.w", "patch_embed.b", "pos_embed", "meta_token", "view_tokens",
-            *blocks, "head.id.w", "head.id.b", "head.view.w", "head.view.b"]
+def _param_shapes(cfg: ModelConfig) -> dict:
+    """The name and shape of each parameter `init_params` makes for `cfg`,
+    in its order."""
+    d, h, views = cfg.embed_dim, MLP_RATIO * cfg.embed_dim, len(VIEW_NAMES)
+    block = [(d,), (d,), (d, 3 * d), (3 * d,), (d, d), (d,), (d,), (d,), (d, h), (h,), (h, d),
+             (d,)]
+    shapes = {"patch_embed.w": (cfg.patch_dim, d), "patch_embed.b": (d,),
+              "pos_embed": (cfg.num_patches, d), "meta_token": (d,), "view_tokens": (views, d)}
+    for i in range(cfg.num_blocks):
+        shapes.update((f"block{i}.{name}", shape) for name, shape in zip(_BLOCK_PARAMS, block))
+    shapes.update({"head.id.w": (d, cfg.num_identities), "head.id.b": (cfg.num_identities,),
+                   "head.view.w": (d, views), "head.view.b": (views,)})
+    return shapes
+
+
+def check_params(cfg: ModelConfig, params: dict) -> None:
+    """Raise DimensionError naming the first parameter of `init_params(cfg)`
+    that `params` lacks or holds in another shape, or the first name it holds
+    beyond those; ContractError if `params` is not a dict of Tensors."""
+    if not isinstance(params, dict) or not all(isinstance(p, Tensor) for p in params.values()):
+        raise ContractError("params must be a dict of name -> Tensor")
+    shapes = _param_shapes(cfg)
+    for name, shape in shapes.items():
+        if name not in params:
+            raise DimensionError(f"params hold no '{name}', which the model config makes")
+        if params[name].shape != shape:
+            raise DimensionError(f"parameter '{name}' has shape {params[name].shape}, the "
+                                 f"model config makes it {shape}")
+    extra = next((name for name in params if name not in shapes), None)
+    if extra is not None:
+        raise DimensionError(f"params hold '{extra}', which the model config does not make")
 
 
 def patch_embed(x, params: dict, cfg: ModelConfig) -> Tensor:
@@ -192,10 +219,13 @@ def attach_special_tokens(patches: Tensor, view_labels, params: dict) -> TokenSe
 def encoder_block(seq: TokenSequence, params: dict, index: int,
                   cfg: ModelConfig) -> TokenSequence:
     """Pre-norm multi-head self-attention and MLP, both with residuals, as
-    one fused op (`tensor.encoder_block`)."""
+    one fused op (`tensor.encoder_block`). The last block outputs only the
+    meta and view slots, the two rows the heads read."""
     pre = f"block{index}."
     weights = (params[pre + name] for name in _BLOCK_PARAMS)
-    return replace(seq, tokens=T.encoder_block(seq.tokens, *weights, cfg.num_attn_heads))
+    out_rows = 2 if index == cfg.num_blocks - 1 else None
+    return replace(seq, tokens=T.encoder_block(seq.tokens, *weights, cfg.num_attn_heads,
+                                                out_rows=out_rows))
 
 
 def vdt_decouple(seq: TokenSequence) -> TokenSequence:
@@ -231,7 +261,7 @@ def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
         raise ContractError("frozen_selection needs a model with a selector")
     if not isinstance(params, dict):
         raise ContractError(f"params must be a dict of name -> Tensor, got {type(params).__name__}")
-    missing = next((name for name in _param_names(cfg) if name not in params), None)
+    missing = next((name for name in _param_shapes(cfg) if name not in params), None)
     if missing is not None:
         raise DomainError(f"params hold no '{missing}', which the model needs")
     patches = patch_embed(x, params, cfg)

@@ -42,6 +42,15 @@ holds one row, since a one-row product goes through GEMV, which rounds
 differently. Each element sees the same ufuncs and GEMM in the same order,
 so tiling changes no bit. The MLP's GELU overwrites the hidden layer it
 reads with its output.
+
+`encoder_block` computes only the rows something reads. Given `out_rows` r,
+it outputs each sequence's first r rows: LN1 and Q/K/V run on every row,
+which the keys and values need, the scores on r query rows and the rest on
+r rows. Its backward takes one `any` over the output gradient: where some
+rows hold no nonzero (behind a token selection), the MLP, LN2 and the
+attention's query side run on each sequence's live rows only, gathered and
+padded with dead ones to the longest, while the key, value and LN1
+gradients cover every row. Where every row is live nothing is gathered.
 """
 
 from __future__ import annotations
@@ -588,90 +597,135 @@ def _row_max(a):
 
 def _attend(qkv, att, ctx, scale):
     """Scaled softmax attention over whole sequences: from the Q/K/V
-    projection `qkv` [n * t, 3d], the probabilities into `att` [n, H, t, t]
-    and the heads' context into `ctx` [n * t, d]."""
-    n, h, t, _ = att.shape
+    projection `qkv` [n * t, 3d], the probabilities of each sequence's first
+    r query rows over all t keys into `att` [n, H, r, t] and their context
+    into `ctx` [n * r, d]."""
+    n, h, r, t = att.shape
     q, k, v = qkv.reshape(n, t, 3, h, -1).transpose(2, 0, 3, 1, 4)
-    np.matmul(q, k.swapaxes(-1, -2), out=att)
+    np.matmul(q[:, :, :r], k.swapaxes(-1, -2), out=att)
     att *= scale
     att -= _row_max(att)[..., None]
     _softmax_inplace(att)
-    np.matmul(att, v, out=ctx.reshape(n, t, h, -1).transpose(0, 2, 1, 3))
+    np.matmul(att, v, out=ctx.reshape(n, r, h, -1).transpose(0, 2, 1, 3))
 
 
-def _attention_fwd(x, w_qkv, b_qkv, w_o, b_o, num_heads, tracked):
+def _attention_fwd(x, w_qkv, b_qkv, w_o, b_o, num_heads, tracked, out_rows=None):
     """Multi-head self-attention of x [B, T, d]; returns the output and what
     `_attention_bwd` needs (None when not `tracked`).
 
     `w_qkv` [d, 3d] holds the Q, K and V projections side by side and
     `b_qkv` [3d] their biases; `w_o` [d, d] and `b_o` [d] are the output
     projection. Q/K/V come from one GEMM and the scores are scaled by
-    1/sqrt(d/H) before the softmax. The forward runs over tiles of whole
-    sequences (`_row_tiles`): Q/K/V, scores, softmax, context and output
-    projection, tile by tile. Tracked, each tile writes into whole Q/K/V,
-    probability and context arrays, which the backward keeps; untracked,
-    into scratch reused from tile to tile, so only the output is allocated
-    whole. A tile's GEMMs get T rows a sequence, and the model's sequences
-    hold at least three tokens (the kept ones and two extra), so none goes
-    through GEMV."""
+    1/sqrt(d/H) before the softmax. Given `out_rows` r, only each sequence's
+    first r rows are queried: the output is [B, r, d] and the scores
+    [B, H, r, T], while the keys and values still cover all T rows. The
+    forward runs over tiles of whole sequences (`_row_tiles`, by their H r T
+    scores): Q/K/V, scores, softmax, context and output projection, tile by
+    tile. Tracked, each tile writes into whole Q/K/V, probability and
+    context arrays, which the backward keeps; untracked, into scratch reused
+    from tile to tile, so only the output is allocated whole. A tile's
+    GEMMs get T or r rows a sequence, and the model's sequences hold at
+    least three tokens (the kept ones and two extra) and its r is 2, so none
+    goes through GEMV."""
     b, t, d = x.shape
     h = num_heads
+    r = t if out_rows is None else out_rows
     scale = 1.0 / np.sqrt(d // h)
     x2 = x.reshape(b * t, d)
-    tiles = _row_tiles(b, h * t * t)
+    tiles = _row_tiles(b, h * r * t)
     if tracked:
-        qkv, att, ctx = np.empty((b, t, 3 * d)), np.empty((b, h, t, t)), np.empty((b, t, d))
+        qkv, att, ctx = np.empty((b, t, 3 * d)), np.empty((b, h, r, t)), np.empty((b, r, d))
     else:
-        qkv, att, ctx = (_tile_scratch(tiles, t, 3 * d), _tile_scratch(tiles, h, t, t),
-                         _tile_scratch(tiles, t, d))
-    out = np.empty((b * t, d))
+        qkv, att, ctx = (_tile_scratch(tiles, t, 3 * d), _tile_scratch(tiles, h, r, t),
+                         _tile_scratch(tiles, r, d))
+    out = np.empty((b * r, d))
     for seqs in tiles:
-        n, rows = seqs.stop - seqs.start, slice(seqs.start * t, seqs.stop * t)
+        n = seqs.stop - seqs.start
         here = seqs if tracked else slice(n)
-        qkv_n, ctx_n = qkv[here].reshape(n * t, 3 * d), ctx[here].reshape(n * t, d)
-        np.matmul(x2[rows], w_qkv, out=qkv_n)
+        qkv_n, ctx_n = qkv[here].reshape(n * t, 3 * d), ctx[here].reshape(n * r, d)
+        np.matmul(x2[seqs.start * t:seqs.stop * t], w_qkv, out=qkv_n)
         qkv_n += b_qkv
         _attend(qkv_n, att[here], ctx_n, scale)
-        y = out[rows]
+        y = out[seqs.start * r:seqs.stop * r]
         np.matmul(ctx_n, w_o, out=y)
         y += b_o
-    out = out.reshape(b, t, d)
+    out = out.reshape(b, r, d)
     if not tracked:
         return out, None
-    return out, (x2, w_qkv, w_o, qkv.reshape(b * t, 3 * d), att, ctx.reshape(b * t, d),
+    return out, (x2, w_qkv, w_o, qkv.reshape(b * t, 3 * d), att, ctx.reshape(b * r, d),
                  tiles, scale)
 
 
-def _attention_bwd(g, saved):
+def _take_rows(a, rows):
+    """Rows `rows` [B, L] of each of the B sequences of `a`, [B, T, c] or
+    [B * T, c], as a new array [B, L, c] or [B * L, c]."""
+    taken = a.reshape(len(rows), -1, a.shape[-1])[np.arange(len(rows))[:, None], rows]
+    return taken.reshape(-1, a.shape[-1]) if a.ndim == 2 else taken
+
+
+def _attention_bwd(g, saved, rows=None):
     """The gradients of x, w_qkv, b_qkv, w_o and b_o from the output's, `g`.
-    The Q/K/V gradient is built inside the saved Q/K/V buffer; between the
-    two projections the backward runs over the forward's tiles, with one
-    [tile, H, T, T] scratch for the scores' gradient."""
+
+    `g` [B, L, d] holds the gradient of the query rows `rows` [B, L] of each
+    sequence, all other rows' gradient being zero; by default, of every row
+    the forward queried. The probabilities, context and queries of those
+    rows only enter the backward's products, while the keys' and values'
+    gradients and the input's cover every row. The Q/K/V gradient is built
+    inside the saved Q/K/V buffer; between the two projections the backward
+    runs over the forward's tiles, with one [tile, H, L, T] scratch for the
+    scores' gradient."""
     x2, w_qkv, w_o, qkv, att, ctx, tiles, scale = saved
-    b, h, t, _ = att.shape
+    b, h, r, t = att.shape
     d = ctx.shape[1]
-    q, k, v = qkv.reshape(b, t, 3, h, d // h).transpose(2, 0, 3, 1, 4)  # each [B, H, T, dh]
-    g2 = g.reshape(b * t, d)
-    gctx = (g2 @ w_o.T).reshape(b, t, h, d // h).transpose(0, 2, 1, 3)
-    gatt_tile = _tile_scratch(tiles, h, t, t)
-    for rows in tiles:
-        a, gc = att[rows], gctx[rows]
+    by_head = qkv.reshape(b, t, 3, h, d // h)
+    q, k, v = by_head.transpose(2, 0, 3, 1, 4)  # each [B, H, T, dh]
+    if rows is None:
+        q_rows = q[:, :, :r]
+    else:
+        seqs = np.arange(b)[:, None]
+        att = att[seqs[:, :, None], np.arange(h)[:, None], rows[:, None]]
+        ctx = _take_rows(ctx, rows)
+        q_rows = by_head[seqs, rows, 0].transpose(0, 2, 1, 3)
+    n_rows = att.shape[2]
+    g2 = g.reshape(b * n_rows, d)
+    gctx = (g2 @ w_o.T).reshape(b, n_rows, h, d // h).transpose(0, 2, 1, 3)
+    gatt_tile = _tile_scratch(tiles, h, n_rows, t)
+    for s in tiles:
+        a, gc = att[s], gctx[s]
         gatt = gatt_tile[:len(a)]
-        np.matmul(gc, v[rows].swapaxes(-1, -2), out=gatt)
-        np.matmul(a.swapaxes(-1, -2), gc, out=v[rows])  # v's slots now hold gv
+        np.matmul(gc, v[s].swapaxes(-1, -2), out=gatt)
+        np.matmul(a.swapaxes(-1, -2), gc, out=v[s])  # v's slots now hold gv
         gatt -= _dot_last(gatt, a)[..., None]
         gatt *= a  # now the gradient of the pre-softmax logits
         gatt *= scale
-        gq = gatt @ k[rows]
-        np.matmul(gatt.swapaxes(-1, -2), q[rows], out=k[rows])
-        q[rows] = gq  # qkv now holds the gradient of the Q/K/V projection
+        gq = gatt @ k[s]
+        np.matmul(gatt.swapaxes(-1, -2), q_rows[s], out=k[s])
+        if rows is None:
+            q[s, :, :r] = gq
+            q[s, :, r:] = 0.0  # rows the forward did not query
+        else:
+            q[s] = 0.0
+            by_head[seqs[s], rows[s], 0] = gq.transpose(0, 2, 1, 3)
+    # qkv now holds the gradient of the Q/K/V projection
     return ((qkv @ w_qkv.T).reshape(b, t, d), x2.T @ qkv, _sum_rows(qkv),
             ctx.T @ g2, _sum_rows(g2))
 
 
+def _live_rows(g):
+    """The rows [B, L] of `g` [B, T, d] to take from each sequence, L the
+    most rows of one that hold a nonzero: those rows in order, then rows of
+    zeros, which change no gradient, in order. None if L is T."""
+    live = g.any(axis=2)
+    n = live.sum(axis=1).max()
+    if n == live.shape[1]:
+        return None
+    return np.argsort(~live, axis=1, kind="stable")[:, :n]
+
+
 def encoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, w_qkv: Tensor, b_qkv: Tensor,
                   w_o: Tensor, b_o: Tensor, ln2_g: Tensor, ln2_b: Tensor, w1: Tensor,
-                  b1: Tensor, w2: Tensor, b2: Tensor, num_heads: int) -> Tensor:
+                  b1: Tensor, w2: Tensor, b2: Tensor, num_heads: int,
+                  out_rows: int = None) -> Tensor:
     """A pre-norm encoder block as one tape entry: x + attention(LN1(x)),
     then that plus mlp(LN2(that)).
 
@@ -682,7 +736,20 @@ def encoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, w_qkv: Tensor, b_qkv:
     residual is added in place into the output buffer of the part it
     closes, and the backward sums the input's two gradients in place. Every
     element sees the same ufuncs and GEMMs in the same order as the parts
-    run one by one, so the output and gradients are bit for bit theirs."""
+    run one by one, so the output and gradients are bit for bit theirs.
+
+    Given `out_rows` r (an integer in [1, T]), the output is the first r
+    rows only, [B, r, d]: LN1 and Q/K/V still run on every row, the rest on
+    r. Those rows are the whole block's bit for bit where BLAS gives a
+    product's rows the same bits over fewer rows, as on the model's shapes
+    (heads 8 wide, r = 2). Not everywhere: with heads 2 wide, the context
+    product over 18 keys rounds differently for 2 query rows than for 18,
+    and a one-row query product goes through GEMV.
+
+    The backward runs its MLP, LN2 and the attention's query side only on
+    the rows whose output gradient holds a nonzero (`_live_rows`), the rows
+    behind a token selection, say. Rows of zero gradient add nothing, but
+    the weights' gradients, sums over fewer rows, may round differently."""
     inputs = (x, ln1_g, ln1_b, w_qkv, b_qkv, w_o, b_o, ln2_g, ln2_b, w1, b1, w2, b2)
     want = None
     if x.data.ndim == 3 and x.shape[2] >= 1 and w1.data.ndim == 2:
@@ -698,11 +765,17 @@ def encoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, w_qkv: Tensor, b_qkv:
                         f"that divides width {d}, got {num_heads!r}")
     if d % heads:
         raise DimensionError(f"encoder_block heads {heads} must divide width {d}")
+    t = x.shape[1]
+    message = f"encoder_block out_rows must be an integer in [1, {t}], got {out_rows!r}"
+    rows = t if out_rows is None else check_count(out_rows, 1, DimensionError, message)
+    if rows > t:
+        raise DimensionError(message)
     tracked = _tracking(*inputs)
     n1, ln1 = _layer_norm_fwd(x.data, ln1_g.data, ln1_b.data, tracked)
-    x1, att = _attention_fwd(n1, w_qkv.data, b_qkv.data, w_o.data, b_o.data, heads, tracked)
+    x1, att = _attention_fwd(n1, w_qkv.data, b_qkv.data, w_o.data, b_o.data, heads, tracked,
+                             rows)
     del n1  # the attention keeps it when tracked
-    x1 += x.data
+    x1 += x.data[:, :rows]
     n2, ln2 = _layer_norm_fwd(x1, ln2_g.data, ln2_b.data, tracked)
     out, mlp = _mlp_fwd(n2, w1.data, b1.data, w2.data, b2.data, tracked)
     out += x1
@@ -710,12 +783,24 @@ def encoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, w_qkv: Tensor, b_qkv:
         return Tensor(out)
 
     def bwd(g):
-        gn2, *g_mlp = _mlp_bwd(g, mlp)
-        gx1, *g_ln2 = _layer_norm_bwd(gn2, ln2)
-        gx1 += g
-        gn1, *g_att = _attention_bwd(gx1, att)
+        live = _live_rows(g)
+        if live is None:
+            g_live, mlp_live, ln2_live = g, mlp, ln2
+        else:
+            (x2, _, _, act, slope), (gamma, xhat, inv) = mlp, ln2
+            g_live = _take_rows(g, live)
+            mlp_live = (_take_rows(x2, live), w1.data, w2.data, _take_rows(act, live),
+                        _take_rows(slope, live))
+            ln2_live = (gamma, _take_rows(xhat, live), _take_rows(inv, live))
+        gn2, *g_mlp = _mlp_bwd(g_live, mlp_live)
+        gx1, *g_ln2 = _layer_norm_bwd(gn2, ln2_live)
+        gx1 += g_live
+        gn1, *g_att = _attention_bwd(gx1, att, live)
         gx, *g_ln1 = _layer_norm_bwd(gn1, ln1)
-        gx += gx1
+        if live is None:
+            gx[:, :rows] += gx1
+        else:
+            gx[np.arange(len(gx))[:, None], live] += gx1
         return (gx, *g_ln1, *g_att, *g_ln2, *g_mlp)
 
     return make(out, inputs, bwd)

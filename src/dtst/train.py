@@ -30,7 +30,9 @@ def train_run(cfg: model.ModelConfig, params: dict, dataset, lr_max: float,
     each, the learning rate decaying from `lr_max` to `optim.LR_MIN` over
     the whole run; returns the list of LogRow. Before any step, a P or K
     below 1, or a dataset smaller than one P*K batch, raises SamplingError,
-    epochs not an integer >= 1 ConfigError, a seed not an integer >= 0 DomainError."""
+    epochs not an integer >= 1 ConfigError, a seed not an integer >= 0
+    DomainError, and params other than `init_params(cfg)` makes DimensionError
+    (`model.check_params`)."""
     batch_p, batch_k = check_pk(batch_p, batch_k)
     epochs = check_count(epochs, 1, ConfigError, f"epochs must be an integer >= 1, got {epochs!r}")
     seed = check_count(seed, 0, DomainError, f"training seed must be an integer >= 0, "
@@ -38,6 +40,7 @@ def train_run(cfg: model.ModelConfig, params: dict, dataset, lr_max: float,
     if len(dataset) < batch_p * batch_k:
         raise SamplingError(f"{len(dataset)} samples cannot fill one "
                             f"{batch_p}x{batch_k} batch")
+    model.check_params(cfg, params)
     rng = np.random.default_rng(seed)
     total_steps = epochs * (len(dataset) // (batch_p * batch_k))
     schedule = optim.ScheduleConfig(lr_max=lr_max, total_steps=total_steps)

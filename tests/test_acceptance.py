@@ -151,13 +151,22 @@ def _op_cases():
              "w1", "b1", "w2", "b2")
     block_args = dict(zip(names, block_inputs(rng, 2, 4, 8, 32)))
 
-    def block_case(which):
+    def block_case(which, label="", weight=w_att, out_rows=None):
         def op(t):
             args = [t if name == which else Tensor(a) for name, a in block_args.items()]
-            return T.mul(T.encoder_block(*args, 2), w_att)
-        return (f"encoder_block.{which}", op, block_args[which])
+            return T.mul(T.encoder_block(*args, 2, out_rows=out_rows), weight)
+        return (f"encoder_block.{which}{label}", op, block_args[which])
 
-    cases.extend(block_case(which) for which in names)
+    # and once more with a two-row output, and once with a loss that reads
+    # rows 0 and 2 of the first sequence and rows 1 to 3 of the second, so
+    # that the backward runs on the rows read
+    w_some = w_att.data.copy()
+    w_some[0, [1, 3]] = 0.0
+    w_some[1, 0] = 0.0
+    for which in names:
+        cases.append(block_case(which))
+        cases.append(block_case(which, "[out_rows=2]", Tensor(w_att.data[:, :2]), 2))
+        cases.append(block_case(which, "[some rows read]", Tensor(w_some)))
     return cases
 
 
@@ -206,14 +215,16 @@ def test_criterion_1_fused_cases_across_tiles(monkeypatch):
     # criterion 1's MLP, attention and encoder block cases once more, with
     # 4-element tiles: the MLP's [6, 8] hidden layer then runs as 3 tiles of
     # two rows and each attention forward and backward as 2, one per
-    # sequence of the batch; the block's [8, 32] hidden layer runs as 4
+    # sequence of the batch, also where the block's 2 heads query 2 rows;
+    # the block's [8, 32] hidden layer runs as 4
     monkeypatch.setattr(T, "_TILE_ELEMS", 4)
     assert len(T._row_tiles(6, 8, min_rows=2)) == 3
     assert all(len(T._row_tiles(2, heads * 4 * 4)) == 2 for heads in (1, 2, 4))
+    assert len(T._row_tiles(2, 2 * 2 * 4)) == 2
     assert len(T._row_tiles(8, 32, min_rows=2)) == 4
     cases = [c for c in _op_cases()
              if c[0].startswith(("mlp.", "attention[", "encoder_block."))]
-    assert len(cases) == 25
+    assert len(cases) == 51
     name, err = _worst_case(cases)
     assert err < 1e-4, (name, err)
 

@@ -1,11 +1,15 @@
 """Backbone tests: shapes, embedding oracles, decoupling, selector plumbing,
 checkpoint round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dtst import model
 from dtst import tensor as T
+from dtst.config import load_config
+from dtst.data import batch_arrays, generate_dataset, pk_batch
 from dtst.errors import ConfigError, ContractError, DimensionError, DomainError, NumericError
 from dtst.losses import cross_entropy_loss, orthogonal_loss, total_loss
 from dtst.model import (VIEW_AERIAL, VIEW_GROUND, ModelConfig, attach_special_tokens,
@@ -98,7 +102,8 @@ def test_model_forward_names_the_first_parameter_it_lacks():
 
 def test_the_forward_asks_for_the_parameters_init_params_makes():
     for cfg in (small_cfg(), small_cfg(num_blocks=3, selector=SelectorConfig(k=1))):
-        assert model._param_names(cfg) == list(init_params(cfg, seed=0))
+        made = init_params(cfg, seed=0)
+        assert list(model._param_shapes(cfg).items()) == [(n, p.shape) for n, p in made.items()]
 
 
 def test_forward_shapes():
@@ -493,3 +498,69 @@ def test_selection_adds_one_tape_entry_to_a_training_step(monkeypatch):
     assert not gathers
     selected = len(_step_tape(small_cfg(selector=SelectorConfig(k=2)), params, x, y, v))
     assert selected == base + 1 and len(gathers) == 1
+
+
+@pytest.mark.parametrize("selector", [None, SelectorConfig(k=2, noise_enabled=False),
+                                      SelectorConfig(k=3, position="second_to_last",
+                                                     noise_enabled=False)],
+                         ids=["no_selector", "last", "second_to_last"])
+def test_the_two_row_last_block_gives_the_embeddings_of_a_whole_one(selector, monkeypatch):
+    # the last block outputs only the meta and view rows; a forward whose
+    # last block encodes every row gives the same features bit for bit
+    cfg = small_cfg(num_blocks=3, selector=selector)
+    params = init_params(cfg, seed=4)
+    x = RNG.normal(size=(5, 2, 3, 4))
+    v = np.array([0, 1, 1, 0, 1])
+    runs, block = [], T.encoder_block
+    for whole in (False, True):
+        widths = []
+
+        def recording(*args, out_rows=None):
+            out = block(*args, out_rows=None if whole else out_rows)
+            widths.append(out.shape[1])
+            return out
+        monkeypatch.setattr(T, "encoder_block", recording)
+        untracked = model_forward(cfg, params, x, v)
+        with Tape():
+            tracked = model_forward(cfg, params, x, v, training=True)
+        runs.append([out.meta_feature.data for out in (untracked, tracked)]
+                    + [out.view_feature.data for out in (untracked, tracked)])
+        kept = cfg.num_patches + 2 if selector is None else selector.k + 2
+        assert widths[2::3] == [kept if whole else 2] * 2
+    for ours, theirs in zip(*runs):
+        assert ours.view(np.int64).tolist() == theirs.view(np.int64).tolist()
+
+
+def test_a_benchmark_step_computes_only_the_rows_something_reads(monkeypatch):
+    # configs/benchmark.cfg: 4 blocks, 2 heads, 4x4 patches, K = 2 in front
+    # of block 3. Backward visits the blocks last first: block 3 keeps
+    # probabilities of its 2 output rows over its 2 + K tokens, and block 2,
+    # whose output the selector cuts to 2 + K rows, runs its MLP, LN2 and
+    # queries on those rows only; blocks 1 and 0 on all 2 + M.
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "benchmark.cfg")
+    mcfg = cfg.model_config()
+    data = generate_dataset(cfg.gen_config("train"))
+    x, y, v = batch_arrays(pk_batch(data, cfg["train.batch_p"], cfg["train.batch_k"],
+                                    np.random.default_rng(0)))
+    b, d, k, m = len(x), mcfg.embed_dim, mcfg.selector.k, mcfg.num_patches
+    assert mcfg.selector_block == 3 == mcfg.num_blocks - 1
+    seen = []
+    attention_bwd, mlp_bwd = T._attention_bwd, T._mlp_bwd
+
+    def attention_recording(g, saved, rows=None):
+        seen.append(("attention", g.shape, saved[4].shape))
+        return attention_bwd(g, saved, rows)
+
+    def mlp_recording(g, saved):
+        seen.append(("mlp", g.shape))
+        return mlp_bwd(g, saved)
+    monkeypatch.setattr(T, "_attention_bwd", attention_recording)
+    monkeypatch.setattr(T, "_mlp_bwd", mlp_recording)
+    params = init_params(mcfg, seed=0)
+    tape = _step_tape(mcfg, params, x, y, v)
+    T.backward(tape.entries[-1][0], tape)
+    heads = mcfg.num_attn_heads
+    whole = [("mlp", (b, 2 + m, d)), ("attention", (b, 2 + m, d), (b, heads, 2 + m, 2 + m))]
+    assert seen == [("mlp", (b, 2, d)), ("attention", (b, 2, d), (b, heads, 2, 2 + k)),
+                    ("mlp", (b, 2 + k, d)),
+                    ("attention", (b, 2 + k, d), (b, heads, 2 + m, 2 + m))] + whole + whole

@@ -458,6 +458,74 @@ def test_encoder_block_is_its_parts_bit_for_bit(b, t, heads):
         assert fused.view(np.int64).tolist() == parts.view(np.int64).tolist(), i
 
 
+@pytest.mark.parametrize("b, t, d, heads", [(3, 5, 8, 2), (17, 18, 8, 2), (32, 66, 32, 4)])
+def test_encoder_block_out_rows_are_the_whole_blocks_leading_rows_bit_for_bit(b, t, d, heads):
+    # the whole block's scores take numpy's row max, the column loop, and
+    # run over several tiles; its heads are at least 4 wide, the model's 8:
+    # with 2-wide heads, this BLAS rounds the context product over 18 keys
+    # differently for 2 query rows than for 18
+    tiles = T._row_tiles(b, heads * t * t)
+    assert (tiles[0].stop * heads > T._ROWS_PER_COLUMN) == (t == 18)
+    assert (len(tiles) > 1) == (t == 66)
+    arrays = block_inputs(RNG, b, t, d, 4 * d)
+    whole = T.encoder_block(*map(Tensor, arrays), heads).data
+    for rows in (2, 3, t):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape():
+            tracked = T.encoder_block(*leaves, heads, out_rows=rows)
+        untracked = T.encoder_block(*map(Tensor, arrays), heads, out_rows=rows)
+        assert tracked.requires_grad and not untracked.requires_grad
+        for out in (tracked, untracked):
+            assert out.shape == (b, rows, d)
+            assert out.data.view(np.int64).tolist() == whole[:, :rows].view(np.int64).tolist()
+
+
+def _gradients(op, leaves, w, heads, **kw):
+    """The output and each leaf's gradient of sum(op(*leaves) * w)."""
+    for leaf in leaves:
+        leaf.grad = None
+    with Tape() as tape:
+        y = op(*leaves, heads, **kw)
+        out = T.tsum(T.mul(y, Tensor(w)))
+    backward(out, tape)
+    return [y.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("read", ["equal", "ragged", "out_rows", "none"])
+def test_encoder_block_backward_skips_the_rows_of_zero_gradient(read, monkeypatch):
+    # a loss that reads some rows of each sequence, as a token selection
+    # after the block does, against the six-entry composition, which runs
+    # every row; "out_rows" reads only the rows a 3-row block outputs
+    b, t, d, heads = 4, 7, 8, 2
+    leaves = [Tensor(a, requires_grad=True) for a in block_inputs(RNG, b, t, d, 32)]
+    w = RNG.normal(size=(b, t, d))
+    if read == "equal":
+        w[:, [1, 4, 5]] = 0.0
+    elif read == "ragged":  # 1, 3, 6 and 6 live rows; the shorter padded with dead ones
+        for i, dead in enumerate(([1, 2, 3, 4, 5, 6], [0, 2, 5, 6], [3], [0])):
+            w[i, dead] = 0.0
+    elif read == "out_rows":
+        w[:, 3:] = 0.0
+    else:
+        w[:] = 0.0
+    taken = []
+    live_rows = T._live_rows
+    monkeypatch.setattr(T, "_live_rows", lambda g: taken.append(live_rows(g)) or taken[-1])
+    kw = {"out_rows": 3} if read == "out_rows" else {}
+    fused = _gradients(T.encoder_block, leaves, w[:, :3] if kw else w, heads, **kw)
+    parts = _gradients(composed_block, leaves, w, heads)
+    assert fused[0].tolist() == parts[0][:, :fused[0].shape[1]].tolist()
+    if read == "out_rows":
+        assert taken == [None]  # all three rows live: nothing gathered
+    else:
+        assert taken[0].shape[1] == {"equal": 4, "ragged": 6, "none": 0}[read]
+    for i, (got, want) in enumerate(zip(fused[1:], parts[1:])):
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale, i
+        if read == "none":
+            assert not got.any(), i
+
+
 def _block_args(**replace):
     """Zero tensors for `encoder_block` with d = 4 and a hidden width of 8,
     any of them replaced by name."""
@@ -498,6 +566,13 @@ def test_attention_shape_errors_name_every_operand():
 def test_encoder_block_needs_a_head_count_that_divides_the_width(heads):
     with pytest.raises(DimensionError, match="encoder_block"):
         T.encoder_block(*_block_args(), heads)
+
+
+@pytest.mark.parametrize("rows", [0, 4, -1, 2.0, True, "2"])
+def test_encoder_block_needs_out_rows_from_1_to_the_sequence_length(rows):
+    assert T.encoder_block(*_block_args(), 2, out_rows=np.int64(1)).shape == (2, 1, 4)
+    with pytest.raises(DimensionError, match=r"out_rows must be an integer in \[1, 3\]"):
+        T.encoder_block(*_block_args(), 2, out_rows=rows)
 
 
 def _rows_with_ties_zeros_and_nans(t, rng):

@@ -11,6 +11,7 @@ from dtst import losses
 from dtst.data import GenConfig, batch_arrays, generate_dataset, pk_batch
 from dtst.errors import (ConfigError, ContractError, DimensionError, DomainError, NumericError,
                          SamplingError)
+from dtst.evaluate import embed_samples
 from dtst.model import ModelConfig, init_params, model_forward
 from dtst.optim import LR_MIN, ScheduleConfig, SgdState, cosine_lr, sgd_step
 from dtst.selector import SelectorConfig
@@ -272,6 +273,41 @@ def test_train_run_rejects_a_p_or_k_below_one_before_any_step(batch_p, batch_k):
     before = {k: v.data.copy() for k, v in params.items()}
     with pytest.raises(SamplingError, match="must be an integer >= 1"):
         train_run(cfg, params, data, 1e-2, epochs=1, batch_p=batch_p, batch_k=batch_k, seed=0)
+    for name, value in before.items():
+        assert np.array_equal(params[name].data, value), name
+
+
+def _three_id_params(params):
+    return init_params(ModelConfig(num_identities=3, num_blocks=1, embed_dim=8,
+                                   num_attn_heads=2, patch_grid=(2, 2), patch_dim=3), seed=0)
+
+
+def _without_a_bias(params):
+    del params["block0.mlp.b2"]
+    return params
+
+
+def _with_an_extra(params):
+    params["head.extra"] = Tensor(np.zeros(2), requires_grad=True)
+    return params
+
+
+@pytest.mark.parametrize("mismatch, match", [
+    (_three_id_params, r"parameter 'head.id.w' has shape \(8, 3\), the model config makes it "
+                       r"\(8, 4\)"),
+    (_without_a_bias, "params hold no 'block0.mlp.b2', which the model config makes"),
+    (_with_an_extra, "params hold 'head.extra', which the model config does not make"),
+], ids=["three_ids_under_four", "missing", "extra"])
+def test_train_and_embed_check_the_params_against_the_config_first(mismatch, match):
+    # a head for 3 identities under a 4-identity config used to train
+    # without a word
+    cfg, params, data = _tiny_setup()
+    params = mismatch(params)
+    before = {k: v.data.copy() for k, v in params.items()}
+    with pytest.raises(DimensionError, match=match):
+        train_run(cfg, params, data, 1e-2, epochs=1, batch_p=2, batch_k=2, seed=0)
+    with pytest.raises(DimensionError, match=match):
+        embed_samples(cfg, params, data)
     for name, value in before.items():
         assert np.array_equal(params[name].data, value), name
 
