@@ -10,6 +10,11 @@ on); that block and every later one encode the reduced sequence. Patch slot
 i is grid cell i up to the selection, so the kept slot indices are also the
 kept grid indices. The heads read only the meta and view slots, so the last
 block outputs those two rows alone (`tensor.encoder_block`'s `out_rows`).
+Each block keeps the parameters of a plain pre-norm block (LayerNorm scales
+and shifts, a [d, 3d] Q/K/V weight, the MLP's two weights), which are what
+a checkpoint holds; `tensor.encoder_block` folds the LayerNorms' scales and
+shifts, the score scale and the GELU's halving into the weights it
+multiplies by, inside each call.
 """
 
 from __future__ import annotations
@@ -157,16 +162,26 @@ def _param_shapes(cfg: ModelConfig) -> dict:
     return shapes
 
 
-def check_params(cfg: ModelConfig, params: dict) -> None:
-    """Raise DimensionError naming the first parameter of `init_params(cfg)`
-    that `params` lacks or holds in another shape, or the first name it holds
-    beyond those; ContractError if `params` is not a dict of Tensors."""
+def _shapes_present(cfg: ModelConfig, params: dict) -> dict:
+    """`_param_shapes(cfg)`, once `params` is known to be a dict of Tensors
+    that holds each of its names: else ContractError, or DimensionError
+    naming the first name it lacks, in `init_params`' order."""
     if not isinstance(params, dict) or not all(isinstance(p, Tensor) for p in params.values()):
         raise ContractError("params must be a dict of name -> Tensor")
     shapes = _param_shapes(cfg)
+    missing = next((name for name in shapes if name not in params), None)
+    if missing is not None:
+        raise DimensionError(f"params hold no '{missing}', which the model config makes")
+    return shapes
+
+
+def check_params(cfg: ModelConfig, params: dict) -> None:
+    """Raise DimensionError naming the first parameter of `init_params(cfg)`
+    that `params` lacks, else the first it holds in another shape, else the
+    first name it holds beyond those; ContractError if `params` is not a
+    dict of Tensors. `model_forward` makes the same first check."""
+    shapes = _shapes_present(cfg, params)
     for name, shape in shapes.items():
-        if name not in params:
-            raise DimensionError(f"params hold no '{name}', which the model config makes")
         if params[name].shape != shape:
             raise DimensionError(f"parameter '{name}' has shape {params[name].shape}, the "
                                  f"model config makes it {shape}")
@@ -259,11 +274,7 @@ def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
     in front of `cfg.selector_block`, classifier heads."""
     if frozen_selection is not None and cfg.selector is None:
         raise ContractError("frozen_selection needs a model with a selector")
-    if not isinstance(params, dict):
-        raise ContractError(f"params must be a dict of name -> Tensor, got {type(params).__name__}")
-    missing = next((name for name in _param_shapes(cfg) if name not in params), None)
-    if missing is not None:
-        raise DomainError(f"params hold no '{missing}', which the model needs")
+    _shapes_present(cfg, params)
     patches = patch_embed(x, params, cfg)
     seq = attach_special_tokens(patches, view_labels, params)
     selection = {}

@@ -28,7 +28,16 @@ residual -> LayerNorm -> MLP -> residual, as one entry, so a
 `configs/benchmark.cfg` training step records 22. It is built from private
 forward/backward kernel pairs (`_layer_norm_fwd`/`_bwd`, `_attention_*`,
 `_mlp_*`): a forward returns its output and what its backward needs, and a
-backward maps the output's gradient to one per input. The attention and MLP
+backward maps the output's gradient to one per input. No pass over a
+block's activations only multiplies by a per-feature constant: each
+constant is folded into the weights of a GEMM, once a call, and each
+folded weight's gradient mapped back through the same small ops. The block
+folds its LayerNorms' scales and shifts into the Q/K/V and first MLP
+weights and biases (`_fold_affine`), the attention kernel the score scale
+1/sqrt(d/H) into its Q columns, and the MLP kernel the GELU's halving into
+its second weight. The softmax over rows of many keys is shifted by one
+bound per sequence and head rather than by each row's max (`_attend`).
+The folds and the shift change only the rounding. The attention and MLP
 kernels run their forward in one tile loop, tracked or not (`_row_tiles`,
 about 256 KB of whole sequences or of rows per tile) over an array of more
 than four tiles (1 MB), so that each of their many elementwise passes reads
@@ -171,14 +180,6 @@ def _tile_scratch(tiles, *shape):
     return np.empty((max(tiles[0].stop, tiles[-1].stop - tiles[-1].start),) + shape)
 
 
-def _softmax_inplace(a):
-    """Softmax of `a` over its last axis, written into `a`, which must
-    already have its row maxima subtracted."""
-    np.exp(a, out=a)
-    a /= _sum_last(a)[..., None]
-    return a
-
-
 # numpy's reductions are slow over a short last axis and einsum/GEMV are not;
 # these helpers are the reductions the fused ops use on their hot paths
 
@@ -292,40 +293,43 @@ def clip_min(x: Tensor, floor: float) -> Tensor:
     return make(out, (x,), lambda g: (g * mask,))
 
 
-def _gelu_tile(x, t, half, slope=None):
-    """GELU of `x`, written into `x` as x * (0.5 t + 0.5), in the tanh form
-    0.5 * x * (1 + tanh(c * (x + a * x^3))) with t the tanh, c = sqrt(2 / pi)
-    and a = 0.044715; within 5e-4 of x * Phi(x). `t` and `half` are scratch
-    of x's shape (`half` may be `t` when no `slope` is asked). Given `slope`,
-    the derivative is written into it as well; the output's ufuncs are the
-    same either way, so it is bit for bit the same."""
+def _gelu_tile(x, t, u, slope=None):
+    """Twice the GELU of `x`, x * (1 + t), written into `x`: the tanh form
+    0.5 * x * (1 + tanh(c * (x + a * x^3))) without its halving, with t the
+    tanh, c = sqrt(2 / pi) and a = 0.044715; half of it is within 5e-4 of
+    x * Phi(x). The caller halves it, or folds the halving into the weight
+    it multiplies next; either is exact, since halving commutes with
+    rounding. `t` and `u` are scratch of x's shape (`u` may be `t` when no
+    `slope` is asked). Given `slope`, the derivative of x * (1 + t) is
+    written into it as well; the output's ufuncs are the same either way,
+    so it is bit for bit the same."""
     np.multiply(x, x, out=t)
     if slope is not None:
-        np.multiply(t, 1.5 * _GELU_CA, out=slope)  # 3ca x^2 / 2, before t reuses x * x
+        np.multiply(t, 3.0 * _GELU_CA, out=slope)  # 3ca x^2, before t reuses x * x
     t *= _GELU_CA
     t += _GELU_C
     t *= x
     np.tanh(t, out=t)
-    np.multiply(t, 0.5, out=half)
-    half += 0.5
+    np.add(t, 1.0, out=u)
     if slope is not None:
-        # d/dx = (3ca x^2 + c) (1 - t^2) x / 2 + (1 + t) / 2, the halving
-        # folded into the constants (exact: it commutes with rounding)
-        slope += 0.5 * _GELU_C
+        # d/dx = (3ca x^2 + c) (1 - t^2) x + (1 + t)
+        slope += _GELU_C
         t *= t
         np.subtract(1.0, t, out=t)
         slope *= t
         slope *= x
-        slope += half
-    np.multiply(half, x, out=x)
+        slope += u
+    np.multiply(u, x, out=x)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU in its tanh form (`_gelu_tile`) on a copy of the input, in one
-    pass over it. The derivative is taken in the forward pass, tracked or
-    not, so backward is one multiply, into the saved slope."""
+    """GELU in its tanh form (`_gelu_tile`, then halved) on a copy of the
+    input. The derivative is taken in the forward pass, tracked or not, so
+    backward is one multiply, into the saved slope."""
     out, slope = x.data.copy(), np.empty_like(x.data)
     _gelu_tile(out, np.empty_like(out), np.empty_like(out), slope)
+    out *= 0.5
+    slope *= 0.5
     return make(out, (x,), lambda g: (np.multiply(slope, g, out=slope),))
 
 
@@ -420,7 +424,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def softmax_lastdim(x: Tensor) -> Tensor:
     if x.data.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError(f"softmax needs a nonempty last dimension, got {x.shape}")
-    out = _softmax_inplace(x.data - x.data.max(axis=-1, keepdims=True))
+    out = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= _sum_last(out)[..., None]
 
     def bwd(g):
         gz = g - _dot_last(g, out)[..., None]
@@ -443,12 +449,11 @@ def log_softmax_lastdim(x: Tensor) -> Tensor:
     return make(out, (x,), bwd)
 
 
-def _layer_norm_fwd(x, gamma, beta, tracked):
-    """Normalise the last axis of `x`, then scale by `gamma` and shift by
-    `beta`; returns the output and what `_layer_norm_bwd` needs (None when
-    not `tracked`). One pass: the input is centred once and the variance
-    taken from the centred values. Untracked, the output overwrites the
-    centred copy."""
+def _layer_norm_fwd(x, tracked):
+    """Normalise the last axis of `x` without scale or shift: (x - mean) *
+    inv, inv = 1 / sqrt(var + eps). Returns the output and what
+    `_layer_norm_bwd` needs (None when not `tracked`). One pass: the input is
+    centred once and the variance taken from the centred values."""
     d = x.shape[-1]
     xhat = x - (_sum_last(x) / d)[..., None]
     var = _dot_last(xhat, xhat) / d
@@ -456,31 +461,25 @@ def _layer_norm_fwd(x, gamma, beta, tracked):
     inv = np.sqrt(var, out=var)[..., None]
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    if not tracked:
-        xhat *= gamma
-        xhat += beta
-        return xhat, None
-    out = xhat * gamma
-    out += beta
-    return out, (gamma, xhat, inv)
+    return xhat, ((xhat, inv) if tracked else None)
 
 
 def _layer_norm_bwd(g, saved):
-    """The gradients of x, gamma and beta from the output's, `g`."""
-    gamma, xhat, inv = saved
+    """The gradient of x from the normalised output's, `g`, written into
+    `g`."""
+    xhat, inv = saved
     d = xhat.shape[-1]
-    gi = g * gamma
-    m1 = _sum_last(gi) / d
-    m2 = _dot_last(gi, xhat) / d
-    gi -= m1[..., None]
-    gi -= xhat * m2[..., None]
-    gi *= inv
-    g2 = g.reshape(-1, d)
-    return gi, _sum_rows(g2 * xhat.reshape(-1, d)), _sum_rows(g2)
+    m1 = _sum_last(g) / d
+    m2 = _dot_last(g, xhat) / d
+    g -= m1[..., None]
+    g -= xhat * m2[..., None]
+    g *= inv
+    return g
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalise the last axis, then scale and shift (`_layer_norm_fwd`)."""
+    """Normalise the last axis (`_layer_norm_fwd`), then scale by `gamma`
+    and shift by `beta`."""
     d = x.shape[-1] if x.data.ndim >= 2 else 0
     if d < 1:
         raise DimensionError(f"layer_norm needs x [..., rows, d] with d >= 1, got {x.shape}")
@@ -488,10 +487,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last extent {d}")
     tracked = _tracking(x, gamma, beta)
-    out, saved = _layer_norm_fwd(x.data, gamma.data, beta.data, tracked)
+    xhat, saved = _layer_norm_fwd(x.data, tracked)
     if not tracked:
-        return Tensor(out)
-    return make(out, (x, gamma, beta), lambda g: _layer_norm_bwd(g, saved))
+        xhat *= gamma.data
+        xhat += beta.data
+        return Tensor(xhat)
+    out = xhat * gamma.data
+    out += beta.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, d)
+        return (_layer_norm_bwd(g * gamma.data, saved), _sum_rows(g2 * xhat.reshape(-1, d)),
+                _sum_rows(g2))
+
+    return make(out, (x, gamma, beta), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -519,7 +528,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _mlp_fwd(x, w1, b1, w2, b2, tracked):
     """gelu(x @ w1 + b1) @ w2 + b2 over the last axis of x; returns the
     output and what `_mlp_bwd` needs (None when not `tracked`). The GELU
-    writes its output over the hidden layer it reads. Linear and GELU run
+    kernel writes twice the GELU over the hidden layer it reads, and the
+    second linear multiplies by w2 / 2, which is exact. Linear and GELU run
     tile by tile over the rows (`_row_tiles`, at least two rows a tile).
     Tracked, each tile writes into the whole hidden layer and slope that the
     backward keeps, and the second linear is one GEMM after the loop, once
@@ -527,29 +537,30 @@ def _mlp_fwd(x, w1, b1, w2, b2, tracked):
     output. Untracked, the second linear runs in the loop too, and no whole
     hidden layer is allocated at all."""
     (n, hidden), m = w1.shape, w2.shape[1]
+    w2 = w2 * 0.5  # the GELU's halving
     x2 = x.reshape(-1, n)
     tiles = _row_tiles(len(x2), hidden, min_rows=2)
     if tracked:
         act, slope = np.empty((len(x2), hidden)), np.empty((len(x2), hidden))
-        t_tile, half_tile = _tile_scratch(tiles, hidden), _tile_scratch(tiles, hidden)
+        t_tile, u_tile = _tile_scratch(tiles, hidden), _tile_scratch(tiles, hidden)
     else:
         act, slope = _tile_scratch(tiles, hidden), None
-        t_tile = half_tile = _tile_scratch(tiles, hidden)
+        t_tile = u_tile = _tile_scratch(tiles, hidden)
         out = np.empty((len(x2), m))
     for rows in tiles:
         r = rows.stop - rows.start
         a = act[rows if tracked else slice(r)]
         np.matmul(x2[rows], w1, out=a)
         a += b1
-        _gelu_tile(a, t_tile[:r], half_tile[:r], slope[rows] if tracked else None)
+        _gelu_tile(a, t_tile[:r], u_tile[:r], slope[rows] if tracked else None)
         if not tracked:
             y = out[rows]
             np.matmul(a, w2, out=y)
             y += b2
     if not tracked:
         return out.reshape(x.shape[:-1] + (m,)), None
-    del t_tile, half_tile  # freed before the output is allocated
-    out = act @ w2  # act now holds the GELU
+    del t_tile, u_tile  # freed before the output is allocated
+    out = act @ w2  # act now holds twice the GELU
     out += b2
     return out.reshape(x.shape[:-1] + (m,)), (x2, w1, w2, act, slope)
 
@@ -558,10 +569,13 @@ def _mlp_bwd(g, saved):
     """The gradients of x, w1, b1, w2 and b2 from the output's, `g`. The
     hidden gradient is written into the saved GELU output, once its part in
     w2's gradient is taken, and multiplied by the saved slope in place, so
-    no [rows, hidden] array is allocated."""
+    no [rows, hidden] array is allocated. The saved output and slope are
+    twice the GELU's and the saved weight half of w2, so only w2's gradient
+    is halved."""
     x2, w1, w2, act, slope = saved
     g2 = g.reshape(-1, w2.shape[1])
     gw2 = act.T @ g2
+    gw2 *= 0.5
     gh = np.matmul(g2, w2.T, out=act)
     gh *= slope
     return ((gh @ w1.T).reshape(g.shape[:-1] + (len(w1),)), x2.T @ gh, _sum_rows(gh),
@@ -595,17 +609,71 @@ def _row_max(a):
     return m
 
 
-def _attend(qkv, att, ctx, scale):
-    """Scaled softmax attention over whole sequences: from the Q/K/V
-    projection `qkv` [n * t, 3d], the probabilities of each sequence's first
-    r query rows over all t keys into `att` [n, H, r, t] and their context
-    into `ctx` [n * r, d]."""
+# On rows of at least _SHIFT_MIN_KEYS keys, each head's softmax is shifted
+# by one value per sequence, max_i |q_i| * max_j |k_j| over all the
+# sequence's rows, which by Cauchy-Schwarz no score exceeds, so no `exp`
+# overflows. On a [2, 4, 66, 66] tile the row max and its row-broadcast
+# subtraction take about 85 us, more than the `exp` (40 us), and the bound
+# and its subtraction over contiguous runs about 25 us. Per `_attend` call
+# with every row queried, the bound is 7-26% faster at 40 to 66 keys; at 18
+# to 32 keys it takes 0.66-1.10x the row max's time, within the runs'
+# spread. On two query rows (`out_rows`) it is 1.4-2.5x slower at every
+# length, since it still reads every row's Q and K; the choice rests on the
+# keys alone, so that the two-row block keeps the whole one's bits.
+# (Measured on 2-core Xeon, numpy 2.4, d 16 and 32, 2 and 4 heads.)
+_SHIFT_MIN_KEYS = 32
+
+# A sequence where some row's shifted sum is below this (its largest term
+# near the subnormal range) is redone with each row's own max.
+_MIN_SHIFTED_SUM = 2.0 ** -900
+
+
+def _score_bound(qkv, n, t, h):
+    """[n, h]: for each sequence and head, the largest query norm times the
+    largest key norm over the sequence's t rows of `qkv` [n * t, 3d]. Each
+    row's norms are its own dot products, so a sequence's bound does not
+    depend on the others beside it."""
+    qk = qkv[:, :qkv.shape[1] // 3 * 2].reshape(n * t, 2 * h, -1)
+    top = _dot_last(qk, qk).reshape(n, t, 2, h).max(axis=1)
+    top = top[:, 0] * top[:, 1]
+    return np.sqrt(top, out=top)
+
+
+def _exact_exp(q, k, att):
+    """The scores of queries `q` [n, H, r, dh] against keys `k` [n, H, t, dh]
+    into `att` [n, H, r, t], shifted by each row's max and exponentiated."""
+    np.matmul(q, k.swapaxes(-1, -2), out=att)
+    att -= _row_max(att)[..., None]
+    np.exp(att, out=att)
+
+
+def _attend(qkv, att, ctx):
+    """Softmax attention over whole sequences: from the Q/K/V projection
+    `qkv` [n * t, 3d], whose queries are already scaled, the probabilities
+    of each sequence's first r query rows over all t keys into `att`
+    [n, H, r, t] and their context into `ctx` [n * r, d]. The softmax is
+    shifted by each row's max on rows of fewer than _SHIFT_MIN_KEYS keys,
+    else by one bound per sequence and head (`_score_bound`), and a sequence
+    where that leaves some row's sum below _MIN_SHIFTED_SUM is redone with
+    each row's max. A sequence's shift depends on no other sequence, and the
+    bound on all its rows, not on the queried ones, so neither the tiling
+    nor r changes it."""
     n, h, r, t = att.shape
     q, k, v = qkv.reshape(n, t, 3, h, -1).transpose(2, 0, 3, 1, 4)
-    np.matmul(q[:, :, :r], k.swapaxes(-1, -2), out=att)
-    att *= scale
-    att -= _row_max(att)[..., None]
-    _softmax_inplace(att)
+    if t < _SHIFT_MIN_KEYS:
+        _exact_exp(q[:, :, :r], k, att)
+        sums = _sum_last(att)
+    else:
+        np.matmul(q[:, :, :r], k.swapaxes(-1, -2), out=att)
+        att -= _score_bound(qkv, n, t, h)[..., None, None]  # one run of r t a head
+        np.exp(att, out=att)
+        sums = _sum_last(att)
+        if not sums.min() >= _MIN_SHIFTED_SUM:  # a NaN too
+            for i in np.flatnonzero(~(sums >= _MIN_SHIFTED_SUM).all(axis=(1, 2))):
+                one = slice(i, i + 1)
+                _exact_exp(q[one, :, :r], k[one], att[one])
+                sums[one] = _sum_last(att[one])
+    att /= sums[..., None]
     np.matmul(att, v, out=ctx.reshape(n, r, h, -1).transpose(0, 2, 1, 3))
 
 
@@ -615,22 +683,24 @@ def _attention_fwd(x, w_qkv, b_qkv, w_o, b_o, num_heads, tracked, out_rows=None)
 
     `w_qkv` [d, 3d] holds the Q, K and V projections side by side and
     `b_qkv` [3d] their biases; `w_o` [d, d] and `b_o` [d] are the output
-    projection. Q/K/V come from one GEMM and the scores are scaled by
-    1/sqrt(d/H) before the softmax. Given `out_rows` r, only each sequence's
-    first r rows are queried: the output is [B, r, d] and the scores
-    [B, H, r, T], while the keys and values still cover all T rows. The
-    forward runs over tiles of whole sequences (`_row_tiles`, by their H r T
-    scores): Q/K/V, scores, softmax, context and output projection, tile by
-    tile. Tracked, each tile writes into whole Q/K/V, probability and
-    context arrays, which the backward keeps; untracked, into scratch reused
-    from tile to tile, so only the output is allocated whole. A tile's
-    GEMMs get T or r rows a sequence, and the model's sequences hold at
-    least three tokens (the kept ones and two extra) and its r is 2, so none
-    goes through GEMV."""
+    projection. Q/K/V come from one GEMM, whose Q columns of weight and bias
+    are first scaled by 1/sqrt(d/H), so the scores come out scaled. Given
+    `out_rows` r, only each sequence's first r rows are queried: the output
+    is [B, r, d] and the scores [B, H, r, T], while the keys and values
+    still cover all T rows. The forward runs over tiles of whole sequences
+    (`_row_tiles`, by their H r T scores): Q/K/V, scores, softmax, context
+    and output projection, tile by tile. Tracked, each tile writes into
+    whole Q/K/V, probability and context arrays, which the backward keeps;
+    untracked, into scratch reused from tile to tile, so only the output is
+    allocated whole. A tile's GEMMs get T or r rows a sequence, and the
+    model's sequences hold at least three tokens (the kept ones and two
+    extra) and its r is 2, so none goes through GEMV."""
     b, t, d = x.shape
     h = num_heads
     r = t if out_rows is None else out_rows
-    scale = 1.0 / np.sqrt(d // h)
+    q_scale = np.ones(3 * d)
+    q_scale[:d] = 1.0 / np.sqrt(d // h)
+    w_qkv, b_qkv = w_qkv * q_scale, b_qkv * q_scale
     x2 = x.reshape(b * t, d)
     tiles = _row_tiles(b, h * r * t)
     if tracked:
@@ -645,7 +715,7 @@ def _attention_fwd(x, w_qkv, b_qkv, w_o, b_o, num_heads, tracked, out_rows=None)
         qkv_n, ctx_n = qkv[here].reshape(n * t, 3 * d), ctx[here].reshape(n * r, d)
         np.matmul(x2[seqs.start * t:seqs.stop * t], w_qkv, out=qkv_n)
         qkv_n += b_qkv
-        _attend(qkv_n, att[here], ctx_n, scale)
+        _attend(qkv_n, att[here], ctx_n)
         y = out[seqs.start * r:seqs.stop * r]
         np.matmul(ctx_n, w_o, out=y)
         y += b_o
@@ -653,7 +723,7 @@ def _attention_fwd(x, w_qkv, b_qkv, w_o, b_o, num_heads, tracked, out_rows=None)
     if not tracked:
         return out, None
     return out, (x2, w_qkv, w_o, qkv.reshape(b * t, 3 * d), att, ctx.reshape(b * r, d),
-                 tiles, scale)
+                 tiles, q_scale)
 
 
 def _take_rows(a, rows):
@@ -674,7 +744,7 @@ def _attention_bwd(g, saved, rows=None):
     inside the saved Q/K/V buffer; between the two projections the backward
     runs over the forward's tiles, with one [tile, H, L, T] scratch for the
     scores' gradient."""
-    x2, w_qkv, w_o, qkv, att, ctx, tiles, scale = saved
+    x2, w_qkv, w_o, qkv, att, ctx, tiles, q_scale = saved
     b, h, r, t = att.shape
     d = ctx.shape[1]
     by_head = qkv.reshape(b, t, 3, h, d // h)
@@ -696,8 +766,7 @@ def _attention_bwd(g, saved, rows=None):
         np.matmul(gc, v[s].swapaxes(-1, -2), out=gatt)
         np.matmul(a.swapaxes(-1, -2), gc, out=v[s])  # v's slots now hold gv
         gatt -= _dot_last(gatt, a)[..., None]
-        gatt *= a  # now the gradient of the pre-softmax logits
-        gatt *= scale
+        gatt *= a  # now the gradient of the scores
         gq = gatt @ k[s]
         np.matmul(gatt.swapaxes(-1, -2), q_rows[s], out=k[s])
         if rows is None:
@@ -706,8 +775,11 @@ def _attention_bwd(g, saved, rows=None):
         else:
             q[s] = 0.0
             by_head[seqs[s], rows[s], 0] = gq.transpose(0, 2, 1, 3)
-    # qkv now holds the gradient of the Q/K/V projection
-    return ((qkv @ w_qkv.T).reshape(b, t, d), x2.T @ qkv, _sum_rows(qkv),
+    # qkv now holds the gradient of the Q/K/V projection, whose Q columns
+    # are scaled: so are those of its weight's and bias's gradients
+    gw = x2.T @ qkv
+    gw *= q_scale
+    return ((qkv @ w_qkv.T).reshape(b, t, d), gw, _sum_rows(qkv) * q_scale,
             ctx.T @ g2, _sum_rows(g2))
 
 
@@ -722,6 +794,21 @@ def _live_rows(g):
     return np.argsort(~live, axis=1, kind="stable")[:, :n]
 
 
+def _fold_affine(gamma, beta, w, b):
+    """The weight and bias that map a normalised input `xhat` as
+    (xhat * gamma + beta) @ w + b does: diag(gamma) w and beta w + b."""
+    return gamma[:, None] * w, beta @ w + b
+
+
+def _unfold_affine(gw, gb, gamma, beta, w):
+    """The gradients of gamma, beta, w and b from those of the folded weight
+    and bias (`_fold_affine`), `gw` and `gb`; w's is written into `gw`."""
+    g_gamma = _dot_last(gw, w)
+    gw *= gamma[:, None]
+    gw += beta[:, None] * gb
+    return g_gamma, w @ gb, gw, gb
+
+
 def encoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, w_qkv: Tensor, b_qkv: Tensor,
                   w_o: Tensor, b_o: Tensor, ln2_g: Tensor, ln2_b: Tensor, w1: Tensor,
                   b1: Tensor, w2: Tensor, b2: Tensor, num_heads: int,
@@ -732,11 +819,15 @@ def encoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, w_qkv: Tensor, b_qkv:
     x [B, T, d]; `ln*_g`, `ln*_b` [d] are the LayerNorms' scales and shifts;
     `w_qkv` [d, 3d], `b_qkv` [3d], `w_o` [d, d] and `b_o` [d] are the
     attention's (`_attention_fwd`) with `num_heads` heads; `w1` [d, h],
-    `b1` [h], `w2` [h, d] and `b2` [d] are the MLP's (`_mlp_fwd`). Each
-    residual is added in place into the output buffer of the part it
+    `b1` [h], `w2` [h, d] and `b2` [d] are the MLP's (`_mlp_fwd`). The
+    LayerNorms run without scale and shift, which are folded into the weight
+    and bias of the GEMM after each (`_fold_affine`, once a call); the
+    backward maps the folded weights' gradients back (`_unfold_affine`).
+    Each residual is added in place into the output buffer of the part it
     closes, and the backward sums the input's two gradients in place. Every
-    element sees the same ufuncs and GEMMs in the same order as the parts
-    run one by one, so the output and gradients are bit for bit theirs.
+    element sees the same ufuncs and GEMMs in the same order as the folded
+    parts run one by one, so the output and gradients are bit for bit
+    theirs; the folds round differently from the unfolded block.
 
     Given `out_rows` r (an integer in [1, T]), the output is the first r
     rows only, [B, r, d]: LN1 and Q/K/V still run on every row, the rest on
@@ -771,13 +862,14 @@ def encoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, w_qkv: Tensor, b_qkv:
     if rows > t:
         raise DimensionError(message)
     tracked = _tracking(*inputs)
-    n1, ln1 = _layer_norm_fwd(x.data, ln1_g.data, ln1_b.data, tracked)
-    x1, att = _attention_fwd(n1, w_qkv.data, b_qkv.data, w_o.data, b_o.data, heads, tracked,
-                             rows)
-    del n1  # the attention keeps it when tracked
+    n1, ln1 = _layer_norm_fwd(x.data, tracked)
+    x1, att = _attention_fwd(n1, *_fold_affine(ln1_g.data, ln1_b.data, w_qkv.data, b_qkv.data),
+                             w_o.data, b_o.data, heads, tracked, rows)
+    del n1  # the attention and LN1 keep it when tracked
     x1 += x.data[:, :rows]
-    n2, ln2 = _layer_norm_fwd(x1, ln2_g.data, ln2_b.data, tracked)
-    out, mlp = _mlp_fwd(n2, w1.data, b1.data, w2.data, b2.data, tracked)
+    n2, ln2 = _layer_norm_fwd(x1, tracked)
+    out, mlp = _mlp_fwd(n2, *_fold_affine(ln2_g.data, ln2_b.data, w1.data, b1.data),
+                        w2.data, b2.data, tracked)
     out += x1
     if not tracked:
         return Tensor(out)
@@ -787,21 +879,21 @@ def encoder_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, w_qkv: Tensor, b_qkv:
         if live is None:
             g_live, mlp_live, ln2_live = g, mlp, ln2
         else:
-            (x2, _, _, act, slope), (gamma, xhat, inv) = mlp, ln2
-            g_live = _take_rows(g, live)
-            mlp_live = (_take_rows(x2, live), w1.data, w2.data, _take_rows(act, live),
-                        _take_rows(slope, live))
-            ln2_live = (gamma, _take_rows(xhat, live), _take_rows(inv, live))
-        gn2, *g_mlp = _mlp_bwd(g_live, mlp_live)
-        gx1, *g_ln2 = _layer_norm_bwd(gn2, ln2_live)
+            (xhat, w1_f, w2_h, act, slope), inv = mlp, ln2[1]
+            g_live, xhat = _take_rows(g, live), _take_rows(xhat, live)
+            mlp_live = (xhat, w1_f, w2_h, _take_rows(act, live), _take_rows(slope, live))
+            ln2_live = (xhat.reshape(len(live), -1, d), _take_rows(inv, live))
+        gn2, gw1, gb1, *g_w2 = _mlp_bwd(g_live, mlp_live)
+        gx1 = _layer_norm_bwd(gn2, ln2_live)
         gx1 += g_live
-        gn1, *g_att = _attention_bwd(gx1, att, live)
-        gx, *g_ln1 = _layer_norm_bwd(gn1, ln1)
+        gn1, gw_qkv, gb_qkv, *g_o = _attention_bwd(gx1, att, live)
+        gx = _layer_norm_bwd(gn1, ln1)
         if live is None:
             gx[:, :rows] += gx1
         else:
             gx[np.arange(len(gx))[:, None], live] += gx1
-        return (gx, *g_ln1, *g_att, *g_ln2, *g_mlp)
+        return (gx, *_unfold_affine(gw_qkv, gb_qkv, ln1_g.data, ln1_b.data, w_qkv.data), *g_o,
+                *_unfold_affine(gw1, gb1, ln2_g.data, ln2_b.data, w1.data), *g_w2)
 
     return make(out, inputs, bwd)
 

@@ -51,9 +51,20 @@ def kernel_op(fwd, bwd):
 
 
 # attention(x, w_qkv, b_qkv, w_o, b_o, num_heads) and mlp(x, w1, b1, w2, b2),
-# the two halves of `tensor.encoder_block`, each as one tape entry
+# the two halves of `tensor.encoder_block`, and normalize(x), its LayerNorm
+# without scale and shift, each as one tape entry
 attention = kernel_op(T._attention_fwd, T._attention_bwd)
 mlp = kernel_op(T._mlp_fwd, T._mlp_bwd)
+normalize = kernel_op(T._layer_norm_fwd, lambda g, saved: (T._layer_norm_bwd(g.copy(), saved),))
+
+
+def fold_affine(gamma, beta, w, b):
+    """`tensor._fold_affine` of four Tensors as two tape entries, the folded
+    weight diag(gamma) w and the folded bias beta w + b."""
+    w_f, b_f = T._fold_affine(gamma.data, beta.data, w.data, b.data)
+    return (T.make(w_f, (gamma, w), lambda g: (np.einsum("ij,ij->i", g, w.data),
+                                               gamma.data[:, None] * g)),
+            T.make(b_f, (beta, w, b), lambda g: (w.data @ g, beta.data[:, None] * g, g)))
 
 
 def block_inputs(rng, b, t, d, hidden):

@@ -13,7 +13,7 @@ from dtst.data import batch_arrays, generate_dataset, pk_batch
 from dtst.errors import ConfigError, ContractError, DimensionError, DomainError, NumericError
 from dtst.losses import cross_entropy_loss, orthogonal_loss, total_loss
 from dtst.model import (VIEW_AERIAL, VIEW_GROUND, ModelConfig, attach_special_tokens,
-                        encoder_block, init_params, load_checkpoint, model_forward,
+                        check_params, encoder_block, init_params, load_checkpoint, model_forward,
                         patch_embed, restore_params, save_checkpoint, vdt_decouple)
 from dtst.selector import SelectorConfig, hard_topk
 from dtst.tensor import Tape, Tensor
@@ -90,12 +90,17 @@ def test_model_forward_rejects_a_selection_without_a_selector(frozen):
 def test_model_forward_names_the_first_parameter_it_lacks():
     cfg = small_cfg(patch_grid=(2, 2))
     x, views = RNG.normal(size=(2, 2, 2, 4)), np.array([0, 1])
-    with pytest.raises(DomainError, match="params hold no 'patch_embed.w'"):
-        model_forward(cfg, {}, x, views)
-    params = init_params(cfg, seed=0)
-    del params["block1.mlp.w2"], params["head.view.b"]
-    with pytest.raises(DomainError, match="params hold no 'block1.mlp.w2'"):
-        model_forward(cfg, params, x, views)
+    # the same error, in the same words, as `check_params`
+    for call in (model_forward, check_params):
+        args = (x, views) if call is model_forward else ()
+        with pytest.raises(DimensionError, match="^params hold no 'patch_embed.w', which the "
+                                                 "model config makes$"):
+            call(cfg, {}, *args)
+        params = init_params(cfg, seed=0)
+        del params["block1.mlp.w2"], params["head.view.b"]
+        with pytest.raises(DimensionError, match="^params hold no 'block1.mlp.w2', which the "
+                                                 "model config makes$"):
+            call(cfg, params, *args)
     with pytest.raises(ContractError, match="params must be a dict"):
         model_forward(cfg, list(params.values()), x, views)
 

@@ -1,5 +1,8 @@
 """Op-level gradient checks and tape/backward contract tests."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from dtst import tensor as T
 from dtst.errors import ContractError, DimensionError
 from dtst.tensor import Tape, Tensor, backward
 
-from conftest import attention, block_inputs, mlp
+from conftest import attention, block_inputs, fold_affine, mlp, normalize
 
 RNG = np.random.default_rng(1234)
 
@@ -138,7 +141,7 @@ def test_gelu_tile_output_is_the_same_with_and_without_the_slope():
     with_slope, without = x.copy(), x.copy()
     T._gelu_tile(with_slope, np.empty_like(x), np.empty_like(x), np.empty_like(x))
     t = np.empty_like(x)
-    T._gelu_tile(without, t, t)  # `half` may be `t` without a slope
+    T._gelu_tile(without, t, t)  # `u` may be `t` without a slope
     assert with_slope.view(np.int64).tolist() == without.view(np.int64).tolist()
 
 
@@ -428,16 +431,20 @@ def test_mlp_is_linear_gelu_linear():
 
 def composed_block(x, ln1_g, ln1_b, w_qkv, b_qkv, w_o, b_o, ln2_g, ln2_b, w1, b1, w2, b2,
                    num_heads):
-    """`tensor.encoder_block` as its parts, one tape entry each."""
-    x = T.add(x, attention(T.layer_norm(x, ln1_g, ln1_b), w_qkv, b_qkv, w_o, b_o, num_heads))
-    return T.add(x, mlp(T.layer_norm(x, ln2_g, ln2_b), w1, b1, w2, b2))
+    """`tensor.encoder_block` as its folded parts, one tape entry each: each
+    LayerNorm without scale and shift, its scale and shift folded into the
+    weight and bias of the GEMM after it."""
+    x = T.add(x, attention(normalize(x), *fold_affine(ln1_g, ln1_b, w_qkv, b_qkv), w_o, b_o,
+                           num_heads))
+    return T.add(x, mlp(normalize(x), *fold_affine(ln2_g, ln2_b, w1, b1), w2, b2))
 
 
 @pytest.mark.parametrize("b, t, heads", [(3, 5, 2), (17, 18, 2)])
 def test_encoder_block_is_its_parts_bit_for_bit(b, t, heads):
-    # one tape entry with its residuals added in place, against layer_norm,
-    # attention, add, layer_norm, mlp and add as six; the first shape's
-    # scores take numpy's row max, the second's the column loop
+    # one tape entry with its residuals added in place, against normalize,
+    # the two folds, attention, add, normalize, the two folds, mlp and add
+    # as ten; the first shape's scores take numpy's row max, the second's
+    # the column loop
     assert (b * heads > T._ROWS_PER_COLUMN) == (t == 18)
     leaves = [Tensor(a, requires_grad=True) for a in block_inputs(RNG, b, t, 4, 16)]
     w = Tensor(RNG.normal(size=(b, t, 4)))
@@ -453,7 +460,7 @@ def test_encoder_block_is_its_parts_bit_for_bit(b, t, heads):
         untracked = op(*(Tensor(leaf.data) for leaf in leaves), heads)
         assert not untracked.requires_grad and np.array_equal(untracked.data, y.data)
         grads.append([y.data] + [leaf.grad for leaf in leaves])
-    assert entries == [3, 8]
+    assert entries == [3, 12]
     for i, (fused, parts) in enumerate(zip(*grads)):
         assert fused.view(np.int64).tolist() == parts.view(np.int64).tolist(), i
 
@@ -494,8 +501,9 @@ def _gradients(op, leaves, w, heads, **kw):
 @pytest.mark.parametrize("read", ["equal", "ragged", "out_rows", "none"])
 def test_encoder_block_backward_skips_the_rows_of_zero_gradient(read, monkeypatch):
     # a loss that reads some rows of each sequence, as a token selection
-    # after the block does, against the six-entry composition, which runs
-    # every row; "out_rows" reads only the rows a 3-row block outputs
+    # after the block does, against the composition of the folded parts,
+    # which runs every row; "out_rows" reads only the rows a 3-row block
+    # outputs
     b, t, d, heads = 4, 7, 8, 2
     leaves = [Tensor(a, requires_grad=True) for a in block_inputs(RNG, b, t, d, 32)]
     w = RNG.normal(size=(b, t, d))
@@ -524,6 +532,187 @@ def test_encoder_block_backward_skips_the_rows_of_zero_gradient(read, monkeypatc
         assert np.abs(got - want).max() <= 1e-12 * scale, i
         if read == "none":
             assert not got.any(), i
+
+
+def _unfolded_block(arrays, heads, rows, w):
+    """A plain numpy encoder block as the model defines it, with nothing
+    folded: LayerNorm with its scale and shift, scores scaled by
+    1/sqrt(d/H), a softmax shifted by each row's max and 0.5 x (1 + t) for
+    the GELU. Returns the output's first `rows` rows and the gradients of
+    sum(out * w) with respect to the 13 arrays, from a hand backward."""
+    x, g1, be1, wqkv, bqkv, wo, bo, g2, be2, w1, b1, w2, b2 = arrays
+    b, t, d = x.shape
+    dh = d // heads
+
+    def ln(z, gamma, beta):
+        c = z - z.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((c * c).mean(axis=-1, keepdims=True) + T.LAYER_NORM_EPS)
+        return c * inv * gamma + beta, c * inv, inv
+
+    def ln_back(gy, gamma, xhat, inv):
+        gxh = gy * gamma
+        gx = inv * (gxh - gxh.mean(axis=-1, keepdims=True)
+                    - xhat * (gxh * xhat).mean(axis=-1, keepdims=True))
+        return gx, (gy * xhat).sum(axis=(0, 1)), gy.sum(axis=(0, 1))
+
+    def split(a):  # [b, n, d] -> [b, H, n, dh]
+        return a.reshape(b, -1, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(b, -1, d)
+
+    n1, xh1, inv1 = ln(x, g1, be1)
+    qkv = n1 @ wqkv + bqkv
+    q, k, v = (split(qkv[..., i * d:(i + 1) * d]) for i in range(3))
+    s = q[:, :, :rows] @ k.swapaxes(-1, -2) / np.sqrt(dh)
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = merge(p @ v)
+    x1 = x[:, :rows] + ctx @ wo + bo
+    n2, xh2, inv2 = ln(x1, g2, be2)
+    h = n2 @ w1 + b1
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    th = np.tanh(c * (h + a * h ** 3))
+    act = 0.5 * h * (1.0 + th)
+    y = x1 + act @ w2 + b2
+
+    def wsum(left, right):  # sum over sequences and rows of left^T right
+        return np.einsum("bni,bnj->ij", left, right)
+
+    gx1 = w.copy()
+    gw2, gb2 = wsum(act, w), w.sum(axis=(0, 1))
+    gh = (w @ w2.T) * (0.5 * (1.0 + th) + 0.5 * h * (1.0 - th ** 2) * c * (1.0 + 3.0 * a * h ** 2))
+    gw1, gb1 = wsum(n2, gh), gh.sum(axis=(0, 1))
+    gn2, gg2, gbe2 = ln_back(gh @ w1.T, g2, xh2, inv2)
+    gx1 += gn2
+    gwo, gbo = wsum(ctx, gx1), gx1.sum(axis=(0, 1))
+    gctx = split(gx1 @ wo.T)
+    gp = gctx @ v.swapaxes(-1, -2)
+    gv = p.swapaxes(-1, -2) @ gctx
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) / np.sqrt(dh)
+    gq = np.zeros_like(q)
+    gq[:, :, :rows] = gs @ k
+    gk = gs.swapaxes(-1, -2) @ q[:, :, :rows]
+    gqkv = np.concatenate([merge(gq), merge(gk), merge(gv)], axis=-1)
+    gwqkv, gbqkv = wsum(n1, gqkv), gqkv.sum(axis=(0, 1))
+    gx, gg1, gbe1 = ln_back(gqkv @ wqkv.T, g1, xh1, inv1)
+    gx[:, :rows] += gx1
+    return [y, gx, gg1, gbe1, gwqkv, gbqkv, gwo, gbo, gg2, gbe2, gw1, gb1, gw2, gb2]
+
+
+@pytest.mark.parametrize("t", [5, 40], ids=["row_max", "bound"])
+@pytest.mark.parametrize("read", ["full", "out_rows", "ragged"])
+def test_encoder_block_is_the_unfolded_block_to_rounding(read, t):
+    # the folded LayerNorm scales and shifts, score scale and GELU halving,
+    # and on 40-key rows the bound-shifted softmax, change only rounding:
+    # the output and all 13 gradients within 1e-12 of an independent numpy
+    # block, on full rows, two output rows and ragged live rows
+    b, d, heads = 3, 16, 2
+    rng = np.random.default_rng(t)
+    arrays = block_inputs(rng, b, t, d, 4 * d)
+    arrays[2], arrays[7] = 0.3 * arrays[2], 0.3 * arrays[7]  # the shifts, about 0.3
+    rows = 2 if read == "out_rows" else t
+    w = rng.normal(size=(b, rows, d))
+    if read == "ragged":  # 1, 3 and t - 1 live rows
+        w[0, 1:] = 0.0
+        w[1, [0, 2, 4] + list(range(6, t))] = 0.0
+        w[2, 3] = 0.0
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    fused = _gradients(T.encoder_block, leaves, w, heads,
+                       **({"out_rows": 2} if read == "out_rows" else {}))
+    want = _unfolded_block(arrays, heads, rows, w)
+    assert len(fused) == len(want) == 14
+    for i, (got, ref) in enumerate(zip(fused, want)):
+        assert got.shape == ref.shape, i
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), i
+
+
+def _attend(qkv, n, heads, rows=None):
+    """`tensor._attend` of `qkv` [n * t, 3d]: the probabilities and context."""
+    t, d = len(qkv) // n, qkv.shape[1] // 3
+    rows = t if rows is None else rows
+    att, ctx = np.empty((n, heads, rows, t)), np.empty((n * rows, d))
+    T._attend(qkv, att, ctx)
+    return att, ctx.reshape(n, rows, d)
+
+
+def _count_calls(monkeypatch, name):
+    """A list that grows by one entry, the first argument, per call of
+    `tensor.<name>` from now on."""
+    calls, f = [], getattr(T, name)
+    monkeypatch.setattr(T, name, lambda a, *rest: calls.append(a) or f(a, *rest))
+    return calls
+
+
+def test_the_bound_shifted_softmax_is_the_row_max_one_to_rounding(monkeypatch):
+    # a [2, 4, 66, 66] tile of scores ranging over tens, as `wide_grid`'s
+    # blocks score
+    n, t, d, heads = 2, 66, 32, 4
+    assert t >= T._SHIFT_MIN_KEYS
+    qkv = 2.0 * np.random.default_rng(66).normal(size=(n * t, 3 * d))
+    maxima = _count_calls(monkeypatch, "_row_max")
+    shifted = _attend(qkv, n, heads)
+    assert maxima == []
+    monkeypatch.setattr(T, "_SHIFT_MIN_KEYS", t + 1)
+    per_row = _attend(qkv, n, heads)
+    assert len(maxima) == 1
+    for got, want in zip(shifted, per_row):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert not np.array_equal(got, want)  # the rounding does move
+
+
+def test_a_sequence_whose_shifted_rows_underflow_takes_the_row_max_path(monkeypatch):
+    # head 2 of sequence 1 holds a query and a key of norm 30 along one axis,
+    # so its bound is 900, while its other queries score no more than 0.3:
+    # shifted by the bound, their largest terms are about exp(-900), 0
+    n, t, d, heads = 3, 66, 32, 4
+    dh = d // heads
+    rng = np.random.default_rng(900)
+    qkv = rng.normal(size=(n * t, 3 * d))
+    seq, head = 1, 2
+    rows = slice(seq * t, (seq + 1) * t)
+    q_cols, k_cols = slice(head * dh, (head + 1) * dh), slice(d + head * dh, d + (head + 1) * dh)
+    qkv[rows, q_cols] = 0.0
+    qkv[rows, q_cols.start] = 0.01
+    qkv[seq * t, q_cols.start] = 30.0
+    qkv[rows, k_cols] = np.clip(qkv[rows, k_cols], -1.0, 1.0) / 3.0
+    qkv[seq * t, k_cols] = 0.0
+    qkv[seq * t, k_cols.start] = 30.0
+    bound = T._score_bound(qkv, n, t, heads)
+    scores = qkv[rows, q_cols] @ qkv[rows, k_cols].T
+    assert np.isclose(bound[seq, head], 900.0) and scores[1:].max() <= 0.35
+    assert np.exp(scores[1:].max() - bound[seq, head]) < T._MIN_SHIFTED_SUM
+    maxima = _count_calls(monkeypatch, "_row_max")
+    att, ctx = _attend(qkv, n, heads)
+    assert [a.shape for a in maxima] == [(1, heads, t, t)]  # one sequence redone
+    assert np.isfinite(att).all() and np.isfinite(ctx).all()
+    assert np.abs(att.sum(axis=-1) - 1.0).max() <= 1e-12
+    monkeypatch.setattr(T, "_SHIFT_MIN_KEYS", t + 1)
+    per_row = _attend(qkv, n, heads)
+    for got, want in zip((att, ctx), per_row):
+        assert got[seq].view(np.int64).tolist() == want[seq].view(np.int64).tolist()
+    monkeypatch.setattr(T, "_SHIFT_MIN_KEYS", t)
+    # the other sequences keep the bound path, as they would alone
+    for other in (0, 2):
+        alone = _attend(qkv[other * t:(other + 1) * t], 1, heads)
+        for got, want in zip((att, ctx), alone):
+            assert got[other].view(np.int64).tolist() == want[0].view(np.int64).tolist()
+
+
+def test_a_seed_0_wide_grid_training_never_takes_the_fallback(monkeypatch, tmp_path):
+    # every block in front of the selector scores 66 keys, so takes the
+    # bound; a fallback would call the row max on 66-key rows
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    from dtst import cli
+
+    config = tmp_path / "wide_grid.cfg"
+    config.write_text(workloads.WIDE_GRID)
+    bounds = _count_calls(monkeypatch, "_score_bound")
+    maxima = _count_calls(monkeypatch, "_row_max")
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(bounds) >= 3 * 32  # 32 steps, three 66-token blocks at least
+    assert all(a.shape[-1] == 10 for a in maxima) and maxima  # the selected 2 + 8 tokens
 
 
 def _block_args(**replace):
