@@ -614,17 +614,18 @@ def _row_max(a):
 # sequence's rows, which by Cauchy-Schwarz no score exceeds, so no `exp`
 # overflows. On a [2, 4, 66, 66] tile the row max and its row-broadcast
 # subtraction take about 85 us, more than the `exp` (40 us), and the bound
-# and its subtraction over contiguous runs about 25 us. Per `_attend` call
-# with every row queried, the bound is 7-26% faster at 40 to 66 keys; at 18
-# to 32 keys it takes 0.66-1.10x the row max's time, within the runs'
-# spread. On two query rows (`out_rows`) it is 1.4-2.5x slower at every
-# length, since it still reads every row's Q and K; the choice rests on the
-# keys alone, so that the two-row block keeps the whole one's bits.
-# (Measured on 2-core Xeon, numpy 2.4, d 16 and 32, 2 and 4 heads.)
+# and its subtraction over contiguous runs about 25 us. On shorter rows the
+# row max wins end to end: with the bound on every row length, the 18-key
+# blocks of perfbench's `bench_cfg` train 1.6% slower (the bound won 3 of
+# 10 alternating pairs) and `large_gallery`'s 1.7% slower, embedding 3.1%
+# (1 and 2 of 10). On two query rows (`out_rows`) the bound costs 1.4-2.5x
+# the row max per call at every length, since it still reads every row's Q
+# and K; the choice rests on the keys alone, so that the two-row block
+# keeps the whole one's bits. (Measured on 2-core Xeon, numpy 2.4.)
 _SHIFT_MIN_KEYS = 32
 
-# A sequence where some row's shifted sum is below this (its largest term
-# near the subnormal range) is redone with each row's own max.
+# The sequences where some row's shifted sum is below this (its largest
+# term near the subnormal range) are redone with each row's own max.
 _MIN_SHIFTED_SUM = 2.0 ** -900
 
 
@@ -653,9 +654,10 @@ def _attend(qkv, att, ctx):
     of each sequence's first r query rows over all t keys into `att`
     [n, H, r, t] and their context into `ctx` [n * r, d]. The softmax is
     shifted by each row's max on rows of fewer than _SHIFT_MIN_KEYS keys,
-    else by one bound per sequence and head (`_score_bound`), and a sequence
-    where that leaves some row's sum below _MIN_SHIFTED_SUM is redone with
-    each row's max. A sequence's shift depends on no other sequence, and the
+    else by one bound per sequence and head (`_score_bound`), and the
+    sequences where that leaves some row's sum below _MIN_SHIFTED_SUM are
+    redone together with each row's max. A sequence's shift depends on no
+    other sequence, and the
     bound on all its rows, not on the queried ones, so neither the tiling
     nor r changes it."""
     n, h, r, t = att.shape
@@ -669,10 +671,11 @@ def _attend(qkv, att, ctx):
         np.exp(att, out=att)
         sums = _sum_last(att)
         if not sums.min() >= _MIN_SHIFTED_SUM:  # a NaN too
-            for i in np.flatnonzero(~(sums >= _MIN_SHIFTED_SUM).all(axis=(1, 2))):
-                one = slice(i, i + 1)
-                _exact_exp(q[one, :, :r], k[one], att[one])
-                sums[one] = _sum_last(att[one])
+            redo = np.flatnonzero(~(sums >= _MIN_SHIFTED_SUM).all(axis=(1, 2)))
+            exact = np.empty((len(redo), h, r, t))
+            _exact_exp(q[redo, :, :r], k[redo], exact)
+            att[redo] = exact
+            sums[redo] = _sum_last(exact)
     att /= sums[..., None]
     np.matmul(att, v, out=ctx.reshape(n, r, h, -1).transpose(0, 2, 1, 3))
 

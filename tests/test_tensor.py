@@ -662,35 +662,38 @@ def test_the_bound_shifted_softmax_is_the_row_max_one_to_rounding(monkeypatch):
 
 
 def test_a_sequence_whose_shifted_rows_underflow_takes_the_row_max_path(monkeypatch):
-    # head 2 of sequence 1 holds a query and a key of norm 30 along one axis,
-    # so its bound is 900, while its other queries score no more than 0.3:
-    # shifted by the bound, their largest terms are about exp(-900), 0
-    n, t, d, heads = 3, 66, 32, 4
+    # head 2 of sequences 1 and 3 holds a query and a key of norm 30 along
+    # one axis, so its bound is 900, while its other queries score no more
+    # than 0.3: shifted by the bound, their largest terms are about
+    # exp(-900), 0
+    n, t, d, heads = 4, 66, 32, 4
     dh = d // heads
     rng = np.random.default_rng(900)
     qkv = rng.normal(size=(n * t, 3 * d))
-    seq, head = 1, 2
-    rows = slice(seq * t, (seq + 1) * t)
+    head = 2
     q_cols, k_cols = slice(head * dh, (head + 1) * dh), slice(d + head * dh, d + (head + 1) * dh)
-    qkv[rows, q_cols] = 0.0
-    qkv[rows, q_cols.start] = 0.01
-    qkv[seq * t, q_cols.start] = 30.0
-    qkv[rows, k_cols] = np.clip(qkv[rows, k_cols], -1.0, 1.0) / 3.0
-    qkv[seq * t, k_cols] = 0.0
-    qkv[seq * t, k_cols.start] = 30.0
-    bound = T._score_bound(qkv, n, t, heads)
-    scores = qkv[rows, q_cols] @ qkv[rows, k_cols].T
-    assert np.isclose(bound[seq, head], 900.0) and scores[1:].max() <= 0.35
-    assert np.exp(scores[1:].max() - bound[seq, head]) < T._MIN_SHIFTED_SUM
+    for seq in (1, 3):
+        rows = slice(seq * t, (seq + 1) * t)
+        qkv[rows, q_cols] = 0.0
+        qkv[rows, q_cols.start] = 0.01
+        qkv[seq * t, q_cols.start] = 30.0
+        qkv[rows, k_cols] = np.clip(qkv[rows, k_cols], -1.0, 1.0) / 3.0
+        qkv[seq * t, k_cols] = 0.0
+        qkv[seq * t, k_cols.start] = 30.0
+        bound = T._score_bound(qkv, n, t, heads)
+        scores = qkv[rows, q_cols] @ qkv[rows, k_cols].T
+        assert np.isclose(bound[seq, head], 900.0) and scores[1:].max() <= 0.35
+        assert np.exp(scores[1:].max() - bound[seq, head]) < T._MIN_SHIFTED_SUM
     maxima = _count_calls(monkeypatch, "_row_max")
     att, ctx = _attend(qkv, n, heads)
-    assert [a.shape for a in maxima] == [(1, heads, t, t)]  # one sequence redone
+    assert [a.shape for a in maxima] == [(2, heads, t, t)]  # both redone in one call
     assert np.isfinite(att).all() and np.isfinite(ctx).all()
     assert np.abs(att.sum(axis=-1) - 1.0).max() <= 1e-12
     monkeypatch.setattr(T, "_SHIFT_MIN_KEYS", t + 1)
     per_row = _attend(qkv, n, heads)
     for got, want in zip((att, ctx), per_row):
-        assert got[seq].view(np.int64).tolist() == want[seq].view(np.int64).tolist()
+        for seq in (1, 3):
+            assert got[seq].view(np.int64).tolist() == want[seq].view(np.int64).tolist()
     monkeypatch.setattr(T, "_SHIFT_MIN_KEYS", t)
     # the other sequences keep the bound path, as they would alone
     for other in (0, 2):
