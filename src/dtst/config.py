@@ -9,7 +9,7 @@ any run starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .data import GenConfig
 from .errors import ConfigError, ConfigParseError
 from .evaluate import EMBED_BATCH
-from .model import MLP_RATIO, ModelConfig
+from .model import MLP_RATIO, ModelConfig, param_layout
 from .optim import ScheduleConfig
 from .selector import SelectorConfig
 
@@ -166,9 +166,11 @@ class ExperimentConfig:
         with Python integers: each generated split, and for a batch of B
         samples (the larger of the training batch P x K and the embedding
         batch) its input grid, its widest activation (the MLP hidden layer,
-        B x (M+2) x 4d) and its attention matrix (B x H x (M+2)^2), then the
-        largest weights."""
+        B x (M+2) x 4d) and its attention matrix (B x H x (M+2)^2), then each
+        parameter. Every block has the same parameter shapes, so a one-block
+        model's `param_layout` gives them all."""
         v = self.values
+        one_block = replace(self.model_config(), num_blocks=1, selector=None)
         m, d = v["model.patch_rows"] * v["model.patch_cols"], v["model.embed_dim"]
         b = max(v["train.batch_p"] * v["train.batch_k"], EMBED_BATCH)
         grid = ("model.patch_rows", "model.patch_cols")
@@ -181,10 +183,8 @@ class ExperimentConfig:
             ((*batch, "model.patch_dim"), b * m * v["model.patch_dim"]),
             ((*batch, "model.embed_dim"), b * (m + 2) * MLP_RATIO * d),
             ((*batch, "model.num_heads"), b * v["model.num_heads"] * (m + 2) ** 2),
-            (("model.patch_dim", "model.embed_dim"), v["model.patch_dim"] * d),
-            (("model.embed_dim",), MLP_RATIO * d * d),
-            (("model.embed_dim", "data.num_ids"), d * v["data.num_ids"]),
-        ]
+        ] + [((f"the extents {shape} of parameter '{name}'",), math.prod(shape))
+             for name, shape, _ in param_layout(one_block)]
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

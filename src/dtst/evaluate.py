@@ -378,7 +378,8 @@ def embed_samples(cfg, params, samples, batch_size: int = EMBED_BATCH):
 
     Returns (meta [N, d], view [N, d], ids [N], views [N]); the meta features
     are the retrieval embeddings. Params other than `init_params(cfg)` makes
-    raise DimensionError (`model.check_params`) before the first batch.
+    raise DimensionError (`model.check_params`, which `model_forward` runs)
+    at the first batch.
     `batch_arrays` and `model_forward` are looked up on their modules at
     each call, so a wrapper installed there (a profiler's, say) sees every
     batch.
@@ -387,7 +388,6 @@ def embed_samples(cfg, params, samples, batch_size: int = EMBED_BATCH):
                              f"batch_size must be at least 1, got {batch_size}")
     if len(samples) == 0:
         raise DimensionError("no samples to embed")
-    model_mod.check_params(cfg, params)
     metas, view_feats, ids, views = [], [], [], []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]

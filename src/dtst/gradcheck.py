@@ -48,10 +48,13 @@ def check_model_gradients(cfg: model.ModelConfig, params: dict, x, y, v,
     """Compare the end-to-end analytic gradient of the total loss against
     central differences of step `STEP`, one result per parameter.
 
-    `max_coords` bounds the number of coordinates differenced per parameter
-    (sampled deterministically from `coord_seed`, an integer >= 0); None
-    checks every coordinate.
+    `max_coords`, an integer >= 1, bounds the number of coordinates
+    differenced per parameter (sampled deterministically from `coord_seed`,
+    an integer >= 0); None checks every coordinate.
     """
+    if max_coords is not None:
+        max_coords = check_count(max_coords, 1, DomainError, f"max_coords must be None or an "
+                                 f"integer >= 1, got {max_coords!r}")
     coord_seed = check_count(coord_seed, 0, DomainError,
                              f"coordinate seed must be an integer >= 0, got {coord_seed!r}")
     frozen = model.model_forward(cfg, params, x, v).selected_slots

@@ -11,14 +11,17 @@ i is grid cell i up to the selection, so the kept slot indices are also the
 kept grid indices. The heads read only the meta and view slots, so the last
 block outputs those two rows alone (`tensor.encoder_block`'s `out_rows`).
 Each block keeps the parameters of a plain pre-norm block (LayerNorm scales
-and shifts, a [d, 3d] Q/K/V weight, the MLP's two weights), which are what
-a checkpoint holds; `tensor.encoder_block` folds the LayerNorms' scales and
-shifts, the score scale and the GELU's halving into the weights it
-multiplies by, inside each call.
+and shifts, a [d, 3d] Q/K/V weight, the MLP's two weights). `param_layout`
+lists every parameter's name, shape and initial value once: `init_params`
+draws along it, a checkpoint stores it, and `check_params`, which
+`model_forward` runs first, holds params to it. `tensor.encoder_block`
+folds the LayerNorms' scales and shifts, the score scale and the GELU's
+halving into the weights it multiplies by, inside each call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -37,11 +40,6 @@ VIEW_GROUND = 1
 VIEW_NAMES = {VIEW_AERIAL: "aerial", VIEW_GROUND: "ground"}
 
 MLP_RATIO = 4
-
-# each block's parameters after its "block<i>." prefix, in the order
-# `tensor.encoder_block` takes them
-_BLOCK_PARAMS = ("ln1.gamma", "ln1.beta", "attn.w_qkv", "attn.b_qkv", "attn.w_o", "attn.b_o",
-                 "ln2.gamma", "ln2.beta", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
 
 @dataclass
@@ -106,87 +104,78 @@ class ForwardResult:
     selected_slots: np.ndarray = None   # the same array, read as patch slots
 
 
-def _uniform(rng, fan_in, shape):
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+def _block_layout(d: int) -> list:
+    """One encoder block's part of `param_layout`, each name after its
+    "block<i>." prefix, in the order `tensor.encoder_block` takes them."""
+    h = MLP_RATIO * d
+    return [("ln1.gamma", (d,), 1.0), ("ln1.beta", (d,), 0.0),
+            ("attn.w_qkv", (d, 3 * d), d), ("attn.b_qkv", (3 * d,), 0.0),
+            ("attn.w_o", (d, d), d), ("attn.b_o", (d,), 0.0),
+            ("ln2.gamma", (d,), 1.0), ("ln2.beta", (d,), 0.0),
+            ("mlp.w1", (d, h), d), ("mlp.b1", (h,), 0.0),
+            ("mlp.w2", (h, d), h), ("mlp.b2", (d,), 0.0)]
+
+
+@functools.lru_cache  # by extents, as `model_forward` checks its params on every call
+def _layout(patch_dim, d, num_patches, num_blocks, num_identities) -> tuple:
+    views = len(VIEW_NAMES)
+    layout = [("patch_embed.w", (patch_dim, d), patch_dim), ("patch_embed.b", (d,), 0.0),
+              ("pos_embed", (num_patches, d), d), ("meta_token", (d,), d),
+              ("view_tokens", (views, d), d)]  # row = view id
+    for i in range(num_blocks):
+        layout += [(f"block{i}.{name}", shape, init) for name, shape, init in _block_layout(d)]
+    layout += [("head.id.w", (d, num_identities), d), ("head.id.b", (num_identities,), 0.0),
+               ("head.view.w", (d, views), d), ("head.view.b", (views,), 0.0)]
+    return tuple(layout)
+
+
+def param_layout(cfg: ModelConfig) -> tuple:
+    """Every parameter of the model as (name, shape, initial value), in the
+    order `init_params` draws them and a checkpoint stores them. An initial
+    value is a float, the constant every entry starts at, or an int, the
+    fan-in of a uniform draw in +-1/sqrt(fan-in)."""
+    return _layout(cfg.patch_dim, cfg.embed_dim, cfg.num_patches, cfg.num_blocks,
+                   cfg.num_identities)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict:
-    """Fresh parameter dict, fully determined by the seed (an integer >= 0)."""
+    """Fresh parameter dict along `param_layout(cfg)`, fully determined by
+    the seed (an integer >= 0)."""
     seed = check_count(seed, 0, DomainError, f"parameter seed must be an integer >= 0, "
                        f"got {seed!r}")
     rng = np.random.default_rng(seed)
-    d = cfg.embed_dim
-    m = cfg.num_patches
-    p = {}
-    p["patch_embed.w"] = _uniform(rng, cfg.patch_dim, (cfg.patch_dim, d))
-    p["patch_embed.b"] = Tensor(np.zeros(d), requires_grad=True)
-    p["pos_embed"] = _uniform(rng, d, (m, d))
-    p["meta_token"] = _uniform(rng, d, (d,))
-    p["view_tokens"] = _uniform(rng, d, (len(VIEW_NAMES), d))  # row = view id
-    for i in range(cfg.num_blocks):
-        pre = f"block{i}."
-        p[pre + "ln1.gamma"] = Tensor(np.ones(d), requires_grad=True)
-        p[pre + "ln1.beta"] = Tensor(np.zeros(d), requires_grad=True)
-        p[pre + "attn.w_qkv"] = qkv = _uniform(rng, d, (3, d, d))  # Q, K, V: 3 [d, d] draws
-        qkv.data = qkv.data.transpose(1, 0, 2).reshape(d, 3 * d)  # laid side by side
-        p[pre + "attn.b_qkv"] = Tensor(np.zeros(3 * d), requires_grad=True)
-        p[pre + "attn.w_o"] = _uniform(rng, d, (d, d))
-        p[pre + "attn.b_o"] = Tensor(np.zeros(d), requires_grad=True)
-        p[pre + "ln2.gamma"] = Tensor(np.ones(d), requires_grad=True)
-        p[pre + "ln2.beta"] = Tensor(np.zeros(d), requires_grad=True)
-        h = MLP_RATIO * d
-        p[pre + "mlp.w1"] = _uniform(rng, d, (d, h))
-        p[pre + "mlp.b1"] = Tensor(np.zeros(h), requires_grad=True)
-        p[pre + "mlp.w2"] = _uniform(rng, h, (h, d))
-        p[pre + "mlp.b2"] = Tensor(np.zeros(d), requires_grad=True)
-    p["head.id.w"] = _uniform(rng, d, (d, cfg.num_identities))
-    p["head.id.b"] = Tensor(np.zeros(cfg.num_identities), requires_grad=True)
-    p["head.view.w"] = _uniform(rng, d, (d, len(VIEW_NAMES)))
-    p["head.view.b"] = Tensor(np.zeros(len(VIEW_NAMES)), requires_grad=True)
-    return p
-
-
-def _param_shapes(cfg: ModelConfig) -> dict:
-    """The name and shape of each parameter `init_params` makes for `cfg`,
-    in its order."""
-    d, h, views = cfg.embed_dim, MLP_RATIO * cfg.embed_dim, len(VIEW_NAMES)
-    block = [(d,), (d,), (d, 3 * d), (3 * d,), (d, d), (d,), (d,), (d,), (d, h), (h,), (h, d),
-             (d,)]
-    shapes = {"patch_embed.w": (cfg.patch_dim, d), "patch_embed.b": (d,),
-              "pos_embed": (cfg.num_patches, d), "meta_token": (d,), "view_tokens": (views, d)}
-    for i in range(cfg.num_blocks):
-        shapes.update((f"block{i}.{name}", shape) for name, shape in zip(_BLOCK_PARAMS, block))
-    shapes.update({"head.id.w": (d, cfg.num_identities), "head.id.b": (cfg.num_identities,),
-                   "head.view.w": (d, views), "head.view.b": (views,)})
-    return shapes
-
-
-def _shapes_present(cfg: ModelConfig, params: dict) -> dict:
-    """`_param_shapes(cfg)`, once `params` is known to be a dict of Tensors
-    that holds each of its names: else ContractError, or DimensionError
-    naming the first name it lacks, in `init_params`' order."""
-    if not isinstance(params, dict) or not all(isinstance(p, Tensor) for p in params.values()):
-        raise ContractError("params must be a dict of name -> Tensor")
-    shapes = _param_shapes(cfg)
-    missing = next((name for name in shapes if name not in params), None)
-    if missing is not None:
-        raise DimensionError(f"params hold no '{missing}', which the model config makes")
-    return shapes
+    params = {}
+    for name, shape, init in param_layout(cfg):
+        if isinstance(init, float):
+            data = np.full(shape, init)
+        else:
+            bound = 1.0 / np.sqrt(init)
+            if name.endswith(".attn.w_qkv"):  # Q, K, V: three [d, d] draws laid side by side
+                draw = rng.uniform(-bound, bound, size=(3, shape[0], shape[1] // 3))
+                data = np.concatenate(draw, axis=1)
+            else:
+                data = rng.uniform(-bound, bound, size=shape)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
 
 
 def check_params(cfg: ModelConfig, params: dict) -> None:
-    """Raise DimensionError naming the first parameter of `init_params(cfg)`
-    that `params` lacks, else the first it holds in another shape, else the
-    first name it holds beyond those; ContractError if `params` is not a
-    dict of Tensors. `model_forward` makes the same first check."""
-    shapes = _shapes_present(cfg, params)
-    for name, shape in shapes.items():
+    """Raise DimensionError naming the first parameter of `param_layout(cfg)`
+    that `params` lacks or holds in another shape, else the first name it
+    holds beyond those; ContractError if `params` is not a dict of Tensors.
+    `model_forward` runs it first."""
+    if not isinstance(params, dict) or not all(isinstance(p, Tensor) for p in params.values()):
+        raise ContractError("params must be a dict of name -> Tensor")
+    layout = param_layout(cfg)
+    for name, shape, _ in layout:
+        if name not in params:
+            raise DimensionError(f"params hold no '{name}', which the model config makes")
         if params[name].shape != shape:
             raise DimensionError(f"parameter '{name}' has shape {params[name].shape}, the "
                                  f"model config makes it {shape}")
-    extra = next((name for name in params if name not in shapes), None)
-    if extra is not None:
+    if len(params) > len(layout):
+        names = {name for name, _, _ in layout}
+        extra = next(name for name in params if name not in names)
         raise DimensionError(f"params hold '{extra}', which the model config does not make")
 
 
@@ -237,7 +226,7 @@ def encoder_block(seq: TokenSequence, params: dict, index: int,
     one fused op (`tensor.encoder_block`). The last block outputs only the
     meta and view slots, the two rows the heads read."""
     pre = f"block{index}."
-    weights = (params[pre + name] for name in _BLOCK_PARAMS)
+    weights = (params[pre + name] for name, _, _ in _block_layout(cfg.embed_dim))
     out_rows = 2 if index == cfg.num_blocks - 1 else None
     return replace(seq, tokens=T.encoder_block(seq.tokens, *weights, cfg.num_attn_heads,
                                                 out_rows=out_rows))
@@ -274,7 +263,7 @@ def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
     in front of `cfg.selector_block`, classifier heads."""
     if frozen_selection is not None and cfg.selector is None:
         raise ContractError("frozen_selection needs a model with a selector")
-    _shapes_present(cfg, params)
+    check_params(cfg, params)
     patches = patch_embed(x, params, cfg)
     seq = attach_special_tokens(patches, view_labels, params)
     selection = {}

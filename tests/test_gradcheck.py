@@ -64,3 +64,15 @@ def test_a_coordinate_seed_must_be_a_non_negative_integer(coord_seed):
     with pytest.raises(DomainError, match="coordinate seed must be an integer >= 0"):
         check_model_gradients(cfg, init_params(cfg, seed=1), x, y, v, max_coords=1,
                               coord_seed=coord_seed)
+
+
+# 0 used to pass every parameter having differenced no coordinate; the
+# others ended in a raw ValueError or TypeError
+@pytest.mark.parametrize("max_coords", [0, -1, 1.5, True])
+def test_max_coords_must_be_none_or_a_positive_integer(max_coords):
+    cfg = ModelConfig(num_identities=4, num_blocks=1, embed_dim=8, num_attn_heads=2,
+                      patch_grid=(2, 2), patch_dim=3)
+    x, y, v = batch_arrays(generate_dataset(GenConfig(num_ids=4, samples_per_id_per_view=1,
+                                                      grid=(2, 2), patch_dim=3, k_sig=2))[:2])
+    with pytest.raises(DomainError, match="max_coords must be None or an integer >= 1"):
+        check_model_gradients(cfg, init_params(cfg, seed=1), x, y, v, max_coords=max_coords)

@@ -1,6 +1,7 @@
 """Backbone tests: shapes, embedding oracles, decoupling, selector plumbing,
 checkpoint round-trips."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -105,10 +106,63 @@ def test_model_forward_names_the_first_parameter_it_lacks():
         model_forward(cfg, list(params.values()), x, views)
 
 
-def test_the_forward_asks_for_the_parameters_init_params_makes():
+def _reshaped(name, shape):
+    def mismatch(params):
+        params[name] = Tensor(np.zeros(shape), requires_grad=True)
+        return params
+    return mismatch
+
+
+def _extra(params):
+    params["block0.attn.wq"] = Tensor(np.zeros((8, 8)), requires_grad=True)
+    return params
+
+
+# small_cfg(patch_grid=(2, 2)): d = 8, M = 4, 5 identities
+@pytest.mark.parametrize("mismatch, match", [
+    (_reshaped("pos_embed", (5, 8)), r"^parameter 'pos_embed' has shape \(5, 8\), the model "
+                                     r"config makes it \(4, 8\)$"),
+    (_reshaped("meta_token", (9,)), r"^parameter 'meta_token' has shape \(9,\), the model "
+                                    r"config makes it \(8,\)$"),
+    (_reshaped("view_tokens", (3, 8)), r"^parameter 'view_tokens' has shape \(3, 8\), the "
+                                       r"model config makes it \(2, 8\)$"),
+    (_reshaped("head.id.w", (8, 6)), r"^parameter 'head.id.w' has shape \(8, 6\), the model "
+                                     r"config makes it \(8, 5\)$"),
+    (_extra, r"^params hold 'block0.attn.wq', which the model config does not make$"),
+], ids=["pos_embed", "meta_token", "view_tokens", "head.id.w", "extra_name"])
+def test_model_forward_names_a_parameter_of_another_shape_or_an_extra_one(mismatch, match):
+    # each used to end in a raw ValueError, a DimensionError from `linear`
+    # that named no parameter, or no error at all
+    cfg = small_cfg(patch_grid=(2, 2))
+    params = mismatch(init_params(cfg, seed=0))
+    for call in (model_forward, check_params):
+        args = (RNG.normal(size=(2, 2, 2, 4)), np.array([0, 1])) if call is model_forward else ()
+        with pytest.raises(DimensionError, match=match):
+            call(cfg, params, *args)
+
+
+def test_init_params_draws_along_param_layout():
     for cfg in (small_cfg(), small_cfg(num_blocks=3, selector=SelectorConfig(k=1))):
         made = init_params(cfg, seed=0)
-        assert list(model._param_shapes(cfg).items()) == [(n, p.shape) for n, p in made.items()]
+        layout = model.param_layout(cfg)
+        assert [(n, p.shape) for n, p in made.items()] == [(n, s) for n, s, _ in layout]
+        for name, _, init in layout:
+            data = made[name].data
+            if isinstance(init, float):
+                assert np.all(data == init), name
+            else:
+                assert np.all(np.abs(data) <= 1 / np.sqrt(init)), name
+                assert np.unique(data).size == data.size, name
+
+
+def test_init_params_of_the_benchmark_config_are_pinned():
+    # guards the draw order: name, shape and bytes of every parameter
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "benchmark.cfg")
+    digest = hashlib.sha256()
+    for name, p in init_params(cfg.model_config(), 0).items():
+        digest.update(name.encode() + str(p.shape).encode() + p.data.astype("<f8").tobytes())
+    assert digest.hexdigest() == \
+        "5b33cca4b192250d155eab7767191ddb9ad6da0e86a71fb36ddd5f32ac5ee286"
 
 
 def test_forward_shapes():
