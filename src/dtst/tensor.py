@@ -52,6 +52,18 @@ differently. Each element sees the same ufuncs and GEMM in the same order,
 so tiling changes no bit. The MLP's GELU overwrites the hidden layer it
 reads with its output.
 
+Where an array spans several tiles and the process may run on two CPUs,
+each of those three tile loops runs on two threads (`_run_tiles`): the
+calling one takes the first half of the tiles and one pool thread, made on
+first use, the second, each with scratch of its own. A tile writes only its
+own rows and runs the same ufuncs and GEMMs on them whichever thread runs
+it, so the bits are those of one thread. The MLP's tiles are cut in two
+first, so that both threads' GELU scratch is one tile's, except a tile of
+fewer than four rows, whose halves could hold one row. The pool thread runs
+in a copy of the caller's context, so numpy's error state (the CLI's
+`np.errstate`) holds there too, and the caller waits for it before anything
+leaves the loop, an exception included. BLAS keeps its one thread.
+
 `encoder_block` computes only the rows something reads. Given `out_rows` r,
 it outputs each sequence's first r rows: LN1 and Q/K/V run on every row,
 which the keys and values need, the scores on r query rows and the rest on
@@ -63,6 +75,11 @@ gradients cover every row. Where every row is live nothing is gathered.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -175,9 +192,67 @@ def _row_tiles(n, row_elems, min_rows=1):
 
 
 def _tile_scratch(tiles, *shape):
-    """One scratch array for the longest of `tiles` (the first or the last),
-    each row of `shape`."""
-    return np.empty((max(tiles[0].stop, tiles[-1].stop - tiles[-1].start),) + shape)
+    """One scratch array for the longest of `tiles`, each row of `shape`."""
+    return np.empty((max(s.stop - s.start for s in tiles),) + shape)
+
+
+_pool = None  # the second thread of `_run_tiles`, made on first use
+_pool_lock = threading.Lock()
+
+
+def _drop_pool():
+    """In a forked child, which has no copy of the pool's thread."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _worker_count():
+    """2 where this process may run on two CPUs or more, else 1."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return 2 if cpus > 1 else 1
+
+
+def _halves(rows):
+    """A slice of at least 4 rows cut in two, the first half the longer;
+    a shorter one whole (a one-row GEMM goes through GEMV)."""
+    n = rows.stop - rows.start
+    if n < 4:
+        return [rows]
+    mid = rows.start + (n + 1) // 2
+    return [slice(rows.start, mid), slice(mid, rows.stop)]
+
+
+def _run_tiles(run, tiles, split=False):
+    """Call `run(part)` on parts of `tiles` that hold every tile once, each
+    part's tiles in order. On one tile, or where the process may run on one
+    CPU only (`_worker_count`), the one part is all of them. Else, given
+    `split`, each tile is first cut in two (`_halves`), and the first half
+    of the tiles runs on this thread while the second runs on the pool's,
+    in a copy of this thread's context, so that numpy's error state holds
+    there too. This thread waits for the other before anything, an
+    exception included, leaves. `run` writes each tile's rows only, so which
+    thread runs a tile changes no bit."""
+    if len(tiles) == 1 or _worker_count() == 1:
+        run(tiles)
+        return
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="dtst-tiles")
+    if split:
+        tiles = [half for rows in tiles for half in _halves(rows)]
+    mine = (len(tiles) + 1) // 2
+    theirs = _pool.submit(contextvars.copy_context().run, run, tiles[mine:])
+    try:
+        run(tiles[:mine])
+    finally:
+        wait((theirs,))
+    theirs.result()
 
 
 # numpy's reductions are slow over a short last axis and einsum/GEMV are not;
@@ -530,36 +605,39 @@ def _mlp_fwd(x, w1, b1, w2, b2, tracked):
     output and what `_mlp_bwd` needs (None when not `tracked`). The GELU
     kernel writes twice the GELU over the hidden layer it reads, and the
     second linear multiplies by w2 / 2, which is exact. Linear and GELU run
-    tile by tile over the rows (`_row_tiles`, at least two rows a tile).
-    Tracked, each tile writes into the whole hidden layer and slope that the
-    backward keeps, and the second linear is one GEMM after the loop, once
-    the GELU's two scratch tiles are freed, so they never live beside the
-    output. Untracked, the second linear runs in the loop too, and no whole
-    hidden layer is allocated at all."""
+    tile by tile over the rows (`_row_tiles`, at least two rows a tile; on
+    two threads, `_run_tiles`, each cut in two where it has four rows or
+    more). Tracked, each tile writes into the whole hidden layer and slope
+    that the backward keeps, and the second linear is one GEMM after the
+    loop, once the GELU's scratch tiles are freed, so they never live
+    beside the output. Untracked, the second linear runs in the loop too,
+    and no whole hidden layer is allocated at all."""
     (n, hidden), m = w1.shape, w2.shape[1]
     w2 = w2 * 0.5  # the GELU's halving
     x2 = x.reshape(-1, n)
-    tiles = _row_tiles(len(x2), hidden, min_rows=2)
     if tracked:
         act, slope = np.empty((len(x2), hidden)), np.empty((len(x2), hidden))
-        t_tile, u_tile = _tile_scratch(tiles, hidden), _tile_scratch(tiles, hidden)
     else:
-        act, slope = _tile_scratch(tiles, hidden), None
-        t_tile = u_tile = _tile_scratch(tiles, hidden)
         out = np.empty((len(x2), m))
-    for rows in tiles:
-        r = rows.stop - rows.start
-        a = act[rows if tracked else slice(r)]
-        np.matmul(x2[rows], w1, out=a)
-        a += b1
-        _gelu_tile(a, t_tile[:r], u_tile[:r], slope[rows] if tracked else None)
-        if not tracked:
-            y = out[rows]
-            np.matmul(a, w2, out=y)
-            y += b2
+
+    def run(tiles):  # the GELU's scratch is freed when it returns
+        t_tile = _tile_scratch(tiles, hidden)
+        u_tile = _tile_scratch(tiles, hidden) if tracked else t_tile
+        a_tile = None if tracked else _tile_scratch(tiles, hidden)
+        for rows in tiles:
+            r = rows.stop - rows.start
+            a = act[rows] if tracked else a_tile[:r]
+            np.matmul(x2[rows], w1, out=a)
+            a += b1
+            _gelu_tile(a, t_tile[:r], u_tile[:r], slope[rows] if tracked else None)
+            if not tracked:
+                y = out[rows]
+                np.matmul(a, w2, out=y)
+                y += b2
+
+    _run_tiles(run, _row_tiles(len(x2), hidden, min_rows=2), split=True)
     if not tracked:
         return out.reshape(x.shape[:-1] + (m,)), None
-    del t_tile, u_tile  # freed before the output is allocated
     out = act @ w2  # act now holds twice the GELU
     out += b2
     return out.reshape(x.shape[:-1] + (m,)), (x2, w1, w2, act, slope)
@@ -694,8 +772,8 @@ def _attention_fwd(x, w_qkv, b_qkv, w_o, b_o, num_heads, tracked, out_rows=None)
     (`_row_tiles`, by their H r T scores): Q/K/V, scores, softmax, context
     and output projection, tile by tile. Tracked, each tile writes into
     whole Q/K/V, probability and context arrays, which the backward keeps;
-    untracked, into scratch reused from tile to tile, so only the output is
-    allocated whole. A tile's GEMMs get T or r rows a sequence, and the
+    untracked, into scratch reused from tile to tile (one set a thread,
+    `_run_tiles`), so only the output is allocated whole. A tile's GEMMs get T or r rows a sequence, and the
     model's sequences hold at least three tokens (the kept ones and two
     extra) and its r is 2, so none goes through GEMV."""
     b, t, d = x.shape
@@ -707,24 +785,29 @@ def _attention_fwd(x, w_qkv, b_qkv, w_o, b_o, num_heads, tracked, out_rows=None)
     x2 = x.reshape(b * t, d)
     tiles = _row_tiles(b, h * r * t)
     if tracked:
-        qkv, att, ctx = np.empty((b, t, 3 * d)), np.empty((b, h, r, t)), np.empty((b, r, d))
-    else:
-        qkv, att, ctx = (_tile_scratch(tiles, t, 3 * d), _tile_scratch(tiles, h, r, t),
-                         _tile_scratch(tiles, r, d))
+        whole = np.empty((b, t, 3 * d)), np.empty((b, h, r, t)), np.empty((b, r, d))
     out = np.empty((b * r, d))
-    for seqs in tiles:
-        n = seqs.stop - seqs.start
-        here = seqs if tracked else slice(n)
-        qkv_n, ctx_n = qkv[here].reshape(n * t, 3 * d), ctx[here].reshape(n * r, d)
-        np.matmul(x2[seqs.start * t:seqs.stop * t], w_qkv, out=qkv_n)
-        qkv_n += b_qkv
-        _attend(qkv_n, att[here], ctx_n)
-        y = out[seqs.start * r:seqs.stop * r]
-        np.matmul(ctx_n, w_o, out=y)
-        y += b_o
+
+    def run(tiles):
+        qkv, att, ctx = whole if tracked else (  # scratch for this thread's tiles
+            _tile_scratch(tiles, t, 3 * d), _tile_scratch(tiles, h, r, t),
+            _tile_scratch(tiles, r, d))
+        for seqs in tiles:
+            n = seqs.stop - seqs.start
+            here = seqs if tracked else slice(n)
+            qkv_n, ctx_n = qkv[here].reshape(n * t, 3 * d), ctx[here].reshape(n * r, d)
+            np.matmul(x2[seqs.start * t:seqs.stop * t], w_qkv, out=qkv_n)
+            qkv_n += b_qkv
+            _attend(qkv_n, att[here], ctx_n)
+            y = out[seqs.start * r:seqs.stop * r]
+            np.matmul(ctx_n, w_o, out=y)
+            y += b_o
+
+    _run_tiles(run, tiles)
     out = out.reshape(b, r, d)
     if not tracked:
         return out, None
+    qkv, att, ctx = whole
     return out, (x2, w_qkv, w_o, qkv.reshape(b * t, 3 * d), att, ctx.reshape(b * r, d),
                  tiles, q_scale)
 
@@ -745,8 +828,8 @@ def _attention_bwd(g, saved, rows=None):
     rows only enter the backward's products, while the keys' and values'
     gradients and the input's cover every row. The Q/K/V gradient is built
     inside the saved Q/K/V buffer; between the two projections the backward
-    runs over the forward's tiles, with one [tile, H, L, T] scratch for the
-    scores' gradient."""
+    runs over the forward's tiles (`_run_tiles`), with one [tile, H, L, T]
+    scratch a thread for the scores' gradient."""
     x2, w_qkv, w_o, qkv, att, ctx, tiles, q_scale = saved
     b, h, r, t = att.shape
     d = ctx.shape[1]
@@ -762,22 +845,26 @@ def _attention_bwd(g, saved, rows=None):
     n_rows = att.shape[2]
     g2 = g.reshape(b * n_rows, d)
     gctx = (g2 @ w_o.T).reshape(b, n_rows, h, d // h).transpose(0, 2, 1, 3)
-    gatt_tile = _tile_scratch(tiles, h, n_rows, t)
-    for s in tiles:
-        a, gc = att[s], gctx[s]
-        gatt = gatt_tile[:len(a)]
-        np.matmul(gc, v[s].swapaxes(-1, -2), out=gatt)
-        np.matmul(a.swapaxes(-1, -2), gc, out=v[s])  # v's slots now hold gv
-        gatt -= _dot_last(gatt, a)[..., None]
-        gatt *= a  # now the gradient of the scores
-        gq = gatt @ k[s]
-        np.matmul(gatt.swapaxes(-1, -2), q_rows[s], out=k[s])
-        if rows is None:
-            q[s, :, :r] = gq
-            q[s, :, r:] = 0.0  # rows the forward did not query
-        else:
-            q[s] = 0.0
-            by_head[seqs[s], rows[s], 0] = gq.transpose(0, 2, 1, 3)
+
+    def run(tiles):
+        gatt_tile = _tile_scratch(tiles, h, n_rows, t)  # this thread's
+        for s in tiles:
+            a, gc = att[s], gctx[s]
+            gatt = gatt_tile[:len(a)]
+            np.matmul(gc, v[s].swapaxes(-1, -2), out=gatt)
+            np.matmul(a.swapaxes(-1, -2), gc, out=v[s])  # v's slots now hold gv
+            gatt -= _dot_last(gatt, a)[..., None]
+            gatt *= a  # now the gradient of the scores
+            gq = gatt @ k[s]
+            np.matmul(gatt.swapaxes(-1, -2), q_rows[s], out=k[s])
+            if rows is None:
+                q[s, :, :r] = gq
+                q[s, :, r:] = 0.0  # rows the forward did not query
+            else:
+                q[s] = 0.0
+                by_head[seqs[s], rows[s], 0] = gq.transpose(0, 2, 1, 3)
+
+    _run_tiles(run, tiles)
     # qkv now holds the gradient of the Q/K/V projection, whose Q columns
     # are scaled: so are those of its weight's and bias's gradients
     gw = x2.T @ qkv

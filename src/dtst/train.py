@@ -32,7 +32,9 @@ def train_run(cfg: model.ModelConfig, params: dict, dataset, lr_max: float,
     below 1, or a dataset smaller than one P*K batch, raises SamplingError,
     epochs not an integer >= 1 ConfigError, a seed not an integer >= 0
     DomainError, and params other than `init_params(cfg)` makes DimensionError
-    (`model.check_params`)."""
+    (`model.check_params`). A step whose loss is not finite raises
+    NumericError, and so does one in which numpy raises FloatingPointError
+    (under the CLI's `np.errstate`), as "step N: " and numpy's message."""
     batch_p, batch_k = check_pk(batch_p, batch_k)
     epochs = check_count(epochs, 1, ConfigError, f"epochs must be an integer >= 1, got {epochs!r}")
     seed = check_count(seed, 0, DomainError, f"training seed must be an integer >= 0, "
@@ -49,20 +51,23 @@ def train_run(cfg: model.ModelConfig, params: dict, dataset, lr_max: float,
     for step in range(total_steps):
         batch = pk_batch(dataset, batch_p, batch_k, rng)
         x, y, v = batch_arrays(batch)
-        with Tape() as tape:
-            out = model.model_forward(cfg, params, x, v, rng=rng, training=True)
-            id_loss = losses.cross_entropy_loss(out.id_logits, y)
-            view_loss = losses.cross_entropy_loss(out.view_logits, v)
-            orth_loss = losses.orthogonal_loss(out.meta_feature, out.view_feature)
-            total = losses.total_loss(id_loss, view_loss, orth_loss)
-        lr = optim.cosine_lr(step, schedule)
-        row = LogRow(step, lr, id_loss.item(), view_loss.item(), orth_loss.item(),
-                     total.item())
-        if not math.isfinite(row.total):
-            raise NumericError(f"non-finite loss at step {step}: {row}")
-        backward(total, tape)
-        # on the module, where a tracer's wrapper of it ends each step's span
-        optim.sgd_step(state, lr)
+        try:  # numpy's errors, where the caller has them raised, name the step
+            with Tape() as tape:
+                out = model.model_forward(cfg, params, x, v, rng=rng, training=True)
+                id_loss = losses.cross_entropy_loss(out.id_logits, y)
+                view_loss = losses.cross_entropy_loss(out.view_logits, v)
+                orth_loss = losses.orthogonal_loss(out.meta_feature, out.view_feature)
+                total = losses.total_loss(id_loss, view_loss, orth_loss)
+            lr = optim.cosine_lr(step, schedule)
+            row = LogRow(step, lr, id_loss.item(), view_loss.item(), orth_loss.item(),
+                         total.item())
+            if not math.isfinite(row.total):
+                raise NumericError(f"non-finite loss at step {step}: {row}")
+            backward(total, tape)
+            # on the module, where a tracer's wrapper of it ends each step's span
+            optim.sgd_step(state, lr)
+        except FloatingPointError as exc:
+            raise NumericError(f"step {step}: {exc}") from exc
         log.append(row)
     return log
 

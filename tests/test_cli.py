@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dtst import evaluate
+from dtst import tensor as T
 from dtst.cli import EXIT_OK, EXIT_RUN, EXIT_USAGE, main
 from dtst.config import load_config, parse_config_text
 from dtst.data import batch_arrays, generate_dataset
@@ -493,6 +494,46 @@ def test_overflow_in_training_is_a_numeric_error(tmp_path):
         assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUN
     record = json.load(open(out / "error.json"))
     assert record["error"] == "NumericError" and "overflow" in record["message"]
+    assert record["message"].startswith("step ")
+    assert not (out / "checkpoint.bin").exists()
+
+
+WIDE = """
+seed = 0
+model.num_blocks = 2
+model.embed_dim = 32
+model.num_heads = 4
+model.patch_rows = 8
+model.patch_cols = 8
+model.patch_dim = 8
+selector.enabled = false
+data.num_ids = 8
+data.train_per_id_view = 4
+data.test_per_id_view = 2
+data.k_sig = 8
+train.epochs = 1
+train.batch_p = 8
+train.batch_k = 4
+"""
+
+
+def test_overflow_in_a_training_on_several_tiles_is_a_numeric_error(tmp_path):
+    # the twin of the test above on arrays beyond one tile, whose tile
+    # loops may run on two threads: a d = 32, 8x8-grid step's first block.
+    # At this rate the overflow comes in the second step's attention tiles
+    # (at 1e300 it comes before them, in a product of the same step)
+    b, t, d, heads = 32, 66, 32, 4
+    assert len(T._row_tiles(b, heads * t * t)) > 1
+    assert len(T._row_tiles(b * t, 4 * d, min_rows=2)) > 1
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text(WIDE + "schedule.lr_max = 1e100\n")
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RUN
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "NumericError" and "overflow" in record["message"]
+    assert record["message"].startswith("step ")
     assert not (out / "checkpoint.bin").exists()
 
 

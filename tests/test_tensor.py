@@ -211,20 +211,24 @@ def test_tiled_kernels_equal_one_tile_bit_for_bit(case, monkeypatch):
 def test_tiles_equal_one_tile_at_every_tile_size(case, tracked, monkeypatch):
     # a one-row GEMM goes through GEMV, which rounds differently, so no tile
     # that a GEMM runs over may hold one row: not at one-element tiles, and
-    # not where the rows leave a remainder of one
+    # not where the rows leave a remainder of one; and on two threads, which
+    # cut each MLP tile of four rows or more in two, the same
     name, op, inputs, rows, row_elems = case
+    monkeypatch.setattr(T, "_worker_count", lambda: 1)
     want = _run_fused(op, inputs, tracked)
     tile_sizes = range(1, -(-rows * row_elems // 4) + 1)  # up to one tile
-    remainders = []
-    for tile_elems in tile_sizes:
-        monkeypatch.setattr(T, "_TILE_ELEMS", tile_elems)
-        sizes = [s.stop - s.start for s in T._row_tiles(rows, row_elems)]
-        remainders.append(sizes[0] > 1 and sizes[-1] == 1)
-        got = _run_fused(op, inputs, tracked)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w), (name, tile_elems)
-    assert sizes == [rows]
-    assert any(remainders)
+    for workers in (1, 2):
+        monkeypatch.setattr(T, "_worker_count", lambda: workers)
+        remainders = []
+        for tile_elems in tile_sizes:
+            monkeypatch.setattr(T, "_TILE_ELEMS", tile_elems)
+            sizes = [s.stop - s.start for s in T._row_tiles(rows, row_elems)]
+            remainders.append(sizes[0] > 1 and sizes[-1] == 1)
+            got = _run_fused(op, inputs, tracked)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (name, workers, tile_elems)
+        assert sizes == [rows]
+        assert any(remainders)
 
 
 def test_row_tiles_fold_a_short_remainder(monkeypatch):
