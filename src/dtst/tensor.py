@@ -79,7 +79,6 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -242,7 +241,8 @@ def _run_tiles(run, tiles, split=False):
         return
     global _pool
     with _pool_lock:
-        if _pool is None:
+        if _pool is None:  # imported here, so that a process of one-tile arrays never does
+            from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(1, thread_name_prefix="dtst-tiles")
     if split:
         tiles = [half for rows in tiles for half in _halves(rows)]
@@ -251,7 +251,7 @@ def _run_tiles(run, tiles, split=False):
     try:
         run(tiles[:mine])
     finally:
-        wait((theirs,))
+        theirs.exception()  # waits for the pool thread, raising nothing
     theirs.result()
 
 

@@ -183,14 +183,15 @@ def test_an_error_leaves_only_once_both_threads_are_done(monkeypatch):
 
 
 def test_import_and_one_tile_start_no_thread():
-    script = ("import threading, numpy as np, dtst\n"
+    script = ("import sys, threading, numpy as np, dtst\n"
               "from dtst import tensor as T\n"
               "assert threading.active_count() == 1 and T._pool is None\n"
               "x = T.Tensor(np.ones((4, 6, 8)))\n"
               "p = [T.Tensor(np.full(s, 0.1)) for s in ((8,), (8,), (8, 24), (24,), (8, 8), (8,),\n"
               "     (8,), (8,), (8, 32), (32,), (32, 8), (8,))]\n"
               "T.encoder_block(x, *p, 2)\n"
-              "assert threading.active_count() == 1 and T._pool is None\n")
+              "assert threading.active_count() == 1 and T._pool is None\n"
+              "assert 'concurrent.futures' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=60)
