@@ -773,9 +773,10 @@ def _attention_fwd(x, w_qkv, b_qkv, w_o, b_o, num_heads, tracked, out_rows=None)
     and output projection, tile by tile. Tracked, each tile writes into
     whole Q/K/V, probability and context arrays, which the backward keeps;
     untracked, into scratch reused from tile to tile (one set a thread,
-    `_run_tiles`), so only the output is allocated whole. A tile's GEMMs get T or r rows a sequence, and the
-    model's sequences hold at least three tokens (the kept ones and two
-    extra) and its r is 2, so none goes through GEMV."""
+    `_run_tiles`), so only the output is allocated whole. A tile's GEMMs
+    get T or r rows a sequence, and the model's sequences hold at least
+    three tokens (the kept ones and two extra) and its r is 2, so none goes
+    through GEMV."""
     b, t, d = x.shape
     h = num_heads
     r = t if out_rows is None else out_rows

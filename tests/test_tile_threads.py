@@ -187,8 +187,8 @@ def test_import_and_one_tile_start_no_thread():
               "from dtst import tensor as T\n"
               "assert threading.active_count() == 1 and T._pool is None\n"
               "x = T.Tensor(np.ones((4, 6, 8)))\n"
-              "p = [T.Tensor(np.full(s, 0.1)) for s in ((8,), (8,), (8, 24), (24,), (8, 8), (8,),\n"
-              "     (8,), (8,), (8, 32), (32,), (32, 8), (8,))]\n"
+              "p = [T.Tensor(np.full(s, 0.1)) for s in ((8,), (8,), (8, 24), (24,),\n"
+              "     (8, 8), (8,), (8,), (8,), (8, 32), (32,), (32, 8), (8,))]\n"
               "T.encoder_block(x, *p, 2)\n"
               "assert threading.active_count() == 1 and T._pool is None\n"
               "assert 'concurrent.futures' not in sys.modules\n")
