@@ -6,6 +6,10 @@ A sample plants prototype + view offset + small noise into `k_sig` randomly
 chosen grid slots; every other slot is pure unit Gaussian noise. Identity
 evidence therefore lives in a known token subset, which is what makes token
 selection measurably useful.
+
+A split is a `Dataset`: four read-only arrays with one row per sample. A
+training batch is one integer-array index of them and an embedding batch a
+row slice, so no step stacks samples one by one.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ SAMPLE_SEED_OFFSET = {"train": 1, "test": 2}  # a split draws its samples from s
 
 @dataclass
 class Sample:
+    """One row of a `Dataset`, as indexing it by an int or iterating it
+    gives: `x` is a read-only view of the row."""
     x: np.ndarray          # [rows, cols, patch_dim]
     y: int                 # identity label
     v: int                 # VIEW_AERIAL or VIEW_GROUND
-    signal_slots: tuple    # grid indices carrying the identity signal
+    signal_slots: tuple    # grid indices carrying the identity signal, ascending
 
 
 @dataclass
@@ -64,60 +70,86 @@ class GenConfig:
 
 
 def identity_prototypes(cfg: GenConfig):
-    """(prototypes [num_ids, patch_dim], view offsets {view: [patch_dim]}),
-    drawn from cfg.seed only, so train/test splits share them."""
+    """(prototypes [num_ids, patch_dim], view offsets [2, patch_dim], row
+    VIEW_AERIAL then VIEW_GROUND), drawn from cfg.seed only, so train/test
+    splits share them."""
     rng = np.random.default_rng(cfg.seed)
     protos = rng.normal(size=(cfg.num_ids, cfg.patch_dim))
-    offsets = {
-        VIEW_AERIAL: rng.normal(scale=cfg.view_offset_scale, size=cfg.patch_dim),
-        VIEW_GROUND: rng.normal(scale=cfg.view_offset_scale, size=cfg.patch_dim),
-    }
+    offsets = np.empty((2, cfg.patch_dim))
+    for view in (VIEW_AERIAL, VIEW_GROUND):
+        offsets[view] = rng.normal(scale=cfg.view_offset_scale, size=cfg.patch_dim)
     return protos, offsets
 
 
-class Dataset(list):
-    """A generated split: the list of its samples. It carries the
-    by-identity index `pk_batch` draws from (identity -> positions of its
-    samples), built by the first draw and kept, so the list must not change
-    after that. A slice or a `list()` copy is a plain list, which `pk_batch`
-    indexes on every call."""
+class Dataset:
+    """A generated split, or rows of one: `x` [N, rows, cols, patch_dim]
+    float64, `y` and `v` [N] int64 identity and view labels, and
+    `signal_slots` [N, k_sig] int64, each row ascending. All four are
+    read-only, so a batch sliced from a split cannot write into it, and the
+    by-identity index `pk_batch` draws from is built on its first draw and
+    kept.
 
-    _by_id = None
+    `len` counts the rows. A slice or an integer array of rows gives a
+    `Dataset` (a slice's arrays are views, an integer array's copies); an
+    int gives that row as a `Sample`, and so does iterating."""
 
-    def by_id(self):
-        """identity -> int64 array of the positions of its samples."""
-        if self._by_id is None:
-            self._by_id = _index_by_id(self)
-        return self._by_id
+    __slots__ = ("x", "y", "v", "signal_slots", "_id_rows")
 
+    def __init__(self, x, y, v, signal_slots):
+        for name, a in (("x", x), ("y", y), ("v", v), ("signal_slots", signal_slots)):
+            a.flags.writeable = False
+            setattr(self, name, a)
+        self._id_rows = None
 
-def _index_by_id(dataset):
-    """identity -> int64 array of the positions of its samples, ascending."""
-    by_id = {}
-    for i, s in enumerate(dataset):
-        by_id.setdefault(s.y, []).append(i)
-    return {y: np.array(idxs) for y, idxs in by_id.items()}
+    def __len__(self):
+        return len(self.y)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return Sample(x=self.x[index], y=int(self.y[index]), v=int(self.v[index]),
+                          signal_slots=tuple(self.signal_slots[index].tolist()))
+        return Dataset(self.x[index], self.y[index], self.v[index], self.signal_slots[index])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def id_rows(self):
+        """The rows of each identity, ascending, one int64 array per
+        identity in ascending order of identity."""
+        if self._id_rows is None:
+            order = np.argsort(self.y, kind="stable")
+            _, starts = np.unique(self.y[order], return_index=True)
+            self._id_rows = np.split(order, starts[1:])
+        return self._id_rows
 
 
 def generate_dataset(cfg: GenConfig) -> Dataset:
-    """Balanced samples: num_ids * 2 * samples_per_id_per_view."""
+    """Balanced samples: num_ids * 2 * samples_per_id_per_view, identity by
+    identity, each identity's aerial samples before its ground ones.
+
+    Each sample takes three draws from the split's Generator, in this order:
+    its noise grid, its signal slots and its signal noise. Every planted
+    row is then written as (prototype + view offset) + noise."""
     rows, cols = cfg.grid
-    m = rows * cols
+    m, pd, k = rows * cols, cfg.patch_dim, cfg.k_sig
     protos, offsets = identity_prototypes(cfg)
     rng = np.random.default_rng(cfg.seed + SAMPLE_SEED_OFFSET[cfg.split])
-    samples = Dataset()
-    for y in range(cfg.num_ids):
-        for v in (VIEW_AERIAL, VIEW_GROUND):
-            for _ in range(cfg.samples_per_id_per_view):
-                x = rng.normal(size=(m, cfg.patch_dim))
-                slots = rng.choice(m, size=cfg.k_sig, replace=False)
-                noise = rng.normal(scale=cfg.noise_std,
-                                   size=(cfg.k_sig, cfg.patch_dim))
-                x[slots] = protos[y] + offsets[v] + noise
-                samples.append(Sample(x=x.reshape(rows, cols, cfg.patch_dim),
-                                      y=y, v=v,
-                                      signal_slots=tuple(sorted(slots.tolist()))))
-    return samples
+    per_view = cfg.samples_per_id_per_view
+    n = cfg.num_ids * 2 * per_view
+    y = np.repeat(np.arange(cfg.num_ids, dtype=np.int64), 2 * per_view)
+    v = np.tile(np.repeat(np.array([VIEW_AERIAL, VIEW_GROUND], dtype=np.int64), per_view),
+                cfg.num_ids)
+    x = np.empty((n, m, pd))
+    slots = np.empty((n, k), dtype=np.int64)
+    noise = np.empty((n, k, pd))
+    normal, choice = rng.normal, rng.choice
+    for i in range(n):
+        x[i] = normal(size=(m, pd))
+        slots[i] = choice(m, size=k, replace=False)
+        noise[i] = normal(scale=cfg.noise_std, size=(k, pd))
+    x[np.arange(n)[:, None], slots] = (protos[y] + offsets[v])[:, None] + noise
+    slots.sort(axis=1)
+    return Dataset(x.reshape(n, rows, cols, pd), y, v, slots)
 
 
 def check_pk(p, k_inst):
@@ -127,32 +159,27 @@ def check_pk(p, k_inst):
 
 
 def pk_batch(dataset, p: int, k_inst: int, rng: np.random.Generator):
-    """P distinct identities with exactly k_inst samples each."""
+    """P distinct identities with exactly k_inst rows each, as the `Dataset`
+    of those rows: identities drawn in one `rng.choice`, then each one's
+    rows in one more."""
     p, k_inst = check_pk(p, k_inst)
     if not isinstance(rng, np.random.Generator):
         raise ContractError(f"pk_batch draws from a numpy Generator, got {rng!r}")
-    by_id = dataset.by_id() if isinstance(dataset, Dataset) else _index_by_id(dataset)
-    eligible = [y for y, idxs in by_id.items() if len(idxs) >= k_inst]
+    eligible = [rows for rows in dataset.id_rows() if len(rows) >= k_inst]
     if len(eligible) < p:
         raise SamplingError(
             f"need {p} identities with >= {k_inst} samples, only {len(eligible)} available")
-    ids = rng.choice(np.array(sorted(eligible)), size=p, replace=False)
-    chosen = []
-    for y in ids:
-        picks = rng.choice(by_id[int(y)], size=k_inst, replace=False)
-        chosen.extend(int(i) for i in picks)
-    return [dataset[i] for i in chosen]
+    ids = rng.choice(len(eligible), size=p, replace=False)
+    return dataset[np.concatenate([rng.choice(eligible[i], size=k_inst, replace=False)
+                                   for i in ids])]
 
 
 def batch_arrays(batch):
-    """(x [B, rows, cols, pd], y [B], v [B]) stacked from a nonempty list of
-    samples."""
+    """(x [B, rows, cols, pd], y [B], v [B]) of a nonempty `Dataset`: its
+    own read-only arrays, not copies."""
     if len(batch) == 0:
         raise DimensionError("no samples to batch")
-    x = np.stack([s.x for s in batch])
-    y = np.array([s.y for s in batch], dtype=np.int64)
-    v = np.array([s.v for s in batch], dtype=np.int64)
-    return x, y, v
+    return batch.x, batch.y, batch.v
 
 
 # ---------------------------------------------------------------------------

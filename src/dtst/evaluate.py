@@ -374,7 +374,8 @@ def evaluate_protocol(embeddings, ids, views, protocol: str,
 
 
 def embed_samples(cfg, params, samples, batch_size: int = EMBED_BATCH):
-    """Inference-mode embeddings for a list of data.Sample.
+    """Inference-mode embeddings of a `data.Dataset` (a split, or rows of
+    one), taken `batch_size` rows at a time as row slices of it.
 
     Returns (meta [N, d], view [N, d], ids [N], views [N]); the meta features
     are the retrieval embeddings. Params other than `init_params(cfg)` makes

@@ -84,7 +84,9 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, check_count
 
-_ACTIVE_TAPES: list["Tape"] = []
+# the stack of entered tapes, one per thread (a new thread starts with none)
+# and copied into the tile pool's thread with the rest of the caller's context
+_ACTIVE_TAPES = contextvars.ContextVar("dtst_active_tapes", default=())
 
 # tanh-form GELU: 0.5 * x * (1 + tanh(c * (x + a * x^3))), c = sqrt(2 / pi)
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -94,7 +96,9 @@ LAYER_NORM_EPS = 1e-6  # added to the variance in `layer_norm`
 
 
 class Tape:
-    """Ordered record of differentiable operations (a fresh one per forward)."""
+    """Ordered record of differentiable operations (a fresh one per forward).
+    Inside `with tape:` the ops of this thread record on it; other threads
+    record on their own tapes."""
 
     def __init__(self):
         self.entries = []  # (out, inputs, backward_fn)
@@ -106,11 +110,11 @@ class Tape:
         self._output_ids.add(id(out))
 
     def __enter__(self):
-        _ACTIVE_TAPES.append(self)
+        _ACTIVE_TAPES.set(_ACTIVE_TAPES.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _ACTIVE_TAPES.pop()
+        _ACTIVE_TAPES.set(_ACTIVE_TAPES.get()[:-1])
         return False
 
     def __len__(self):
@@ -149,7 +153,7 @@ def _tracking(*inputs) -> bool:
     """Whether an op on `inputs` would be recorded: a tape is active and at
     least one input requires gradients. Fused ops skip their backward state
     when it is not."""
-    return bool(_ACTIVE_TAPES) and any(t.requires_grad for t in inputs)
+    return bool(_ACTIVE_TAPES.get()) and any(t.requires_grad for t in inputs)
 
 
 def make(out_data, inputs, backward_fn):
@@ -162,7 +166,7 @@ def make(out_data, inputs, backward_fn):
     tracked = _tracking(*inputs)
     out = Tensor(out_data, requires_grad=tracked)
     if tracked:
-        _ACTIVE_TAPES[-1].record(out, tuple(inputs), backward_fn)
+        _ACTIVE_TAPES.get()[-1].record(out, tuple(inputs), backward_fn)
     return out
 
 

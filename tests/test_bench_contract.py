@@ -160,6 +160,61 @@ def test_embed_samples_calls_through_the_module_attributes(dtst, monkeypatch):
     assert meta.shape == (12, 4)
 
 
+def test_a_split_serves_what_the_checks_and_the_tracer_read(dtst):
+    # checks.py takes `len` of the test split, slices every k-th row and the
+    # first 32 of those, and passes that to `batch_arrays` and to
+    # `embed_samples` one row at a time; the tracer iterates each batch for
+    # its rows' `signal_slots`, which it intersects with ints
+    gen = dtst.data.GenConfig(num_ids=4, samples_per_id_per_view=12, grid=(2, 2),
+                              patch_dim=3, k_sig=2, seed=0, split="test")
+    test = dtst.data.generate_dataset(gen)
+    assert len(test) == 96
+    subset = test[::max(1, len(test) // 32)][:32]
+    assert len(subset) == 32
+    x, y, v = dtst.data.batch_arrays(subset)
+    assert x.shape == (32, 2, 2, 3) and y.shape == v.shape == (32,)
+    assert np.array_equal(x, test.x[::3][:32])
+    cfg = dtst.model.ModelConfig(num_identities=4, num_blocks=1, embed_dim=4,
+                                 patch_grid=(2, 2), patch_dim=3)
+    params = dtst.model.init_params(cfg, 0)
+    one = dtst.evaluate.embed_samples(cfg, params, subset, batch_size=1)
+    batched = dtst.evaluate.embed_samples(cfg, params, subset, batch_size=64)
+    assert np.allclose(one[0], batched[0], rtol=1e-9, atol=1e-9)
+    assert np.array_equal(one[2], y) and np.array_equal(one[3], v)
+    slots = [s.signal_slots for s in subset]
+    assert len(slots) == len(x)
+    for s, row in zip(slots, subset.signal_slots):
+        assert type(s) is tuple and all(type(i) is int for i in s)
+        assert list(s) == row.tolist() and set(s) <= set(range(4))
+
+
+def test_training_batches_each_step_in_one_call_of_each(dtst, monkeypatch):
+    # the clock marks a step at each `train.pk_batch` call, counting P * K
+    # samples, and the tracer reads the rows of each `train.batch_arrays`
+    # call, so `train_run` calls each once per step, on a batch of P * K rows
+    calls = {"pk_batch": [], "batch_arrays": []}
+    pk_batch, batch_arrays = dtst.train.pk_batch, dtst.train.batch_arrays
+
+    def counting_pk(dataset, p, k_inst, rng):
+        calls["pk_batch"].append(p * k_inst)
+        return pk_batch(dataset, p, k_inst, rng)
+
+    def counting_batch(batch):
+        calls["batch_arrays"].append(len(batch))
+        return batch_arrays(batch)
+
+    monkeypatch.setattr(dtst.train, "pk_batch", counting_pk)
+    monkeypatch.setattr(dtst.train, "batch_arrays", counting_batch)
+    gen = dtst.data.GenConfig(num_ids=4, samples_per_id_per_view=2, grid=(2, 2),
+                              patch_dim=3, k_sig=1, seed=0)
+    cfg = dtst.model.ModelConfig(num_identities=4, num_blocks=1, embed_dim=4,
+                                 patch_grid=(2, 2), patch_dim=3)
+    log = dtst.train.train_run(cfg, dtst.model.init_params(cfg, 0),
+                               dtst.data.generate_dataset(gen), 1e-2, epochs=2,
+                               batch_p=2, batch_k=2, seed=0)
+    assert calls["pk_batch"] == calls["batch_arrays"] == [4] * len(log) == [4] * 8
+
+
 def test_forward_exposes_what_the_tracer_and_checks_read(dtst, monkeypatch):
     # the tracer reads `.tokens` of each `encoder_block` input and
     # `selected_origin` of a forward; the checks read `selected_slots`

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtst.data import (GenConfig, Sample, batch_arrays, export_embeddings,
-                       generate_dataset, identity_prototypes, pk_batch)
+from dtst.data import (SAMPLE_SEED_OFFSET, GenConfig, Sample, batch_arrays,
+                       export_embeddings, generate_dataset, identity_prototypes, pk_batch)
 from dtst.errors import ConfigError, ContractError, DimensionError, SamplingError
 from dtst.model import VIEW_AERIAL, VIEW_GROUND, VIEW_NAMES
 
@@ -126,7 +126,9 @@ def test_pk_batch_takes_numpy_integers():
     data = generate_dataset(tiny_cfg())
     want = pk_batch(data, 2, 3, np.random.default_rng(0))
     got = pk_batch(data, np.int64(2), np.int32(3), np.random.default_rng(0))
-    assert len(got) == len(want) == 6 and all(a is b for a, b in zip(got, want))
+    assert len(got) == len(want) == 6
+    for a, b in zip(batch_arrays(got), batch_arrays(want)):
+        assert np.array_equal(a, b)
 
 
 def test_pk_batch_covers_all_identities_over_time():
@@ -149,7 +151,7 @@ def test_batch_arrays_stacking():
 
 def test_batch_arrays_needs_a_sample():
     with pytest.raises(DimensionError, match="no samples"):
-        batch_arrays([])
+        batch_arrays(generate_dataset(tiny_cfg())[:0])
 
 
 @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("seed", None)])
@@ -227,3 +229,80 @@ def test_embeddings_round_trip(tmp_path_factory, n, d, seed):
 def test_sample_dataclass_fields():
     s = Sample(x=np.zeros((1, 1, 2)), y=3, v=VIEW_GROUND, signal_slots=(0,))
     assert s.y == 3 and s.v == VIEW_GROUND
+
+
+def _reference_dataset(cfg):
+    """`generate_dataset` as the per-sample loop it was written as: the
+    arrays of x, y, v and signal_slots of one sample after another."""
+    rows, cols = cfg.grid
+    m = rows * cols
+    protos, offsets = identity_prototypes(cfg)
+    rng = np.random.default_rng(cfg.seed + SAMPLE_SEED_OFFSET[cfg.split])
+    xs, ys, vs, slot_rows = [], [], [], []
+    for y in range(cfg.num_ids):
+        for v in (VIEW_AERIAL, VIEW_GROUND):
+            for _ in range(cfg.samples_per_id_per_view):
+                x = rng.normal(size=(m, cfg.patch_dim))
+                slots = rng.choice(m, size=cfg.k_sig, replace=False)
+                noise = rng.normal(scale=cfg.noise_std, size=(cfg.k_sig, cfg.patch_dim))
+                x[slots] = protos[y] + offsets[v] + noise
+                xs.append(x.reshape(rows, cols, cfg.patch_dim))
+                ys.append(y)
+                vs.append(v)
+                slot_rows.append(sorted(slots.tolist()))
+    return (np.stack(xs), np.array(ys, dtype=np.int64), np.array(vs, dtype=np.int64),
+            np.array(slot_rows, dtype=np.int64))
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(k_sig=1),
+    dict(k_sig=3),  # m - 1 on the 2x2 grid
+    dict(noise_std=0.0),
+    dict(grid=(2, 3), k_sig=5, patch_dim=1),
+    dict(grid=(3, 1), num_ids=1, samples_per_id_per_view=1, seed=7),
+], ids=["tiny", "k_sig_1", "k_sig_m_minus_1", "no_noise", "non_square", "one_sample"])
+def test_generated_split_is_the_per_sample_loop_byte_for_byte(kw, split):
+    cfg = tiny_cfg(split=split, **kw)
+    data = generate_dataset(cfg)
+    want = _reference_dataset(cfg)
+    got = (data.x, data.y, data.v, data.signal_slots)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_split_indexes_as_rows():
+    data = generate_dataset(tiny_cfg())
+    assert len(data) == 24
+    s = data[5]
+    assert isinstance(s, Sample) and type(s.y) is int and type(s.v) is int
+    assert s.x.base is not None and np.shares_memory(s.x, data.x)
+    assert s.signal_slots == tuple(data.signal_slots[5].tolist())
+    assert all(type(i) is int for i in s.signal_slots)
+    assert data[np.int64(-1)].y == data.y[-1]
+    for part, rows in ((data[3:9:2], [3, 5, 7]), (data[np.array([7, 0, 7])], [7, 0, 7])):
+        assert len(part) == len(rows)
+        for name in ("x", "y", "v", "signal_slots"):
+            assert np.array_equal(getattr(part, name), getattr(data, name)[rows])
+    assert [s.y for s in data] == data.y.tolist()
+    with pytest.raises(IndexError):
+        data[24]
+
+
+def test_a_split_and_its_batches_are_read_only():
+    data = generate_dataset(tiny_cfg())
+    eval_batch = data[0:4]
+    train_batch = pk_batch(data, 2, 2, np.random.default_rng(0))
+    for part in (data, eval_batch, data[::3][:2], train_batch):
+        for name in ("x", "y", "v", "signal_slots"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(part, name)[0] = 0
+        x, y, _ = batch_arrays(part)
+        with pytest.raises(ValueError, match="read-only"):
+            x += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            y.sort()
+    with pytest.raises(ValueError, match="read-only"):
+        data[0].x[0, 0, 0] = 0.0

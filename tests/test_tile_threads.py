@@ -86,8 +86,7 @@ def test_untracked_block_is_the_same_on_one_and_two_threads(b, monkeypatch):
 
 def test_blocks_called_from_several_threads_at_once_keep_their_bits(monkeypatch):
     # four callers on two cores share the one pool thread, which the first
-    # of them makes, while the interpreter switches threads every microsecond;
-    # untracked, since the active tape is one per process
+    # of them makes, while the interpreter switches threads every microsecond
     _use_workers(monkeypatch, 2)
     rng = np.random.default_rng(5)
     inputs = [block_inputs(rng, 2 * B, TOKENS, WIDTH, 4 * WIDTH) for _ in range(4)]
@@ -114,6 +113,39 @@ def test_blocks_called_from_several_threads_at_once_keep_their_bits(monkeypatch)
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert got == [[bits] * 3 for bits in want]
+
+
+def test_threads_record_and_backpropagate_their_own_tapes_at_once(monkeypatch):
+    # each thread's `with Tape()` is its own active tape, so four tracked
+    # blocks recorded at once keep their entries apart and get the
+    # gradients of the same blocks run one after another
+    _use_workers(monkeypatch, 2)
+    rng = np.random.default_rng(6)
+    inputs = [(block_inputs(rng, B, TOKENS, WIDTH, 4 * WIDTH),
+               rng.normal(size=(B, TOKENS, WIDTH))) for _ in range(4)]
+    want = [_bits(_block_gradients(arrays, w)) for arrays, w in inputs]
+    got = [None] * len(inputs)
+    errors = []
+
+    def call(i):
+        try:
+            got[i] = [_bits(_block_gradients(*inputs[i])) for _ in range(2)]
+        except Exception as exc:  # reported below, with the thread's index
+            errors.append((i, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert errors == []
+    assert got == [[bits] * 2 for bits in want]
 
 
 def test_two_threads_cut_only_mlp_tiles_of_four_rows_or_more():

@@ -379,7 +379,8 @@ def test_step_tape_is_freed_by_reference_counting():
 
 
 def _reference_pk_batch(dataset, p, k_inst, rng):
-    """`pk_batch` as a loop that indexes the identities on every call."""
+    """The rows `pk_batch` picks, as a loop over the samples that indexes
+    the identities on every call."""
     by_id = {}
     for i, s in enumerate(dataset):
         by_id.setdefault(s.y, []).append(i)
@@ -387,22 +388,23 @@ def _reference_pk_batch(dataset, p, k_inst, rng):
     chosen = []
     for y in rng.choice(np.array(eligible), size=p, replace=False):
         chosen.extend(rng.choice(np.array(by_id[int(y)]), size=k_inst, replace=False))
-    return [dataset[int(i)] for i in chosen]
+    return np.array(chosen, dtype=np.int64)
 
 
-def test_pk_batch_on_the_indexed_dataset_draws_as_on_a_plain_list():
+@pytest.mark.parametrize("rows", ["all", "shuffled_tail"])
+def test_pk_batch_draws_as_the_reference_loop(rows):
     dataset = generate_dataset(GenConfig(num_ids=6, samples_per_id_per_view=3, grid=(2, 2),
                                          patch_dim=3, k_sig=2, seed=3))
-    plain = list(dataset)
-    assert type(plain) is list
-    rngs = [np.random.default_rng(9) for _ in range(3)]
-    for _ in range(100):
-        batches = [pk_batch(dataset, 3, 4, rngs[0]), pk_batch(plain, 3, 4, rngs[1]),
-                   _reference_pk_batch(plain, 3, 4, rngs[2])]
-        assert [id(s) for s in batches[0]] == [id(s) for s in batches[1]] \
-            == [id(s) for s in batches[2]]
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state \
-        == rngs[2].bit_generator.state
+    if rows == "shuffled_tail":  # identity 0 keeps one row; no identity's rows in order
+        dataset = dataset[np.random.default_rng(2).permutation(np.arange(5, len(dataset)))]
+    rngs = [np.random.default_rng(9) for _ in range(2)]
+    for i in range(100):
+        p, k = (3, 4) if i % 2 else (2, 5)
+        batch = pk_batch(dataset, p, k, rngs[0])
+        want = dataset[_reference_pk_batch(dataset, p, k, rngs[1])]
+        for name in ("x", "y", "v", "signal_slots"):
+            assert getattr(batch, name).tobytes() == getattr(want, name).tobytes()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def test_log_round_trip(tmp_path):
