@@ -142,11 +142,10 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     x = np.empty((n, m, pd))
     slots = np.empty((n, k), dtype=np.int64)
     noise = np.empty((n, k, pd))
-    normal, choice = rng.normal, rng.choice
     for i in range(n):
-        x[i] = normal(size=(m, pd))
-        slots[i] = choice(m, size=k, replace=False)
-        noise[i] = normal(scale=cfg.noise_std, size=(k, pd))
+        x[i] = rng.normal(size=(m, pd))
+        slots[i] = rng.choice(m, size=k, replace=False)
+        noise[i] = rng.normal(scale=cfg.noise_std, size=(k, pd))
     x[np.arange(n)[:, None], slots] = (protos[y] + offsets[v])[:, None] + noise
     slots.sort(axis=1)
     return Dataset(x.reshape(n, rows, cols, pd), y, v, slots)
