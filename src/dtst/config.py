@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import GenConfig
 from .errors import ConfigError, ConfigParseError
-from .evaluate import EMBED_BATCH
+from .evaluate import embed_batch_size
 from .model import MLP_RATIO, ModelConfig, param_layout
 from .optim import ScheduleConfig
 from .selector import SelectorConfig
@@ -172,7 +172,7 @@ class ExperimentConfig:
         v = self.values
         one_block = replace(self.model_config(), num_blocks=1, selector=None)
         m, d = v["model.patch_rows"] * v["model.patch_cols"], v["model.embed_dim"]
-        b = max(v["train.batch_p"] * v["train.batch_k"], EMBED_BATCH)
+        b = max(v["train.batch_p"] * v["train.batch_k"], embed_batch_size(one_block))
         grid = ("model.patch_rows", "model.patch_cols")
         batch = ("train.batch_p", "train.batch_k", *grid)
         return [

@@ -75,8 +75,8 @@ PROTOCOLS = (PROTOCOL_ALL, PROTOCOL_AA, PROTOCOL_GG, PROTOCOL_AG,
 # slower.
 _BLOCK_SIMILARITIES = 1 << 16
 
-# samples per `embed_samples` forward
-EMBED_BATCH = 64
+# token rows per `embed_samples` forward by default (`embed_batch_size`)
+EMBED_ROWS = 1 << 13
 
 
 @dataclass
@@ -373,9 +373,20 @@ def evaluate_protocol(embeddings, ids, views, protocol: str,
     )
 
 
-def embed_samples(cfg, params, samples, batch_size: int = EMBED_BATCH):
+def embed_batch_size(cfg) -> int:
+    """The default `embed_samples` batch for the model config `cfg`: the
+    largest power of two of samples whose M + 2 token rows fit in
+    EMBED_ROWS, and at least 1 (256 on a 4x4 grid, 64 on an 8x8 one)."""
+    fits = EMBED_ROWS // (cfg.num_patches + 2)
+    return 1 << max(fits.bit_length() - 1, 0)
+
+
+def embed_samples(cfg, params, samples, batch_size: int | None = None):
     """Inference-mode embeddings of a `data.Dataset` (a split, or rows of
-    one), taken `batch_size` rows at a time as row slices of it.
+    one), taken `batch_size` rows at a time as row slices of it, by default
+    `embed_batch_size(cfg)`, at which a 4x4 grid's scores and MLP hidden
+    layer span several tiles and may run on two threads; on the model's
+    shapes the embeddings are those of 64-sample batches bit for bit.
 
     Returns (meta [N, d], view [N, d], ids [N], views [N]); the meta features
     are the retrieval embeddings. Params other than `init_params(cfg)` makes
@@ -385,6 +396,8 @@ def embed_samples(cfg, params, samples, batch_size: int = EMBED_BATCH):
     each call, so a wrapper installed there (a profiler's, say) sees every
     batch.
     """
+    if batch_size is None:
+        batch_size = embed_batch_size(cfg)
     batch_size = check_count(batch_size, 1, ContractError,
                              f"batch_size must be at least 1, got {batch_size}")
     if len(samples) == 0:

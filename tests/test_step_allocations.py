@@ -158,3 +158,30 @@ def test_untracked_encoder_block_holds_three_activations_and_a_few_tiles():
         T.encoder_block(x, *params, HEADS)
     activations = 3 * 8 * b * TOKENS * WIDTH
     assert _peak_bytes(forward) < activations + 3 * TILE_BYTES + SLACK
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_default_embedding_batch_holds_five_activations_and_a_tile_set_a_thread(workers,
+                                                                                monkeypatch):
+    # one untracked `configs/benchmark.cfg` forward of the default embedding
+    # batch (256 samples, T = 18, d = 16): the patch embedding, which the
+    # forward keeps, the block's input, and the block's own three (the test
+    # above); and per thread one attention tile's Q/K/V, scores and context,
+    # the larger of the two kernels' scratch
+    from dtst import config, data, evaluate, model
+
+    monkeypatch.setattr(T, "_worker_count", lambda: workers)
+    cfg = config.load_config(BENCHMARK_CFG).model_config()
+    b, t, d, h = evaluate.embed_batch_size(cfg), cfg.num_patches + 2, cfg.embed_dim, 2
+    split = data.generate_dataset(data.GenConfig(num_ids=32, samples_per_id_per_view=b // 64))
+    x, _, v = data.batch_arrays(split[:b])
+    params = model.init_params(cfg, 0)
+    tiles = T._row_tiles(b, h * t * t)
+    assert (b, cfg.num_attn_heads) == (256, h) and len(tiles) > 1
+
+    def forward():
+        model.model_forward(cfg, params, x, v)
+    forward()  # the pool thread and its import, before anything is traced
+    activations = 5 * 8 * b * t * d
+    tile_set = 8 * (tiles[0].stop - tiles[0].start) * t * (3 * d + h * t + d)
+    assert _peak_bytes(forward) < activations + workers * tile_set + SLACK
