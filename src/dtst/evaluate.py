@@ -23,12 +23,24 @@ own part and in the whole gallery, so equal values rank in gallery order,
 the lower index first. A one-row block or part is scored as two copies of
 itself, as GEMV rounds apart from GEMM. A block's ranks stay in one array,
 by target (each gallery view, then the whole gallery), then query, with
-one count of matches per target and query. AP and INP are computed at once
-for all queries of a block that have the same number of matches, bit for
-bit as one query at a time; the Rank-1 hit is whether the first rank is 1.
-A report holds the aggregates alone, no per-query score. `rank_gallery`
-takes a gallery in parts only, each part with its rows' places in the
-whole gallery; a gallery in one piece is the one part of itself.
+one count of matches per target and query. `rank_gallery` takes a gallery
+in parts only, each part with its rows' places in the whole gallery; a
+gallery in one piece is the one part of itself.
+
+The pass hands `rank_gallery` `_CALL_BLOCKS` blocks of queries per call.
+A call checks its inputs once and, where it holds more than one block,
+ranks them on two threads (`tensor._run_tiles`): the calling thread takes
+the first half of the blocks and the tile pool's thread the second, and
+the calling thread merges their ranks into one array of the same layout,
+the call's. So the calling thread makes every call of a public function,
+and the pool thread runs private code only and is idle whenever a call
+starts or returns; a pass of one block (256 queries against 256 rows,
+say) never hands off. A block ranks the same whichever thread ranks it and
+whatever call it comes in, so the scores are bit for bit those of one
+thread and one call per block. AP and INP are computed at once for all
+queries of a call that have the same number of matches, bit for bit as one
+query at a time; the Rank-1 hit is whether the first rank is 1. A report
+holds the aggregates alone, no per-query score.
 
 The six protocols of one eval share this work through a `SharedScoring`:
 the embedding checks, the split and the one pass, made by the first
@@ -53,6 +65,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import model as model_mod
+from . import tensor as T
 from .errors import (ContractError, DimensionError, DomainError, NumericError, ProtocolError,
                      check_count)
 from .model import VIEW_AERIAL, VIEW_GROUND
@@ -74,6 +87,16 @@ PROTOCOLS = (PROTOCOL_ALL, PROTOCOL_AA, PROTOCOL_GG, PROTOCOL_AG,
 # allocator handed each freed pair back to the OS, and ran about a quarter
 # slower.
 _BLOCK_SIMILARITIES = 1 << 16
+
+# query blocks per `rank_gallery` call of a scoring pass. A call of several
+# blocks hands half of them to the tile pool's thread and waits for it, so
+# few blocks a call spend their time in handoffs. One pass over an
+# 8192-sample split's 4096 queries (256 blocks of 16 against 4096 gallery
+# rows), 30 interleaved repeats on a 2-core Xeon (KVM), median [quartiles]:
+# 1 block a call 333 ms [314, 398], 8 blocks 275 ms [268, 291], 16 blocks
+# 251 ms [245, 265], 32 blocks 242 ms [236, 268]. 32 gains less than the
+# spread of the repeats, at twice the ranks held per call.
+_CALL_BLOCKS = 16
 
 # token rows per `embed_samples` forward by default (`embed_batch_size`)
 EMBED_ROWS = 1 << 13
@@ -100,6 +123,12 @@ def unit_rows(x):
     return x / np.maximum(norms, 1e-12)
 
 
+def _query_block(gallery_size):
+    """Queries per block against a gallery of `gallery_size` rows: about
+    `_BLOCK_SIMILARITIES` similarities, and at least one query."""
+    return max(1, _BLOCK_SIMILARITIES // gallery_size)
+
+
 def rank_gallery(queries, query_ids, parts):
     """The 1-based ranks of every query's true matches in each gallery part
     and in the whole gallery, each sorted by descending similarity, ties
@@ -111,19 +140,32 @@ def rank_gallery(queries, query_ids, parts):
     `queries` [B, d] are finite unit rows (`unit_rows`), so the similarity
     is cosine, and `query_ids` [B] holds one identity per row. `parts` is
     the gallery in parts (`evaluate_protocol` makes one per view), each a
-    triple `(rows, ids, columns)`: at least one unit row, one identity per
-    row and each row's place in the whole gallery, the columns of all parts
-    together holding each place 0 ... G-1 once. Each part gets one
-    similarity matrix and one sort; a whole gallery is the one part
-    `(gallery, ids, arange(G))` of itself."""
-    query_ids = np.asarray(query_ids)
+    triple `(rows, ids, columns)`: at least one unit row [G_p, d], one
+    identity per row and each row's place in the whole gallery, the columns
+    of all parts together holding each place 0 ... G-1 once. A whole
+    gallery is the one part `(gallery, ids, arange(G))` of itself.
+
+    The inputs are checked once, then the queries are ranked in blocks of
+    about `_BLOCK_SIMILARITIES` similarities, each block with one
+    similarity matrix and one sort per part. Any number of queries may come
+    in one call: where they make more than one block, the blocks run on two
+    threads (`tensor._run_tiles`), the first half on this one and the
+    second on the tile pool's, and this thread merges their results into
+    the layout above once both are done. A block's ranks are the same
+    whichever thread ranks it and whatever call it comes in, so a call's
+    ranks are bit for bit those of one call per block."""
+    queries, query_ids = np.asarray(queries), np.asarray(query_ids)
+    if queries.ndim != 2:
+        raise DimensionError(f"queries {queries.shape} need to be rows [B, d]")
     if query_ids.shape != (len(queries),):
         raise DimensionError(f"query ids {query_ids.shape} need one entry per row "
                              f"({len(queries)})")
-    parts = [(rows, np.asarray(ids), np.asarray(cols)) for rows, ids, cols in parts]
+    parts = [(np.asarray(rows), np.asarray(ids), np.asarray(cols)) for rows, ids, cols in parts]
     if not parts:
         raise DimensionError("a gallery needs at least one part to rank against")
     for rows, ids, cols in parts:
+        if rows.ndim != 2:
+            raise DimensionError(f"a gallery part {rows.shape} needs to be rows [G_p, d]")
         if len(rows) == 0:
             raise DimensionError("a gallery part has no rows to rank against")
         if ids.shape != (len(rows),):
@@ -139,6 +181,25 @@ def rank_gallery(queries, query_ids, parts):
     if not (places.dtype.kind in "iu" and places.min() >= 0 and places.max() < g
             and np.bincount(places.astype(np.int64, copy=False), minlength=g).max() == 1):
         raise DimensionError(f"gallery columns must hold each place 0 ... {g - 1} once")
+    block = _query_block(g)
+    if len(queries) <= block:
+        return _rank_block(queries, query_ids, parts)
+    blocks = [slice(start, start + block) for start in range(0, len(queries), block)]
+    ranked = [None] * len(blocks)
+
+    def run(mine):
+        for b in mine:
+            ranked[b.start // block] = _rank_block(queries[b], query_ids[b], parts)
+
+    T._run_tiles(run, blocks)
+    counts = np.concatenate([c for _, c in ranked], axis=1)
+    # each block's ranks cut at its targets' ends, then taken target by target
+    cut = [np.split(r, np.cumsum(c.sum(axis=1))[:-1]) for r, c in ranked]
+    return np.concatenate([pieces[t] for t in range(len(counts)) for pieces in cut]), counts
+
+
+def _rank_block(queries, query_ids, parts):
+    """`rank_gallery` of one block of queries, on inputs it has checked."""
     # a one-row side (a query, or a gallery part) is scored as two copies of
     # itself: GEMV can round bitwise-equal rows differently from the GEMM of
     # a larger block, and so break their tie
@@ -220,9 +281,9 @@ def inverse_negative_penalty(ranks):
 
 
 def _block_scores(ranks, counts):
-    """(AP, INP, Rank-1 hit, has a match) of each query of a block, from
-    one array of `ranks` holding `counts[i]` ascending ranks for query i,
-    in query order; AP and INP are NaN for a query with no match."""
+    """(AP, INP, Rank-1 hit, has a match) of each query of a `rank_gallery`
+    call, from one array of `ranks` holding `counts[i]` ascending ranks for
+    query i, in query order; AP and INP are NaN for a query with no match."""
     first = np.cumsum(counts) - counts
     scored = counts > 0
     ap, inp = np.full(len(counts), np.nan), np.full(len(counts), np.nan)
@@ -312,15 +373,16 @@ class SharedScoring:
 def _score_pass(queries, query_ids, parts):
     """{gallery view, or None for the whole gallery: (AP, INP, hit, has a
     match) per query} of `queries` ranked against the gallery `parts`
-    ({view: (unit rows, ids, places in the gallery split)}), in blocks
-    sized by the whole gallery."""
+    ({view: (unit rows, ids, places in the gallery split)}), in calls of
+    `rank_gallery` of `_CALL_BLOCKS` query blocks each, the blocks sized by
+    the whole gallery."""
     targets = [*parts, None]
     gallery = list(parts.values())
-    block = max(1, _BLOCK_SIMILARITIES // sum(len(rows) for rows, _, _ in gallery))
+    step = _CALL_BLOCKS * _query_block(sum(len(rows) for rows, _, _ in gallery))
     out = {t: [] for t in targets}
-    for start in range(0, len(queries), block):
-        ranks, counts = rank_gallery(queries[start:start + block],
-                                     query_ids[start:start + block], gallery)
+    for start in range(0, len(queries), step):
+        ranks, counts = rank_gallery(queries[start:start + step],
+                                     query_ids[start:start + step], gallery)
         # one scoring of every target's ranks, cut back into targets
         scores = _block_scores(ranks, counts.ravel())
         for t, *cut in zip(targets, *(a.reshape(len(targets), -1) for a in scores)):

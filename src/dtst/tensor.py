@@ -62,7 +62,9 @@ first, so that both threads' GELU scratch is one tile's, except a tile of
 fewer than four rows, whose halves could hold one row. The pool thread runs
 in a copy of the caller's context, so numpy's error state (the CLI's
 `np.errstate`) holds there too, and the caller waits for it before anything
-leaves the loop, an exception included. BLAS keeps its one thread.
+leaves the loop, an exception included. BLAS keeps its one thread. The
+retrieval ranking (`evaluate.rank_gallery`) splits its query blocks between
+the same two threads.
 
 `encoder_block` computes only the rows something reads. Given `out_rows` r,
 it outputs each sequence's first r rows: LN1 and Q/K/V run on every row,
@@ -239,7 +241,11 @@ def _run_tiles(run, tiles, split=False):
     in a copy of this thread's context, so that numpy's error state holds
     there too. This thread waits for the other before anything, an
     exception included, leaves. `run` writes each tile's rows only, so which
-    thread runs a tile changes no bit."""
+    thread runs a tile changes no bit.
+
+    Besides this module's attention and MLP loops, `evaluate.rank_gallery`
+    runs its blocks of queries through here, each slice one block: the
+    pool's one thread serves both, one loop at a time."""
     if len(tiles) == 1 or _worker_count() == 1:
         run(tiles)
         return

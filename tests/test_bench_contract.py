@@ -10,6 +10,7 @@ import argparse
 import importlib
 import inspect
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,86 @@ def test_evaluate_protocol_ranks_through_the_module_attribute(dtst, monkeypatch)
     embeddings = np.random.default_rng(0).normal(size=(32, 6))
     report = dtst.evaluate.evaluate_protocol(embeddings, ids, views, "ALL", split_seed=0)
     assert blocks and sum(blocks) == report.num_queries + report.num_excluded
+
+
+# what perfbench's Clock and Tracer wrap on the paths of `dtst train` and
+# `dtst eval`, where their callers look them up
+WRAPPED = ("train.pk_batch", "train.batch_arrays", "optim.sgd_step", "data.batch_arrays",
+           "model.model_forward", "model.encoder_block", "evaluate.embed_samples",
+           "evaluate.evaluate_protocol", "evaluate.rank_gallery", "model.load_checkpoint")
+
+
+def test_train_and_eval_call_every_wrapped_function_on_the_calling_thread(
+        dtst, monkeypatch, tmp_path):
+    # the Clock keeps one timeline and the Tracer one span stack, so every
+    # function they wrap must run on the thread that runs the command, and
+    # the tile pool's thread, which runs private code only, must be idle
+    # whenever one of them is entered or returns. Tiles of 64 elements make
+    # the first of two blocks of a 4-sample training step and the
+    # 320-sample embedding span several; the ranking takes 160 queries
+    # against 160 gallery rows in blocks of 2.
+    monkeypatch.setattr(dtst.tensor, "_worker_count", lambda: 2)
+    monkeypatch.setattr(dtst.tensor, "_TILE_ELEMS", 1 << 6)
+    monkeypatch.setattr(dtst.evaluate, "_BLOCK_SIMILARITIES", 2 * 160)
+    main = threading.get_ident()
+    entered = {name: [] for name in WRAPPED}  # (thread, pool busy) per entry and return
+    pool = {"busy": 0, "ran": set()}  # run functions the pool thread ran
+    run_tiles = dtst.tensor._run_tiles
+
+    def recording_tiles(run, tiles, split=False):
+        def recording_run(part):
+            if threading.get_ident() == main:
+                return run(part)
+            pool["busy"] += 1
+            pool["ran"].add(run.__qualname__)
+            try:
+                return run(part)
+            finally:
+                pool["busy"] -= 1
+        return run_tiles(recording_run, tiles, split)
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            entered[name].append((threading.get_ident(), pool["busy"]))
+            out = fn(*args, **kwargs)
+            entered[name].append((threading.get_ident(), pool["busy"]))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(dtst.tensor, "_run_tiles", recording_tiles)
+    for name in WRAPPED:
+        module, fn = name.split(".")
+        monkeypatch.setattr(getattr(dtst, module), fn,
+                            recording(name, getattr(getattr(dtst, module), fn)))
+    queries, gallery = [], set()
+    rank_gallery = dtst.evaluate.rank_gallery
+
+    def counting(q, query_ids, parts):
+        queries.append(len(q))
+        gallery.add(sum(len(rows) for rows, _, _ in parts))
+        return rank_gallery(q, query_ids, parts)
+
+    monkeypatch.setattr(dtst.evaluate, "rank_gallery", counting)
+    config = tmp_path / "small.cfg"
+    config.write_text("seed = 0\nmodel.num_blocks = 2\nmodel.embed_dim = 8\n"
+                      "model.num_heads = 2\nmodel.patch_rows = 2\nmodel.patch_cols = 2\n"
+                      "model.patch_dim = 3\nselector.k = 2\nselector.heads = 2\n"
+                      "selector.noise = false\ndata.num_ids = 4\ndata.train_per_id_view = 4\n"
+                      "data.test_per_id_view = 40\ndata.k_sig = 2\ntrain.epochs = 1\n"
+                      "train.batch_p = 2\ntrain.batch_k = 2\n")
+    out = str(tmp_path / "run")
+    for command in ("train", "eval"):
+        assert dtst.cli.main([command, "--config", str(config), "--out", out]) == 0
+    for name, calls in entered.items():
+        assert calls and set(calls) == {(main, 0)}, name
+    assert {"rank_gallery.<locals>.run", "_attention_fwd.<locals>.run",
+            "_attention_bwd.<locals>.run", "_mlp_fwd.<locals>.run"} <= pool["ran"]
+    # one pass: ceil(blocks / blocks per call) calls, all but the last full
+    (g,) = gallery
+    block = dtst.evaluate._BLOCK_SIMILARITIES // g
+    blocks = -(-sum(queries) // block)
+    assert len(queries) == -(-blocks // dtst.evaluate._CALL_BLOCKS) > 1
+    assert queries[:-1] == [block * dtst.evaluate._CALL_BLOCKS] * (len(queries) - 1)
 
 
 def test_embed_samples_calls_through_the_module_attributes(dtst, monkeypatch):

@@ -2,6 +2,7 @@
 view-protocol plumbing."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtst import data, evaluate, model
+from dtst import tensor as T
 from dtst.errors import ContractError, DimensionError, DomainError, NumericError, ProtocolError
 from dtst.evaluate import (PROTOCOL_A2G, PROTOCOL_AG, PROTOCOL_ALL,
                            PROTOCOL_G2A, PROTOCOLS, RetrievalReport,
@@ -148,7 +150,9 @@ def test_evaluate_protocol_scores_each_query_block_once(monkeypatch):
 
     monkeypatch.setattr(evaluate, "rank_gallery", ranking)
     monkeypatch.setattr(evaluate, "_block_scores", scoring)
+    # blocks of 3 queries against 54 gallery rows, 2 per call: 6 calls
     monkeypatch.setattr(evaluate, "_BLOCK_SIMILARITIES", 200)
+    monkeypatch.setattr(evaluate, "_CALL_BLOCKS", 2)
     shared = SharedScoring()
     for protocol in PROTOCOLS:
         evaluate_protocol(embs, ids, views, protocol, shared=shared)
@@ -197,6 +201,29 @@ def test_rank_gallery_needs_a_part():
 def test_rank_gallery_width_mismatch():
     with pytest.raises(DimensionError, match="widths"):
         rank_gallery(np.zeros((1, 3)), [0], [(np.zeros((2, 4)), np.array([0, 1]), np.arange(2))])
+
+
+@pytest.mark.parametrize("queries, gallery, side", [
+    (np.full(3, 0.5), np.eye(3), "queries"),          # one query as a 1-D row
+    (np.eye(3), np.full(3, 0.5), "a gallery part"),   # one gallery row as a 1-D row
+])
+def test_rank_gallery_needs_rows_on_both_sides(queries, gallery, side):
+    with pytest.raises(DimensionError, match=f"{side} .* rows"):
+        rank_gallery(queries, [0, 1, 2], [(gallery, [0, 1, 2], np.arange(3))])
+
+
+def test_rank_gallery_checks_every_part_before_ranking_any_block(monkeypatch):
+    # 8 queries in blocks of one: the bad second part stops the call before
+    # a block is ranked on either thread
+    def ranking(*args):
+        raise AssertionError("a block was ranked")
+
+    monkeypatch.setattr(evaluate, "_rank_block", ranking)
+    monkeypatch.setattr(evaluate, "_BLOCK_SIMILARITIES", 1)
+    rows = np.eye(8)
+    with pytest.raises(DimensionError, match="widths"):
+        rank_gallery(rows, np.arange(8), [(rows, np.arange(8), np.arange(8)),
+                                          (np.eye(1, 4), [0], [8])])
 
 
 def test_rank_gallery_takes_id_lists():
@@ -385,6 +412,65 @@ def test_shared_scoring_equals_six_standalone_calls(seed, num_ids, block, split_
         assert ranked == whole_gallery_ranks(queries, query_ids, whole, whole_ids)
 
 
+def ranking_threads(monkeypatch):
+    """Wrap `evaluate._rank_block`, which ranks one block of a
+    `rank_gallery` call, to record the threads it runs on."""
+    threads = set()
+    rank_block = evaluate._rank_block
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return rank_block(*args)
+
+    monkeypatch.setattr(evaluate, "_rank_block", recording)
+    return threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_call_over_several_blocks_is_the_per_block_calls_merged(workers, monkeypatch):
+    # 28 queries in blocks of 3 (the last of one row) against a gallery in
+    # three parts, one of them a single row; gallery columns 2, 9, 17 and 30
+    # hold bitwise-equal unit rows, which tie, and query ids draw from two
+    # identities, so most queries match some of them
+    monkeypatch.setattr(T, "_worker_count", lambda: workers)
+    monkeypatch.setattr(evaluate, "_BLOCK_SIMILARITIES", 3 * 41)
+    rng = np.random.default_rng(3)
+    gallery = unit_rows(gallery_with_equal_unit_rows(rng, 41, [2, 9, 17, 30]))
+    gallery_ids = rng.integers(0, 2, 41)
+    queries, query_ids = unit_rows(rng.normal(size=(28, 16))), rng.integers(0, 2, 28)
+    places = rng.permutation(41)
+    parts = [(gallery[c], gallery_ids[c], c) for c in np.split(places, [20, 40])]
+    per_block = [rank_gallery(queries[s:s + 3], query_ids[s:s + 3], parts)
+                 for s in range(0, 28, 3)]
+    threads = ranking_threads(monkeypatch)
+    ranks, counts = rank_gallery(queries, query_ids, parts)
+    assert len(threads) == workers
+    # the documented layout: by target (each part, then the whole gallery),
+    # then query
+    assert counts.tolist() == np.concatenate([c for _, c in per_block], axis=1).tolist()
+    merged = [sum((per_query_ranks(b)[t] for b in per_block), []) for t in range(4)]
+    assert per_query_ranks((ranks, counts)) == merged
+    assert ranks.tolist() == [r for target in merged for query in target for r in query]
+
+
+def test_the_six_reports_are_the_same_on_one_and_two_threads(monkeypatch):
+    # blocks of one query, and about half of the rows are queries, so a
+    # pass makes several calls of many blocks
+    rng = np.random.default_rng(7)
+    embs, ids, views = population_with_cross_view_copies(rng, 30)
+    monkeypatch.setattr(evaluate, "_BLOCK_SIMILARITIES", 1)
+    threads = ranking_threads(monkeypatch)
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(T, "_worker_count", lambda: workers)
+        shared = SharedScoring()
+        reports.append([protocol_outcome(embs, ids, views, p, shared=shared)
+                        for p in PROTOCOLS])
+    assert len(threads) == 2 and len(ids) > 2 * 2 * evaluate._CALL_BLOCKS
+    assert all(isinstance(r, dict) for r in reports[0])
+    assert reports[0] == reports[1]
+
+
 def counting_similarities(monkeypatch):
     """Wrap `rank_gallery`, the one ranking pass, to count the query-row by
     gallery-row similarities it computes; returns the running count."""
@@ -539,8 +625,9 @@ def test_metrics_of_a_rank_matrix_equal_its_rows_bit_for_bit(seed, rows, n):
 
 def test_evaluate_protocol_takes_one_ap_call_per_block_and_match_count(monkeypatch):
     # every query of this population has 4 gallery matches in each view and
-    # 8 in the whole gallery, so each block computes its APs in two calls,
-    # one per match count, not one per query and list
+    # 8 in the whole gallery, so each `rank_gallery` call's ranks take two AP
+    # calls, one per match count, not one per query and list, however many
+    # query blocks the call holds
     embs, ids, views = _toy_population(num_ids=32, per_group=8, seed=2)
     counts, calls = [], []
     rank, ap = evaluate.rank_gallery, evaluate.average_precision
@@ -556,10 +643,12 @@ def test_evaluate_protocol_takes_one_ap_call_per_block_and_match_count(monkeypat
 
     monkeypatch.setattr(evaluate, "rank_gallery", ranking)
     monkeypatch.setattr(evaluate, "average_precision", counting)
-    monkeypatch.setattr(evaluate, "_BLOCK_SIMILARITIES", 16 * 256)
+    # 256 queries in blocks of 4 against 256 gallery rows: 64 blocks
+    monkeypatch.setattr(evaluate, "_BLOCK_SIMILARITIES", 4 * 256)
     rep = evaluate_protocol(embs, ids, views, PROTOCOL_ALL, split_seed=0)
-    assert len(counts) == 16 and set(counts) == {1}
-    assert calls == [(32, 4), (16, 8)] * 16
+    per_call = 4 * evaluate._CALL_BLOCKS
+    assert len(counts) == 256 // per_call > 1 and set(counts) == {1}
+    assert calls == [(2 * per_call, 4), (per_call, 8)] * len(counts)
     assert rep.num_queries == 256
 
 
