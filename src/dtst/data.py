@@ -161,6 +161,8 @@ def pk_batch(dataset, p: int, k_inst: int, rng: np.random.Generator):
     """P distinct identities with exactly k_inst rows each, as the `Dataset`
     of those rows: identities drawn in one `rng.choice`, then each one's
     rows in one more."""
+    if not isinstance(dataset, Dataset):
+        raise ContractError(f"pk_batch draws from a data.Dataset, got {type(dataset).__name__}")
     p, k_inst = check_pk(p, k_inst)
     if not isinstance(rng, np.random.Generator):
         raise ContractError(f"pk_batch draws from a numpy Generator, got {rng!r}")
@@ -176,6 +178,8 @@ def pk_batch(dataset, p: int, k_inst: int, rng: np.random.Generator):
 def batch_arrays(batch):
     """(x [B, rows, cols, pd], y [B], v [B]) of a nonempty `Dataset`: its
     own read-only arrays, not copies."""
+    if not isinstance(batch, Dataset):
+        raise ContractError(f"batch_arrays takes a data.Dataset, got {type(batch).__name__}")
     if len(batch) == 0:
         raise DimensionError("no samples to batch")
     return batch.x, batch.y, batch.v

@@ -13,10 +13,9 @@ block outputs those two rows alone (`tensor.encoder_block`'s `out_rows`).
 Each block keeps the parameters of a plain pre-norm block (LayerNorm scales
 and shifts, a [d, 3d] Q/K/V weight, the MLP's two weights). `param_layout`
 lists every parameter's name, shape and initial value once: `init_params`
-draws along it, a checkpoint stores it, and `check_params`, which
-`model_forward` runs first, holds params to it. `tensor.encoder_block`
-folds the LayerNorms' scales and shifts, the score scale and the GELU's
-halving into the weights it multiplies by, inside each call.
+draws along it, and `_compare_layout` holds params and checkpoints to it.
+`tensor.encoder_block` folds the LayerNorms' scales and shifts, the score
+scale and the GELU's halving into the weights it multiplies by, each call.
 """
 
 from __future__ import annotations
@@ -69,9 +68,10 @@ class ModelConfig:
             m = self.num_patches
             if self.selector.k > m:
                 raise ConfigError(f"SelectorConfig.K={self.selector.k} exceeds M={m}")
-            if self.selector.position == sel.POSITION_SECOND_TO_LAST and self.num_blocks < 2:
+            needed = sel.POSITIONS[self.selector.position]
+            if self.num_blocks < needed:
                 raise ConfigError(f"selector.position = {self.selector.position} needs "
-                                  f"model.num_blocks >= 2, got {self.num_blocks}")
+                                  f"model.num_blocks >= {needed}, got {self.num_blocks}")
 
     @property
     def num_patches(self):
@@ -80,13 +80,10 @@ class ModelConfig:
     @property
     def selector_block(self):
         """Index of the block the selector runs in front of, or None without
-        a selector: the final block for `last`, the one before it for
-        `second_to_last`."""
+        a selector (`selector.POSITIONS` counts it from the end)."""
         if self.selector is None:
             return None
-        if self.selector.position == sel.POSITION_LAST:
-            return self.num_blocks - 1
-        return self.num_blocks - 2
+        return self.num_blocks - sel.POSITIONS[self.selector.position]
 
 
 @dataclass
@@ -159,24 +156,31 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
     return params
 
 
+def _compare_layout(layout, shapes: dict, mismatch: str) -> None:
+    """The one judge of a parameter set: DimensionError unless `shapes`
+    ({name: shape}) holds exactly the (name, shape) pairs of `layout`. The
+    message, after `mismatch`, names every missing name, every unexpected
+    one and the first parameter of another shape."""
+    wanted = dict(layout)
+    missing = [name for name in wanted if name not in shapes]
+    extra = [name for name in shapes if name not in wanted]
+    faults = [f"{word} {', '.join(map(repr, names))}"
+              for word, names in (("missing", missing), ("unexpected", extra)) if names]
+    faults += [f"'{name}' has shape {shapes[name]}, not {shape}"
+               for name, shape in layout if shapes.get(name, shape) != shape][:1]
+    if faults:
+        raise DimensionError(f"{mismatch}: {'; '.join(faults)}")
+
+
 def check_params(cfg: ModelConfig, params: dict) -> None:
-    """Raise DimensionError naming the first parameter of `param_layout(cfg)`
-    that `params` lacks or holds in another shape, else the first name it
-    holds beyond those; ContractError if `params` is not a dict of Tensors.
-    `model_forward` runs it first."""
+    """DimensionError unless `params` holds exactly the parameters of
+    `param_layout(cfg)` in their shapes, ContractError unless it is a dict
+    of Tensors. `model_forward` and `save_checkpoint` run it first."""
     if not isinstance(params, dict) or not all(isinstance(p, Tensor) for p in params.values()):
         raise ContractError("params must be a dict of name -> Tensor")
-    layout = param_layout(cfg)
-    for name, shape, _ in layout:
-        if name not in params:
-            raise DimensionError(f"params hold no '{name}', which the model config makes")
-        if params[name].shape != shape:
-            raise DimensionError(f"parameter '{name}' has shape {params[name].shape}, the "
-                                 f"model config makes it {shape}")
-    if len(params) > len(layout):
-        names = {name for name, _, _ in layout}
-        extra = next(name for name in params if name not in names)
-        raise DimensionError(f"params hold '{extra}', which the model config does not make")
+    _compare_layout([(name, shape) for name, shape, _ in param_layout(cfg)],
+                    {name: p.shape for name, p in params.items()},
+                    "params do not match the model config's layout")
 
 
 def patch_embed(x, params: dict, cfg: ModelConfig) -> Tensor:
@@ -285,8 +289,8 @@ def model_forward(cfg: ModelConfig, params: dict, x, view_labels,
 # ---------------------------------------------------------------------------
 # checkpoint format: the magic line, a "config key=value ..." line echoing
 # `config_echo`, a text manifest (one "name dim dim ..." line per parameter,
-# in insertion order), an "end" line, then the flat float64 little-endian
-# data. Version 1 files had no config line and are rejected.
+# in `param_layout` order), an "end" line, then the flat float64
+# little-endian data. Version 1 files had no config line and are rejected.
 
 _MAGIC = b"dtst-checkpoint v2\n"
 
@@ -307,9 +311,12 @@ def config_echo(cfg: ModelConfig) -> dict:
 
 
 def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
-    """Write `params` and the echo of `cfg` to `<path>.tmp` in the same
-    directory, then rename it over `path`, so a write that fails midway
-    leaves any earlier file intact."""
+    """Write the echo of `cfg` and `params`, checked by `check_params`, in
+    `param_layout(cfg)` order to `<path>.tmp` in the same directory, then
+    rename it over `path`, so a refused or failed write leaves any earlier
+    file intact."""
+    check_params(cfg, params)
+    layout = param_layout(cfg)
     tmp = f"{os.fspath(path)}.tmp"
     f = open(tmp, "wb")  # outside the try: a path it cannot open is not its to remove
     try:
@@ -317,12 +324,11 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
             f.write(_MAGIC)
             pairs = " ".join(f"{k}={v}" for k, v in config_echo(cfg).items())
             f.write(f"config {pairs}\n".encode())
-            for name, p in params.items():
-                dims = " ".join(str(n) for n in p.shape)
-                f.write(f"{name} {dims}".rstrip().encode() + b"\n")
+            for name, shape, _ in layout:
+                f.write(" ".join([name, *map(str, shape)]).encode() + b"\n")
             f.write(b"end\n")
-            for p in params.values():
-                f.write(p.data.astype("<f8").tobytes())
+            for name, _, _ in layout:
+                f.write(params[name].data.astype("<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -333,8 +339,8 @@ def load_checkpoint(path, cfg: ModelConfig = None) -> dict:
     """Returns name -> ndarray in manifest order. A malformed manifest or a
     payload whose length differs from what the manifest declares raises
     DomainError naming the file, and so does a version 1 file, which records
-    no config to check. Given `cfg`, so does a recorded config that differs
-    from `cfg`'s echo."""
+    no config to check. Given `cfg`, so does a config other than its echo,
+    and a manifest other than `param_layout(cfg)` raises DimensionError."""
     if not os.path.isfile(path):
         raise DomainError(f"checkpoint file not found: {path}")
     try:
@@ -373,26 +379,19 @@ def load_checkpoint(path, cfg: ModelConfig = None) -> dict:
             if recorded.get(key) != wanted.get(key):
                 raise DomainError(f"{path} was trained with {key} = {recorded.get(key)}, "
                                   f"the config has {key} = {wanted.get(key)}")
-    out = {}
-    offset = 0
-    for (name, dims), count in zip(shapes.items(), counts):
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        out[name] = arr.reshape(dims).astype(np.float64)
-        offset += count * 8
-    return out
+        _compare_layout([(name, shape) for name, shape, _ in param_layout(cfg)], shapes,
+                        f"{path}: the manifest does not match the model config's layout")
+    parts = np.split(np.frombuffer(payload, dtype="<f8").astype(np.float64),
+                     np.cumsum(counts[:-1], dtype=np.int64))
+    return {name: part.reshape(dims) for (name, dims), part in zip(shapes.items(), parts)}
 
 
 def restore_params(params: dict, arrays: dict) -> None:
-    """Check every name and shape, then copy the checkpoint arrays into the
-    existing `p.data` arrays in place: an SgdState's parameters stay views of its buffer."""
-    missing = set(params) - set(arrays)
-    extra = set(arrays) - set(params)
-    if missing or extra:
-        raise DomainError(f"checkpoint mismatch: missing {sorted(missing)}, "
-                          f"unexpected {sorted(extra)}")
-    for name, p in params.items():
-        if arrays[name].shape != p.shape:
-            raise DimensionError(f"checkpoint shape {arrays[name].shape} for "
-                                 f"'{name}' does not match {p.shape}")
+    """Check the arrays' names and shapes against `params`
+    (`_compare_layout`), then copy them into the existing `p.data` arrays in
+    place: an SgdState's parameters stay views of its buffer."""
+    _compare_layout([(name, p.shape) for name, p in params.items()],
+                    {name: a.shape for name, a in arrays.items()},
+                    "the checkpoint arrays do not match the params")
     for name, p in params.items():
         p.data[...] = arrays[name]

@@ -19,26 +19,23 @@ from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError, DomainError, check_count
 from .tensor import Tensor
 
-# Config-level selector positions: LAST places the selector in front of the
-# final encoder block (the reduced sequence is encoded once more);
-# SECOND_TO_LAST places it in front of the block before that (the reduced
-# sequence is encoded twice).
-POSITION_LAST = "last"
-POSITION_SECOND_TO_LAST = "second_to_last"
-POSITIONS = (POSITION_LAST, POSITION_SECOND_TO_LAST)
+# Config-level selector positions, each the number of encoder blocks, counted
+# from the end, that the selector runs in front of and that encode the
+# reduced sequence: once for `last`, twice for `second_to_last`.
+POSITIONS = {"last": 1, "second_to_last": 2}
 
 
 @dataclass
 class SelectorConfig:
     k: int
-    position: str = POSITION_LAST
+    position: str = "last"
     noise_enabled: bool = True
 
     def __post_init__(self):
         self.k = check_count(self.k, 1, ConfigError,
                              f"SelectorConfig.K must be >= 1 and an integer, got {self.k!r}")
-        if self.position not in POSITIONS:
-            raise ConfigError(f"SelectorConfig.position must be one of {POSITIONS}, "
+        if not isinstance(self.position, str) or self.position not in POSITIONS:
+            raise ConfigError(f"SelectorConfig.position must be one of {list(POSITIONS)}, "
                               f"got {self.position!r}")
         if not isinstance(self.noise_enabled, (bool, np.bool_)):
             raise ConfigError(f"SelectorConfig.noise_enabled must be a bool, "

@@ -331,3 +331,28 @@ def test_every_workload_config_loads_with_what_run_and_checks_read(dtst, name, t
     cfg.gen_config("train")
     cfg.gen_config("test")
     cfg.model_config()
+
+
+def test_the_checkpoint_calls_of_the_clock_and_the_checks(dtst, tmp_path):
+    # the clock keeps what each `load_checkpoint(path)`, with no config,
+    # returns; `checks.checkpoint_roundtrip` compares that with the trained
+    # params by order, shape and bytes, and `checks._trained_params` restores
+    # it with `restore_params(params, arrays)`, which writes in place
+    assert _params(dtst.model.load_checkpoint) == ["path", "cfg"]
+    assert inspect.signature(dtst.model.load_checkpoint).parameters["cfg"].default is None
+    assert _params(dtst.model.restore_params) == ["params", "arrays"]
+    cfg = dtst.model.ModelConfig(num_identities=3, num_blocks=2, embed_dim=4, patch_grid=(2, 2),
+                                 patch_dim=3, selector=dtst.selector.SelectorConfig(k=1))
+    trained = dtst.model.init_params(cfg, 1)
+    path = tmp_path / "checkpoint.bin"
+    dtst.model.save_checkpoint(path, trained, cfg)
+    loaded = dtst.model.load_checkpoint(path)
+    assert list(loaded) == list(trained)
+    for name, a in loaded.items():
+        assert type(a) is np.ndarray and a.shape == trained[name].shape, name
+        assert a.tobytes() == trained[name].data.tobytes(), name
+    params = dtst.model.init_params(cfg, 0)
+    before = {name: p.data for name, p in params.items()}
+    dtst.model.restore_params(params, loaded)
+    for name, p in params.items():
+        assert p.data is before[name] and p.data.tobytes() == loaded[name].tobytes(), name

@@ -179,10 +179,11 @@ def test_eval_on_truncated_checkpoint_is_run_error(tiny_config, tmp_path, capsys
     assert "checkpoint.bin" in record["message"]
 
 
-def _write_version_1(path, arrays):
-    """A checkpoint in the version 1 layout, which records no config."""
+def _write_by_hand(path, header, arrays):
+    """A checkpoint of `header`'s lines and then `arrays`, written without
+    `save_checkpoint`, which writes only the parameter set a config makes."""
     with open(path, "wb") as f:
-        f.write(b"dtst-checkpoint v1\n")
+        f.write(header)
         for name, a in arrays.items():
             f.write(" ".join([name, *map(str, a.shape)]).encode() + b"\n")
         f.write(b"end\n")
@@ -195,12 +196,19 @@ def test_eval_rejects_a_version_1_checkpoint(tiny_config, tmp_path):
     out = str(tmp_path / "run")
     assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
     ckpt = os.path.join(out, "checkpoint.bin")
-    _write_version_1(ckpt, load_checkpoint(ckpt))
+    # the version 1 layout: no config line after the magic
+    _write_by_hand(ckpt, b"dtst-checkpoint v1\n", load_checkpoint(ckpt))
     assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
     record = json.load(open(os.path.join(out, "error.json")))
     assert record["error"] == "DomainError"
     assert all(word in record["message"] for word in ("checkpoint.bin", "version 1", "retrain"))
     assert not os.path.exists(os.path.join(out, "report.jsonl"))
+
+
+def _current_header(path):
+    """The magic and config lines of the checkpoint at `path`."""
+    with open(path, "rb") as f:
+        return f.readline() + f.readline()
 
 
 def test_eval_on_checkpoint_with_two_scorer_matrices_is_run_error(tiny_config, tmp_path):
@@ -210,15 +218,13 @@ def test_eval_on_checkpoint_with_two_scorer_matrices_is_run_error(tiny_config, t
     out = str(tmp_path / "run")
     assert run(["train", "--config", tiny_config, "--out", out]) == EXIT_OK
     ckpt = os.path.join(out, "checkpoint.bin")
-    arrays = load_checkpoint(ckpt)
+    header, arrays = _current_header(ckpt), load_checkpoint(ckpt)
     eye = np.eye(arrays["patch_embed.w"].shape[1])
     for scorer in (["selector.w"], ["selector.wq", "selector.wk"]):
-        params = {name: Tensor(a) for name, a in arrays.items()}
-        params.update({name: Tensor(eye) for name in scorer})
-        save_checkpoint(ckpt, params, load_config(tiny_config).model_config())
+        _write_by_hand(ckpt, header, {**arrays, **{name: eye for name in scorer}})
         assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
         record = json.load(open(os.path.join(out, "error.json")))
-        assert record["error"] == "DomainError"
+        assert record["error"] == "DimensionError"
         assert all(f"'{name}'" in record["message"] for name in scorer)
         assert not os.path.exists(os.path.join(out, "report.jsonl"))
 
@@ -247,11 +253,10 @@ def test_eval_rejects_a_checkpoint_in_the_separate_qkv_layout(tiny_config, tmp_p
     ckpt = os.path.join(out, "checkpoint.bin")
     old = _separate_qkv_layout(load_checkpoint(ckpt))
     assert {"view_token.aerial", "block0.attn.wq", "block0.attn.bo"} <= set(old)
-    save_checkpoint(ckpt, {name: Tensor(a) for name, a in old.items()},
-                    load_config(tiny_config).model_config())
+    _write_by_hand(ckpt, _current_header(ckpt), old)
     assert run(["eval", "--config", tiny_config, "--out", out]) == EXIT_RUN
     record = json.load(open(os.path.join(out, "error.json")))
-    assert record["error"] == "DomainError"
+    assert record["error"] == "DimensionError"
     assert all(f"'{name}'" in record["message"]
                for name in ("view_tokens", "block0.attn.w_qkv", "view_token.aerial",
                             "block0.attn.wq"))

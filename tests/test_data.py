@@ -154,6 +154,17 @@ def test_batch_arrays_needs_a_sample():
         batch_arrays(generate_dataset(tiny_cfg())[:0])
 
 
+def test_pk_batch_draws_from_a_dataset_not_a_list():
+    # a plain list of samples used to end in a raw AttributeError
+    with pytest.raises(ContractError, match="pk_batch draws from a data.Dataset, got list"):
+        pk_batch(list(generate_dataset(tiny_cfg())), 2, 2, np.random.default_rng(0))
+
+
+def test_batch_arrays_takes_a_dataset_not_a_list():
+    with pytest.raises(ContractError, match="batch_arrays takes a data.Dataset, got list"):
+        batch_arrays(list(generate_dataset(tiny_cfg())[:5]))
+
+
 @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("seed", None)])
 def test_gen_config_seeds_must_be_non_negative_integers(field, value):
     with pytest.raises(ConfigError, match=f"GenConfig.{field} must be an integer >= 0"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dtst import model
+from dtst import selector as sel
 from dtst import tensor as T
 from dtst.config import load_config
 from dtst.data import batch_arrays, generate_dataset, pk_batch
@@ -88,19 +89,24 @@ def test_model_forward_rejects_a_selection_without_a_selector(frozen):
                       frozen_selection=frozen)
 
 
-def test_model_forward_names_the_first_parameter_it_lacks():
+_MISMATCH = "^params do not match the model config's layout: "
+
+
+def test_model_forward_names_every_parameter_it_lacks():
     cfg = small_cfg(patch_grid=(2, 2))
     x, views = RNG.normal(size=(2, 2, 2, 4)), np.array([0, 1])
+    names = [name for name, _, _ in model.param_layout(cfg)]
     # the same error, in the same words, as `check_params`
     for call in (model_forward, check_params):
         args = (x, views) if call is model_forward else ()
-        with pytest.raises(DimensionError, match="^params hold no 'patch_embed.w', which the "
-                                                 "model config makes$"):
+        with pytest.raises(DimensionError) as err:
             call(cfg, {}, *args)
+        assert str(err.value) == ("params do not match the model config's layout: missing "
+                                  + ", ".join(f"'{name}'" for name in names))
         params = init_params(cfg, seed=0)
         del params["block1.mlp.w2"], params["head.view.b"]
-        with pytest.raises(DimensionError, match="^params hold no 'block1.mlp.w2', which the "
-                                                 "model config makes$"):
+        with pytest.raises(DimensionError, match=_MISMATCH + "missing 'block1.mlp.w2', "
+                                                             "'head.view.b'$"):
             call(cfg, params, *args)
     with pytest.raises(ContractError, match="params must be a dict"):
         model_forward(cfg, list(params.values()), x, views)
@@ -120,15 +126,11 @@ def _extra(params):
 
 # small_cfg(patch_grid=(2, 2)): d = 8, M = 4, 5 identities
 @pytest.mark.parametrize("mismatch, match", [
-    (_reshaped("pos_embed", (5, 8)), r"^parameter 'pos_embed' has shape \(5, 8\), the model "
-                                     r"config makes it \(4, 8\)$"),
-    (_reshaped("meta_token", (9,)), r"^parameter 'meta_token' has shape \(9,\), the model "
-                                    r"config makes it \(8,\)$"),
-    (_reshaped("view_tokens", (3, 8)), r"^parameter 'view_tokens' has shape \(3, 8\), the "
-                                       r"model config makes it \(2, 8\)$"),
-    (_reshaped("head.id.w", (8, 6)), r"^parameter 'head.id.w' has shape \(8, 6\), the model "
-                                     r"config makes it \(8, 5\)$"),
-    (_extra, r"^params hold 'block0.attn.wq', which the model config does not make$"),
+    (_reshaped("pos_embed", (5, 8)), r"'pos_embed' has shape \(5, 8\), not \(4, 8\)$"),
+    (_reshaped("meta_token", (9,)), r"'meta_token' has shape \(9,\), not \(8,\)$"),
+    (_reshaped("view_tokens", (3, 8)), r"'view_tokens' has shape \(3, 8\), not \(2, 8\)$"),
+    (_reshaped("head.id.w", (8, 6)), r"'head.id.w' has shape \(8, 6\), not \(8, 5\)$"),
+    (_extra, r"unexpected 'block0.attn.wq'$"),
 ], ids=["pos_embed", "meta_token", "view_tokens", "head.id.w", "extra_name"])
 def test_model_forward_names_a_parameter_of_another_shape_or_an_extra_one(mismatch, match):
     # each used to end in a raw ValueError, a DimensionError from `linear`
@@ -137,8 +139,35 @@ def test_model_forward_names_a_parameter_of_another_shape_or_an_extra_one(mismat
     params = mismatch(init_params(cfg, seed=0))
     for call in (model_forward, check_params):
         args = (RNG.normal(size=(2, 2, 2, 4)), np.array([0, 1])) if call is model_forward else ()
-        with pytest.raises(DimensionError, match=match):
+        with pytest.raises(DimensionError, match=_MISMATCH + match):
             call(cfg, params, *args)
+
+
+def test_the_layout_message_names_every_missing_and_unexpected_name_and_the_first_shape():
+    cfg = small_cfg(patch_grid=(2, 2))
+    params = init_params(cfg, seed=0)
+    del params["meta_token"], params["head.id.b"]
+    params.update({name: Tensor(np.zeros(2)) for name in ("selector.wq", "selector.wk")})
+    params["pos_embed"] = Tensor(np.zeros((5, 8)))
+    params["head.view.w"] = Tensor(np.zeros((8, 3)))
+    with pytest.raises(DimensionError, match=_MISMATCH + "missing 'meta_token', 'head.id.b'; "
+                       "unexpected 'selector.wq', 'selector.wk'; "
+                       r"'pos_embed' has shape \(5, 8\), not \(4, 8\)$"):
+        check_params(cfg, params)
+
+
+@pytest.mark.parametrize("num_blocks", [1, 2, 5])
+def test_the_selector_block_counts_its_position_from_the_end(num_blocks):
+    # one table, `selector.POSITIONS`, sets both the block and the range check
+    for position, from_end in sel.POSITIONS.items():
+        selector = SelectorConfig(k=1, position=position)
+        if num_blocks < from_end:
+            with pytest.raises(ConfigError, match=f"needs model.num_blocks >= {from_end}"):
+                small_cfg(num_blocks=num_blocks, selector=selector)
+        else:
+            cfg = small_cfg(num_blocks=num_blocks, selector=selector)
+            assert cfg.selector_block == num_blocks - from_end
+    assert small_cfg(num_blocks=num_blocks).selector_block is None
 
 
 def test_init_params_draws_along_param_layout():
@@ -434,11 +463,9 @@ def test_restore_params_writes_in_place_after_checking_every_shape():
 
 
 def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path):
-    class FailingParam:
-        shape = (2,)
-
-        @property
-        def data(self):
+    class FailingArray(np.ndarray):
+        # the right shape, so `check_params` passes; the payload write fails
+        def astype(self, *args, **kwargs):
             raise OSError("disk full")
 
     path = tmp_path / "checkpoint.bin"
@@ -446,10 +473,33 @@ def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path):
     params = init_params(cfg, seed=0)
     save_checkpoint(path, params, cfg)
     before = path.read_bytes()
+    late = Tensor(np.zeros(2))
+    late.data = late.data.view(FailingArray)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, {**params, "late": FailingParam()}, cfg)
+        save_checkpoint(path, {**params, "head.view.b": late}, cfg)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+
+
+def test_a_save_of_another_configs_params_is_refused_and_keeps_the_previous_file(tmp_path):
+    # the file's echo would say 5 identities and its manifest hold a 6-way head
+    path = tmp_path / "checkpoint.bin"
+    cfg = small_cfg()
+    save_checkpoint(path, init_params(cfg, seed=0), cfg)
+    before = path.read_bytes()
+    with pytest.raises(DimensionError, match=_MISMATCH + r"'head.id.w' has shape \(8, 6\), "
+                                                         r"not \(8, 5\)"):
+        save_checkpoint(path, init_params(small_cfg(num_identities=6), seed=0), cfg)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+
+
+def test_a_save_writes_the_layout_order_whatever_the_dict_order(tmp_path):
+    cfg = small_cfg()
+    params = init_params(cfg, seed=0)
+    save_checkpoint(tmp_path / "ordered.bin", params, cfg)
+    save_checkpoint(tmp_path / "reversed.bin", dict(reversed(params.items())), cfg)
+    assert (tmp_path / "ordered.bin").read_bytes() == (tmp_path / "reversed.bin").read_bytes()
 
 
 def test_checkpoint_write_leaves_a_temp_path_it_could_not_open(tmp_path, monkeypatch):
@@ -484,7 +534,8 @@ def test_checkpoint_rejects_bad_magic_and_mismatch(tmp_path):
         load_checkpoint(path, small_cfg(selector=SelectorConfig(k=2)))
 
     other = init_params(small_cfg(num_blocks=1), seed=0)
-    with pytest.raises(DomainError, match="mismatch"):
+    with pytest.raises(DimensionError, match="^the checkpoint arrays do not match the params: "
+                                             "unexpected 'block1.ln1.gamma', "):
         restore_params(other, arrays)
 
     wrong = init_params(small_cfg(num_identities=4), seed=0)
@@ -510,6 +561,40 @@ def test_checkpoint_rejects_bad_magic_and_mismatch(tmp_path):
         with pytest.raises(DomainError, match=message) as err:
             load_checkpoint(tmp_path / name)
         assert name in str(err.value)
+
+
+def test_restore_names_every_array_the_params_need():
+    # a missing name used to be a DomainError here and a DimensionError in
+    # `check_params`
+    cfg = small_cfg()
+    params = init_params(cfg, seed=0)
+    arrays = {name: p.data + 1.0 for name, p in params.items()}
+    del arrays["meta_token"], arrays["head.id.b"]
+    with pytest.raises(DimensionError, match="^the checkpoint arrays do not match the params: "
+                                             "missing 'meta_token', 'head.id.b'$"):
+        restore_params(params, arrays)
+    assert not any(np.array_equal(params[name].data, a) for name, a in arrays.items())
+
+
+@pytest.mark.parametrize("old, new, match", [
+    (b"\nmeta_token 8\n", b"\nmeta_vector 8\n", "missing 'meta_token'; unexpected 'meta_vector'"),
+    (b"\npos_embed 6 8\n", b"\npos_embed 8 6\n", r"'pos_embed' has shape \(8, 6\), not \(6, 8\)"),
+    (b"\nhead.id.w 8 5\n", b"\nhead.id.w 8 4\nhead.extra 8\n",
+     r"unexpected 'head.extra'; 'head.id.w' has shape \(8, 4\), not \(8, 5\)"),
+], ids=["renamed", "reshaped", "extra"])
+def test_load_with_a_config_holds_the_manifest_to_its_layout(tmp_path, old, new, match):
+    # each file used to load, with an echo that matches the config, and was
+    # refused only by `restore_params`
+    cfg = small_cfg()
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, init_params(cfg, seed=0), cfg)
+    blob = path.read_bytes()
+    assert old in blob
+    path.write_bytes(blob.replace(old, new))  # the echo and the byte count stay right
+    assert list(load_checkpoint(path))
+    with pytest.raises(DimensionError, match=f"^{path}: the manifest does not match the "
+                                             f"model config's layout: {match}$"):
+        load_checkpoint(path, cfg)
 
 
 @pytest.mark.parametrize("position", ["last", "second_to_last"])

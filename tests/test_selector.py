@@ -169,8 +169,9 @@ def test_selector_config_validation_messages():
     for k in (2.0, 1.5, None):
         with pytest.raises(ConfigError, match=f"K must be >= 1 and an integer, got {k!r}"):
             SelectorConfig(k=k)
-    with pytest.raises(ConfigError, match="position must be one of"):
-        SelectorConfig(k=1, position="first")
+    for position in ("first", None, ["last"]):  # a list cannot be a key of POSITIONS
+        with pytest.raises(ConfigError, match="position must be one of"):
+            SelectorConfig(k=1, position=position)
 
 
 @pytest.mark.parametrize("noise", ["no", "false", 0, 1, None, 1.0])

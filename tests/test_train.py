@@ -293,10 +293,9 @@ def _with_an_extra(params):
 
 
 @pytest.mark.parametrize("mismatch, match", [
-    (_three_id_params, r"parameter 'head.id.w' has shape \(8, 3\), the model config makes it "
-                       r"\(8, 4\)"),
-    (_without_a_bias, "params hold no 'block0.mlp.b2', which the model config makes"),
-    (_with_an_extra, "params hold 'head.extra', which the model config does not make"),
+    (_three_id_params, r"'head.id.w' has shape \(8, 3\), not \(8, 4\)"),
+    (_without_a_bias, "layout: missing 'block0.mlp.b2'$"),
+    (_with_an_extra, "layout: unexpected 'head.extra'$"),
 ], ids=["three_ids_under_four", "missing", "extra"])
 def test_train_and_embed_check_the_params_against_the_config_first(mismatch, match):
     # a head for 3 identities under a 4-identity config used to train
@@ -310,6 +309,19 @@ def test_train_and_embed_check_the_params_against_the_config_first(mismatch, mat
         embed_samples(cfg, params, data)
     for name, value in before.items():
         assert np.array_equal(params[name].data, value), name
+
+
+# a plain list of samples used to end in a raw AttributeError from the first batch
+def test_train_run_takes_a_dataset_not_a_list():
+    cfg, params, data = _tiny_setup()
+    with pytest.raises(ContractError, match="pk_batch draws from a data.Dataset, got list"):
+        train_run(cfg, params, list(data), 1e-2, epochs=1, batch_p=2, batch_k=2, seed=0)
+
+
+def test_embed_samples_takes_a_dataset_not_a_list():
+    cfg, params, data = _tiny_setup()
+    with pytest.raises(ContractError, match="batch_arrays takes a data.Dataset, got list"):
+        embed_samples(cfg, params, list(data))
 
 
 def test_train_run_rejects_mismatched_schedule():
