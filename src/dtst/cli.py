@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 run error. A command writes only
 into `--out` (default `runs`), which it makes before the config loads, so
 every run error also leaves a machine-readable record in <out>/error.json.
+Every file is written as a new one (`model.write_artifact`). A command first
+removes an earlier error.json, and `train` an earlier checkpoint and log.
 A command runs with numpy's overflow and invalid-operation errors raised;
 either is a `NumericError` run error. An `OSError` or `MemoryError` (an
 artifact that cannot be written, an array that cannot be allocated) is a
@@ -12,7 +14,6 @@ artifact that cannot be written, an array that cannot be allocated) is a
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -52,12 +53,13 @@ def _load(args):
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise _UsageError(f"cannot make output directory {out}: {exc.strerror}")
+    model_mod.remove_artifact(os.path.join(out, "error.json"))  # an earlier failure's
     cfg = config_mod.load_config(args.config)
     if args.seed is not None:
         cfg.values["seed"] = args.seed
         cfg.validate()
-    with open(os.path.join(out, "effective_config.txt"), "w") as f:
-        f.write(config_mod.format_config(cfg))
+    model_mod.write_artifact(os.path.join(out, "effective_config.txt"),
+                             [config_mod.format_config(cfg)])
     return cfg
 
 
@@ -72,6 +74,8 @@ def _train_one(cfg, model_cfg, seed, dataset):
 
 
 def cmd_train(cfg, out):
+    for name in ("checkpoint.bin", "train_log.csv"):  # no eval may read an earlier run's
+        model_mod.remove_artifact(os.path.join(out, name))
     model_cfg = cfg.model_config()
     dataset = data_mod.generate_dataset(cfg.gen_config("train"))
     params, log = _train_one(cfg, model_cfg, cfg["seed"], dataset)
@@ -108,12 +112,9 @@ def cmd_ablate(cfg, out):
                                             split_seed=cell["eval.split_seed"])
         k, position = ((cell["selector.k"], cell["selector.position"])
                        if cell["selector.enabled"] else ("none", "none"))
-        rows.append((k, position, report.rank1, report.mean_ap, report.mean_inp))
-    with open(os.path.join(out, "ablate.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["k", "position", "rank1", "mAP", "mINP"])
-        for k, position, r1, mp, mi in rows:
-            w.writerow([k, position, repr(r1), repr(mp), repr(mi)])
+        rows.append(f"{k},{position},{report.rank1!r},{report.mean_ap!r},{report.mean_inp!r}\r\n")
+    model_mod.write_artifact(os.path.join(out, "ablate.csv"),
+                             ["k,position,rank1,mAP,mINP\r\n", *rows])
     return EXIT_OK
 
 
@@ -128,8 +129,7 @@ def cmd_gradcheck(cfg, out):
     for r in results:
         lines.append(f"{r.name:32s} {r.rel_err:12.3e}  {'pass' if r.ok else 'FAIL'}")
     table = "\n".join(lines) + "\n"
-    with open(os.path.join(out, "gradcheck.txt"), "w") as f:
-        f.write(table)
+    model_mod.write_artifact(os.path.join(out, "gradcheck.txt"), [table])
     print(table, end="")
     return EXIT_OK if all(r.ok for r in results) else EXIT_RUN
 
@@ -161,8 +161,7 @@ def main(argv=None) -> int:
         print(json.dumps(record), file=sys.stderr)
         out = args.out  # _load made it before anything could fail
         try:
-            with open(os.path.join(out, "error.json"), "w") as f:
-                json.dump(record, f)
+            model_mod.write_artifact(os.path.join(out, "error.json"), [json.dumps(record)])
         except OSError:
             pass  # the record on stderr stands
         return EXIT_RUN

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ConfigError, ContractError, DimensionError, SamplingError, check_count,
                      check_grid, is_finite_real)
-from .model import VIEW_AERIAL, VIEW_GROUND, VIEW_NAMES
+from .model import VIEW_AERIAL, VIEW_GROUND, VIEW_NAMES, write_artifact
 
 SAMPLE_SEED_OFFSET = {"train": 1, "test": 2}  # a split draws its samples from seed + offset
 
@@ -192,7 +192,7 @@ def batch_arrays(batch):
 
 
 def export_embeddings(path, embeddings, ids, views) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for emb, y, v in zip(embeddings, ids, views):
-            x = base64.b64encode(np.asarray(emb, dtype="<f8").tobytes()).decode("ascii")
-            f.write(f"id={int(y)} view={VIEW_NAMES[int(v)]} x={x}\n")
+    lines = (f"id={int(y)} view={VIEW_NAMES[int(v)]} "
+             f"x={base64.b64encode(np.asarray(emb, dtype='<f8').tobytes()).decode()}\n"
+             for emb, y, v in zip(embeddings, ids, views))
+    write_artifact(path, lines)

@@ -479,13 +479,6 @@ def embed_samples(cfg, params, samples, batch_size: int | None = None):
 
 def write_reports(path, reports) -> None:
     """JSON-lines, one record per protocol."""
-    with open(path, "w") as f:
-        for r in reports:
-            f.write(json.dumps({
-                "protocol": r.protocol,
-                "rank1": r.rank1,
-                "mAP": r.mean_ap,
-                "mINP": r.mean_inp,
-                "num_queries": r.num_queries,
-                "num_excluded": r.num_excluded,
-            }) + "\n")
+    model_mod.write_artifact(path, (json.dumps({
+        "protocol": r.protocol, "rank1": r.rank1, "mAP": r.mean_ap, "mINP": r.mean_inp,
+        "num_queries": r.num_queries, "num_excluded": r.num_excluded}) + "\n" for r in reports))

@@ -20,7 +20,9 @@ scale and the GELU's halving into the weights it multiplies by, each call.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -310,29 +312,41 @@ def config_echo(cfg: ModelConfig) -> dict:
     return {key: str(value) for key, value in echo.items()}
 
 
-def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
-    """Write the echo of `cfg` and `params`, checked by `check_params`, in
-    `param_layout(cfg)` order to `<path>.tmp` in the same directory, then
-    rename it over `path`, so a refused or failed write leaves any earlier
-    file intact."""
-    check_params(cfg, params)
-    layout = param_layout(cfg)
+def remove_artifact(path) -> None:
+    """Unlink the file at `path`, if there is one; a directory there stays."""
+    with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+        os.unlink(path)
+
+
+def write_artifact(path, chunks) -> None:
+    """The one writer of a command's files: stream `chunks` (str, written as
+    UTF-8, or bytes) to `<path>.tmp`, unlink any file at `path` and rename
+    the new file to it. A new name costs no flush on ext4, where a rewrite in
+    place or a rename over a file forces one. On any exception the `.tmp` is
+    removed and an earlier file at `path` survives."""
     tmp = f"{os.fspath(path)}.tmp"
     f = open(tmp, "wb")  # outside the try: a path it cannot open is not its to remove
     try:
         with f:
-            f.write(_MAGIC)
-            pairs = " ".join(f"{k}={v}" for k, v in config_echo(cfg).items())
-            f.write(f"config {pairs}\n".encode())
-            for name, shape, _ in layout:
-                f.write(" ".join([name, *map(str, shape)]).encode() + b"\n")
-            f.write(b"end\n")
-            for name, _, _ in layout:
-                f.write(params[name].data.astype("<f8").tobytes())
-        os.replace(tmp, path)
+            for chunk in chunks:
+                f.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        remove_artifact(path)
+        os.rename(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
+    """Write the echo of `cfg` and `params`, checked by `check_params`, in
+    `param_layout(cfg)` order (`write_artifact`)."""
+    check_params(cfg, params)
+    layout = param_layout(cfg)
+    pairs = " ".join(f"{k}={v}" for k, v in config_echo(cfg).items())
+    header = [_MAGIC, f"config {pairs}\n",
+              *(" ".join([name, *map(str, shape)]) + "\n" for name, shape, _ in layout), "end\n"]
+    write_artifact(path, itertools.chain(header, (params[name].data.astype("<f8").tobytes()
+                                                  for name, _, _ in layout)))
 
 
 def load_checkpoint(path, cfg: ModelConfig = None) -> dict:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -73,9 +73,7 @@ def train_run(cfg: model.ModelConfig, params: dict, dataset, lr_max: float,
 
 
 def write_log(path, log) -> None:
+    """CSV with CRLF line ends, each value written with `repr`."""
     names = [field.name for field in fields(LogRow)]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(names)
-        for row in log:
-            w.writerow([repr(getattr(row, n)) for n in names])
+    rows = ([repr(getattr(row, n)) for n in names] for row in log)
+    model.write_artifact(path, (",".join(r) + "\r\n" for r in itertools.chain([names], rows)))

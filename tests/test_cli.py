@@ -3,6 +3,7 @@
 import base64
 import json
 import os
+import types
 import warnings
 
 import numpy as np
@@ -404,14 +405,74 @@ def test_unreadable_config_is_a_parse_error(tiny_config, tmp_path, monkeypatch):
 def test_unreadable_checkpoint_is_a_run_error(tiny_config, tmp_path, monkeypatch):
     from dtst import model as model_mod
 
+    def checkpoint_read_denied(path, mode="r", *args, **kwargs):
+        if os.path.basename(path) == "checkpoint.bin" and "r" in mode:
+            _permission_denied(path)
+        return open(path, mode, *args, **kwargs)
+
     out = tmp_path / "run"
     assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
-    monkeypatch.setattr(model_mod, "open", _permission_denied, raising=False)
+    monkeypatch.setattr(model_mod, "open", checkpoint_read_denied, raising=False)
     assert run(["eval", "--config", tiny_config, "--out", str(out)]) == EXIT_RUN
     record = json.load(open(out / "error.json"))
     assert record["error"] == "DomainError"
     assert "checkpoint.bin" in record["message"] and "Permission denied" in record["message"]
     assert not (out / "report.jsonl").exists()
+
+
+def test_a_successful_command_removes_an_earlier_error_json(tiny_config, tmp_path):
+    out = tmp_path / "run"
+    assert run(["eval", "--config", tiny_config, "--out", str(out)]) == EXIT_RUN
+    assert json.load(open(out / "error.json"))["error"] == "DomainError"
+    assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+    assert run(["eval", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+    assert not (out / "error.json").exists()
+
+
+def test_eval_after_a_failed_train_finds_no_checkpoint(tiny_config, tmp_path, capsys):
+    # the echo covers no schedule key, so an earlier run's checkpoint would
+    # pass it and be reported as the diverged run's
+    diverging = tmp_path / "diverging.cfg"
+    diverging.write_text(TINY + "schedule.lr_max = 50.0\n")
+    out = tmp_path / "run"
+    assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+    assert run(["train", "--config", str(diverging), "--out", str(out)]) == EXIT_RUN
+    assert _stderr_record(capsys)["error"] == "NumericError"
+    assert not (out / "checkpoint.bin").exists() and not (out / "train_log.csv").exists()
+    assert run(["eval", "--config", str(diverging), "--out", str(out)]) == EXIT_RUN
+    record = _stderr_record(capsys)
+    assert record["error"] == "DomainError"
+    assert record["message"].startswith("checkpoint file not found")
+
+
+def test_a_second_eval_writes_each_artifact_as_a_new_file(tiny_config, tmp_path):
+    out = tmp_path / "run"
+    assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+    names = ["effective_config.txt", "embeddings.txt", "report.jsonl"]
+    runs = []
+    for _ in range(2):
+        assert run(["eval", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+        runs.append({name: ((out / name).stat().st_ino, (out / name).read_bytes())
+                     for name in names})
+    for name in names:
+        (ino1, bytes1), (ino2, bytes2) = runs[0][name], runs[1][name]
+        assert ino1 != ino2 and bytes1 == bytes2, name
+    assert not [p.name for p in out.iterdir() if p.suffix == ".tmp"]
+
+
+def test_a_report_write_that_fails_partway_keeps_the_earlier_file(tmp_path):
+    report = dict(protocol="ALL", rank1=0.5, mean_ap=0.25, mean_inp=0.125, num_queries=8,
+                  num_excluded=0)
+    path = tmp_path / "report.jsonl"
+    evaluate.write_reports(path, [types.SimpleNamespace(**report)] * 2)
+    before = path.read_bytes()
+    # the new first record differs, the second cannot be written
+    first = types.SimpleNamespace(**{**report, "rank1": 0.75})
+    second = types.SimpleNamespace(**{**report, "rank1": object()})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        evaluate.write_reports(path, [first, second])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.jsonl"]
 
 
 def test_selector_heads_and_temperature_change_no_noisy_training(tmp_path):
